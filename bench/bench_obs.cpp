@@ -98,7 +98,6 @@ makeConfig(const GptConfig &model, int64_t bucket_bytes, bool smoke,
     config.pipelineStages = 2;
     config.microBatches = smoke ? 2 : 4;
     config.microBatchSize = 2;
-    config.reduceMode = DpReduceMode::Overlapped;
     config.bucketBytes = bucket_bytes;
     config.cb.enabled = true;
     config.dp.enabled = true;

@@ -36,8 +36,6 @@ runQualityExperiment(const QualityRunConfig &config,
     tc.dp = preset.dp;
     tc.fusedEmbeddingSync = preset.fusedEmbeddingSync;
     tc.instrumentChannels = config.instrument;
-    tc.reduceMode = config.reduceMode;
-    tc.bucketBytes = config.bucketBytes;
     tc.traceCommunication = config.traceCommunication;
     tc.tracePath = config.tracePath;
 
@@ -150,8 +148,6 @@ gradientApproximationError(const QualityRunConfig &config,
     tc.microBatches = config.microBatches;
     tc.microBatchSize = config.microBatchSize;
     tc.applyUpdates = false; // keep the accumulated gradients
-    tc.reduceMode = config.reduceMode;
-    tc.bucketBytes = config.bucketBytes;
 
     Trainer3dConfig tc_exact = tc;
     tc_exact.cb = CbConfig{};

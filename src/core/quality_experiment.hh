@@ -42,14 +42,6 @@ struct QualityRunConfig
     /** Zero-shot probe examples per task (0 = skip zero-shot). */
     int zeroShotExamples = 0;
     /**
-     * DP reduce scheduling. All modes are bitwise identical (see
-     * reduce_engine.hh), so quality results never depend on this;
-     * it exists so quality runs exercise the production path.
-     */
-    DpReduceMode reduceMode = DpReduceMode::Overlapped;
-    /** Bucket capacity for the bucketed reduce modes. */
-    int64_t bucketBytes = 256 * 1024;
-    /**
      * Record the run's communication into a CommTrace and fold the
      * per-phase totals into the result (pure observation; results
      * are bitwise identical either way).

@@ -1,9 +1,7 @@
 #include "parallel/data_parallel.hh"
 
-#include <algorithm>
 #include <cmath>
 
-#include "runtime/runtime.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -56,24 +54,6 @@ ensureGroup(CommGroup &group, const std::vector<Tensor *> &tensors)
 
 } // namespace
 
-// The combine kernel lives in comm/transport.cc now
-// (InProcessTransport); these wrappers keep the historical
-// library/test entry points working on the default transport.
-
-void
-allReduceAverage(const std::vector<Tensor *> &tensors)
-{
-    defaultTransport().allReduceTensors(CommPhase::Other, tensors,
-                                        ReduceOp::Mean);
-}
-
-void
-allReduceSum(const std::vector<Tensor *> &tensors)
-{
-    defaultTransport().allReduceTensors(CommPhase::Other, tensors,
-                                        ReduceOp::Sum);
-}
-
 bool
 stageSelectedForCompression(const DpCompressionConfig &config,
                             int stage, int stages)
@@ -86,168 +66,6 @@ stageSelectedForCompression(const DpCompressionConfig &config,
     const int selected = static_cast<int>(
         std::ceil(config.stageFraction * stages));
     return stage < selected;
-}
-
-DataParallelReducer::DataParallelReducer(
-    const DpCompressionConfig &config, bool compress_stage,
-    int workers, uint64_t seed, Transport *transport)
-    : config_(config), compressStage_(compress_stage),
-      workers_(workers), seed_(seed),
-      transport_(transport ? transport : &defaultTransport())
-{
-    OPTIMUS_ASSERT(workers >= 1);
-}
-
-bool
-DataParallelReducer::compressible(const Param &param)
-{
-    return param.value.rank() == 2 && param.value.rows() >= 2 &&
-           param.value.cols() >= 2;
-}
-
-// optlint:hot — steady-state step path (zero-allocation contract).
-ReduceVolume
-DataParallelReducer::reduce(
-    const std::vector<std::vector<ParamPtr>> &worker_params,
-    const std::vector<const Param *> &excluded)
-{
-    OPTIMUS_ASSERT(static_cast<int>(worker_params.size()) == workers_);
-    const size_t param_count = worker_params[0].size();
-    for (const auto &list : worker_params)
-        OPTIMUS_ASSERT(list.size() == param_count);
-
-    // Sorted-pointer membership set (binary search instead of the
-    // old O(params x excluded) linear scan). The sort order is
-    // address order — run-dependent — but only membership is ever
-    // queried, so no iteration order leaks into results.
-    // optlint:coldalloc — member scratch, capacity ratchets.
-    excludedSorted_.assign(excluded.begin(), excluded.end());
-    std::sort(excludedSorted_.begin(), excludedSorted_.end());
-    auto is_excluded = [this](const Param *p) {
-        return std::binary_search(excludedSorted_.begin(),
-                                  excludedSorted_.end(), p);
-    };
-
-    CommVolume comm;
-    for (size_t j = 0; j < param_count; ++j) {
-        if (is_excluded(worker_params[0][j].get()))
-            continue;
-        std::vector<Tensor *> &grads = gradScratch_;
-        grads.clear();
-        for (int d = 0; d < workers_; ++d) {
-            OPTIMUS_ASSERT(worker_params[d][j]->size() ==
-                           worker_params[0][j]->size());
-            // optlint:coldalloc — member scratch ratchet.
-            grads.push_back(&worker_params[d][j]->grad);
-        }
-
-        const bool compress =
-            compressStage_ && config_.enabled &&
-            compressible(*worker_params[0][j]);
-        if (!compress) {
-            // The cached group makes this allReduceTensors() minus
-            // the per-call group build — bitwise identical (the
-            // convenience wrapper is exactly allReduce(fromTensors)).
-            CommGroup &group = groups_[j];
-            ensureGroup(group, grads);
-            comm.add(transport_->allReduce(CommPhase::DpReduce,
-                                           group, ReduceOp::Mean));
-            continue;
-        }
-
-        // Lazily build per-parameter compressed-reduce state
-        // (first-touch only; never re-entered in the steady state).
-        auto it = dps_.find(j);
-        if (it == dps_.end()) {
-            CompressorSpec spec = config_.spec;
-            // optlint:coldalloc — first-touch state build.
-            it = dps_.emplace(
-                        j, std::make_unique<DistributedPowerSgd>(
-                               workers_, spec.rank,
-                               seed_ + 0x1000 * (j + 1)))
-                     .first;
-            if (config_.errorFeedback) {
-                // optlint:coldalloc — first-touch state build.
-                std::vector<Tensor> res;
-                res.reserve(workers_);
-                for (int d = 0; d < workers_; ++d)
-                    res.emplace_back( // optlint:coldalloc
-                        worker_params[0][j]->value.shape());
-                residuals_.emplace(j, // optlint:coldalloc
-                                   std::move(res));
-            }
-        }
-
-        // Error-fed inputs M_d = grad_d + e_d, built in persistent
-        // per-parameter scratch: the copy assignment reuses each fed
-        // tensor's storage, so the steady state allocates nothing.
-        std::vector<Tensor> &fed = fedScratch_[j];
-        // optlint:coldalloc — persistent scratch ratchet.
-        fed.resize(workers_);
-        inputScratch_.resize(workers_);
-        std::vector<const Tensor *> &inputs = inputScratch_;
-        for (int d = 0; d < workers_; ++d) {
-            fed[d] = *grads[d];
-            if (config_.errorFeedback)
-                fed[d].add(residuals_[j][d]);
-            inputs[d] = &fed[d];
-        }
-
-        Tensor &mean_approx = meanScratch_[j];
-        comm.add(transport_->allReduceCompressed(
-            CommPhase::DpReduce, *it->second, inputs, mean_approx));
-
-        for (int d = 0; d < workers_; ++d) {
-            if (config_.errorFeedback) {
-                residuals_[j][d] = fed[d];
-                residuals_[j][d].sub(mean_approx);
-            }
-            *grads[d] = mean_approx;
-        }
-    }
-    // The returned volume is a view over the event totals.
-    ReduceVolume volume;
-    volume.exactBytes = comm.exactBytes;
-    volume.actualBytes = comm.wireBytes;
-    return volume;
-}
-
-std::vector<double>
-DataParallelReducer::residualNorms() const
-{
-    std::vector<double> norms(workers_, 0.0);
-    for (const auto &[j, res] : residuals_) {
-        for (int d = 0; d < workers_; ++d) {
-            const double n = res[d].norm();
-            norms[d] += n * n;
-        }
-    }
-    for (double &n : norms)
-        n = std::sqrt(n);
-    return norms;
-}
-
-void
-DataParallelReducer::reset()
-{
-    dps_.clear();
-    residuals_.clear();
-    fedScratch_.clear();
-    meanScratch_.clear();
-    groups_.clear();
-}
-
-int64_t
-DataParallelReducer::stateBytes() const
-{
-    int64_t total = 0;
-    for (const auto &[j, dps] : dps_)
-        total += dps->stateBytes();
-    for (const auto &[j, res] : residuals_) {
-        for (const Tensor &t : res)
-            total += static_cast<int64_t>(sizeof(float)) * t.size();
-    }
-    return total;
 }
 
 // optlint:hot — steady-state step path (zero-allocation contract).

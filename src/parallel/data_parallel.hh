@@ -1,40 +1,27 @@
 /**
  * @file
- * Data-parallel gradient reduction with selective stage compression
- * (Section 7) and embedding synchronization with the fused
- * single-all-reduce optimization (Section 6).
+ * Data-parallel policy shared by the gradient reduction
+ * (reduce_engine.hh): selective stage compression (Section 7) and
+ * the reduction's volume view; plus embedding synchronization with
+ * the fused single-all-reduce optimization (Section 6).
  *
  * Replicas are simulated in-process: each data-parallel worker owns
- * private Param objects, and "all-reduce" functions combine their
- * gradient tensors exactly the way the collective would, so replica
+ * private Param objects, and the collectives combine their gradient
+ * tensors exactly the way the real ones would, so replica
  * divergence (or the lack of it) is real, not assumed.
  */
 
 #ifndef OPTIMUS_PARALLEL_DATA_PARALLEL_HH
 #define OPTIMUS_PARALLEL_DATA_PARALLEL_HH
 
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "comm/transport.hh"
-#include "compress/powersgd.hh"
+#include "compress/compressor.hh"
 #include "nn/param.hh"
 
 namespace optimus
 {
-
-/**
- * Exact mean all-reduce over per-worker tensors (double accum).
- * Thin wrapper over defaultTransport() — library/test convenience.
- */
-void allReduceAverage(const std::vector<Tensor *> &tensors);
-
-/**
- * Exact sum all-reduce over per-worker tensors (double accum).
- * Thin wrapper over defaultTransport() — library/test convenience.
- */
-void allReduceSum(const std::vector<Tensor *> &tensors);
 
 /** Data-parallel compression configuration (selective stages). */
 struct DpCompressionConfig
@@ -71,79 +58,6 @@ struct ReduceVolume
         exactBytes += other.exactBytes;
         actualBytes += other.actualBytes; // optlint:allow(COM01)
     }
-};
-
-/**
- * Reduces the gradients of one pipeline stage across D data-parallel
- * workers every iteration. Holds per-parameter DistributedPowerSgd
- * state and per-worker residuals so error feedback spans iterations
- * (which is exactly what makes DP compression stale, per the paper).
- */
-class DataParallelReducer
-{
-  public:
-    /**
-     * @param config Compression policy.
-     * @param compress_stage Whether this stage was selected.
-     * @param workers Data-parallel width D.
-     * @param seed Reducer-local seed.
-     * @param transport Transport the reductions go through
-     *        (defaultTransport() when null).
-     */
-    DataParallelReducer(const DpCompressionConfig &config,
-                        bool compress_stage, int workers,
-                        uint64_t seed,
-                        Transport *transport = nullptr);
-
-    /**
-     * Average gradients of aligned parameter lists (one list per
-     * worker; index j of every list is the same logical parameter).
-     * Parameters in @p excluded are skipped entirely (the embedding
-     * tables, which the embedding synchronizer owns).
-     */
-    ReduceVolume reduce(
-        const std::vector<std::vector<ParamPtr>> &worker_params,
-        const std::vector<const Param *> &excluded);
-
-    /** True when a parameter qualifies for low-rank compression. */
-    static bool compressible(const Param &param);
-
-    /** Per-worker residual error norms (diagnostics / tests). */
-    std::vector<double> residualNorms() const;
-
-    /** Reset compressor warm state and residuals. */
-    void reset();
-
-    /** Persistent state bytes (warm Q matrices + residuals). */
-    int64_t stateBytes() const;
-
-    bool compressesStage() const { return compressStage_; }
-
-  private:
-    DpCompressionConfig config_;
-    bool compressStage_;
-    int workers_;
-    uint64_t seed_;
-    Transport *transport_;
-    /** Per-parameter-index compressor state. */
-    std::map<size_t, std::unique_ptr<DistributedPowerSgd>> dps_;
-    /** residuals_[param index][worker]. */
-    std::map<size_t, std::vector<Tensor>> residuals_;
-    /** Persistent error-fed input scratch (per param, per worker). */
-    std::map<size_t, std::vector<Tensor>> fedScratch_;
-    /** Persistent mean-reconstruction scratch per param. */
-    std::map<size_t, Tensor> meanScratch_;
-    /**
-     * Cached single-parameter collective groups for the exact path,
-     * rebuilt if a parameter's gradient storage ever moves; in the
-     * steady state (stable Param lists) the per-call group build —
-     * the sequential path's only remaining allocation — disappears.
-     */
-    std::map<size_t, CommGroup> groups_;
-    /** Per-call scratch (capacities ratchet during warmup). */
-    std::vector<const Param *> excludedSorted_;
-    std::vector<Tensor *> gradScratch_;
-    std::vector<const Tensor *> inputScratch_;
 };
 
 /** Volumes from one embedding synchronization. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "compress/powersgd.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
@@ -119,11 +120,11 @@ ReduceEngine::bind(
 
         const bool compress =
             config_.compressStage && config_.dp.enabled &&
-            DataParallelReducer::compressible(*worker_params[0][j]);
+            compressible(*worker_params[0][j]);
         if (compress) {
             // Dedicated bucket: PowerSGD state is shaped by this
-            // parameter's matrix, and its per-parameter seed keeps
-            // the compressed stream identical to the legacy path.
+            // parameter's matrix and seeded per parameter index, so
+            // the compressed stream does not depend on the layout.
             close_open();
             auto bucket = std::make_unique<Bucket>();
             bucket->spec.params.push_back(j);
@@ -198,11 +199,9 @@ ReduceEngine::bind(
 }
 
 void
-ReduceEngine::beginIteration(TaskGroup &group, bool overlap,
-                             int64_t iteration)
+ReduceEngine::beginIteration(TaskGroup &group, int64_t iteration)
 {
     group_ = &group;
-    overlap_ = overlap;
     enqueued_ = false;
     iteration_ = iteration;
     arrivals_.store(0, std::memory_order_relaxed);
@@ -219,7 +218,9 @@ ReduceEngine::beginIteration(TaskGroup &group, bool overlap,
 void
 ReduceEngine::notifyReplicaDone()
 {
-    if (!overlap_)
+    // One replica has no concurrent backward to hide the buckets
+    // behind; flush() enqueues them after the replica loop.
+    if (config_.workers == 1)
         return;
     // acq_rel: the last arrival must observe every replica's
     // gradient writes before the buckets go onto the queue.
@@ -298,8 +299,9 @@ ReduceEngine::reduceExact(Bucket &bucket)
 {
     // Mean all-reduce over the bucket's flat extent via the
     // transport; the segmented combine kernel (grain-fixed chunks,
-    // double accumulation in replica order — bitwise identical to
-    // the legacy per-parameter path) lives in InProcessTransport.
+    // double accumulation in replica order — per element the same
+    // arithmetic as a per-parameter all-reduce) lives in
+    // InProcessTransport.
     const CommEvent ev = transport_->allReduce(
         CommPhase::DpReduce, bucket.group, ReduceOp::Mean);
     bucket.volume.exactBytes = ev.exactBytes;
@@ -369,6 +371,13 @@ ReduceEngine::collect(double *busy_seconds) const
     if (busy_seconds)
         *busy_seconds = busy;
     return volume;
+}
+
+bool
+ReduceEngine::compressible(const Param &param)
+{
+    return param.value.rank() == 2 && param.value.rows() >= 2 &&
+           param.value.cols() >= 2;
 }
 
 const std::vector<BucketSpec> &

@@ -1,11 +1,8 @@
 /**
  * @file
- * Bucketed, backward-overlapped data-parallel gradient reduction.
- *
- * The legacy `DataParallelReducer` walks one pipeline stage's
- * parameters sequentially after a hard barrier at the end of
- * backward. This engine restructures that hottest non-GEMM path the
- * way DDP/Megatron do:
+ * Bucketed, backward-overlapped data-parallel gradient reduction —
+ * the trainer's one DP all-reduce path, structured the way
+ * DDP/Megatron do it:
  *
  *  - **Bucketing.** Each stage's (non-excluded) parameters are
  *    flattened, in parameter order, into fixed-capacity buckets of
@@ -18,22 +15,24 @@
  *    feedback residuals.
  *
  *  - **Overlap.** Buckets are independent tasks on the runtime
- *    thread pool's task queue (`TaskGroup`). In overlapped mode the
- *    D-th replica to finish backward for the stage enqueues the
+ *    thread pool's task queue (`TaskGroup`). With D >= 2 workers
+ *    the D-th replica to finish backward for the stage enqueues the
  *    stage's buckets, so late-stage reduction runs on idle pool
- *    workers while early stages are still in backward. In barriered
- *    mode the trainer enqueues everything after the replica loop —
- *    the same tasks, just later.
+ *    workers while early stages are still in backward. With one
+ *    worker there is no other replica's backward to hide behind, so
+ *    flush() enqueues the buckets after the replica loop (inline on
+ *    a serial pool).
  *
  *  - **Determinism.** A bucket reduce is bitwise identical no
- *    matter which thread runs it or when: the exact path combines
- *    elements of the bucket's flat extent in chunks of a fixed
- *    grain, accumulating over replicas in replica order in double
- *    (exactly the legacy `combine()` arithmetic), and the
- *    compressed path is the same per-parameter distributed-PowerSGD
- *    protocol with the same per-parameter seeds. Buckets write
- *    disjoint state, and volumes are summed in bucket-index order.
- *    Overlapped == barriered == legacy, bitwise, at any
+ *    matter which thread runs it or when: the exact path is the
+ *    transport's mean combine over the bucket's flat extent (fixed
+ *    grain chunks, double accumulation in replica order), which per
+ *    element equals a per-parameter mean all-reduce, and the
+ *    compressed path is the per-parameter distributed-PowerSGD
+ *    protocol with per-parameter seeds `seed + 0x1000 * (j + 1)`.
+ *    Buckets write disjoint state, and volumes are summed in
+ *    bucket-index order. tests/test_reduce_engine.cc pins the
+ *    engine bitwise to a per-parameter oracle at any
  *    OPTIMUS_THREADS.
  *
  *  - **No per-step churn.** Error-fed inputs, residuals, and the
@@ -114,18 +113,18 @@ class ReduceEngine
 
     /**
      * Arm the engine for one iteration. @p group receives the
-     * bucket tasks; with @p overlap the D-th notifyReplicaDone()
-     * call enqueues them, otherwise flush() does. @p iteration
-     * stamps this iteration's trace spans.
+     * bucket tasks; with two or more workers the D-th
+     * notifyReplicaDone() call enqueues them, with one worker
+     * flush() does. @p iteration stamps this iteration's trace
+     * spans.
      */
-    void beginIteration(TaskGroup &group, bool overlap,
-                        int64_t iteration = 0);
+    void beginIteration(TaskGroup &group, int64_t iteration = 0);
 
     /**
      * Replica-done signal, called from inside the replica loop
      * (thread-safe) once this stage's backward — and micro-batch
-     * gradient scaling — finished on one replica. The last arrival
-     * enqueues every bucket when overlap is armed.
+     * gradient scaling — finished on one replica. With D >= 2 the
+     * D-th arrival enqueues every bucket; with D == 1 it is a no-op.
      */
     void notifyReplicaDone();
 
@@ -139,6 +138,12 @@ class ReduceEngine
      * wall time spent inside this stage's bucket tasks.
      */
     ReduceVolume collect(double *busy_seconds = nullptr) const;
+
+    /**
+     * True when a parameter qualifies for low-rank compression (a
+     * real matrix: rank 2 with at least 2 rows and 2 columns).
+     */
+    static bool compressible(const Param &param);
 
     /** Bucket layout (tests, diagnostics). */
     const std::vector<BucketSpec> &buckets() const;
@@ -188,7 +193,6 @@ class ReduceEngine
 
     /** Per-iteration state. */
     TaskGroup *group_ = nullptr;
-    bool overlap_ = false;
     bool enqueued_ = false;
     int64_t iteration_ = 0;
     std::atomic<int> arrivals_{0};

@@ -64,7 +64,7 @@ class Trainer3d::ReplicaScorer : public LmScorer
 };
 
 Trainer3d::Trainer3d(const Trainer3dConfig &config)
-    : config_(config), reduceMode_(config.reduceMode),
+    : config_(config),
       baseTransport_(std::make_unique<InProcessTransport>()),
       recorder_(config.traceCommunication
                     ? std::make_unique<RecordingTransport>(
@@ -86,14 +86,6 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
     // construction may still allocate freely.
     obs::initTelemetryFromEnv();
     obs::maybeStartMetricsServerFromEnv();
-
-    // Overlapped scheduling exists to hide bucket reduction behind
-    // the *other* replicas' backward; at D == 1 there is nothing to
-    // hide behind and the task-queue round trip is measured overhead
-    // (0.978x at d=1 p=2 m=4), so run the same — bitwise identical —
-    // reduction sequentially.
-    if (reduceMode_ == DpReduceMode::Overlapped && d_ways == 1)
-        reduceMode_ = DpReduceMode::Sequential;
 
     stepArena_ = std::make_unique<Workspace>("step");
     replicaArenas_.reserve(d_ways);
@@ -139,29 +131,21 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
         }
     }
 
-    reducers_.reserve(p_ways);
     engines_.reserve(p_ways);
     for (int p = 0; p < p_ways; ++p) {
-        const bool selected =
-            stageSelectedForCompression(config.dp, p, p_ways);
-        // Same per-stage seed for both paths: the engine's
-        // per-parameter compressor streams must match the legacy
-        // reducer's bit for bit.
-        const uint64_t stage_seed = config.seed + 31 * (p + 1);
-        reducers_.push_back(std::make_unique<DataParallelReducer>(
-            config.dp, selected, d_ways, stage_seed, transport_));
         ReduceEngineConfig ec;
         ec.dp = config.dp;
-        ec.compressStage = selected;
+        ec.compressStage =
+            stageSelectedForCompression(config.dp, p, p_ways);
         ec.workers = d_ways;
-        ec.seed = stage_seed;
+        ec.seed = config.seed + 31 * (p + 1);
         ec.bucketBytes = config.bucketBytes;
         ec.transport = transport_;
         engines_.push_back(std::make_unique<ReduceEngine>(ec));
     }
 
     // Aligned per-stage parameter lists, built once: the engine
-    // bind, the sequential reducer, and the optimizers all view the
+    // bind, the gradient-norm probe, and the optimizers all view the
     // same stable Param objects, so rebuilding these per iteration
     // was pure allocation churn.
     workerParams_.resize(p_ways);
@@ -227,14 +211,11 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     const int m_count = config_.microBatches;
     const int64_t mb_rows = config_.microBatchSize;
 
-    const bool use_engine = reduceMode_ != DpReduceMode::Sequential;
-    const bool overlap = reduceMode_ == DpReduceMode::Overlapped;
-
-    // Serial portions of the step (sampling, sequential reduce,
-    // embedding sync, optimizer) draw tensor storage from the step
-    // arena; the replica loop below installs per-replica scopes.
-    // Workspaces rewind when nothing is outstanding and recycle
-    // through their free lists otherwise — either way no heap call.
+    // Serial portions of the step (sampling, embedding sync,
+    // optimizer) draw tensor storage from the step arena; the
+    // replica loop below installs per-replica scopes. Workspaces
+    // rewind when nothing is outstanding and recycle through their
+    // free lists otherwise — either way no heap call.
     stepArena_->reset();
     for (auto &arena : replicaArenas_)
         arena->reset();
@@ -279,13 +260,10 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
             excluded_.push_back(table.get()); // optlint:coldalloc
     }
 
-    if (use_engine) {
-        for (int p = 0; p < p_ways; ++p) {
-            if (!engines_[p]->bound())
-                engines_[p]->bind(workerParams_[p], excluded_);
-            engines_[p]->beginIteration(reduceGroup_, overlap,
-                                        iterations_);
-        }
+    for (int p = 0; p < p_ways; ++p) {
+        if (!engines_[p]->bound())
+            engines_[p]->bind(workerParams_[p], excluded_);
+        engines_[p]->beginIteration(reduceGroup_, iterations_);
     }
 
     if (obs::metricsEnabled()) {
@@ -302,8 +280,9 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     const int64_t t_iter = obs::nowNs();
 
     // The D replicas touch disjoint state (stages, channels, loss
-    // heads, optimizers) until the all-reduce below, so they execute
-    // concurrently; the gradient all-reduce is the only sync point.
+    // heads, optimizers) until the all-reduce, so they execute
+    // concurrently; the only sync point is a stage's bucket reduce,
+    // which waits for the D-th replica to finish that stage.
     // Per-replica losses land in a fixed slot and are summed in
     // replica order, keeping the reported loss independent of
     // OPTIMUS_THREADS. Nested parallel regions inside the stages
@@ -339,15 +318,16 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
                 obs::tracingEnabled() ? obs::nowNs() : 0;
             // Backward all micro-batches in order. On the last
             // micro-batch a stage's gradients are final the moment
-            // its backward returns, so the engine path scales them
-            // by 1/M right there and signals the stage's engine; the
-            // D-th replica's signal puts the stage's buckets on the
-            // pool queue while earlier stages are still in backward.
+            // its backward returns, so they are averaged over the
+            // micro-batches (scaled by 1/M) right there and the
+            // stage's engine is signalled; at D >= 2 the D-th
+            // replica's signal puts the stage's buckets on the pool
+            // queue while earlier stages are still in backward.
             for (int m = 0; m < m_count; ++m) {
                 Tensor g = losses_[d].backward();
                 for (int p = p_ways - 1; p >= 1; --p) {
                     g = stages_[d][p]->backwardHidden(g);
-                    if (use_engine && m == m_count - 1) {
+                    if (m == m_count - 1) {
                         optimizers_[d][p]->scaleGrad(inv_m);
                         engines_[p]->notifyReplicaDone();
                     }
@@ -355,7 +335,7 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
                 }
                 g = stages_[d][0]->backwardHidden(g);
                 stages_[d][0]->backwardTokens(g);
-                if (use_engine && m == m_count - 1) {
+                if (m == m_count - 1) {
                     optimizers_[d][0]->scaleGrad(inv_m);
                     engines_[0]->notifyReplicaDone();
                 }
@@ -374,43 +354,22 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     for (int d = 0; d < d_ways; ++d)
         loss_sum += replica_loss[d];
 
-    // Legacy path: average gradients over micro-batches after the
-    // loop (per-replica optimizer state is disjoint). The engine
-    // path already scaled in-loop — same multiplications, earlier.
-    if (!use_engine) {
-        parallelFor(0, d_ways, 1, [&](int64_t d_lo, int64_t d_hi) {
-            for (int64_t d = d_lo; d < d_hi; ++d) {
-                for (int p = 0; p < p_ways; ++p)
-                    optimizers_[d][p]->scaleGrad(inv_m);
-            }
-        });
-    }
-
-    // Data-parallel gradient all-reduce. Exposed time only: in
-    // overlapped mode most bucket tasks already ran during backward.
+    // Data-parallel gradient all-reduce. Exposed time only: at
+    // D >= 2 most bucket tasks already ran during backward.
     const int64_t t_reduce = obs::nowNs();
-    if (use_engine) {
-        for (int p = 0; p < p_ways; ++p)
-            engines_[p]->flush();
-        reduceGroup_.wait();
-        for (int p = 0; p < p_ways; ++p) {
-            double busy = 0.0;
-            stats.dpVolume += engines_[p]->collect(&busy);
-            stats.phases.dpReduceBusy += busy;
-        }
-    } else {
-        for (int p = 0; p < p_ways; ++p) {
-            stats.dpVolume += reducers_[p]->reduce(workerParams_[p],
-                                                   excluded_);
-        }
+    for (int p = 0; p < p_ways; ++p)
+        engines_[p]->flush();
+    reduceGroup_.wait();
+    for (int p = 0; p < p_ways; ++p) {
+        double busy = 0.0;
+        stats.dpVolume += engines_[p]->collect(&busy);
+        stats.phases.dpReduceBusy += busy;
     }
     const int64_t t_reduce_end = obs::nowNs();
     stats.phases.dpReduce = obs::secondsBetween(t_reduce,
                                                 t_reduce_end);
     obs::emitSpan("phase", "dpReduce", t_reduce, t_reduce_end,
                   iterations_);
-    if (!use_engine)
-        stats.phases.dpReduceBusy = stats.phases.dpReduce;
     stats.phases.overlapHidden = std::max(
         0.0, stats.phases.dpReduceBusy - stats.phases.dpReduce);
 
@@ -507,8 +466,6 @@ Trainer3d::ppHealth() const
 obs::CompressionHealth
 Trainer3d::dpHealth() const
 {
-    // The bucketed engines carry the probe state; in Sequential
-    // mode (legacy reducer) the DP channel reports empty health.
     obs::CompressionHealth h;
     for (const auto &engine : engines_)
         h.merge(engine->health());
@@ -689,10 +646,6 @@ Trainer3d::compressorStateBytes() const
         for (const auto &ch : replica)
             total += ch->compressorStateBytes();
     }
-    // Only one of the two reduce paths holds warm state (whichever
-    // the configured mode exercises); the other contributes zero.
-    for (const auto &reducer : reducers_)
-        total += reducer->stateBytes();
     for (const auto &engine : engines_)
         total += engine->stateBytes();
     return total;

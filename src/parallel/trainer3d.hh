@@ -2,17 +2,18 @@
  * @file
  * The full Optimus-CC training loop over a simulated (D data-
  * parallel) x (P pipeline) grid of stage replicas. Tensor
- * parallelism is intra-node and mathematically exact (see
- * tensor_parallel.hh for the demonstration), so the quality engine
- * runs with T = 1; the performance pillar models T explicitly.
+ * parallelism is intra-node and mathematically exact, so the
+ * quality engine runs with T = 1; only the performance pillar
+ * (cluster / pipesim) models T.
  *
  * Every communication the paper talks about is an explicit data
  * movement here:
  *   - inter-stage backward sends go through BackwardChannel
  *     (compressed backpropagation, lazy error propagation,
  *     epilogue-only policy);
- *   - DP gradient all-reduce goes through DataParallelReducer
- *     (selective stage compression, distributed PowerSGD, error
+ *   - DP gradient all-reduce goes through one ReduceEngine per
+ *     stage (bucketed, overlapped with backward when D >= 2;
+ *     selective stage compression, distributed PowerSGD, error
  *     feedback);
  *   - the tied embedding tables go through EmbeddingSynchronizer
  *     (baseline two-all-reduce or fused single all-reduce).
@@ -39,26 +40,6 @@
 
 namespace optimus
 {
-
-/**
- * How the data-parallel gradient all-reduce is scheduled. All three
- * modes produce bitwise-identical parameters (see reduce_engine.hh);
- * they differ only in when and where the work runs.
- */
-enum class DpReduceMode
-{
-    /** Legacy path: sequential per-parameter reduce after backward. */
-    Sequential,
-    /** Bucketed engine, all buckets enqueued after the replica loop. */
-    Barriered,
-    /**
-     * Bucketed engine, stage p's buckets enqueued by the last
-     * replica to finish stage p's backward, so reduction overlaps
-     * the rest of backward (the default, and the structure the
-     * paper's hidden-communication arguments assume).
-     */
-    Overlapped,
-};
 
 /** Complete configuration for one training run. */
 struct Trainer3dConfig
@@ -88,9 +69,7 @@ struct Trainer3dConfig
      */
     bool applyUpdates = true;
     uint64_t seed = 123;
-    /** Scheduling of the DP gradient all-reduce. */
-    DpReduceMode reduceMode = DpReduceMode::Overlapped;
-    /** Bucket capacity for the bucketed reduce modes. */
+    /** Bucket capacity of the DP gradient reduction. */
     int64_t bucketBytes = 256 * 1024;
     /**
      * Record every communication operation into a CommTrace (see
@@ -120,8 +99,8 @@ struct Trainer3dConfig
 
 /**
  * Wall-time breakdown of one iteration (seconds, steady clock).
- * `forwardBackward` is the replica-loop wall time; in overlapped
- * mode it already contains any reduction hidden behind backward.
+ * `forwardBackward` is the replica-loop wall time; at D >= 2 it
+ * already contains any reduction hidden behind backward.
  * `dpReduce` is the *exposed* reduce time (flush + drain after the
  * replica loop), `dpReduceBusy` the summed time spent inside bucket
  * tasks wherever they ran, and `overlapHidden` their difference —
@@ -219,16 +198,6 @@ class Trainer3d
     obs::CompressionHealth dpHealth() const;
 
     /**
-     * The reduce mode actually executed. Overlapped degenerates to
-     * Sequential when D == 1: with a single replica there is no
-     * concurrent backward to hide bucket tasks behind, so the task
-     * queue is pure overhead (BENCH_step.json measured overlapped at
-     * 0.978x sequential at d=1). All modes are bitwise identical, so
-     * the rewrite is exact.
-     */
-    DpReduceMode effectiveReduceMode() const { return reduceMode_; }
-
-    /**
      * The recorded communication trace, or nullptr unless
      * Trainer3dConfig::traceCommunication is on.
      */
@@ -241,15 +210,13 @@ class Trainer3d
     class ReplicaScorer;
 
     Trainer3dConfig config_;
-    /** Resolved reduce mode (see effectiveReduceMode()). */
-    DpReduceMode reduceMode_ = DpReduceMode::Overlapped;
     /**
      * Workspace arenas: one per data-parallel replica (the replica
      * loop installs replica d's scope, so activations, gradients and
      * channel buffers recycle without cross-replica contention) plus
-     * one for the serial portions of the step (sampling, sequential
-     * reduce, embedding sync). Declared before every tensor-holding
-     * member so arenas are destroyed last.
+     * one for the serial portions of the step (sampling, embedding
+     * sync). Declared before every tensor-holding member so arenas
+     * are destroyed last.
      */
     std::vector<std::unique_ptr<Workspace>> replicaArenas_;
     std::unique_ptr<Workspace> stepArena_;
@@ -273,8 +240,6 @@ class Trainer3d
     std::vector<SoftmaxCrossEntropy> losses_;
     /** optimizers_[d][p]. */
     std::vector<std::vector<std::unique_ptr<Optimizer>>> optimizers_;
-    /** reducers_[p]: legacy sequential reducer, one per stage. */
-    std::vector<std::unique_ptr<DataParallelReducer>> reducers_;
     /** engines_[p]: bucketed reduce engine, one per stage. */
     std::vector<std::unique_ptr<ReduceEngine>> engines_;
     /** Completion handle for in-flight bucket reductions. */

@@ -5,10 +5,10 @@
  * warmup the counter is armed around full training iterations and
  * the gate fails on ANY heap allocation made anywhere in the
  * process — tensor storage, containers, closures, pool tasks — on
- * the forward/backward/compress/reduce/update path, in every DP
- * reduce mode. This is the runtime enforcement of what optlint's
- * ALLOC01 hot set declares statically and what the coldalloc /
- * coldfn annotations promise is warmup-only.
+ * the forward/backward/compress/reduce/update path. This is the
+ * runtime enforcement of what optlint's ALLOC01 hot set declares
+ * statically and what the coldalloc / coldfn annotations promise is
+ * warmup-only.
  *
  * `--serve` gates the serving decode path instead: a pipelined
  * (P=2) continuous-batching ServeEngine is warmed with two full
@@ -161,8 +161,16 @@ namespace
 
 using namespace optimus;
 
+/**
+ * The gated training config: D=2 P=2, compressed backward channels
+ * and compressed DP reduction, so the armed steps cover the bucket
+ * reduce overlapped with backward. D=1 is not gated yet: at
+ * OPTIMUS_THREADS=4 a D=1 P=2 M=4 step still makes about 1344 heap
+ * allocations in the steady state (bench_step_overlap echoes
+ * +36288 over its 27 measured steps), which is open work.
+ */
 Trainer3dConfig
-gateConfig(DpReduceMode mode)
+gateConfig()
 {
     GptConfig model;
     model.vocab = 24;
@@ -185,29 +193,14 @@ gateConfig(DpReduceMode mode)
     config.dp.enabled = true;
     config.dp.stageFraction = 1.0;
     config.dp.spec.rank = 2;
-    config.reduceMode = mode;
     return config;
-}
-
-const char *
-modeName(DpReduceMode mode)
-{
-    switch (mode) {
-      case DpReduceMode::Sequential:
-        return "sequential";
-      case DpReduceMode::Barriered:
-        return "barriered";
-      case DpReduceMode::Overlapped:
-        return "overlapped";
-    }
-    return "?";
 }
 
 /** @return armed allocation count over two post-warmup steps. */
 long long
-runGate(DpReduceMode mode, const LmDataset &data)
+runGate(const LmDataset &data)
 {
-    Trainer3d trainer(gateConfig(mode));
+    Trainer3d trainer(gateConfig());
     Rng rng(99);
     // Warmup: step one sizes the arenas and ratchets every scratch
     // capacity; step two builds lazily-constructed compressor warm
@@ -293,8 +286,7 @@ telemetryMain(const LmDataset &data)
     if (!obs::startMetricsServer(0))
         std::fprintf(stderr, "alloc_gate: warning: exporter "
                              "listener failed to start\n");
-    const long long train_count =
-        runGate(DpReduceMode::Overlapped, data);
+    const long long train_count = runGate(data);
     const long long serve_count = runServeGate();
     obs::stopMetricsServer();
     obs::enableProbes(false);
@@ -364,30 +356,22 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "--telemetry") == 0)
         return telemetryMain(data);
 
-    int failures = 0;
-    for (const DpReduceMode mode :
-         {DpReduceMode::Sequential, DpReduceMode::Barriered,
-          DpReduceMode::Overlapped}) {
-        const long long count = runGate(mode, data);
-        const int64_t heap = mem::heapAllocs();
-        std::printf("alloc_gate: mode=%-10s armed allocs=%lld "
-                    "(lifetime: heapAllocs=%lld arenaHits=%lld "
-                    "fallbacks=%lld peakBytes=%lld)\n",
-                    modeName(mode), count,
-                    static_cast<long long>(heap),
-                    static_cast<long long>(mem::arenaHits()),
-                    static_cast<long long>(mem::heapFallbacks()),
-                    static_cast<long long>(mem::peakBytes()));
-        if (count != 0) {
-            std::fprintf(stderr,
-                         "alloc_gate: FAIL mode=%s: %lld heap "
-                         "allocation(s) in a steady-state step\n",
-                         modeName(mode), count);
-            ++failures;
-        }
+    const long long count = runGate(data);
+    std::printf("alloc_gate: mode=train      armed allocs=%lld "
+                "(lifetime: heapAllocs=%lld arenaHits=%lld "
+                "fallbacks=%lld peakBytes=%lld)\n",
+                count, static_cast<long long>(mem::heapAllocs()),
+                static_cast<long long>(mem::arenaHits()),
+                static_cast<long long>(mem::heapFallbacks()),
+                static_cast<long long>(mem::peakBytes()));
+    if (count != 0) {
+        std::fprintf(stderr,
+                     "alloc_gate: FAIL mode=train: %lld heap "
+                     "allocation(s) in a steady-state step\n",
+                     count);
+        return 1;
     }
-    if (failures == 0)
-        std::printf("alloc_gate: PASS (zero steady-state heap "
-                    "allocations in all reduce modes)\n");
-    return failures == 0 ? 0 : 1;
+    std::printf("alloc_gate: PASS (zero steady-state heap "
+                "allocations on the training step)\n");
+    return 0;
 }

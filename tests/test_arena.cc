@@ -3,7 +3,7 @@
  * The workspace-arena memory layer (DESIGN.md section 9): size-class
  * recycling across shape changes, scope install/restore, the
  * steady-state zero-heap-allocation metrics gate over full 3D
- * training steps in every reduce mode, and bitwise identity of
+ * training steps, and bitwise identity of
  * training with arenas on vs off. OPTIMUS_ARENA is latched once per
  * process, so the on/off A/B re-runs this binary in a child process
  * with the gate flipped and compares parameter digests.
@@ -62,7 +62,7 @@ tinyData(int64_t seq_len)
  * reduce engine, and the embedding synchronizer.
  */
 Trainer3dConfig
-fullConfig(DpReduceMode mode)
+fullConfig()
 {
     Trainer3dConfig config;
     config.model = tinyModel();
@@ -77,7 +77,6 @@ fullConfig(DpReduceMode mode)
     config.dp.enabled = true;
     config.dp.stageFraction = 1.0;
     config.dp.spec.rank = 2;
-    config.reduceMode = mode;
     return config;
 }
 
@@ -112,9 +111,9 @@ paramDigest(Trainer3d &trainer)
 
 /** Train @p iters steps on the full config and digest the params. */
 uint64_t
-trainedDigest(DpReduceMode mode, int iters)
+trainedDigest(int iters)
 {
-    Trainer3d trainer(fullConfig(mode));
+    Trainer3d trainer(fullConfig());
     LmDataset data = tinyData(tinyModel().seqLen);
     Rng rng(99);
     for (int i = 0; i < iters; ++i)
@@ -185,9 +184,9 @@ TEST(Workspace, ScopeRestoresOuterWorkspace)
 
 /**
  * The tentpole contract: after a two-step warmup, a full training
- * step performs zero heap allocations for tensor storage, in every
- * DP reduce mode. mem::heapAllocs() counts arena slab growth plus
- * every unscoped tensor allocation, so a zero delta means the whole
+ * step performs zero heap allocations for tensor storage.
+ * mem::heapAllocs() counts arena slab growth plus every unscoped
+ * tensor allocation, so a zero delta means the whole
  * forward/backward/compress/reduce/update path ran out of the
  * arenas' recycled blocks.
  */
@@ -195,29 +194,24 @@ TEST(AllocGate, StepIsHeapFreeAfterWarmup)
 {
     if (!arenaEnabled())
         GTEST_SKIP() << "OPTIMUS_ARENA=0";
-    for (const DpReduceMode mode :
-         {DpReduceMode::Sequential, DpReduceMode::Barriered,
-          DpReduceMode::Overlapped}) {
-        Trainer3d trainer(fullConfig(mode));
-        LmDataset data = tinyData(tinyModel().seqLen);
-        Rng rng(99);
-        // Two warmup steps: the first sizes the arenas, the second
-        // builds lazily-constructed compressor warm state.
+    Trainer3d trainer(fullConfig());
+    LmDataset data = tinyData(tinyModel().seqLen);
+    Rng rng(99);
+    // Two warmup steps: the first sizes the arenas, the second
+    // builds lazily-constructed compressor warm state.
+    trainer.trainIteration(data, rng);
+    trainer.trainIteration(data, rng);
+    const int64_t before = mem::heapAllocs();
+    for (int i = 0; i < 3; ++i)
         trainer.trainIteration(data, rng);
-        trainer.trainIteration(data, rng);
-        const int64_t before = mem::heapAllocs();
-        for (int i = 0; i < 3; ++i)
-            trainer.trainIteration(data, rng);
-        EXPECT_EQ(mem::heapAllocs() - before, 0)
-            << "reduce mode " << static_cast<int>(mode);
-    }
+    EXPECT_EQ(mem::heapAllocs() - before, 0);
 }
 
 TEST(AllocGate, ArenaHitsAccumulateOnTheStepPath)
 {
     if (!arenaEnabled())
         GTEST_SKIP() << "OPTIMUS_ARENA=0";
-    Trainer3d trainer(fullConfig(DpReduceMode::Overlapped));
+    Trainer3d trainer(fullConfig());
     LmDataset data = tinyData(tinyModel().seqLen);
     Rng rng(99);
     trainer.trainIteration(data, rng);
@@ -235,9 +229,9 @@ TEST(AllocGate, ArenaHitsAccumulateOnTheStepPath)
  */
 TEST(AllocGate, ArenaVsHeapBitwiseIdentical)
 {
-    const uint64_t here = trainedDigest(DpReduceMode::Overlapped, 5);
+    const uint64_t here = trainedDigest(5);
     // Run-to-run determinism within this process's mode.
-    EXPECT_EQ(here, trainedDigest(DpReduceMode::Overlapped, 5));
+    EXPECT_EQ(here, trainedDigest(5));
 
     if (std::getenv("OPTIMUS_ARENA_DIGEST_ONLY") != nullptr) {
         // Child invocation: report and stop (the parent compares).
@@ -274,18 +268,6 @@ TEST(AllocGate, ArenaVsHeapBitwiseIdentical)
     ASSERT_EQ(status, 0);
     ASSERT_TRUE(found) << "child produced no digest";
     EXPECT_EQ(here, other);
-}
-
-/**
- * Sequential vs engine-backed reduce modes are bitwise identical
- * (the engine reorders work, not arithmetic); pinned here because
- * the arena layer gave each mode its own allocation plan.
- */
-TEST(AllocGate, ReduceModesBitwiseIdenticalUnderArenas)
-{
-    const uint64_t seq = trainedDigest(DpReduceMode::Sequential, 3);
-    EXPECT_EQ(seq, trainedDigest(DpReduceMode::Barriered, 3));
-    EXPECT_EQ(seq, trainedDigest(DpReduceMode::Overlapped, 3));
 }
 
 } // namespace

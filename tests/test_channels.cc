@@ -1,14 +1,19 @@
 /**
  * @file
  * Direct unit tests for BackwardChannel (compression policy, byte
- * accounting, instrumentation) and DataParallelReducer (exclusion,
- * compressibility, residual bookkeeping).
+ * accounting, instrumentation) and the DP ReduceEngine (exclusion,
+ * compressibility, residual bookkeeping, error feedback), plus the
+ * trainer's DP health view at a single replica.
  */
 
 #include <gtest/gtest.h>
 
+#include "data/corpus.hh"
+#include "data/dataset.hh"
+#include "obs/probes.hh"
 #include "parallel/channels.hh"
-#include "parallel/data_parallel.hh"
+#include "parallel/reduce_engine.hh"
+#include "parallel/trainer3d.hh"
 #include "util/random.hh"
 
 namespace optimus
@@ -129,56 +134,63 @@ TEST(BackwardChannel, ResetClearsEverything)
     EXPECT_EQ(channel.errorBufferBytes(), 0);
 }
 
-TEST(DataParallelReducer, CompressibleRequiresRealMatrix)
+TEST(ReduceEngine, CompressibleRequiresRealMatrix)
 {
     Param matrix("w", Tensor::zeros(8, 8));
     Param vector_param("b", Tensor::zeros(8));
     Param skinny("s", Tensor::zeros(1, 8));
-    EXPECT_TRUE(DataParallelReducer::compressible(matrix));
-    EXPECT_FALSE(DataParallelReducer::compressible(vector_param));
-    EXPECT_FALSE(DataParallelReducer::compressible(skinny));
+    EXPECT_TRUE(ReduceEngine::compressible(matrix));
+    EXPECT_FALSE(ReduceEngine::compressible(vector_param));
+    EXPECT_FALSE(ReduceEngine::compressible(skinny));
 }
 
-TEST(DataParallelReducer, ExactReduceAveragesAndCountsBytes)
+/** Engine config for @p workers replicas of a compressed stage. */
+ReduceEngineConfig
+compressedEngine(int workers)
 {
-    DpCompressionConfig config; // disabled
-    DataParallelReducer reducer(config, false, 2, 7);
+    ReduceEngineConfig config;
+    config.dp.enabled = true;
+    config.dp.spec.rank = 2;
+    config.compressStage = true;
+    config.workers = workers;
+    config.seed = 7;
+    return config;
+}
 
+/** One engine iteration with every replica signalling done. */
+ReduceVolume
+reduceOnce(ReduceEngine &engine, int workers)
+{
+    TaskGroup group;
+    engine.beginIteration(group);
+    for (int d = 0; d < workers; ++d)
+        engine.notifyReplicaDone();
+    engine.flush();
+    group.wait();
+    return engine.collect();
+}
+
+TEST(ReduceEngine, ExclusionLeavesGradientsUntouched)
+{
+    ReduceEngineConfig config;
+    config.workers = 2;
+    ReduceEngine engine(config);
     auto p0 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
     auto p1 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
     p0->grad.fill(1.0f);
     p1->grad.fill(3.0f);
-    const auto volume = reducer.reduce({{p0}, {p1}}, {});
-    EXPECT_FLOAT_EQ(p0->grad[0], 2.0f);
-    EXPECT_FLOAT_EQ(p1->grad[0], 2.0f);
-    EXPECT_EQ(volume.exactBytes, 16);
-    EXPECT_EQ(volume.actualBytes, 16);
-}
-
-TEST(DataParallelReducer, ExclusionSkipsParams)
-{
-    DpCompressionConfig config;
-    DataParallelReducer reducer(config, false, 2, 7);
-    auto p0 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
-    auto p1 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
-    p0->grad.fill(1.0f);
-    p1->grad.fill(3.0f);
-    const auto volume =
-        reducer.reduce({{p0}, {p1}}, {p0.get(), p1.get()});
-    // Untouched: still different.
+    engine.bind({{p0}, {p1}}, {p0.get(), p1.get()});
+    const ReduceVolume volume = reduceOnce(engine, 2);
+    // Untouched: still different, and nothing went on the wire.
     EXPECT_FLOAT_EQ(p0->grad[0], 1.0f);
     EXPECT_FLOAT_EQ(p1->grad[0], 3.0f);
     EXPECT_EQ(volume.exactBytes, 0);
+    EXPECT_EQ(volume.actualBytes, 0);
 }
 
-TEST(DataParallelReducer, CompressedReduceKeepsReplicasIdentical)
+TEST(ReduceEngine, CompressedReduceKeepsReplicasIdentical)
 {
-    DpCompressionConfig config;
-    config.enabled = true;
-    config.stageFraction = 1.0;
-    config.spec.rank = 2;
-    DataParallelReducer reducer(config, true, 3, 7);
-
+    ReduceEngine engine(compressedEngine(3));
     Rng rng(8);
     std::vector<std::vector<ParamPtr>> workers(3);
     for (int d = 0; d < 3; ++d) {
@@ -186,7 +198,8 @@ TEST(DataParallelReducer, CompressedReduceKeepsReplicasIdentical)
         p->grad = Tensor::randn({12, 12}, rng);
         workers[d] = {p};
     }
-    const auto volume = reducer.reduce(workers, {});
+    engine.bind(workers, {});
+    const ReduceVolume volume = reduceOnce(engine, 3);
     EXPECT_LT(volume.actualBytes, volume.exactBytes);
     // All replicas hold the identical reconstruction.
     EXPECT_TRUE(workers[0][0]->grad.allClose(workers[1][0]->grad,
@@ -194,36 +207,79 @@ TEST(DataParallelReducer, CompressedReduceKeepsReplicasIdentical)
     EXPECT_TRUE(workers[0][0]->grad.allClose(workers[2][0]->grad,
                                              0.0f));
     // Residuals are tracked per worker.
-    const auto norms = reducer.residualNorms();
+    const auto norms = engine.residualNorms();
     ASSERT_EQ(norms.size(), 3u);
     for (double n : norms)
         EXPECT_GT(n, 0.0);
-    EXPECT_GT(reducer.stateBytes(), 0);
+    EXPECT_GT(engine.stateBytes(), 0);
 }
 
-TEST(DataParallelReducer, ErrorFeedbackConvergesOnConstantGradient)
+TEST(ReduceEngine, ErrorFeedbackConvergesOnConstantGradient)
 {
     // With a constant gradient, error feedback makes the *average*
     // delivered reduction converge to the true mean.
-    DpCompressionConfig config;
-    config.enabled = true;
-    config.spec.rank = 2;
-    DataParallelReducer reducer(config, true, 2, 7);
-
+    ReduceEngine engine(compressedEngine(2));
     Rng rng(9);
     const Tensor truth = Tensor::randn({10, 10}, rng);
     Tensor delivered_sum({10, 10});
     const int steps = 40;
     auto p0 = std::make_shared<Param>("w", Tensor::zeros(10, 10));
     auto p1 = std::make_shared<Param>("w", Tensor::zeros(10, 10));
+    engine.bind({{p0}, {p1}}, {});
     for (int step = 0; step < steps; ++step) {
         p0->grad = truth;
         p1->grad = truth;
-        reducer.reduce({{p0}, {p1}}, {});
+        reduceOnce(engine, 2);
         delivered_sum.add(p0->grad);
     }
     delivered_sum.scale(1.0f / steps);
     EXPECT_LT(sub(delivered_sum, truth).norm() / truth.norm(), 0.15);
+}
+
+TEST(Trainer3dDpHealth, SingleReplicaCompressedStageReportsHealth)
+{
+    // A single replica still reduces through the engine, so DP
+    // compression at D=1 shows up in the DP health view.
+    GptConfig model;
+    model.vocab = 24;
+    model.hidden = 16;
+    model.layers = 4;
+    model.heads = 2;
+    model.seqLen = 8;
+    model.seed = 77;
+    Trainer3dConfig config;
+    config.model = model;
+    config.dataParallel = 1;
+    config.pipelineStages = 2;
+    config.microBatches = 2;
+    config.microBatchSize = 2;
+    config.dp.enabled = true;
+    config.dp.stageFraction = 0.75;
+    config.dp.spec.rank = 2;
+
+    CorpusConfig cc;
+    cc.vocab = model.vocab;
+    cc.totalTokens = 6000;
+    cc.seed = 5;
+    SyntheticCorpus corpus(cc);
+    const LmDataset data(corpus.train(), model.seqLen);
+
+    obs::enableProbes(true);
+    obs::setProbeInterval(1);
+    obs::CompressionHealth health;
+    {
+        Trainer3d trainer(config);
+        Rng rng(3);
+        for (int it = 0; it < 3; ++it)
+            trainer.trainIteration(data, rng);
+        health = trainer.dpHealth();
+    }
+    obs::enableProbes(false);
+    obs::setProbeInterval(16);
+
+    EXPECT_GT(health.compressedSends, 0);
+    EXPECT_LT(health.wireBytes, health.exactBytes);
+    EXPECT_GT(health.inputNormSq, 0.0);
 }
 
 } // namespace

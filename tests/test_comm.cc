@@ -8,9 +8,8 @@
  * volumes equal the counters the trainer reports; embedding-sync
  * trace traffic equals Eq 15/16 exactly for D in {2, 4, 8}; replayed
  * seconds equal an independent walk through the same alpha-beta
- * functions), and DP volume equality across the three reduce
- * schedules through the shared event path. Run at OPTIMUS_THREADS in
- * {1, 4, 8} via the ctest registrations in tests/CMakeLists.txt.
+ * functions). Run at OPTIMUS_THREADS in {1, 4, 8} via the ctest
+ * registrations in tests/CMakeLists.txt.
  */
 
 #include <gtest/gtest.h>
@@ -287,7 +286,7 @@ tinyData(int64_t seq_len)
 
 /** Fully-compressed tiny grid (CB + DP compression + fused sync). */
 Trainer3dConfig
-tracedConfig(bool trace, DpReduceMode mode, bool fused)
+tracedConfig(bool trace, bool fused)
 {
     Trainer3dConfig config;
     config.model = tinyModel();
@@ -297,7 +296,6 @@ tracedConfig(bool trace, DpReduceMode mode, bool fused)
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
     config.useAdam = true;
-    config.reduceMode = mode;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;
@@ -338,9 +336,9 @@ TEST(TracedTrainer, RecordingIsBitwiseNeutral)
     // bitwise identical to the untraced run (same losses, same
     // parameters) at every OPTIMUS_THREADS level ctest runs us at.
     Trainer3d traced(
-        tracedConfig(true, DpReduceMode::Overlapped, true));
+        tracedConfig(true, true));
     Trainer3d plain(
-        tracedConfig(false, DpReduceMode::Overlapped, true));
+        tracedConfig(false, true));
     LmDataset data = tinyData(tinyModel().seqLen);
     Rng rng_t(11), rng_p(11);
     for (int it = 0; it < 5; ++it) {
@@ -362,7 +360,7 @@ TEST(TracedTrainer, TraceVolumesMatchReportedCounters)
     // over the event stream, so per-iteration trace volumes must
     // equal them to the exact integer byte.
     Trainer3d trainer(
-        tracedConfig(true, DpReduceMode::Overlapped, false));
+        tracedConfig(true, false));
     LmDataset data = tinyData(tinyModel().seqLen);
     Rng rng(11);
     for (int it = 0; it < 5; ++it) {
@@ -456,7 +454,7 @@ TEST(Replay, SecondsMatchIndependentRecomputation)
     // through the same alpha-beta functions (model identity), and
     // the per-category volumes must equal the trace's own sums.
     Trainer3d trainer(
-        tracedConfig(true, DpReduceMode::Overlapped, true));
+        tracedConfig(true, true));
     LmDataset data = tinyData(tinyModel().seqLen);
     Rng rng(11);
     for (int it = 0; it < 3; ++it)
@@ -503,41 +501,6 @@ TEST(Replay, SecondsMatchIndependentRecomputation)
     EXPECT_EQ(result.totalSeconds(),
               expect_seconds[0] + expect_seconds[1] +
                   expect_seconds[2] + expect_seconds[3]);
-}
-
-TEST(ReduceModes, DpVolumesAgreeThroughSharedEventPath)
-{
-    // The legacy sequential reducer and the bucketed engine now
-    // fold the same transport events, so their per-iteration DP
-    // volumes (and the traces behind them) must be equal.
-    Trainer3d sequential(
-        tracedConfig(true, DpReduceMode::Sequential, false));
-    Trainer3d barriered(
-        tracedConfig(true, DpReduceMode::Barriered, false));
-    Trainer3d overlapped(
-        tracedConfig(true, DpReduceMode::Overlapped, false));
-    LmDataset data = tinyData(tinyModel().seqLen);
-    Rng rng_s(11), rng_b(11), rng_o(11);
-    for (int it = 0; it < 5; ++it) {
-        const auto ss = sequential.trainIteration(data, rng_s);
-        const auto sb = barriered.trainIteration(data, rng_b);
-        const auto so = overlapped.trainIteration(data, rng_o);
-        ASSERT_EQ(ss.dpVolume.exactBytes, sb.dpVolume.exactBytes);
-        ASSERT_EQ(ss.dpVolume.exactBytes, so.dpVolume.exactBytes);
-        ASSERT_EQ(ss.dpVolume.actualBytes, sb.dpVolume.actualBytes);
-        ASSERT_EQ(ss.dpVolume.actualBytes, so.dpVolume.actualBytes);
-
-        const CommVolume vs =
-            sequential.trace()->volume(CommPhase::DpReduce, it);
-        const CommVolume vb =
-            barriered.trace()->volume(CommPhase::DpReduce, it);
-        const CommVolume vo =
-            overlapped.trace()->volume(CommPhase::DpReduce, it);
-        ASSERT_EQ(vs.exactBytes, vb.exactBytes);
-        ASSERT_EQ(vs.exactBytes, vo.exactBytes);
-        ASSERT_EQ(vs.wireBytes, vb.wireBytes);
-        ASSERT_EQ(vs.wireBytes, vo.wireBytes);
-    }
 }
 
 } // namespace

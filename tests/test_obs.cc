@@ -50,6 +50,17 @@ namespace
 {
 
 /**
+ * Per-process scratch file path: ctest runs this binary at several
+ * OPTIMUS_THREADS / OPTIMUS_SIMD settings concurrently, and a shared
+ * name lets one process read another's half-written trace.
+ */
+std::string
+tempPath(const std::string &name)
+{
+    return testing::TempDir() + std::to_string(getpid()) + "_" + name;
+}
+
+/**
  * Tracing is one-trace-per-process; each test that records starts
  * from a clean slate (a prior test's trainer may have owned a
  * trace).
@@ -181,8 +192,7 @@ TEST(Tracer, WriteTraceEmitsChromeJson)
     obs::emitCounter("test.export.counter", 5);
     obs::stopTracing();
 
-    const std::string path =
-        testing::TempDir() + "optimus_obs_export.json";
+    const std::string path = tempPath("optimus_obs_export.json");
     ASSERT_TRUE(obs::writeTrace(path));
 
     std::ifstream in(path);
@@ -238,7 +248,6 @@ tracedConfig(const std::string &trace_path)
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
     config.useAdam = true;
-    config.reduceMode = DpReduceMode::Overlapped;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;
@@ -279,8 +288,7 @@ TEST(TracedTrainer, SpanTracingIsBitwiseNeutral)
     // be bitwise identical to the untraced run at every
     // OPTIMUS_THREADS level ctest runs us at.
     resetTracing();
-    const std::string path =
-        testing::TempDir() + "optimus_obs_neutrality.json";
+    const std::string path = tempPath("optimus_obs_neutrality.json");
     {
         Trainer3d traced(tracedConfig(path));
         Trainer3d plain(tracedConfig(""));
@@ -306,8 +314,7 @@ TEST(TracedTrainer, SpanTracingIsBitwiseNeutral)
 TEST(TraceSummary, ReconcilesWithStepPhaseTimes)
 {
     resetTracing();
-    const std::string path =
-        testing::TempDir() + "optimus_obs_reconcile.json";
+    const std::string path = tempPath("optimus_obs_reconcile.json");
     StepPhaseTimes sum;
     {
         Trainer3d trainer(tracedConfig(path));
@@ -679,8 +686,7 @@ TEST(Promexport, RendersExpositionFormatAndServesHttp)
               std::string::npos);
 
     // Dump: atomic write, parseable back.
-    const std::string path =
-        testing::TempDir() + "optimus_obs_metrics.prom";
+    const std::string path = tempPath("optimus_obs_metrics.prom");
     ASSERT_TRUE(obs::writeMetricsProm(path));
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -756,8 +762,7 @@ TEST(TraceSummaryServe, SummarizesWavesAndReconcilesBoundary)
     engine.drain();
     obs::stopTracing();
 
-    const std::string path =
-        testing::TempDir() + "optimus_obs_serve_trace.json";
+    const std::string path = tempPath("optimus_obs_serve_trace.json");
     ASSERT_TRUE(obs::writeTrace(path));
     const obs::TraceSummary summary = obs::summarizeTraceFile(path);
     ASSERT_TRUE(summary.valid);

@@ -1,10 +1,10 @@
 /**
  * @file
- * The core distribution-correctness tests: pipeline-parallel,
- * data-parallel, and tensor-parallel execution must reproduce
- * monolithic training; fused embedding synchronization must be
- * exact; compressed backpropagation must obey its telescoping
- * identity; replicas must never diverge.
+ * The core distribution-correctness tests: pipeline-parallel and
+ * data-parallel execution must reproduce monolithic training;
+ * fused embedding synchronization must be exact; compressed
+ * backpropagation must obey its telescoping identity; replicas must
+ * never diverge.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "data/dataset.hh"
 #include "nn/optimizer.hh"
 #include "parallel/data_parallel.hh"
-#include "parallel/tensor_parallel.hh"
 #include "parallel/trainer3d.hh"
 
 namespace optimus
@@ -225,57 +224,6 @@ TEST(Equivalence, ReplicasNeverDivergeWithCompression)
     EXPECT_LT(trainer.replicaDivergence(), 1e-5f);
 }
 
-TEST(ReduceMode, OverlappedDegeneratesToSequentialAtD1)
-{
-    // Overlapped scheduling hides bucket reduction behind the other
-    // replicas' backward; with one replica there is nothing to hide
-    // behind and the task-queue round trip measured as pure
-    // overhead (0.978x at d=1 p=2 m=4), so the trainer falls back
-    // to the bitwise-identical sequential reduction.
-    Trainer3dConfig config = baseTrainerConfig();
-    config.reduceMode = DpReduceMode::Overlapped;
-
-    config.dataParallel = 1;
-    Trainer3d degenerate(config);
-    EXPECT_EQ(degenerate.effectiveReduceMode(),
-              DpReduceMode::Sequential);
-
-    config.dataParallel = 2;
-    Trainer3d overlapped(config);
-    EXPECT_EQ(overlapped.effectiveReduceMode(),
-              DpReduceMode::Overlapped);
-
-    // Barriered mode is an explicit engine request; it is honored
-    // as configured even at D == 1.
-    config.dataParallel = 1;
-    config.reduceMode = DpReduceMode::Barriered;
-    Trainer3d barriered(config);
-    EXPECT_EQ(barriered.effectiveReduceMode(),
-              DpReduceMode::Barriered);
-
-    // The short-circuit changes scheduling only: a D=1 trainer
-    // configured Overlapped trains bit-for-bit like one configured
-    // Sequential.
-    auto digest = [](DpReduceMode mode) {
-        Trainer3dConfig c = baseTrainerConfig();
-        c.dataParallel = 1;
-        c.pipelineStages = 2;
-        c.reduceMode = mode;
-        Trainer3d trainer(c);
-        LmDataset data = tinyData(c.model.seqLen);
-        Rng rng(46);
-        double sum = 0.0;
-        for (int it = 0; it < 3; ++it)
-            trainer.trainIteration(data, rng);
-        for (const auto &p : trainer.stage(0, 0).params())
-            for (int64_t i = 0; i < p->size(); ++i)
-                sum += p->value[i];
-        return sum;
-    };
-    EXPECT_EQ(digest(DpReduceMode::Overlapped),
-              digest(DpReduceMode::Sequential));
-}
-
 TEST(EmbeddingSync, FusedEqualsBaseline)
 {
     // Identical runs differing only in fused vs baseline embedding
@@ -429,86 +377,6 @@ TEST(SelectiveStage, CompressedStagesSendFewerBytes)
     Rng rng(51);
     const auto stats = trainer.trainIteration(data, rng);
     EXPECT_LT(stats.dpVolume.actualBytes, stats.dpVolume.exactBytes);
-}
-
-TEST(AllReduce, AverageAndSum)
-{
-    Tensor a = Tensor::fromValues({2}, {1.0f, 2.0f});
-    Tensor b = Tensor::fromValues({2}, {3.0f, 6.0f});
-    std::vector<Tensor *> list{&a, &b};
-    allReduceAverage(list);
-    EXPECT_FLOAT_EQ(a[0], 2.0f);
-    EXPECT_FLOAT_EQ(b[1], 4.0f);
-    EXPECT_TRUE(a.allClose(b, 0.0f));
-
-    Tensor c = Tensor::fromValues({1}, {1.0f});
-    Tensor d = Tensor::fromValues({1}, {2.0f});
-    std::vector<Tensor *> list2{&c, &d};
-    allReduceSum(list2);
-    EXPECT_FLOAT_EQ(c[0], 3.0f);
-    EXPECT_FLOAT_EQ(d[0], 3.0f);
-}
-
-TEST(TensorParallel, ColumnParallelMatchesSerial)
-{
-    Rng rng(52);
-    Linear full("tp", 12, 8, rng, 0.4f);
-    ColumnParallelLinear split(full, 4);
-
-    Tensor x = Tensor::randn({5, 12}, rng);
-    Tensor y_full = full.forward(x);
-    Tensor y_split = split.forward(x);
-    EXPECT_TRUE(y_full.allClose(y_split, 1e-5f));
-
-    Tensor dy = Tensor::randn({5, 8}, rng);
-    Tensor dx_full = full.backward(dy);
-    Tensor dx_split = split.backward(dy);
-    EXPECT_TRUE(dx_full.allClose(dx_split, 1e-5f));
-    EXPECT_TRUE(full.weight()->grad.allClose(
-        split.gatherWeightGrad(), 1e-5f));
-    EXPECT_TRUE(full.bias()->grad.allClose(split.gatherBiasGrad(),
-                                           1e-5f));
-}
-
-TEST(TensorParallel, RowParallelMatchesSerial)
-{
-    Rng rng(53);
-    Linear full("tp", 12, 8, rng, 0.4f);
-    RowParallelLinear split(full, 3);
-
-    Tensor x = Tensor::randn({5, 12}, rng);
-    Tensor y_full = full.forward(x);
-    Tensor y_split = split.forward(x);
-    EXPECT_TRUE(y_full.allClose(y_split, 1e-5f));
-
-    Tensor dy = Tensor::randn({5, 8}, rng);
-    Tensor dx_full = full.backward(dy);
-    Tensor dx_split = split.backward(dy);
-    EXPECT_TRUE(dx_full.allClose(dx_split, 1e-5f));
-    EXPECT_TRUE(full.weight()->grad.allClose(
-        split.gatherWeightGrad(), 1e-4f));
-    EXPECT_TRUE(full.bias()->grad.allClose(split.biasGrad(), 1e-5f));
-}
-
-TEST(TensorParallel, ComposedColumnRowMatchesMlp)
-{
-    // Megatron MLP pattern: column-parallel fc1 then row-parallel
-    // fc2 needs no communication between them; verify end-to-end.
-    Rng rng(54);
-    Linear fc1("fc1", 8, 16, rng, 0.4f);
-    Linear fc2("fc2", 16, 8, rng, 0.4f);
-    ColumnParallelLinear col(fc1, 2);
-    RowParallelLinear row(fc2, 2);
-
-    Tensor x = Tensor::randn({4, 8}, rng);
-    Tensor serial = fc2.forward(fc1.forward(x));
-    Tensor parallel_out = row.forward(col.forward(x));
-    EXPECT_TRUE(serial.allClose(parallel_out, 1e-5f));
-
-    Tensor dy = Tensor::randn({4, 8}, rng);
-    Tensor dx_serial = fc1.backward(fc2.backward(dy));
-    Tensor dx_parallel = col.backward(row.backward(dy));
-    EXPECT_TRUE(dx_serial.allClose(dx_parallel, 1e-5f));
 }
 
 /**

@@ -86,7 +86,6 @@ tinyConfig()
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
     config.useAdam = true;
-    config.reduceMode = DpReduceMode::Overlapped;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;
