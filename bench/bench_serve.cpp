@@ -5,17 +5,27 @@
  * once serialized (maxSequences = 1: every request decoded alone)
  * and once continuously batched on a 2-stage pipeline — and
  * reports tokens/s for both plus per-request latency percentiles
- * (p50/p95/p99 via the engine's always-on Log2Histogram). A traced
- * wave is recorded to BENCH_serve_trace.json for Perfetto /
+ * (p50/p95/p99 via the engine's always-on Log2Histogram). Both are
+ * measured at the pool width (OPTIMUS_THREADS) and, when that is
+ * above one, again at one thread inside a SerialRegion, so one run
+ * records the 1-thread and the pooled numbers side by side. A
+ * traced wave is recorded to BENCH_serve_trace.json for Perfetto /
  * tracesum, and the results land in BENCH_serve.json.
  *
- * --smoke shrinks the run for ctest and turns on the validation
- * gates: every request must complete with its full token budget,
- * every batched output must be bitwise identical to the
- * single-request full-recompute oracle (referenceGreedyDecode),
- * the recorded trace must contain serve.step/serve.decode spans,
- * and — when the pool has at least two workers to batch across —
- * batched throughput must be strictly higher than unbatched.
+ * --smoke shrinks the run for ctest (best of 10 sub-millisecond
+ * waves, so one preempted wave cannot decide the throughput gate)
+ * and turns on the validation gates: every request must complete
+ * with its full token budget, every batched output must be bitwise
+ * identical to the single-request full-recompute oracle
+ * (referenceGreedyDecode), the recorded trace must contain
+ * serve.step/serve.decode spans, and batched throughput must be
+ * strictly higher than unbatched at every measured width (each
+ * stacked pass runs every row-wise layer as one GEMM, so batching
+ * wins even on one thread).
+ *
+ * BENCH_serve.json records the host, nproc, pool threads, SIMD tier
+ * and git sha next to the numbers, so runs on different boxes or
+ * commits are never compared by accident.
  *
  * Usage: bench_serve [--requests 24] [--max-new 32] [--reps 3]
  *        [--smoke]
@@ -24,13 +34,17 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "obs/clock.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 #include "serve/engine.hh"
+#include "tensor/simd.hh"
 #include "util/cli.hh"
 
 using namespace optimus;
@@ -94,7 +108,11 @@ struct RunResult
     int64_t p50Us = 0;
     int64_t p95Us = 0;
     int64_t p99Us = 0;
+
+    double tokensPerS() const { return tokensPerWave / bestSeconds; }
 };
+
+using Outputs = std::map<int64_t, std::vector<int32_t>>;
 
 /**
  * Closed-loop load: submit the whole mix, drain, repeat. One
@@ -128,6 +146,76 @@ measure(serve::ServeEngine &engine,
     return result;
 }
 
+/** Serialized and batched results at one pool width. */
+struct WidthResult
+{
+    int threads = 1;
+    RunResult serial;
+    RunResult cont;
+    /** Every batched request's generated tokens, by request id. */
+    Outputs outputs;
+};
+
+/**
+ * Measure both engines at @p threads: the pool width, or 1 inside a
+ * SerialRegion (every parallel region inline, bitwise identical).
+ * The batched engine is returned in @p batched for the traced wave.
+ */
+WidthResult
+measureWidth(const GptConfig &model,
+             const std::vector<std::vector<int32_t>> &prompts,
+             int64_t max_new, int reps, int threads,
+             std::optional<serve::ServeEngine> &batched)
+{
+    std::optional<SerialRegion> serial_region;
+    if (threads == 1)
+        serial_region.emplace();
+    WidthResult result;
+    result.threads = threads;
+
+    // Serialized baseline: one slot, so every request is decoded
+    // alone (no cross-sequence batching).
+    serve::ServeEngine unbatched(makeConfig(model, false));
+    result.serial = measure(unbatched, prompts, max_new, reps);
+
+    // Continuous batching over the 2-stage pipeline.
+    batched.emplace(makeConfig(model, true));
+    Outputs *outputs = &result.outputs;
+    batched->setFinishCallback(
+        [outputs](const serve::FinishedRequest &done) {
+            (*outputs)[done.id] = std::vector<int32_t>(
+                done.tokens.begin() + done.promptLen,
+                done.tokens.end());
+        });
+    result.cont = measure(*batched, prompts, max_new, reps);
+    batched->setFinishCallback(nullptr); // outputs is local
+    return result;
+}
+
+/** HEAD of the git checkout in the working directory, suffixed
+ *  "-dirty" when the tree has uncommitted changes, or "unknown"
+ *  outside a checkout. */
+std::string
+gitSha()
+{
+    std::string sha = "unknown";
+    FILE *pipe =
+        popen("git describe --always --dirty --abbrev=40 2>/dev/null",
+              "r");
+    if (pipe == nullptr)
+        return sha;
+    char line[96] = {};
+    if (std::fgets(line, sizeof(line), pipe) != nullptr) {
+        std::string out(line);
+        while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+            out.pop_back();
+        if (!out.empty())
+            sha = out;
+    }
+    pclose(pipe);
+    return sha;
+}
+
 /** The smoke trace must contain serving spans of both kinds. */
 bool
 hasServeSpans(const std::vector<obs::TraceEvent> &events)
@@ -155,7 +243,7 @@ main(int argc, char **argv)
     const int requests =
         static_cast<int>(args.getInt("requests", smoke ? 6 : 24));
     const int reps =
-        static_cast<int>(args.getInt("reps", smoke ? 2 : 3));
+        static_cast<int>(args.getInt("reps", smoke ? 10 : 3));
     const GptConfig model = benchModel(smoke);
     const int64_t max_new = args.getInt("max-new", smoke ? 8 : 32);
 
@@ -168,86 +256,85 @@ main(int argc, char **argv)
                 static_cast<long long>(max_new), reps,
                 smoke ? "  [smoke]" : "");
 
-    // Serialized baseline: one slot, so every request is decoded
-    // alone (no cross-sequence batching to parallelize over).
-    serve::ServeEngine unbatched(makeConfig(model, false));
-    const RunResult serial =
-        measure(unbatched, prompts, max_new, reps);
-
-    // Continuous batching over the 2-stage pipeline.
-    serve::ServeEngine batched(makeConfig(model, true));
-    std::map<int64_t, std::vector<int32_t>> outputs;
-    batched.setFinishCallback(
-        [&outputs](const serve::FinishedRequest &done) {
-            outputs[done.id] = std::vector<int32_t>(
-                done.tokens.begin() + done.promptLen,
-                done.tokens.end());
-        });
-    const RunResult cont = measure(batched, prompts, max_new, reps);
+    // One thread first, then the pool width (when wider); the
+    // pooled batched engine records the traced wave.
+    std::vector<WidthResult> widths;
+    std::optional<serve::ServeEngine> batched;
+    for (int threads : {1, runtimeThreads()}) {
+        if (!widths.empty() && threads == widths.back().threads)
+            continue;
+        widths.push_back(measureWidth(model, prompts, max_new, reps,
+                                      threads, batched));
+    }
 
     // One traced wave for the artifact (outside the timed runs:
     // tracing reads the clock per span).
     obs::startTracing();
     for (const auto &prompt : prompts)
-        batched.submit(prompt, max_new);
-    batched.drain();
+        batched->submit(prompt, max_new);
+    batched->drain();
     obs::stopTracing();
     const bool trace_written = obs::writeTrace(kTracePath);
     const std::vector<obs::TraceEvent> events = obs::traceEvents();
 
-    const double serial_tps =
-        serial.tokensPerWave / serial.bestSeconds;
-    const double cont_tps = cont.tokensPerWave / cont.bestSeconds;
-    std::printf("unbatched: %8.3f ms/wave  %10.0f tok/s\n",
-                1e3 * serial.bestSeconds, serial_tps);
-    std::printf("batched:   %8.3f ms/wave  %10.0f tok/s  "
-                "(%.2fx)\n",
-                1e3 * cont.bestSeconds, cont_tps,
-                cont_tps / serial_tps);
-    std::printf("batched request latency: p50 %lld us  p95 %lld us"
-                "  p99 %lld us\n\n",
-                static_cast<long long>(cont.p50Us),
-                static_cast<long long>(cont.p95Us),
-                static_cast<long long>(cont.p99Us));
+    for (const WidthResult &w : widths) {
+        std::printf("threads %d\n", w.threads);
+        std::printf("  unbatched: %8.3f ms/wave  %10.0f tok/s\n",
+                    1e3 * w.serial.bestSeconds, w.serial.tokensPerS());
+        std::printf("  batched:   %8.3f ms/wave  %10.0f tok/s  "
+                    "(%.2fx)\n",
+                    1e3 * w.cont.bestSeconds, w.cont.tokensPerS(),
+                    w.cont.tokensPerS() / w.serial.tokensPerS());
+        std::printf("  batched request latency: p50 %lld us  p95 %lld "
+                    "us  p99 %lld us\n",
+                    static_cast<long long>(w.cont.p50Us),
+                    static_cast<long long>(w.cont.p95Us),
+                    static_cast<long long>(w.cont.p99Us));
+    }
+    std::printf("\n");
 
     bool ok = true;
     const int64_t expected_tokens =
         static_cast<int64_t>(requests) * max_new;
-    if (serial.tokensPerWave != expected_tokens ||
-        cont.tokensPerWave != expected_tokens) {
-        ok = false;
-        std::fprintf(stderr,
-                     "FAILED: wave produced %lld/%lld tokens, "
-                     "expected %lld\n",
-                     static_cast<long long>(serial.tokensPerWave),
-                     static_cast<long long>(cont.tokensPerWave),
-                     static_cast<long long>(expected_tokens));
+    for (const WidthResult &w : widths) {
+        if (w.serial.tokensPerWave != expected_tokens ||
+            w.cont.tokensPerWave != expected_tokens) {
+            ok = false;
+            std::fprintf(stderr,
+                         "FAILED: threads %d wave produced %lld/%lld "
+                         "tokens, expected %lld\n",
+                         w.threads,
+                         static_cast<long long>(w.serial.tokensPerWave),
+                         static_cast<long long>(w.cont.tokensPerWave),
+                         static_cast<long long>(expected_tokens));
+        }
     }
 
     if (smoke) {
         // Bitwise gate: continuous batching must reproduce the
         // single-request full-recompute oracle for every request
-        // of every wave. Ids ascend in submission order and the
-        // map iterates in id order, so entry w * requests + r is
-        // wave w's instance of prompt r.
-        std::vector<const std::vector<int32_t> *> all_waves;
-        for (const auto &entry : outputs)
-            all_waves.push_back(&entry.second);
-        const size_t waves = all_waves.size() / prompts.size();
-        for (size_t r = 0; r < prompts.size(); ++r) {
-            const std::vector<int32_t> expect =
-                serve::referenceGreedyDecode(model, prompts[r],
-                                             max_new);
-            for (size_t w = 0; w < waves; ++w) {
-                const auto &got =
-                    *all_waves[w * prompts.size() + r];
-                if (got != expect) {
+        // of every wave at every width. Ids ascend in submission
+        // order and the map iterates in id order, so entry
+        // k * requests + r is wave k's instance of prompt r.
+        std::vector<std::vector<int32_t>> expect;
+        for (const auto &prompt : prompts)
+            expect.push_back(serve::referenceGreedyDecode(
+                model, prompt, max_new));
+        for (const WidthResult &w : widths) {
+            std::vector<const std::vector<int32_t> *> all_waves;
+            for (const auto &entry : w.outputs)
+                all_waves.push_back(&entry.second);
+            const size_t waves = all_waves.size() / prompts.size();
+            for (size_t k = 0; k < waves; ++k) {
+                for (size_t r = 0; r < prompts.size(); ++r) {
+                    if (*all_waves[k * prompts.size() + r] == expect[r])
+                        continue;
                     ok = false;
                     std::fprintf(stderr,
-                                 "FAILED: request %zu wave %zu "
-                                 "diverges from the full-recompute "
+                                 "FAILED: threads %d request %zu wave "
+                                 "%zu diverges from the full-recompute "
                                  "oracle\n",
-                                 r, w);
+                                 w.threads, r, k);
                 }
             }
         }
@@ -260,15 +347,19 @@ main(int argc, char **argv)
                          kTracePath);
         }
 
-        // Throughput gate: batching across sequences is the only
-        // parallelism single-token decode has, so with >= 2 pool
-        // workers the batched wave must win.
-        if (runtimeThreads() >= 2 && cont_tps <= serial_tps) {
+        // Throughput gate: a stacked pass runs each row-wise layer
+        // as one GEMM over every decoding sequence instead of one
+        // GEMM per sequence, so the batched wave must win at every
+        // width, one thread included.
+        for (const WidthResult &w : widths) {
+            if (w.cont.tokensPerS() > w.serial.tokensPerS())
+                continue;
             ok = false;
             std::fprintf(stderr,
                          "FAILED: batched %.0f tok/s is not above "
                          "unbatched %.0f tok/s with %d threads\n",
-                         cont_tps, serial_tps, runtimeThreads());
+                         w.cont.tokensPerS(), w.serial.tokensPerS(),
+                         w.threads);
         }
     }
 
@@ -277,31 +368,46 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot write BENCH_serve.json\n");
         return 1;
     }
+    char host[256] = "unknown";
+    gethostname(host, sizeof(host) - 1);
     std::fprintf(f, "{\n  \"bench\": \"serve\",\n");
+    std::fprintf(f, "  \"host\": \"%s\",\n", host);
+    std::fprintf(f, "  \"nproc\": %ld,\n",
+                 sysconf(_SC_NPROCESSORS_ONLN));
     std::fprintf(f, "  \"threads\": %d,\n", runtimeThreads());
+    std::fprintf(f, "  \"simd_tier\": \"%s\",\n",
+                 simd::tierName(simd::tier()));
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n", gitSha().c_str());
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"requests\": %d,\n", requests);
     std::fprintf(f, "  \"max_new_tokens\": %lld,\n",
                  static_cast<long long>(max_new));
     std::fprintf(f, "  \"pipeline_stages\": 2,\n");
     std::fprintf(f, "  \"tokens_per_wave\": %lld,\n",
-                 static_cast<long long>(cont.tokensPerWave));
-    std::fprintf(f,
-                 "  \"unbatched\": {\"seconds\": %.6f, "
-                 "\"tokens_per_s\": %.1f},\n",
-                 serial.bestSeconds, serial_tps);
-    std::fprintf(f,
-                 "  \"batched\": {\"seconds\": %.6f, "
-                 "\"tokens_per_s\": %.1f},\n",
-                 cont.bestSeconds, cont_tps);
-    std::fprintf(f, "  \"speedup\": %.4f,\n",
-                 cont_tps / serial_tps);
-    std::fprintf(f,
-                 "  \"latency_us\": {\"p50\": %lld, \"p95\": %lld, "
-                 "\"p99\": %lld},\n",
-                 static_cast<long long>(cont.p50Us),
-                 static_cast<long long>(cont.p95Us),
-                 static_cast<long long>(cont.p99Us));
+                 static_cast<long long>(expected_tokens));
+    std::fprintf(f, "  \"widths\": [\n");
+    for (size_t i = 0; i < widths.size(); ++i) {
+        const WidthResult &w = widths[i];
+        std::fprintf(f, "    {\"threads\": %d,\n", w.threads);
+        std::fprintf(f,
+                     "     \"unbatched\": {\"seconds\": %.6f, "
+                     "\"tokens_per_s\": %.1f},\n",
+                     w.serial.bestSeconds, w.serial.tokensPerS());
+        std::fprintf(f,
+                     "     \"batched\": {\"seconds\": %.6f, "
+                     "\"tokens_per_s\": %.1f},\n",
+                     w.cont.bestSeconds, w.cont.tokensPerS());
+        std::fprintf(f, "     \"speedup\": %.4f,\n",
+                     w.cont.tokensPerS() / w.serial.tokensPerS());
+        std::fprintf(f,
+                     "     \"latency_us\": {\"p50\": %lld, "
+                     "\"p95\": %lld, \"p99\": %lld}}%s\n",
+                     static_cast<long long>(w.cont.p50Us),
+                     static_cast<long long>(w.cont.p95Us),
+                     static_cast<long long>(w.cont.p99Us),
+                     i + 1 < widths.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"trace_path\": \"%s\",\n", kTracePath);
     std::fprintf(f, "  \"valid\": %s\n}\n", ok ? "true" : "false");
     std::fclose(f);

@@ -1,5 +1,6 @@
 #include "nn/attention.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "runtime/runtime.hh"
@@ -9,6 +10,21 @@
 
 namespace optimus
 {
+
+namespace
+{
+
+/**
+ * Minimum multiply-adds per chunk of the serving attention core. A
+ * (row, head) pair's work is at most scores plus context over the
+ * longest cache in the pass, 2 * width * dh, so a decode pass of a
+ * small model runs inline instead of paying a pool dispatch per
+ * layer for a few microseconds of work. Chunking never changes the
+ * bits: every pair writes only its own score row and context slice.
+ */
+constexpr int64_t kPairWorkGrain = 32768;
+
+} // namespace
 
 void
 KvCache::ensure(int64_t capacity, int64_t hidden)
@@ -73,51 +89,86 @@ MultiHeadAttention::setMode(Mode mode)
     proj_->setMode(mode);
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
+// optlint:hot — serving path (zero-allocation contract).
 Tensor
 MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache)
+{
+    const KvSegment segment{&cache, x.rows()};
+    return forwardSegments(x, {&segment, 1}, 0);
+}
+
+// optlint:hot — serving path (zero-allocation contract).
+Tensor
+MultiHeadAttention::forwardSegments(const Tensor &x,
+                                    std::span<const KvSegment> segments,
+                                    int64_t layer)
 {
     OPTIMUS_ASSERT(mode() == Mode::Infer);
     OPTIMUS_ASSERT(x.rank() == 2 && x.cols() == hidden_);
     const int64_t r_count = x.rows();
-    const int64_t base = cache.len;
-    OPTIMUS_ASSERT(base + r_count <= cache.capacity());
     const int64_t dh = headDim();
     const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
-    Tensor qkv = qkv_->forward(x); // [R x 3h], row-wise in Infer
-    // Append the new keys/values (heads concatenated — the same
-    // column layout as the qkv k/v slices).
+    Tensor qkv = qkv_->forward(x); // [R x 3h], one GEMM for all rows
     const float *qd = qkv.data();
-    float *kd = cache.k.data();
-    float *vd = cache.v.data();
-    for (int64_t r = 0; r < r_count; ++r) {
-        const float *src = qd + r * 3 * hidden_;
-        float *krow = kd + (base + r) * hidden_;
-        float *vrow = vd + (base + r) * hidden_;
-        for (int64_t j = 0; j < hidden_; ++j) {
-            krow[j] = src[hidden_ + j];
-            vrow[j] = src[2 * hidden_ + j];
-        }
-    }
-    cache.len = base + r_count;
 
-    // Row t of the score scratch holds the (base + r + 1) attention
-    // weights of pair t = r * heads + head. Every kernel below is a
-    // pure function of the row's position p, never of r_count, so
-    // prefill and decode produce identical bits position by
-    // position.
-    Tensor probs({r_count * heads_, base + r_count});
+    // Append each segment's new keys/values to its own cache (heads
+    // concatenated — the same column layout as the qkv k/v slices).
+    int64_t row0 = 0;
+    int64_t width = 0;
+    for (const KvSegment &seg : segments) {
+        KvCache &cache = seg.kv[layer];
+        const int64_t base = cache.len;
+        OPTIMUS_ASSERT(seg.rows >= 1);
+        OPTIMUS_ASSERT(base + seg.rows <= cache.capacity());
+        float *kd = cache.k.data();
+        float *vd = cache.v.data();
+        for (int64_t r = 0; r < seg.rows; ++r) {
+            const float *src = qd + (row0 + r) * 3 * hidden_;
+            float *krow = kd + (base + r) * hidden_;
+            float *vrow = vd + (base + r) * hidden_;
+            for (int64_t j = 0; j < hidden_; ++j) {
+                krow[j] = src[hidden_ + j];
+                vrow[j] = src[2 * hidden_ + j];
+            }
+        }
+        cache.len = base + seg.rows;
+        row0 += seg.rows;
+        width = std::max(width, cache.len);
+    }
+    OPTIMUS_ASSERT(row0 == r_count);
+
+    // One flat loop over every (row, head) pair of every segment.
+    // Row t of the score scratch holds the (p + 1) attention weights
+    // of pair t = r * heads + head, where p is row r's position in
+    // its own sequence. Every kernel below is a pure function of
+    // (p, that sequence's cache), never of the segment sizes, so
+    // prefill, decode and any stacking produce identical bits
+    // position by position.
+    Tensor probs({r_count * heads_, width});
     const int64_t pstride = probs.cols();
     Tensor ctx({r_count, hidden_});
     const simd::Tier tier = simd::tier();
     float *pd = probs.data();
     float *cd = ctx.data();
-    parallelFor(0, r_count * heads_, 1, [&](int64_t lo, int64_t hi) {
+    const int64_t pair_grain = std::max<int64_t>(
+        1, kPairWorkGrain / (2 * width * dh));
+    parallelFor(0, r_count * heads_, pair_grain,
+                [&](int64_t lo, int64_t hi) {
+        size_t seg = 0;
+        int64_t seg_row0 = 0;
         for (int64_t t = lo; t < hi; ++t) {
             const int64_t r = t / heads_;
             const int64_t hd = t % heads_;
-            const int64_t p = base + r;
+            while (r >= seg_row0 + segments[seg].rows) {
+                seg_row0 += segments[seg].rows;
+                ++seg;
+            }
+            const KvCache &cache = segments[seg].kv[layer];
+            const int64_t p =
+                cache.len - segments[seg].rows + (r - seg_row0);
+            const float *kd = cache.k.data();
+            const float *vd = cache.v.data();
             const float *qrow = qd + r * 3 * hidden_ + hd * dh;
             float *s = pd + t * pstride;
             for (int64_t j = 0; j <= p; ++j) {

@@ -4,19 +4,25 @@
  * Operates on [batch*seq x hidden] activations; the sequence length
  * is fixed at construction, and the batch size is derived per call.
  *
- * Mode::Infer adds a per-sequence KV cache: forwardCached() appends
- * the new rows' keys/values and attends each new row against the
- * whole cache with per-row kernels (simd::dotDouble scores, scalar
- * j-ascending context accumulation). Prefill (R = S rows) and
- * single-token decode (R = 1) run the exact same per-position
- * arithmetic, which is what makes incremental decode bitwise equal
- * to full-sequence recompute at every SIMD tier.
+ * Mode::Infer adds per-sequence KV caches: forwardSegments() takes
+ * a stacked input holding consecutive rows of several sequences,
+ * runs the qkv and output projections once over all of them (the
+ * same batch-invariant GEMM training uses), appends each
+ * sequence's keys/values to its own cache, and attends each new row
+ * against its own cache with per-row kernels (simd::dotDouble
+ * scores, scalar j-ascending context accumulation). A row's bits
+ * depend only on its position and its sequence's cache, so prefill
+ * (R = S rows), single-token decode (R = 1) and any stacking of
+ * sequences agree position by position — which is what makes
+ * incremental, batched decode bitwise equal to full-sequence
+ * recompute at every SIMD tier.
  */
 
 #ifndef OPTIMUS_NN_ATTENTION_HH
 #define OPTIMUS_NN_ATTENTION_HH
 
 #include <memory>
+#include <span>
 
 #include "nn/layer.hh"
 #include "nn/linear.hh"
@@ -49,6 +55,18 @@ struct KvCache
     {
         return k.rank() == 2 ? k.rows() : 0;
     }
+};
+
+/**
+ * One sequence's slice of a stacked Infer pass: `rows` consecutive
+ * rows of the pass input (the sequence's next positions, in order)
+ * and its caches. `kv` points at one cache per block of the stage
+ * that runs the pass; block `layer` of that stage uses kv[layer].
+ */
+struct KvSegment
+{
+    KvCache *kv = nullptr;
+    int64_t rows = 0;
 };
 
 /**
@@ -88,6 +106,17 @@ class MultiHeadAttention : public Layer
      * @return [R x hidden] context projection.
      */
     Tensor forwardCached(const Tensor &x, KvCache &cache);
+
+    /**
+     * Stacked incremental attention (Infer mode only): @p x holds
+     * the segments' rows back to back; segment s's rows are
+     * appended to segments[s].kv[layer] and attended against it.
+     * forwardCached() is the one-segment case.
+     * @return [R x hidden] context projection, rows in input order.
+     */
+    Tensor forwardSegments(const Tensor &x,
+                           std::span<const KvSegment> segments,
+                           int64_t layer);
 
     int64_t hidden() const { return hidden_; }
     int64_t heads() const { return heads_; }

@@ -34,12 +34,15 @@ TransformerBlock::forward(const Tensor &x)
     return r;
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
+// optlint:hot — serving path (zero-allocation contract).
 Tensor
-TransformerBlock::forwardCached(const Tensor &x, KvCache &cache)
+TransformerBlock::forwardSegments(const Tensor &x,
+                                  std::span<const KvSegment> segments,
+                                  int64_t layer)
 {
     OPTIMUS_ASSERT(mode() == Mode::Infer);
-    Tensor a = attn_->forwardCached(ln1_->forward(x), cache);
+    Tensor a =
+        attn_->forwardSegments(ln1_->forward(x), segments, layer);
     Tensor r = add(x, a);
     Tensor m = fc2_->forward(gelu_->forward(fc1_->forward(
         ln2_->forward(r))));

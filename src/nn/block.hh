@@ -9,6 +9,7 @@
 #define OPTIMUS_NN_BLOCK_HH
 
 #include <memory>
+#include <span>
 
 #include "nn/activation.hh"
 #include "nn/attention.hh"
@@ -44,12 +45,16 @@ class TransformerBlock : public Layer
     void setMode(Mode mode) override;
 
     /**
-     * Incremental forward (Infer mode only): the block's usual
-     * pre-norm residual dataflow with attention routed through
-     * @p cache (one cache per block per sequence).
+     * Stacked incremental forward (Infer mode only): the block's
+     * usual pre-norm residual dataflow over every segment's rows at
+     * once, with only the attention core split per segment (see
+     * MultiHeadAttention::forwardSegments; this block is
+     * @p layer of its stage).
      * @return [R x hidden] activations for the new rows.
      */
-    Tensor forwardCached(const Tensor &x, KvCache &cache);
+    Tensor forwardSegments(const Tensor &x,
+                           std::span<const KvSegment> segments,
+                           int64_t layer);
 
   private:
     std::string label_;

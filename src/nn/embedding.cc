@@ -1,8 +1,6 @@
 #include "nn/embedding.hh"
 
-#include "runtime/runtime.hh"
 #include "tensor/matmul.hh"
-#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -53,20 +51,31 @@ EmbeddingLayer::forward(const std::vector<int32_t> &tokens,
     return y;
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
 Tensor
 EmbeddingLayer::embedRows(const int32_t *tokens, int64_t n,
                           int64_t pos0) const
+{
+    Tensor y({n, hidden()});
+    embedRowsInto(tokens, n, pos0, y, 0);
+    return y;
+}
+
+// optlint:hot — serving path (zero-allocation contract).
+void
+EmbeddingLayer::embedRowsInto(const int32_t *tokens, int64_t n,
+                              int64_t pos0, Tensor &out,
+                              int64_t row0) const
 {
     OPTIMUS_ASSERT(n >= 1 && pos0 >= 0);
     OPTIMUS_ASSERT(pos0 + n <= position_->value.rows());
     const int64_t h = hidden();
     const int64_t v = vocab();
+    OPTIMUS_ASSERT(out.rank() == 2 && out.cols() == h);
+    OPTIMUS_ASSERT(row0 >= 0 && row0 + n <= out.rows());
 
-    Tensor y({n, h});
     const float *tok = token_->value.data();
     const float *pos = position_->value.data();
-    float *yd = y.data();
+    float *yd = out.data() + row0 * h;
     for (int64_t i = 0; i < n; ++i) {
         const int32_t id = tokens[i];
         OPTIMUS_ASSERT(id >= 0 && id < v);
@@ -76,7 +85,6 @@ EmbeddingLayer::embedRows(const int32_t *tokens, int64_t n,
         for (int64_t j = 0; j < h; ++j)
             yrow[j] = trow[j] + prow[j];
     }
-    return y;
 }
 
 void
@@ -120,36 +128,15 @@ OutputHead::OutputHead(ParamPtr token_table)
     OPTIMUS_ASSERT(token_ != nullptr && token_->value.rank() == 2);
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
+// optlint:hot — steady-state step and serving path (zero-allocation
+// contract).
 Tensor
 OutputHead::forward(const Tensor &h)
 {
     OPTIMUS_ASSERT(h.rank() == 2 && h.cols() == token_->value.cols());
-    if (mode() == Mode::Infer) {
-        // Batch-invariant per-row projection: one tier-dispatched
-        // dot per (row, vocab entry), no stash.
-        const int64_t rows = h.rows();
-        const int64_t width = token_->value.cols();
-        const int64_t v = token_->value.rows();
-        Tensor logits({rows, v});
-        const float *hd = h.data();
-        const float *ed = token_->value.data();
-        float *ld = logits.data();
-        const simd::Tier tier = simd::tier();
-        parallelFor(0, rows, 1, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-                const float *hrow = hd + i * width;
-                float *lrow = ld + i * v;
-                for (int64_t t = 0; t < v; ++t) {
-                    lrow[t] = static_cast<float>(simd::dotDouble(
-                        tier, hrow, ed + t * width, width));
-                }
-            }
-        });
-        return logits;
-    }
     Tensor logits = matmulNT(h, token_->value); // [N x vocab]
-    stash_.pushSlot() = h;
+    if (mode() == Mode::Train)
+        stash_.pushSlot() = h;
     return logits;
 }
 

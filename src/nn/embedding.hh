@@ -63,6 +63,14 @@ class EmbeddingLayer
     Tensor embedRows(const int32_t *tokens, int64_t n,
                      int64_t pos0) const;
 
+    /**
+     * embedRows() written into rows [row0, row0 + n) of @p out
+     * ([rows x hidden]) instead of a fresh tensor: the serving
+     * engine stacks every sequence's rows into one pass input.
+     */
+    void embedRowsInto(const int32_t *tokens, int64_t n, int64_t pos0,
+                       Tensor &out, int64_t row0) const;
+
     /** Scatter-accumulate gradients for the oldest stashed batch. */
     void backward(const Tensor &dy);
 

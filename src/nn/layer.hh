@@ -17,18 +17,20 @@
  *  - `Mode::Train` (the default) is the historical behavior:
  *    forward() stashes whatever backward will need, bit-for-bit
  *    unchanged from before the mode split existed.
- *  - `Mode::Infer` is the forward-only serving path: forward()
- *    never touches the stash (the stash storage is never even
- *    constructed), holds no mutable layer state, and computes every
- *    activation row with *row-independent* arithmetic — the result
- *    of a row depends only on that row's input, never on how many
- *    other rows share the batch. Row independence is what makes
+ *  - `Mode::Infer` is the forward-only serving path: forward() runs
+ *    the same arithmetic as in Train but never touches the stash
+ *    (the stash storage is never even constructed) and holds no
+ *    mutable layer state. That arithmetic is *batch invariant*:
+ *    the row-wise kernels and the GEMM (whose blocking never
+ *    depends on the row count) give a row the same bits whatever
+ *    other rows share the call. Batch invariance is what makes
  *    incremental KV-cache decode bitwise-equal to full-sequence
- *    recompute and continuous batching invariant under request
- *    interleaving. Infer-mode forwards are therefore safe to call
- *    concurrently on one shared layer instance (one model copy
- *    serves every in-flight sequence). backward() in Infer mode is
- *    a contract violation and panics.
+ *    recompute and lets the serving engine stack every sequence's
+ *    rows into one pass without changing any sequence's tokens.
+ *    Infer-mode forwards are safe to call concurrently on one
+ *    shared layer instance (one model copy serves every in-flight
+ *    sequence). backward() in Infer mode is a contract violation
+ *    and panics.
  */
 
 #ifndef OPTIMUS_NN_LAYER_HH
@@ -47,7 +49,7 @@ namespace optimus
 enum class Mode
 {
     Train, ///< forward stashes for backward (training pipelines)
-    Infer, ///< forward-only: stateless, row-independent, no stash
+    Infer, ///< forward-only: stateless, batch invariant, no stash
 };
 
 /** Differentiable module mapping [N x in] -> [N x out]. */

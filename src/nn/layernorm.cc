@@ -1,5 +1,6 @@
 #include "nn/layernorm.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "runtime/runtime.hh"
@@ -7,6 +8,14 @@
 
 namespace optimus
 {
+
+namespace
+{
+
+/** Minimum elements per forward parallelFor chunk. */
+constexpr int64_t kRowElemGrain = 4096;
+
+} // namespace
 
 LayerNorm::LayerNorm(const std::string &label, int64_t features,
                      float eps)
@@ -18,44 +27,8 @@ LayerNorm::LayerNorm(const std::string &label, int64_t features,
 {
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
-Tensor
-LayerNorm::forwardInfer(const Tensor &x) const
-{
-    const int64_t rows = x.rows();
-    const int64_t f = x.cols();
-    Tensor y({rows, f});
-    const float *xd = x.data();
-    const float *g = gamma_->value.data();
-    const float *b = beta_->value.data();
-    float *yd = y.data();
-    // Same per-row statistics as the training forward, with the
-    // normalized activations written straight to the output instead
-    // of a stash. Rows are independent, so the arithmetic is
-    // batch-invariant.
-    parallelFor(0, rows, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const float *row = xd + i * f;
-            double sum = 0.0;
-            for (int64_t j = 0; j < f; ++j)
-                sum += row[j];
-            const float mu = static_cast<float>(sum / f);
-            double var = 0.0;
-            for (int64_t j = 0; j < f; ++j) {
-                const float d = row[j] - mu;
-                var += static_cast<double>(d) * d;
-            }
-            const float inv_std = 1.0f /
-                std::sqrt(static_cast<float>(var / f) + eps_);
-            for (int64_t j = 0; j < f; ++j) {
-                const float xn = (row[j] - mu) * inv_std;
-                yd[i * f + j] = g[j] * xn + b[j];
-            }
-        }
-    });
-    return y;
-}
-
+// optlint:hot — steady-state step and serving path (zero-allocation
+// contract).
 Tensor
 LayerNorm::forward(const Tensor &x)
 {
@@ -63,30 +36,39 @@ LayerNorm::forward(const Tensor &x)
     const int64_t rows = x.rows();
     const int64_t f = x.cols();
     OPTIMUS_ASSERT(f == gamma_->value.size());
-    if (mode() == Mode::Infer)
-        return forwardInfer(x);
 
-    // Assign into the ring slot: steady state reuses the previous
-    // stash's tensor block and vector capacity in place.
-    Stash &st = stash_.pushSlot();
-    if (st.normalized.rank() != 2 || st.normalized.rows() != rows ||
-        st.normalized.cols() != f) {
-        st.normalized = Tensor({rows, f});
+    // Train mode stashes x_hat and the inverse std devs; Infer
+    // runs the same arithmetic and writes only the output. Assign
+    // into the ring slot: steady state reuses the previous stash's
+    // tensor block and vector capacity in place.
+    float *nd = nullptr;
+    float *inv_std_out = nullptr;
+    if (mode() == Mode::Train) {
+        Stash &st = stash_.pushSlot();
+        if (st.normalized.rank() != 2 || st.normalized.rows() != rows ||
+            st.normalized.cols() != f) {
+            st.normalized = Tensor({rows, f});
+        }
+        // optlint:coldalloc — warmup capacity ratchet.
+        st.invStd.resize(rows);
+        nd = st.normalized.data();
+        inv_std_out = st.invStd.data();
     }
-    // optlint:coldalloc — warmup capacity ratchet.
-    st.invStd.resize(rows);
 
     Tensor y({rows, f});
     const float *xd = x.data();
     const float *g = gamma_->value.data();
     const float *b = beta_->value.data();
-    float *nd = st.normalized.data();
     float *yd = y.data();
 
     // Rows are independent (each owns its statistics and output
     // slice), so normalization parallelizes with bitwise-identical
-    // results at any thread count.
-    parallelFor(0, rows, 1, [&](int64_t lo, int64_t hi) {
+    // results at any thread count, chunking and batch composition.
+    // A chunk covers at least kRowElemGrain elements: a serving
+    // decode pass normalizes a handful of rows, too few to pay for
+    // a pool dispatch.
+    const int64_t grain = std::max<int64_t>(1, kRowElemGrain / f);
+    parallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const float *row = xd + i * f;
             double sum = 0.0;
@@ -100,11 +82,20 @@ LayerNorm::forward(const Tensor &x)
             }
             const float inv_std = 1.0f /
                 std::sqrt(static_cast<float>(var / f) + eps_);
-            st.invStd[i] = inv_std;
-            for (int64_t j = 0; j < f; ++j) {
-                const float xn = (row[j] - mu) * inv_std;
-                nd[i * f + j] = xn;
-                yd[i * f + j] = g[j] * xn + b[j];
+            // Two copies of the output sweep keep the stash test out
+            // of the vectorized inner loop.
+            if (nd != nullptr) {
+                inv_std_out[i] = inv_std;
+                for (int64_t j = 0; j < f; ++j) {
+                    const float xn = (row[j] - mu) * inv_std;
+                    nd[i * f + j] = xn;
+                    yd[i * f + j] = g[j] * xn + b[j];
+                }
+            } else {
+                for (int64_t j = 0; j < f; ++j) {
+                    const float xn = (row[j] - mu) * inv_std;
+                    yd[i * f + j] = g[j] * xn + b[j];
+                }
             }
         }
     });

@@ -40,9 +40,6 @@ class LayerNorm : public Layer
         std::vector<float> invStd;
     };
 
-    /** Stashless per-row normalization (Infer mode; stateless). */
-    Tensor forwardInfer(const Tensor &x) const;
-
     ParamPtr gamma_;
     ParamPtr beta_;
     float eps_;

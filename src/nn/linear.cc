@@ -1,6 +1,5 @@
 #include "nn/linear.hh"
 
-#include "runtime/runtime.hh"
 #include "tensor/matmul.hh"
 #include "util/logging.hh"
 
@@ -25,13 +24,12 @@ Linear::Linear(ParamPtr weight, ParamPtr bias)
     OPTIMUS_ASSERT(bias_->value.size() == weight_->value.cols());
 }
 
-// optlint:hot — steady-state step path (zero-allocation contract).
+// optlint:hot — steady-state step and serving path (zero-allocation
+// contract).
 Tensor
 Linear::forward(const Tensor &x)
 {
     OPTIMUS_ASSERT(x.rank() == 2 && x.cols() == inFeatures());
-    if (mode() == Mode::Infer)
-        return forwardInfer(x);
     Tensor y = matmul(x, weight_->value);
     const int64_t rows = y.rows();
     const int64_t out = y.cols();
@@ -41,39 +39,8 @@ Linear::forward(const Tensor &x)
         for (int64_t j = 0; j < out; ++j)
             yd[i * out + j] += b[j];
     }
-    stash_.pushSlot() = x;
-    return y;
-}
-
-// optlint:hot — serving decode path (zero-allocation contract).
-Tensor
-Linear::forwardInfer(const Tensor &x) const
-{
-    const int64_t rows = x.rows();
-    const int64_t in = inFeatures();
-    const int64_t out = outFeatures();
-    Tensor y({rows, out});
-    const float *xd = x.data();
-    const float *w = weight_->value.data();
-    const float *b = bias_->value.data();
-    float *yd = y.data();
-    // Row-independent matvec: y_i = b, then a k-ascending axpy per
-    // input feature. Each output row's arithmetic is a pure function
-    // of its own input row, so the bits never depend on the batch.
-    parallelFor(0, rows, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const float *xr = xd + i * in;
-            float *yr = yd + i * out;
-            for (int64_t j = 0; j < out; ++j)
-                yr[j] = b[j];
-            for (int64_t k = 0; k < in; ++k) {
-                const float xv = xr[k];
-                const float *wr = w + k * out;
-                for (int64_t j = 0; j < out; ++j)
-                    yr[j] += xv * wr[j];
-            }
-        }
-    });
+    if (mode() == Mode::Train)
+        stash_.pushSlot() = x;
     return y;
 }
 

@@ -2,12 +2,11 @@
  * @file
  * Fully connected layer Y = X * W + b with W stored [in x out].
  *
- * Mode::Infer replaces the panel-blocked GEMM with a per-row matvec
- * (k-ascending axpy into a bias-initialized row). The GEMM's
- * vector-panel/scalar-tail split makes a row's bits depend on how
- * many rows share the call; the row kernel does not, which is the
- * batch-invariance the KV-cache decode identity and continuous
- * batching rely on (see layer.hh).
+ * Train and Infer run the same forward (the packed-panel GEMM plus
+ * a bias sweep); Infer only skips the stash. The GEMM is batch
+ * invariant — a row's bits never depend on how many rows share the
+ * call (see layer.hh) — so serving stacks every sequence's rows
+ * into one call.
  */
 
 #ifndef OPTIMUS_NN_LINEAR_HH
@@ -51,9 +50,6 @@ class Linear : public Layer
     ParamPtr bias() const { return bias_; }
 
   private:
-    /** Batch-invariant per-row matvec (Infer mode; stateless). */
-    Tensor forwardInfer(const Tensor &x) const;
-
     ParamPtr weight_;
     ParamPtr bias_;
     ReuseRing<Tensor> stash_;

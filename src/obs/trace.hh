@@ -124,9 +124,11 @@ class ScopedSpan
 {
   public:
     ScopedSpan(const char *category, const char *name, int64_t id = -1,
-               const char *arg_name0 = nullptr, int64_t arg_value0 = 0)
+               const char *arg_name0 = nullptr, int64_t arg_value0 = 0,
+               const char *arg_name1 = nullptr, int64_t arg_value1 = 0)
         : category_(category), name_(name), id_(id),
           argName0_(arg_name0), argValue0_(arg_value0),
+          argName1_(arg_name1), argValue1_(arg_value1),
           beginNs_(tracingEnabled() ? nowNs() : 0)
     {}
 
@@ -137,7 +139,7 @@ class ScopedSpan
     {
         if (beginNs_ != 0) {
             emitSpan(category_, name_, beginNs_, nowNs(), id_,
-                     argName0_, argValue0_);
+                     argName0_, argValue0_, argName1_, argValue1_);
         }
     }
 
@@ -147,6 +149,8 @@ class ScopedSpan
     int64_t id_;
     const char *argName0_;
     int64_t argValue0_;
+    const char *argName1_;
+    int64_t argValue1_;
     int64_t beginNs_;
 };
 

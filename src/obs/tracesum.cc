@@ -53,14 +53,6 @@ struct StepAgg
     double busy = 0.0;
 };
 
-/** A serve.prefill span held back for wave assignment (its id is
- *  the sequence, not the wave; see TraceSummary). */
-struct PendingPrefill
-{
-    double beginUs = 0.0;
-    double durUs = 0.0;
-};
-
 bool
 isCommCategory(const std::string &cat)
 {
@@ -76,10 +68,6 @@ summarizeTrace(const std::string &json_text)
     TraceSummary summary;
     std::map<long long, StepAgg> step_aggs;
     std::map<long long, ServeWave> waves;
-    // Wave intervals [begin, end) in trace microseconds, for
-    // assigning prefill spans by time containment.
-    std::map<long long, std::pair<double, double>> wave_spans;
-    std::vector<PendingPrefill> prefills;
 
     std::istringstream stream(json_text);
     std::string line;
@@ -122,24 +110,19 @@ summarizeTrace(const std::string &json_text)
             if (jsonNumber(line, "iter", iter) && iter >= 0.0)
                 step_aggs[static_cast<long long>(iter)].busy += dur_s;
         } else if (cat == "serve" && id >= 0) {
-            double ts_us = 0.0;
-            jsonNumber(line, "ts", ts_us);
-            double rows = 0.0;
+            ServeWave &wave = waves[id];
+            wave.id = id;
+            double count = 0.0;
             if (name == "serve.step") {
-                ServeWave &wave = waves[id];
-                wave.id = id;
                 wave.stepSeconds += dur_s;
-                wave_spans[id] = {ts_us, ts_us + dur_us};
             } else if (name == "serve.decode") {
-                ServeWave &wave = waves[id];
-                wave.id = id;
                 wave.decodeSeconds += dur_s;
-                if (jsonNumber(line, "rows", rows))
-                    wave.decodeRows +=
-                        static_cast<int64_t>(rows);
+                if (jsonNumber(line, "rows", count))
+                    wave.decodeRows += static_cast<int64_t>(count);
             } else if (name == "serve.prefill") {
-                // id is the sequence id — hold for containment.
-                prefills.push_back({ts_us, dur_us});
+                wave.prefillSeconds += dur_s;
+                if (jsonNumber(line, "seqs", count))
+                    wave.prefills += static_cast<int64_t>(count);
             }
         } else if (isCommCategory(cat)) {
             CommRollup &roll = summary.commByVerb[cat + "/" + name];
@@ -155,19 +138,6 @@ summarizeTrace(const std::string &json_text)
         }
     }
 
-    // Assign each prefill to the wave whose serve.step interval
-    // contains its start (the prefill runs inside the step span).
-    for (const PendingPrefill &prefill : prefills) {
-        for (const auto &[wave_id, interval] : wave_spans) {
-            if (prefill.beginUs >= interval.first &&
-                prefill.beginUs < interval.second) {
-                ServeWave &wave = waves[wave_id];
-                ++wave.prefills;
-                wave.prefillSeconds += prefill.durUs * 1e-6;
-                break;
-            }
-        }
-    }
     summary.serveWaves = static_cast<int64_t>(waves.size());
     for (const auto &[wave_id, wave] : waves) {
         summary.serveStep += wave.stepSeconds;

@@ -31,11 +31,11 @@ namespace obs
 /** One serving scheduler round (cat="serve" spans of one wave). */
 struct ServeWave
 {
-    int64_t id = 0;             // serve.step / serve.decode span id
+    int64_t id = 0;             // scheduler iteration (span id)
     double stepSeconds = 0.0;   // serve.step wall time
-    double prefillSeconds = 0.0; // serve.prefill spans in this wave
+    double prefillSeconds = 0.0; // serve.prefill wall time
     double decodeSeconds = 0.0; // serve.decode wall time
-    int64_t prefills = 0;       // prompts admitted this wave
+    int64_t prefills = 0;       // prompts admitted (prefill "seqs")
     int64_t decodeRows = 0;     // sequences decoded this wave
 };
 
@@ -67,11 +67,9 @@ struct TraceSummary
 
     double other = 0.0;           // total minus the named phases
 
-    // Serving-trace breakdown, from cat="serve" spans. serve.step
-    // and serve.decode carry the scheduler iteration as their span
-    // id; serve.prefill carries the sequence id, so prefills are
-    // assigned to waves by time containment in the wave's
-    // serve.step interval.
+    // Serving-trace breakdown, from cat="serve" spans. serve.step,
+    // serve.prefill and serve.decode each run at most once per
+    // scheduler round and carry its iteration as their span id.
     int64_t serveWaves = 0;      // distinct serve.step ids
     double serveStep = 0.0;      // summed wave wall time
     double servePrefill = 0.0;

@@ -136,17 +136,37 @@ StageModule::inferEmbed(const int32_t *tokens, int64_t n,
     return embedding_->embedRows(tokens, n, pos0);
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
+// optlint:hot — serving path (zero-allocation contract).
+void
+StageModule::inferEmbedInto(const int32_t *tokens, int64_t n,
+                            int64_t pos0, Tensor &out,
+                            int64_t row0) const
+{
+    OPTIMUS_ASSERT(isFirst());
+    embedding_->embedRowsInto(tokens, n, pos0, out, row0);
+}
+
+// optlint:hot — serving path (zero-allocation contract).
 Tensor
 StageModule::inferBlocks(const Tensor &h, KvCache *caches)
 {
+    const KvSegment segment{caches, h.rows()};
+    return inferBlocks(h, {&segment, 1});
+}
+
+// optlint:hot — serving path (zero-allocation contract).
+Tensor
+StageModule::inferBlocks(const Tensor &h,
+                         std::span<const KvSegment> segments)
+{
     Tensor out = h;
     for (size_t i = 0; i < blocks_.size(); ++i)
-        out = blocks_[i]->forwardCached(out, caches[i]);
+        out = blocks_[i]->forwardSegments(out, segments,
+                                          static_cast<int64_t>(i));
     return out;
 }
 
-// optlint:hot — serving decode path (zero-allocation contract).
+// optlint:hot — serving path (zero-allocation contract).
 Tensor
 StageModule::inferLogits(const Tensor &h)
 {

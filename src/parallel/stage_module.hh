@@ -12,6 +12,7 @@
 #define OPTIMUS_PARALLEL_STAGE_MODULE_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/gpt.hh"
@@ -76,9 +77,11 @@ class StageModule
     // --- Forward-only (serving) entries -------------------------
     //
     // The same stage boundaries as training, in Mode::Infer: no
-    // stashes, KV-cached attention, batch-invariant row kernels.
-    // The caller owns one KvCache per block per sequence and hands
-    // this stage its slice (numBlocks() caches).
+    // stashes, KV-cached attention, and the training GEMM for every
+    // row-wise layer. A pass may stack several sequences' rows
+    // (KvSegment); the caller owns one KvCache per block per
+    // sequence and hands this stage its slice (numBlocks() caches
+    // per sequence).
 
     /** Switch every owned layer's execution mode (see layer.hh). */
     void setMode(Mode mode);
@@ -96,12 +99,29 @@ class StageModule
     Tensor inferEmbed(const int32_t *tokens, int64_t n,
                       int64_t pos0) const;
 
+    /** inferEmbed() written into rows [row0, row0 + n) of @p out. */
+    void inferEmbedInto(const int32_t *tokens, int64_t n, int64_t pos0,
+                        Tensor &out, int64_t row0) const;
+
     /**
-     * Run this stage's blocks over @p h with per-block KV caches
-     * (Infer mode only). @p caches points at numBlocks() caches.
+     * Run this stage's blocks over one sequence's rows @p h with
+     * per-block KV caches (Infer mode only). @p caches points at
+     * numBlocks() caches. The one-segment case of the overload
+     * below.
      * @return boundary activations [R x hidden].
      */
     Tensor inferBlocks(const Tensor &h, KvCache *caches);
+
+    /**
+     * Run this stage's blocks once over a stacked pass: @p h holds
+     * every segment's rows back to back, and segments[s].kv points
+     * at sequence s's numBlocks() caches for this stage. Row-wise
+     * layers run once over all rows; attention splits per segment.
+     * @return boundary activations [R x hidden], rows in input
+     *         order.
+     */
+    Tensor inferBlocks(const Tensor &h,
+                       std::span<const KvSegment> segments);
 
     /** Last-stage epilogue: final norm + tied head, stashless.
      *  @return logits [R x vocab]. */

@@ -59,6 +59,14 @@ ThreadPool::ThreadPool() : threads_(configuredThreads())
     workers_.reserve(threads_ - 1);
     for (int w = 1; w < threads_; ++w)
         workers_.emplace_back([this, w] { workerLoop(w); });
+    // Wait until every worker has registered its trace track. The
+    // first registration constructs the tracer's function-local
+    // state; finishing it before this pool's constructor returns
+    // makes static destruction join the workers before it destroys
+    // that state. Otherwise a worker still starting up when a short
+    // process exits could register into a destroyed buffer list.
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [&] { return workersStarted_ == threads_ - 1; });
 }
 
 ThreadPool::~ThreadPool()
@@ -141,6 +149,11 @@ ThreadPool::workerLoop(int worker_id)
 {
     t_inWorker = true;
     obs::setThreadTrack(worker_id, "pool worker");
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++workersStarted_;
+    }
+    done_.notify_all();
     uint64_t seen_epoch = 0;
     while (true) {
         int64_t num_chunks = 0;

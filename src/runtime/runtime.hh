@@ -188,6 +188,8 @@ class ThreadPool
     /** Incremented per job; workers run the job whose id they see. */
     uint64_t jobEpoch_ = 0;
     int workersBusy_ = 0;
+    /** Workers past their start-up registration (see the ctor). */
+    int workersStarted_ = 0;
     bool shutdown_ = false;
     /**
      * FIFO task queue: a ring over a vector (head/count), so the

@@ -1,12 +1,12 @@
 #include "serve/engine.hh"
 
 #include <cstdio>
+#include <span>
 
 #include "obs/metrics.hh"
 #include "obs/promexport.hh"
 #include "obs/rings.hh"
 #include "obs/trace.hh"
-#include "runtime/runtime.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -75,7 +75,7 @@ ServeEngine::ServeEngine(const ServeConfig &config)
     decodeSlots_.reserve(static_cast<size_t>(config_.maxSequences));
     admittedSlots_.reserve(
         static_cast<size_t>(config_.maxSequences));
-    nextToken_.resize(static_cast<size_t>(config_.maxSequences));
+    segments_.resize(static_cast<size_t>(config_.maxSequences));
 }
 
 int64_t
@@ -133,12 +133,30 @@ ServeEngine::step()
 
     retireFinished();
 
-    // Each already-active sequence decodes one token this round;
+    // Every sequence still active decodes one token this round;
     // charge them against the budget before admitting prompts.
-    int64_t budget = config_.maxBatchTokens - activeSequences();
+    decodeSlots_.clear();
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].active) {
+            // optlint:coldalloc — capacity reserved at construction.
+            decodeSlots_.push_back(static_cast<int64_t>(i));
+        }
+    }
+    const int64_t decoding = static_cast<int64_t>(decodeSlots_.size());
+    int64_t budget = config_.maxBatchTokens - decoding;
     const int64_t before = tokensGenerated_;
-    admitPending(budget);
-    decodeActive();
+    const int64_t prompt_rows = admitPending(budget);
+    if (!admittedSlots_.empty()) {
+        obs::ScopedSpan span(
+            "serve", "serve.prefill", iteration_, "rows", prompt_rows,
+            "seqs", static_cast<int64_t>(admittedSlots_.size()));
+        runPass(admittedSlots_);
+    }
+    if (decoding > 0) {
+        obs::ScopedSpan span("serve", "serve.decode", iteration_,
+                             "rows", decoding);
+        runPass(decodeSlots_);
+    }
 
     const int64_t produced = tokensGenerated_ - before;
     if (obs::metricsEnabled() && produced > 0)
@@ -178,10 +196,11 @@ ServeEngine::retireFinished()
     }
 }
 
-void
+int64_t
 ServeEngine::admitPending(int64_t &budget)
 {
     admittedSlots_.clear();
+    int64_t rows = 0;
     while (!pending_.empty()) {
         int64_t slot = -1;
         for (size_t i = 0; i < slots_.size(); ++i) {
@@ -223,143 +242,74 @@ ServeEngine::admitPending(int64_t &budget)
         budget -= cost;
         if (budget < 0)
             budget = 0;
+        rows += cost;
         // optlint:coldalloc — capacity reserved at construction.
         admittedSlots_.push_back(slot);
     }
-    if (admittedSlots_.empty())
-        return;
-
-    const int64_t n = static_cast<int64_t>(admittedSlots_.size());
-    Sequence *slots = slots_.data();
-    const int64_t *idx = admittedSlots_.data();
-    if (boundaryCompressors_.empty()) {
-        // Prefills are per-sequence independent (stateless Infer
-        // layers, disjoint slots), so they batch across the pool
-        // like decode does.
-        parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i)
-                prefill(slots[idx[i]]);
-        });
-    } else {
-        // A stateful boundary channel (warm starts, shared
-        // reconstruction scratch) serializes prefill order.
-        for (int64_t i = 0; i < n; ++i)
-            prefill(slots[idx[i]]);
-    }
-    tokensGenerated_ += n;
+    return rows;
 }
 
+// optlint:hot — the steady-state serving path: one token per
+// sequence with zero heap allocations once slots are warm.
 void
-ServeEngine::prefill(Sequence &seq)
+ServeEngine::runPass(const std::vector<int64_t> &slot_idx)
 {
-    obs::ScopedSpan span("serve", "serve.prefill", seq.id, "rows",
-                         seq.promptLen);
-    WorkspaceScope scope(seq.arena.get());
+    const int64_t n = static_cast<int64_t>(slot_idx.size());
     const int64_t h = config_.model.hidden;
+    const int64_t bps = blocksPerStage_;
 
-    Tensor x =
-        stages_[0]->inferEmbed(seq.tokens.data(), seq.promptLen, 0);
+    // A sequence's pending rows are the tokens its caches have not
+    // seen yet: the whole prompt after admission, the newest token
+    // while decoding.
+    int64_t total = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const Sequence &seq = slots_[slot_idx[i]];
+        segments_[i].rows =
+            static_cast<int64_t>(seq.tokens.size()) - seq.kv[0].len;
+        total += segments_[i].rows;
+    }
+    const std::span<const KvSegment> segments(segments_.data(),
+                                              static_cast<size_t>(n));
+
+    // Stacked pass input (engine step arena): segment i's rows sit
+    // back to back after segment i - 1's.
+    Tensor x({total, h});
+    int64_t row0 = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const Sequence &seq = slots_[slot_idx[i]];
+        const int64_t pos0 = seq.kv[0].len;
+        stages_[0]->inferEmbedInto(seq.tokens.data() + pos0,
+                                   segments_[i].rows, pos0, x, row0);
+        row0 += segments_[i].rows;
+    }
     for (size_t s = 0; s < stages_.size(); ++s) {
         if (s > 0)
             boundaryTransfer(static_cast<int>(s) - 1, x);
-        x = stages_[s]->inferBlocks(
-            x, seq.kv.data() + static_cast<int64_t>(s) *
-                                   blocksPerStage_);
+        for (int64_t i = 0; i < n; ++i)
+            segments_[i].kv = slots_[slot_idx[i]].kv.data() +
+                              static_cast<int64_t>(s) * bps;
+        x = stages_[s]->inferBlocks(x, segments);
     }
 
-    // Only the last prompt row feeds the head: rows are
-    // independent in Infer mode, so slicing first is bitwise
-    // neutral and skips (promptLen - 1) * vocab wasted dots.
-    Tensor last_row({1, h});
-    float *ld = last_row.data();
-    const float *xd = x.data() + (seq.promptLen - 1) * h;
-    for (int64_t c = 0; c < h; ++c)
-        ld[c] = xd[c];
-    Tensor logits = stages_.back()->inferLogits(last_row);
-
-    // optlint:coldalloc — capacity reserved at admission.
-    seq.tokens.push_back(argmaxRow(logits, 0));
-    seq.prefillIteration = iteration_;
-}
-
-// optlint:hot — the steady-state serving decode path: one token per
-// active sequence with zero heap allocations once slots are warm.
-int64_t
-ServeEngine::decodeActive()
-{
-    decodeSlots_.clear();
-    for (size_t i = 0; i < slots_.size(); ++i) {
-        const Sequence &seq = slots_[i];
-        // Sequences prefilled this round already got their token.
-        if (seq.active && seq.prefillIteration != iteration_) {
-            // optlint:coldalloc — capacity reserved at construction.
-            decodeSlots_.push_back(static_cast<int64_t>(i));
-        }
+    // Only each segment's last row feeds the head: rows are
+    // independent, so gathering first is bitwise neutral and skips
+    // the prompt rows' wasted vocab projections.
+    Tensor last({n, h});
+    const float *xd = x.data();
+    float *ld = last.data();
+    int64_t row_end = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        row_end += segments_[i].rows;
+        const float *src = xd + (row_end - 1) * h;
+        for (int64_t c = 0; c < h; ++c)
+            ld[i * h + c] = src[c];
     }
-    const int64_t a_count = static_cast<int64_t>(decodeSlots_.size());
-    if (a_count == 0)
-        return 0;
-
-    obs::ScopedSpan span("serve", "serve.decode", iteration_, "rows",
-                         a_count);
-
-    const int64_t h = config_.model.hidden;
-    const int64_t num_stages = static_cast<int64_t>(stages_.size());
-    const int64_t bps = blocksPerStage_;
-
-    // Gathered boundary activations, one row per decoding sequence
-    // (engine step arena). Written through disjoint rows in the
-    // parallel bodies below.
-    Tensor acts({a_count, h});
-    float *actsd = acts.data();
-    Sequence *slots = slots_.data();
-    const int64_t *idx = decodeSlots_.data();
-    int32_t *next = nextToken_.data();
-
-    for (int64_t s = 0; s < num_stages; ++s) {
-        StageModule &stage = *stages_[s];
-        const bool first = (s == 0);
-        const bool last = (s == num_stages - 1);
-        parallelFor(0, a_count, 1, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-                Sequence &seq = slots[idx[i]];
-                WorkspaceScope slot_scope(seq.arena.get());
-                Tensor x;
-                if (first) {
-                    const int64_t pos =
-                        static_cast<int64_t>(seq.tokens.size()) - 1;
-                    x = stage.inferEmbed(seq.tokens.data() + pos, 1,
-                                         pos);
-                } else {
-                    x = Tensor({1, h});
-                    float *xd = x.data();
-                    const float *row = actsd + i * h;
-                    for (int64_t c = 0; c < h; ++c)
-                        xd[c] = row[c];
-                }
-                x = stage.inferBlocks(x, seq.kv.data() + s * bps);
-                if (last) {
-                    Tensor logits = stage.inferLogits(x);
-                    next[i] = argmaxRow(logits, 0);
-                } else {
-                    const float *xd = x.data();
-                    float *row = actsd + i * h;
-                    for (int64_t c = 0; c < h; ++c)
-                        row[c] = xd[c];
-                }
-            }
-        });
-        if (!last)
-            boundaryTransfer(static_cast<int>(s), acts);
-    }
-
-    for (int64_t i = 0; i < a_count; ++i) {
-        Sequence &seq = slots_[idx[i]];
+    const Tensor logits = stages_.back()->inferLogits(last);
+    for (int64_t i = 0; i < n; ++i) {
         // optlint:coldalloc — capacity reserved at admission.
-        seq.tokens.push_back(next[i]);
+        slots_[slot_idx[i]].tokens.push_back(argmaxRow(logits, i));
     }
-    tokensGenerated_ += a_count;
-    return a_count;
+    tokensGenerated_ += n;
 }
 
 void

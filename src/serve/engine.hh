@@ -5,37 +5,45 @@
  *
  * The engine instantiates the *training* stage partition
  * (StageModule over the same contiguous block boundaries) in
- * Mode::Infer and runs decode iterations over a slot table of
- * in-flight sequences. Each step() is one scheduler round:
+ * Mode::Infer and runs scheduler rounds over a slot table of
+ * in-flight sequences. Each step() is one round:
  *
  *   retire   — finished sequences leave their slots and fire the
  *              completion callback;
  *   admit    — pending requests claim free slots under the
- *              max-batch-tokens budget and prefill their prompt
- *              through every stage (producing their first token);
- *   decode   — every other active sequence advances one token: the
- *              per-sequence stage slices run batched (parallelFor
- *              over sequences, each under its slot arena), and the
- *              gathered [active x hidden] boundary activations cross
- *              each stage boundary through comm::Transport as an
- *              InterStage p2pSend — optionally through a lossy
- *              Compressor — so serving traffic lands in the same
- *              CommEvent stream, obs spans, and metrics the trainer
- *              uses.
+ *              max-batch-tokens budget;
+ *   prefill  — one stacked pass over every prompt admitted this
+ *              round (one segment of promptLen rows each) produces
+ *              their first tokens;
+ *   decode   — one stacked pass over every other active sequence
+ *              (one row each) advances it by one token.
  *
- * Determinism: Infer-mode kernels are row-independent, so a
- * sequence's token stream is a pure function of its prompt — bitwise
- * identical whether it is decoded alone, batched with any other
- * sequences, or admitted in any interleaving (with an exact
- * boundary, CompressorKind::None; lossy boundary compression
- * deliberately trades this away). Greedy sampling breaks argmax
- * ties toward the lowest token id.
+ * A pass is Orca-style selective batching (Yu et al., OSDI'22): the
+ * stage-0 embedding writes every segment's rows into one stacked
+ * [rows x hidden] tensor, every row-wise layer (LayerNorm, qkv,
+ * projection, MLP, final norm, head) runs once per layer over it
+ * through the training GEMM, and only the attention core splits per
+ * sequence against its own KvCache. The stacked activations cross
+ * each stage boundary through comm::Transport as one InterStage
+ * p2pSend per pass — optionally through a lossy Compressor, which
+ * then sees one compress() per pass — so serving traffic lands in
+ * the same CommEvent stream, obs spans, and metrics the trainer
+ * uses.
  *
- * Memory: every per-sequence tensor (KV cache, decode activations)
- * is drawn from the slot's workspace arena and every batched
- * gather from the engine's step arena, so steady-state decode makes
- * zero heap allocations once the slots are warm (alloc_gate
- * --serve enforces this).
+ * Determinism: the GEMM is batch invariant (a row's bits never
+ * depend on how many rows share the call) and attention is per
+ * sequence, so a sequence's token stream is a pure function of its
+ * prompt — bitwise identical whether it is decoded alone, stacked
+ * with any other sequences, or admitted in any interleaving (with
+ * an exact boundary, CompressorKind::None; lossy boundary
+ * compression deliberately trades this away). Greedy sampling
+ * breaks argmax ties toward the lowest token id.
+ *
+ * Memory: KV caches are drawn from each slot's workspace arena and
+ * every pass tensor from the engine's step arena; the per-pass
+ * segment list lives in a vector sized at construction. Steady-state
+ * rounds therefore make zero heap allocations once the slots are
+ * warm (alloc_gate --serve enforces this).
  */
 
 #ifndef OPTIMUS_SERVE_ENGINE_HH
@@ -77,8 +85,8 @@ struct ServeConfig
     /**
      * Inter-stage activation compressor. Kind None transfers
      * exactly (the bitwise-determinism configuration); lossy kinds
-     * compress the gathered boundary activations and decode from
-     * the reconstruction.
+     * compress each pass's stacked boundary activations and decode
+     * from the reconstruction.
      */
     CompressorSpec boundary{};
     /** Accounting transport (e.g. a RecordingTransport for volume
@@ -144,17 +152,13 @@ class ServeEngine
   private:
     void retireFinished();
     /** Admit pending requests into free slots under @p budget
-     *  (decremented by each admitted prompt's length), then prefill
-     *  the admitted batch — in parallel across the pool when the
-     *  boundary is exact, serially when a stateful compressor owns
-     *  the channel. */
-    void admitPending(int64_t &budget);
-    /** Run @p seq's prompt through all stages; appends the first
-     *  generated token. */
-    void prefill(Sequence &seq);
-    /** Advance every sequence decoding this round by one token.
-     *  @return tokens produced. */
-    int64_t decodeActive();
+     *  (decremented by each admitted prompt's length), recording
+     *  them in admittedSlots_. @return their summed prompt rows. */
+    int64_t admitPending(int64_t &budget);
+    /** One stacked pass through every stage over the sequences in
+     *  @p slot_idx, each contributing the rows its caches have not
+     *  seen; appends one generated token to each. */
+    void runPass(const std::vector<int64_t> &slot_idx);
     /** Account (and optionally compress, reconstructing in place)
      *  one boundary transfer of @p acts out of @p src_stage. */
     void boundaryTransfer(int src_stage, Tensor &acts);
@@ -165,7 +169,7 @@ class ServeEngine
     ServeConfig config_;
     int64_t blocksPerStage_;
 
-    /** Arena for batched gathers; declared before every member that
+    /** Arena for pass tensors; declared before every member that
      *  may hold one of its tensors. */
     std::unique_ptr<Workspace> stepArena_;
     std::vector<std::unique_ptr<StageModule>> stages_;
@@ -183,8 +187,9 @@ class ServeEngine
     std::vector<int64_t> decodeSlots_;
     /** Slot indices admitted this round (capacity = maxSequences). */
     std::vector<int64_t> admittedSlots_;
-    /** Per-decoding-sequence sampled token, by decodeSlots_ index. */
-    std::vector<int32_t> nextToken_;
+    /** One pass's segments, by position in the pass's slot list
+     *  (size maxSequences). */
+    std::vector<KvSegment> segments_;
 
     FinishFn onFinish_;
     Log2Histogram latencyUs_;

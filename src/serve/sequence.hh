@@ -38,9 +38,9 @@ struct PendingRequest
 struct Sequence
 {
     /**
-     * Slot arena backing the KV cache and this sequence's decode
-     * activations. Declared first so it outlives the tensors that
-     * release blocks into it on destruction.
+     * Slot arena backing the KV caches. Declared first so it
+     * outlives the tensors that release blocks into it on
+     * destruction.
      */
     std::unique_ptr<Workspace> arena;
 
@@ -51,10 +51,6 @@ struct Sequence
     int64_t promptLen = 0;
     int64_t maxNewTokens = 0;
     int64_t submitNs = 0;
-    /** Engine iteration that prefilled this sequence (a sequence
-     *  produces its first token from prefill, so the decode sweep
-     *  of that same iteration skips it). */
-    int64_t prefillIteration = -1;
     /** One cache per transformer block, by global block index. */
     std::vector<KvCache> kv;
 

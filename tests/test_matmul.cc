@@ -2,7 +2,8 @@
  * @file
  * The blocked multi-threaded GEMM against the naive reference
  * oracle: all six matmul entry points, shapes that stress the
- * blocking edges, and bitwise determinism under threading.
+ * blocking edges, bitwise determinism under threading, and row
+ * batch invariance at every SIMD tier.
  */
 
 #include <cstdlib>
@@ -287,6 +288,69 @@ TEST(MatmulTiers, BitwiseSelfConsistentPerTierAcrossThreading)
     }
     for (size_t i = 1; i < per_tier.size(); ++i)
         EXPECT_TRUE(per_tier[i].allClose(per_tier[0], tolFor(131)));
+    simd::setTier(initial);
+}
+
+/** Rows [row0, row0 + rows) of @p t as a fresh tensor. */
+Tensor
+sliceRows(const Tensor &t, int64_t row0, int64_t rows)
+{
+    Tensor out({rows, t.cols()});
+    std::memcpy(out.data(), t.data() + row0 * t.cols(),
+                sizeof(float) * rows * t.cols());
+    return out;
+}
+
+TEST(MatmulTiers, RowsAreBatchInvariantEveryTier)
+{
+    // The serving contract: row i of matmul(X) and matmulNT(X, E) is
+    // bitwise equal to the same call on X[i:i+1], whatever M is. The
+    // GEMM's K/N blocking never depends on M, and each tier's row
+    // groups run the same per-element FMA chain, so a sequence's
+    // activations do not depend on how many other sequences share
+    // its stacked GEMM. K = 300 and 700 cross the KC = 256 block.
+    ASSERT_TRUE(kForceThreads);
+    const simd::Tier initial = simd::tier();
+    std::vector<int64_t> ms;
+    for (int64_t m = 1; m <= 31; ++m)
+        ms.push_back(m);
+    ms.push_back(64);
+    ms.push_back(100);
+    const int64_t max_m = 100;
+    Rng rng(34);
+    for (simd::Tier t : supportedTiers()) {
+        simd::setTier(t);
+        for (int64_t k : {16, 64, 192, 300, 700}) {
+            for (int64_t n : {33, 64, 128, 256}) {
+                const Tensor x = Tensor::randn({max_m, k}, rng);
+                const Tensor w = Tensor::randn({k, n}, rng);
+                const Tensor e = Tensor::randn({n, k}, rng);
+                std::vector<Tensor> alone_nn, alone_nt;
+                for (int64_t i = 0; i < max_m; ++i) {
+                    const Tensor row = sliceRows(x, i, 1);
+                    alone_nn.push_back(matmul(row, w));
+                    alone_nt.push_back(matmulNT(row, e));
+                }
+                for (int64_t m : ms) {
+                    const Tensor xm = sliceRows(x, 0, m);
+                    const Tensor nn = matmul(xm, w);
+                    const Tensor nt = matmulNT(xm, e);
+                    for (int64_t i = 0; i < m; ++i) {
+                        ASSERT_EQ(0, std::memcmp(nn.data() + i * n,
+                                                 alone_nn[i].data(),
+                                                 sizeof(float) * n))
+                            << simd::tierName(t) << " matmul m=" << m
+                            << " k=" << k << " n=" << n << " row " << i;
+                        ASSERT_EQ(0, std::memcmp(nt.data() + i * n,
+                                                 alone_nt[i].data(),
+                                                 sizeof(float) * n))
+                            << simd::tierName(t) << " matmulNT m=" << m
+                            << " k=" << k << " n=" << n << " row " << i;
+                    }
+                }
+            }
+        }
+    }
     simd::setTier(initial);
 }
 

@@ -5,10 +5,10 @@
  * reproduces the single-request full-recompute oracle for every
  * request under any admission interleaving, Infer mode never
  * constructs stash storage, and pipelined serving traffic is
- * accounted in the InterStage CommEvent stream (exactly, and with
- * smaller wire bytes when a lossy boundary compressor is
- * installed). The ctest legs re-run this suite across
- * OPTIMUS_THREADS and OPTIMUS_SIMD=scalar.
+ * accounted in the InterStage CommEvent stream (exactly, one event
+ * per stacked pass, and with smaller wire bytes when a lossy
+ * boundary compressor is installed). The ctest legs re-run this
+ * suite across OPTIMUS_THREADS and OPTIMUS_SIMD=scalar.
  */
 
 #include <cstdint>
@@ -265,6 +265,50 @@ TEST(Serve, PipelineBoundaryVolumeIsAccounted)
               rows * model.hidden *
                   static_cast<int64_t>(sizeof(float)));
     EXPECT_EQ(vol.wireBytes, vol.exactBytes); // exact boundary
+}
+
+TEST(Serve, StackedPassesSendOneBoundaryEventEach)
+{
+    // Selective batching: a round runs one stacked prefill pass over
+    // every prompt it admits and one stacked decode pass over every
+    // other active sequence, so each pass crosses each stage
+    // boundary exactly once, however many sequences it carries.
+    const GptConfig model = tinyModel();
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+
+    serve::ServeConfig config;
+    config.model = model;
+    config.pipelineStages = 2;
+    config.maxSequences = 5;
+    config.maxBatchTokens = 32;
+    config.transport = &recorder;
+    serve::ServeEngine engine(config);
+
+    const auto prompts = mixedPrompts(5);
+    // Round 0 admits two requests; round 1 decodes them while it
+    // admits the other three.
+    engine.submit(prompts[0], 4);
+    engine.submit(prompts[1], 4);
+    ASSERT_EQ(engine.step(), 2);
+    int64_t admitted_rows = 0;
+    for (int r = 2; r < 5; ++r) {
+        engine.submit(prompts[r], 4);
+        admitted_rows += static_cast<int64_t>(prompts[r].size());
+    }
+    ASSERT_EQ(engine.step(), 5);
+
+    const int64_t row_bytes =
+        model.hidden * static_cast<int64_t>(sizeof(float));
+    std::vector<int64_t> round1;
+    for (const auto &event : recorder.trace().events()) {
+        if (event.phase == CommPhase::InterStage &&
+            event.iteration == 1)
+            round1.push_back(event.exactBytes);
+    }
+    ASSERT_EQ(round1.size(), 2u);
+    EXPECT_EQ(round1[0], admitted_rows * row_bytes); // prefill pass
+    EXPECT_EQ(round1[1], 2 * row_bytes);             // decode pass
 }
 
 TEST(Serve, CompressedBoundaryShrinksWireBytes)
