@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "obs/metrics.hh"
+#include "obs/probes.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 #include "simnet/cost_model.hh"
@@ -210,23 +211,10 @@ CommTrace::volume(CommPhase phase, int64_t iteration) const
 {
     CommVolume total;
     for (const CommEvent &e : events_) {
-        if (eventSelected(e, phase, iteration)) {
-            total.exactBytes += e.exactBytes;
-            total.wireBytes += e.wireBytes;
-        }
+        if (eventSelected(e, phase, iteration))
+            total.add(e);
     }
     return total;
-}
-
-int64_t
-CommTrace::count(CommPhase phase, int64_t iteration) const
-{
-    int64_t n = 0;
-    for (const CommEvent &e : events_) {
-        if (eventSelected(e, phase, iteration))
-            ++n;
-    }
-    return n;
 }
 
 double
@@ -476,6 +464,14 @@ phaseMetrics(CommPhase phase)
 CommEvent
 TracingTransport::note(const CommEvent &event, int64_t begin_ns)
 {
+    Entry &entry = ledger_[static_cast<size_t>(event.phase)];
+    entry.events.fetch_add(1, std::memory_order_relaxed);
+    if (event.compressor.kind != CompressorKind::None)
+        entry.compressedEvents.fetch_add(1, std::memory_order_relaxed);
+    entry.exactBytes.fetch_add(event.exactBytes,
+                               std::memory_order_relaxed);
+    entry.wireBytes.fetch_add(event.wireBytes,
+                              std::memory_order_relaxed);
     if (obs::metricsEnabled()) {
         PhaseMetrics &metrics = phaseMetrics(event.phase);
         metrics.events->add(1);
@@ -491,13 +487,37 @@ TracingTransport::note(const CommEvent &event, int64_t begin_ns)
                       commVerbName(event.verb), begin_ns, obs::nowNs(),
                       -1, "exactBytes", event.exactBytes, "wireBytes",
                       event.wireBytes);
-        const int64_t total =
-            wireTotal_.fetch_add(event.wireBytes,
-                                 std::memory_order_relaxed) +
-            event.wireBytes;
+        int64_t total = 0;
+        for (const Entry &phase : ledger_)
+            total += phase.wireBytes.load(std::memory_order_relaxed);
         obs::emitCounter("comm.wireBytes", total);
     }
     return event;
+}
+
+CommVolume
+TracingTransport::volume(CommPhase phase) const
+{
+    const Entry &entry = ledger_[static_cast<size_t>(phase)];
+    CommVolume v;
+    v.events = entry.events.load(std::memory_order_relaxed);
+    v.compressedEvents =
+        entry.compressedEvents.load(std::memory_order_relaxed);
+    v.exactBytes = entry.exactBytes.load(std::memory_order_relaxed);
+    v.wireBytes = entry.wireBytes.load(std::memory_order_relaxed);
+    return v;
+}
+
+obs::CompressionHealth
+TracingTransport::health(CommPhase phase,
+                         obs::CompressionHealth probe) const
+{
+    const CommVolume v = volume(phase);
+    probe.sends = v.events;
+    probe.compressedSends = v.compressedEvents;
+    probe.exactBytes = v.exactBytes;
+    probe.wireBytes = v.wireBytes;
+    return probe;
 }
 
 CommEvent

@@ -9,10 +9,11 @@
  *
  * Each verb performs the data movement *and* returns a completed
  * `CommEvent` describing it (iteration, phase, kind, logical ranks,
- * exact vs on-wire bytes, compressor spec). Components never
- * hand-maintain byte counters: they fold returned events into
- * `CommVolume` views, so all byte math lives here and the counters
- * components expose are provably derived from the event stream.
+ * exact vs on-wire bytes, compressor spec). Components keep no byte
+ * or send counters at all: `TracingTransport`, the outermost
+ * decorator of both the trainer and the serving engine, folds every
+ * event into one per-phase ledger of `CommVolume`s, and every
+ * reported byte, send count and per-step delta is read from it.
  *
  * `InProcessTransport` owns the combine kernel the trainer has
  * always used (double accumulation in rank order over a fixed chunk
@@ -27,6 +28,7 @@
 #ifndef OPTIMUS_COMM_TRANSPORT_HH
 #define OPTIMUS_COMM_TRANSPORT_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -37,6 +39,11 @@
 
 namespace optimus
 {
+
+namespace obs
+{
+struct CompressionHealth;
+} // namespace obs
 
 /** The verb set of the transport interface. */
 enum class CommVerb
@@ -114,22 +121,34 @@ bool commEventLess(const CommEvent &a, const CommEvent &b);
  */
 double commEventTraffic(const CommEvent &event);
 
-/** Integer byte totals folded from events (order-independent). */
+/**
+ * Integer event and byte totals folded from events (order-
+ * independent). An event counts as compressed iff its compressor
+ * kind is not None.
+ */
 struct CommVolume
 {
+    int64_t events = 0;
+    int64_t compressedEvents = 0;
     int64_t exactBytes = 0;
     int64_t wireBytes = 0;
 
     void add(const CommEvent &event)
     {
+        ++events;
+        if (event.compressor.kind != CompressorKind::None)
+            ++compressedEvents;
         exactBytes += event.exactBytes;
         wireBytes += event.wireBytes;
     }
 
-    void merge(const CommVolume &other)
+    /** Totals accumulated since the @p earlier snapshot. */
+    CommVolume delta(const CommVolume &earlier) const
     {
-        exactBytes += other.exactBytes;
-        wireBytes += other.wireBytes;
+        return {events - earlier.events,
+                compressedEvents - earlier.compressedEvents,
+                exactBytes - earlier.exactBytes,
+                wireBytes - earlier.wireBytes};
     }
 };
 
@@ -170,15 +189,12 @@ class CommTrace
     void clear() { events_.clear(); }
 
     /**
-     * Integer byte totals of one phase (all iterations, or one when
-     * @p iteration >= 0). Integer sums are order-independent, so
-     * this is deterministic no matter how concurrent recording
-     * interleaved the appends.
+     * Integer event and byte totals of one phase (all iterations,
+     * or one when @p iteration >= 0). Integer sums are order-
+     * independent, so this is deterministic no matter how
+     * concurrent recording interleaved the appends.
      */
     CommVolume volume(CommPhase phase, int64_t iteration = -1) const;
-
-    /** Event count of one phase (same filtering as volume()). */
-    int64_t count(CommPhase phase, int64_t iteration = -1) const;
 
     /**
      * Per-rank alpha-beta traffic of one phase, summed in canonical
@@ -338,16 +354,20 @@ class RecordingTransport : public Transport
 };
 
 /**
- * Observability decorator (src/obs): when tracing is enabled, every
- * completed event becomes a trace span (category = the phase name,
- * name = the verb name, args = exact/wire bytes) plus a sample on
- * the cumulative "comm.wireBytes" counter track; when metrics are
- * enabled, events fold into per-phase event/byte counters and a
- * wire-size histogram in the global MetricsRegistry. When both are
- * off a verb costs one extra virtual call and two relaxed loads, so
- * the trainer installs it unconditionally as the outermost
- * decorator. Pure observation: events and data movement pass
- * through bitwise unchanged.
+ * The comm ledger plus observability (src/obs). Every completed
+ * event is folded into a per-phase CommVolume of relaxed atomics;
+ * per-iteration stats, the health views' byte/send fields and the
+ * counter track below all read this ledger. Verbs are issued
+ * concurrently (the replica loop, overlapped bucket tasks), so the
+ * ledger is read only after those have joined. When tracing is
+ * enabled each event also becomes a trace span (category = the
+ * phase name, name = the verb name, args = exact/wire bytes) plus a
+ * sample of the ledger's total wire bytes on the "comm.wireBytes"
+ * counter track, cumulative since the transport was built; when
+ * metrics are enabled, events also fold into per-phase event/byte
+ * counters (a second, process-global tally) and a wire-size
+ * histogram in the global MetricsRegistry. Pure observation: events
+ * and data movement pass through bitwise unchanged.
  */
 class TracingTransport : public Transport
 {
@@ -373,14 +393,33 @@ class TracingTransport : public Transport
                         Tensor &mean_output) override;
     CommEvent broadcast(CommPhase phase, CommGroup &group) override;
 
+    /** Ledger entry of @p phase, cumulative since construction. */
+    CommVolume volume(CommPhase phase) const;
+
+    /** @p probe (norm fields) with its send and byte fields set
+     *  from the ledger entry of @p phase — the one place those
+     *  fields of a CompressionHealth are written. */
+    obs::CompressionHealth health(CommPhase phase,
+                                  obs::CompressionHealth probe) const;
+
   private:
-    /** Emit span/counter/metrics for a completed event and return
-     * it unchanged. begin_ns is 0 when tracing was off at entry. */
+    /** One phase's ledger entry (fields mirror CommVolume). */
+    struct Entry
+    {
+        std::atomic<int64_t> events{0};
+        std::atomic<int64_t> compressedEvents{0};
+        std::atomic<int64_t> exactBytes{0};
+        std::atomic<int64_t> wireBytes{0};
+    };
+
+    /** Fold a completed event into the ledger, emit its span,
+     * counter sample and metrics, and return it unchanged.
+     * begin_ns is 0 when tracing was off at entry. */
     CommEvent note(const CommEvent &event, int64_t begin_ns);
 
     Transport &inner_;
-    /** Running on-wire total behind the counter track. */
-    std::atomic<int64_t> wireTotal_{0};
+    /** ledger_[phase], indexed by CommPhase. */
+    std::array<Entry, 4> ledger_;
 };
 
 /**

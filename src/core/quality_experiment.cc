@@ -58,10 +58,6 @@ runQualityExperiment(const QualityRunConfig &config,
     for (int it = 0; it < config.iterations; ++it) {
         const IterationStats stats =
             trainer.trainIteration(train, data_rng);
-        // optlint:allow(COM01) event-derived per-iteration fold.
-        result.interStageBytes += stats.interStageBytes;
-        // optlint:allow(COM01) same event-derived fold.
-        result.interStageBytesExact += stats.interStageBytesExact;
         result.dpBytes = stats.dpVolume.actualBytes;
         result.dpBytesExact = stats.dpVolume.exactBytes;
         if (it >= tail_begin) {
@@ -76,6 +72,10 @@ runQualityExperiment(const QualityRunConfig &config,
     }
     if (tail_count > 0)
         result.tailTrainLoss /= tail_count;
+    const CommVolume inter_stage =
+        trainer.commVolume(CommPhase::InterStage);
+    result.interStageBytes = inter_stage.wireBytes;
+    result.interStageBytesExact = inter_stage.exactBytes;
 
     result.finalPerplexity = trainer.validatePerplexity(val);
     if (config.evalEvery > 0 &&

@@ -1,11 +1,13 @@
 #include "obs/probes.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include "obs/metrics.hh"
+#include "util/stats.hh"
 
 namespace optimus
 {
@@ -134,18 +136,25 @@ l2DiffNormSq(const float *a, const float *b, size_t n)
     return sum;
 }
 
+// optlint:hot — probe accumulation on the step path.
+void
+CompressionHealth::observe(const float *input, const float *recon,
+                           size_t n)
+{
+    if (!probeActive())
+        return;
+    this->inputNormSq += l2NormSq(input, n);
+    this->errNormSq += l2DiffNormSq(input, recon, n);
+    this->cosineSum += cosineSimilarity(input, recon, n);
+    this->cosineCount += 1;
+}
+
 // The explicit this-> marks these folds as per-object member
 // writes: merge() runs on caller-owned snapshots, never on state
 // shared across parallel bodies.
 void
 CompressionHealth::merge(const CompressionHealth &other)
 {
-    this->sends += other.sends;
-    this->compressedSends += other.compressedSends;
-    // Event-derived view-merge, as ReduceVolume::operator+= — the
-    // sources are transport events, never hand-counted bytes.
-    this->exactBytes += other.exactBytes; // optlint:allow(COM01)
-    this->wireBytes += other.wireBytes;   // optlint:allow(COM01)
     this->inputNormSq += other.inputNormSq;
     this->errNormSq += other.errNormSq;
     this->residualNormSq += other.residualNormSq;
@@ -159,8 +168,6 @@ CompressionHealth::delta(const CompressionHealth &prev) const
     CompressionHealth d;
     d.sends = sends - prev.sends;
     d.compressedSends = compressedSends - prev.compressedSends;
-    // Event-derived view difference (cumulative snapshots of the
-    // same transport-event folds).
     d.exactBytes = exactBytes - prev.exactBytes;
     d.wireBytes = wireBytes - prev.wireBytes;
     d.inputNormSq = inputNormSq - prev.inputNormSq;
@@ -278,6 +285,27 @@ AlertLog::raise(const char *channel, AlertKind kind, int64_t step,
             MetricsRegistry::instance().counter("obs.alerts");
         alerts.add(1);
     }
+    return true;
+}
+
+// optlint:hot — once per monitored signal per sampled step.
+bool
+monitorThreshold(const char *channel, AlertKind kind, int64_t step,
+                 double value, double threshold)
+{
+    // A non-finite value fails every ordered comparison, so it is
+    // tested explicitly: NaN and Inf must alert, not slip through.
+    if (threshold <= 0.0 ||
+        (std::isfinite(value) && !(value > threshold)))
+        return false;
+    if (!AlertLog::instance().raise(channel, kind, step, value,
+                                    threshold))
+        return false;
+    std::fprintf(stderr,
+                 "optimus: alert step=%lld channel=%s kind=%s "
+                 "value=%.6g threshold=%.6g\n",
+                 static_cast<long long>(step), channel,
+                 alertKindName(kind), value, threshold);
     return true;
 }
 

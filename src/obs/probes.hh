@@ -7,10 +7,11 @@
  * boundary — can accumulate a CompressionHealth record while
  * probesEnabled() is on: wire-vs-exact ratio, relative
  * reconstruction error ‖g−ĝ‖/‖g‖, error-feedback residual norm,
- * and sampled compressed-vs-exact cosine similarity. Byte totals
- * are views over the same transport events CommTrace records, so
- * probe volumes reconcile with the trace exactly (integers, not
- * estimates).
+ * and sampled compressed-vs-exact cosine similarity. Each component
+ * keeps only the norm fields (one CompressionHealth probe, fed by
+ * observe()); the byte and send fields are filled from the comm
+ * ledger of the owner's TracingTransport, so they reconcile with a
+ * CommTrace of the same run exactly (integers, not estimates).
  *
  * Determinism contract: probes are bitwise-neutral observation.
  * They read tensors the channel already produced (fed inputs,
@@ -22,14 +23,14 @@
  * Overhead contract: the norm passes cost extra sweeps over
  * gradient-sized data, so they run on a sampled cadence — every
  * OPTIMUS_PROBE_INTERVAL-th step (default 16, 1 = every step) via
- * probeActive(). Byte and send tallies are O(1) per event and stay
- * on every step, so probe volumes always reconcile with CommTrace.
+ * probeActive(). Byte and send totals come from the comm ledger,
+ * which counts every event on every step.
  *
  * Alerts: threshold crossings (relative error, gradient norm, loss
- * drift) raise rate-limited obs::Alert records into a fixed-
- * capacity AlertLog and bump the obs.alerts counter. Raising
- * allocates nothing, so the alert path is legal inside the
- * alloc_gate window.
+ * drift), checked by monitorThreshold(), raise rate-limited
+ * obs::Alert records into a fixed-capacity AlertLog and bump the
+ * obs.alerts counter. Raising allocates nothing, so the alert path
+ * is legal inside the alloc_gate window.
  */
 
 #ifndef OPTIMUS_OBS_PROBES_HH
@@ -62,9 +63,8 @@ void enableProbes(bool on);
 
 /**
  * True when probes are on AND the current step is a sampled one —
- * the gate the expensive norm passes (‖g‖², ‖g−ĝ‖², cosine) check.
- * The cheap byte/send tallies stay on probesEnabled() so volumes
- * always reconcile with CommTrace exactly.
+ * the gate the expensive norm passes (‖g‖², ‖g−ĝ‖², cosine) of
+ * CompressionHealth::observe() check.
  */
 inline bool
 probeActive()
@@ -104,16 +104,18 @@ double l2NormSq(const float *a, size_t n);
 double l2DiffNormSq(const float *a, const float *b, size_t n);
 
 /**
- * Accumulated health of one compression channel. Byte fields are
- * folded from the channel's transport events (exact == what an
- * uncompressed channel would send); norm fields accumulate squared
- * L2 norms so merging channels composes correctly.
+ * Accumulated health of one compression channel. The send and byte
+ * fields are ledger-owned: only TracingTransport::health() sets
+ * them, from the comm ledger (exact == what an uncompressed channel
+ * would send), so a component's probe leaves them 0. Norm fields
+ * accumulate squared L2 norms so merging channels composes
+ * correctly.
  */
 struct CompressionHealth
 {
     /** Transport sends observed (compressed or not). */
     int64_t sends = 0;
-    /** Sends that went through a lossy compressor. */
+    /** Sends whose compressor kind is not None. */
     int64_t compressedSends = 0;
     int64_t exactBytes = 0;
     int64_t wireBytes = 0;
@@ -127,11 +129,22 @@ struct CompressionHealth
     double cosineSum = 0.0;
     int64_t cosineCount = 0;
 
+    /**
+     * Fold one compressed send's input @p input and reconstruction
+     * @p recon (@p n floats each) into the norm fields — only on a
+     * sampled step (probeActive()). Read-only, double accumulation
+     * in call order, so values are thread-count independent.
+     */
+    void observe(const float *input, const float *recon, size_t n);
+
+    /** Fold @p other's norm fields. The ledger-owned send and byte
+     *  fields are left alone: merge probes, then set them once. */
     void merge(const CompressionHealth &other);
 
     /**
      * Per-window view: this (cumulative) health minus @p prev for
-     * the accumulated fields. residualNormSq is state, not an
+     * the accumulated fields, the ledger-owned ones included (both
+     * are health() views). residualNormSq is state, not an
      * accumulation, so the current value carries over unchanged.
      */
     CompressionHealth delta(const CompressionHealth &prev) const;
@@ -191,6 +204,16 @@ struct ProbeThresholds
 
 /** The process-wide thresholds (mutable for tests). */
 ProbeThresholds &probeThresholds();
+
+/**
+ * The one threshold monitor: raise a rate-limited alert for
+ * @p channel / @p kind at @p step when @p value exceeds
+ * @p threshold, or is NaN or infinite, and echo it to stderr (the
+ * sanctioned step-summary line). A threshold <= 0 disables the
+ * monitor. @return true when an alert was recorded.
+ */
+bool monitorThreshold(const char *channel, AlertKind kind,
+                      int64_t step, double value, double threshold);
 
 /**
  * Fixed-capacity alert sink. raise() is allocation-free: the ring

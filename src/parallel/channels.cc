@@ -40,14 +40,13 @@ Tensor
 BackwardChannel::send(const Tensor &grad, int micro_batch,
                       int micro_batches)
 {
-    ++totalSends_;
     const int64_t exact_bytes =
         static_cast<int64_t>(sizeof(float)) * grad.size();
 
     if (!config_.enabled) {
-        volume_.add(transport_->p2pSend(
-            CommPhase::InterStage, stage_, stage_ - 1, replica_,
-            exact_bytes, exact_bytes, CompressorSpec{}));
+        transport_->p2pSend(CommPhase::InterStage, stage_, stage_ - 1,
+                            replica_, exact_bytes, exact_bytes,
+                            CompressorSpec{});
         return grad;
     }
 
@@ -63,24 +62,13 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
 
     Tensor delivered;
     if (compress_this) {
-        ++compressedSends_;
         const int64_t wire_bytes =
             compressor_->compress(fed, delivered);
-        volume_.add(transport_->p2pSend(
-            CommPhase::InterStage, stage_, stage_ - 1, replica_,
-            exact_bytes, wire_bytes, seededSpec_));
-        if (obs::probeActive()) {
-            // Read-only observation of tensors the send already
-            // produced; double accumulation in send order keeps
-            // the probe values thread-count independent.
-            const size_t n = static_cast<size_t>(fed.size());
-            probeInputNormSq_ += obs::l2NormSq(fed.data(), n);
-            probeErrNormSq_ +=
-                obs::l2DiffNormSq(fed.data(), delivered.data(), n);
-            probeCosineSum_ +=
-                cosineSimilarity(fed.data(), delivered.data(), n);
-            ++probeCosineCount_;
-        }
+        transport_->p2pSend(CommPhase::InterStage, stage_, stage_ - 1,
+                            replica_, exact_bytes, wire_bytes,
+                            seededSpec_);
+        probe_.observe(fed.data(), delivered.data(),
+                       static_cast<size_t>(fed.size()));
         if (config_.lazyErrorPropagation) {
             error_ = fed;
             error_.sub(delivered);
@@ -88,9 +76,9 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
     } else {
         // Uncompressed message: delivered exactly; any folded-in
         // error is thereby resolved losslessly.
-        volume_.add(transport_->p2pSend(
-            CommPhase::InterStage, stage_, stage_ - 1, replica_,
-            exact_bytes, exact_bytes, CompressorSpec{}));
+        transport_->p2pSend(CommPhase::InterStage, stage_, stage_ - 1,
+                            replica_, exact_bytes, exact_bytes,
+                            CompressorSpec{});
         delivered = std::move(fed);
         if (config_.lazyErrorPropagation)
             error_ = Tensor();
@@ -128,17 +116,9 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
 obs::CompressionHealth
 BackwardChannel::health() const
 {
-    obs::CompressionHealth h;
-    h.sends = totalSends_;
-    h.compressedSends = compressedSends_;
-    h.exactBytes = volume_.exactBytes;
-    h.wireBytes = volume_.wireBytes;
-    h.inputNormSq = probeInputNormSq_;
-    h.errNormSq = probeErrNormSq_;
+    obs::CompressionHealth h = probe_;
     h.residualNormSq = obs::l2NormSq(
         error_.data(), static_cast<size_t>(error_.size()));
-    h.cosineSum = probeCosineSum_;
-    h.cosineCount = probeCosineCount_;
     return h;
 }
 
@@ -151,13 +131,7 @@ BackwardChannel::reset()
     prevForward_ = Tensor();
     forwardDiff_ = Tensor();
     haveForwardDiff_ = false;
-    volume_ = CommVolume{};
-    compressedSends_ = 0;
-    totalSends_ = 0;
-    probeInputNormSq_ = 0.0;
-    probeErrNormSq_ = 0.0;
-    probeCosineSum_ = 0.0;
-    probeCosineCount_ = 0;
+    probe_ = obs::CompressionHealth{};
 }
 
 } // namespace optimus

@@ -103,28 +103,10 @@ class BackwardChannel
     }
 
     /**
-     * Total logical payload bytes sent (compressed or not) — a view
-     * over the wire bytes of the channel's transport events.
-     */
-    int64_t bytesSent() const { return volume_.wireBytes; }
-
-    /**
-     * Bytes an uncompressed channel would have sent — a view over
-     * the exact bytes of the channel's transport events.
-     */
-    int64_t bytesUncompressed() const { return volume_.exactBytes; }
-
-    /** Number of compressed sends. */
-    int64_t compressedSends() const { return compressedSends_; }
-
-    /** Number of total sends. */
-    int64_t totalSends() const { return totalSends_; }
-
-    /**
-     * Accumulated compression health (obs::probesEnabled() runs
-     * only): byte totals are views over the channel's transport
-     * events, norm fields accumulate over compressed sends, and
-     * the residual norm reflects the current stored error. Purely
+     * Accumulated compression health (norm fields only; the trainer
+     * fills the send and byte fields from its comm ledger): norms
+     * accumulate over compressed sends on sampled steps, and the
+     * residual norm reflects the current stored error. Purely
      * observational — never read back into the computation.
      */
     obs::CompressionHealth health() const;
@@ -144,7 +126,7 @@ class BackwardChannel
         return compressor_->stateBytes();
     }
 
-    /** Reset counters, stats, stored error, and compressor state. */
+    /** Reset the probe, stats, stored error, and compressor state. */
     void reset();
 
     int stage() const { return stage_; }
@@ -164,15 +146,8 @@ class BackwardChannel
     Tensor prevForward_;
     Tensor forwardDiff_;
     bool haveForwardDiff_ = false;
-    /** Byte totals folded from the channel's transport events. */
-    CommVolume volume_;
-    int64_t compressedSends_ = 0;
-    int64_t totalSends_ = 0;
-    /** Probe accumulators (probesEnabled() only; see health()). */
-    double probeInputNormSq_ = 0.0;
-    double probeErrNormSq_ = 0.0;
-    double probeCosineSum_ = 0.0;
-    int64_t probeCosineCount_ = 0;
+    /** Norm probe over compressed sends (see health()). */
+    obs::CompressionHealth probe_;
 };
 
 } // namespace optimus

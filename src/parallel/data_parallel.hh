@@ -2,7 +2,7 @@
  * @file
  * Data-parallel policy shared by the gradient reduction
  * (reduce_engine.hh): selective stage compression (Section 7) and
- * the reduction's volume view; plus embedding synchronization with
+ * the reduction's volume record; plus embedding synchronization with
  * the fused single-all-reduce optimization (Section 6).
  *
  * Replicas are simulated in-process: each data-parallel worker owns
@@ -44,20 +44,13 @@ bool stageSelectedForCompression(const DpCompressionConfig &config,
                                  int stage, int stages);
 
 /**
- * Volume bookkeeping from one reduction — a thin view over the
- * exact/wire byte totals of the reduction's transport events.
+ * DP gradient traffic of one iteration, read from the DpReduce
+ * entry of the trainer's comm ledger.
  */
 struct ReduceVolume
 {
     int64_t exactBytes = 0;   ///< what uncompressed DP would send
     int64_t actualBytes = 0;  ///< what was logically sent
-
-    void operator+=(const ReduceVolume &other)
-    {
-        // optlint:allow(COM01) event-derived view-merge.
-        exactBytes += other.exactBytes;
-        actualBytes += other.actualBytes; // optlint:allow(COM01)
-    }
 };
 
 /** Volumes from one embedding synchronization. */

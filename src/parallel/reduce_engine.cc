@@ -7,7 +7,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace optimus
 {
@@ -53,22 +52,12 @@ struct ReduceEngine::Bucket
      */
     CommGroup group;
 
-    /** Per-iteration results (written by exactly one task). */
-    ReduceVolume volume;
+    /** Per-iteration busy time (written by exactly one task). */
     double busySeconds = 0.0;
 
-    /**
-     * Cumulative probe state (also single-task writes, but never
-     * reset per iteration): lifetime reduce count, event-derived
-     * byte totals, and — for compressed buckets under
-     * probesEnabled() — health norm accumulators.
-     */
-    int64_t reduces = 0;
-    CommVolume totalVolume;
-    double probeInputNormSq = 0.0;
-    double probeErrNormSq = 0.0;
-    double probeCosineSum = 0.0;
-    int64_t probeCosineCount = 0;
+    /** Cumulative norm probe of a compressed bucket (single-task
+     *  writes, never reset per iteration). */
+    obs::CompressionHealth probe;
 };
 
 ReduceEngine::ReduceEngine(const ReduceEngineConfig &config)
@@ -209,10 +198,8 @@ ReduceEngine::beginIteration(TaskGroup &group, int64_t iteration)
     // compressor state it degrades to free-list recycling, which is
     // still heap-free.
     arena_.reset();
-    for (auto &bucket : buckets_) {
-        bucket->volume = ReduceVolume{};
+    for (auto &bucket : buckets_)
         bucket->busySeconds = 0.0;
-    }
 }
 
 void
@@ -302,12 +289,8 @@ ReduceEngine::reduceExact(Bucket &bucket)
     // double accumulation in replica order — per element the same
     // arithmetic as a per-parameter all-reduce) lives in
     // InProcessTransport.
-    const CommEvent ev = transport_->allReduce(
-        CommPhase::DpReduce, bucket.group, ReduceOp::Mean);
-    bucket.volume.exactBytes = ev.exactBytes;
-    bucket.volume.actualBytes = ev.wireBytes;
-    ++bucket.reduces;
-    bucket.totalVolume.add(ev);
+    transport_->allReduce(CommPhase::DpReduce, bucket.group,
+                          ReduceOp::Mean);
 }
 
 // optlint:hot — steady-state step path (zero-allocation contract).
@@ -325,30 +308,17 @@ ReduceEngine::reduceCompressed(Bucket &bucket)
         inputs[d] = &bucket.fed[d];
     }
 
-    const CommEvent ev = transport_->allReduceCompressed(
-        CommPhase::DpReduce, *bucket.dps, inputs, bucket.mean);
-    bucket.volume.exactBytes = ev.exactBytes;
-    bucket.volume.actualBytes = ev.wireBytes;
-    ++bucket.reduces;
-    bucket.totalVolume.add(ev);
+    transport_->allReduceCompressed(CommPhase::DpReduce, *bucket.dps,
+                                    inputs, bucket.mean);
 
-    if (obs::probeActive()) {
-        // Read-only observation of the error-fed inputs and the
-        // mean reconstruction, before either is overwritten below.
-        // Worker-order double accumulation into single-task bucket
-        // state keeps the values thread-count independent.
-        const size_t n = static_cast<size_t>(bucket.mean.size());
-        for (int d = 0; d < workers; ++d) {
-            bucket.probeInputNormSq +=
-                obs::l2NormSq(bucket.fed[d].data(), n);
-            bucket.probeErrNormSq += obs::l2DiffNormSq(
-                bucket.fed[d].data(), bucket.mean.data(), n);
-            bucket.probeCosineSum +=
-                cosineSimilarity(bucket.fed[d].data(),
-                                 bucket.mean.data(), n);
-            ++bucket.probeCosineCount;
-        }
-    }
+    // Observe the error-fed inputs against the mean reconstruction
+    // before either is overwritten below; worker order into
+    // single-task bucket state keeps the values thread-count
+    // independent.
+    const size_t n = static_cast<size_t>(bucket.mean.size());
+    for (int d = 0; d < workers; ++d)
+        bucket.probe.observe(bucket.fed[d].data(), bucket.mean.data(),
+                             n);
 
     for (int d = 0; d < workers; ++d) {
         if (config_.dp.errorFeedback) {
@@ -359,18 +329,13 @@ ReduceEngine::reduceCompressed(Bucket &bucket)
     }
 }
 
-ReduceVolume
-ReduceEngine::collect(double *busy_seconds) const
+double
+ReduceEngine::busySeconds() const
 {
-    ReduceVolume volume;
     double busy = 0.0;
-    for (const auto &bucket : buckets_) {
-        volume += bucket->volume;
+    for (const auto &bucket : buckets_)
         busy += bucket->busySeconds;
-    }
-    if (busy_seconds)
-        *busy_seconds = busy;
-    return volume;
+    return busy;
 }
 
 bool
@@ -406,19 +371,7 @@ ReduceEngine::health() const
 {
     obs::CompressionHealth h;
     for (const auto &bucket : buckets_) {
-        h.sends += bucket->reduces;
-        if (bucket->spec.compressed)
-            h.compressedSends += bucket->reduces;
-        // Event-derived view-merge: the bucket's totalVolume folds
-        // its transport events, so no byte is hand-counted here.
-        h.exactBytes += // optlint:allow(COM01)
-            bucket->totalVolume.exactBytes;
-        h.wireBytes += // optlint:allow(COM01)
-            bucket->totalVolume.wireBytes;
-        h.inputNormSq += bucket->probeInputNormSq;
-        h.errNormSq += bucket->probeErrNormSq;
-        h.cosineSum += bucket->probeCosineSum;
-        h.cosineCount += bucket->probeCosineCount;
+        h.merge(bucket->probe);
         for (const Tensor &residual : bucket->residual)
             h.residualNormSq += obs::l2NormSq(
                 residual.data(),

@@ -30,9 +30,9 @@
  *    element equals a per-parameter mean all-reduce, and the
  *    compressed path is the per-parameter distributed-PowerSGD
  *    protocol with per-parameter seeds `seed + 0x1000 * (j + 1)`.
- *    Buckets write disjoint state, and volumes are summed in
- *    bucket-index order. tests/test_reduce_engine.cc pins the
- *    engine bitwise to a per-parameter oracle at any
+ *    Buckets write disjoint state, and busy times and probes are
+ *    summed in bucket-index order. tests/test_reduce_engine.cc
+ *    pins the engine bitwise to a per-parameter oracle at any
  *    OPTIMUS_THREADS.
  *
  *  - **No per-step churn.** Error-fed inputs, residuals, and the
@@ -132,12 +132,10 @@ class ReduceEngine
     void flush();
 
     /**
-     * Collect this iteration's traffic volumes (bucket order, so
-     * the sum is schedule-independent). Call after the TaskGroup
-     * drained. @p busy_seconds, when non-null, receives the summed
-     * wall time spent inside this stage's bucket tasks.
+     * Summed wall time this iteration spent inside this stage's
+     * bucket tasks (bucket order). Call after the TaskGroup drained.
      */
-    ReduceVolume collect(double *busy_seconds = nullptr) const;
+    double busySeconds() const;
 
     /**
      * True when a parameter qualifies for low-rank compression (a
@@ -152,10 +150,10 @@ class ReduceEngine
     std::vector<double> residualNorms() const;
 
     /**
-     * Cumulative compression health of this stage's DP reduction
-     * (obs::probesEnabled() runs only). Byte totals are views over
-     * the buckets' transport events (all buckets); norm and cosine
-     * fields cover the compressed buckets, accumulated per bucket
+     * Cumulative compression health of this stage's DP reduction,
+     * norm fields only (the trainer fills the send and byte fields
+     * from its comm ledger). Norm and cosine fields cover the
+     * compressed buckets on sampled steps, accumulated per bucket
      * in worker order and folded in bucket-index order, so the
      * result is identical at any OPTIMUS_THREADS.
      */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/metrics.hh"
@@ -230,15 +229,11 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     transport_->setIteration(iterations_);
     obs::probeStepBegin(iterations_);
 
-    // Channel byte counters are cumulative; snapshot them so the
-    // returned stats cover this iteration only.
-    int64_t base_sent = 0, base_exact = 0;
-    for (int d = 0; d < d_ways; ++d) {
-        for (int s = 1; s < p_ways; ++s) {
-            base_sent += channels_[d][s - 1]->bytesSent();
-            base_exact += channels_[d][s - 1]->bytesUncompressed();
-        }
-    }
+    // The comm ledger is cumulative; snapshot it so the returned
+    // stats cover this iteration only.
+    const CommVolume inter_stage0 = commVolume(CommPhase::InterStage);
+    const CommVolume dp_reduce0 = commVolume(CommPhase::DpReduce);
+    const CommVolume emb_sync0 = commVolume(CommPhase::EmbSync);
 
     // Sample the global mini-batch: D * M micro-batches, assigned
     // round-robin-free (contiguous shards) to replicas. The batches
@@ -360,11 +355,8 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     for (int p = 0; p < p_ways; ++p)
         engines_[p]->flush();
     reduceGroup_.wait();
-    for (int p = 0; p < p_ways; ++p) {
-        double busy = 0.0;
-        stats.dpVolume += engines_[p]->collect(&busy);
-        stats.phases.dpReduceBusy += busy;
-    }
+    for (int p = 0; p < p_ways; ++p)
+        stats.phases.dpReduceBusy += engines_[p]->busySeconds();
     const int64_t t_reduce_end = obs::nowNs();
     stats.phases.dpReduce = obs::secondsBetween(t_reduce,
                                                 t_reduce_end);
@@ -423,19 +415,18 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     obs::emitSpan("phase", "optimizer", t_opt, t_opt_end,
                   iterations_);
 
-    for (int d = 0; d < d_ways; ++d) {
-        for (int s = 1; s < p_ways; ++s) {
-            // optlint:allow(COM01) event-derived cumulative view.
-            stats.interStageBytes +=
-                channels_[d][s - 1]->bytesSent();
-            // optlint:allow(COM01) same event-derived delta.
-            stats.interStageBytesExact +=
-                channels_[d][s - 1]->bytesUncompressed();
-        }
-    }
-    // optlint:allow(COM01) snapshot subtraction, same view.
-    stats.interStageBytes -= base_sent;
-    stats.interStageBytesExact -= base_exact; // optlint:allow(COM01)
+    // Every verb of the step has returned (the replica loop and the
+    // reduce group joined), so the ledger deltas are complete.
+    const CommVolume inter_stage =
+        commVolume(CommPhase::InterStage).delta(inter_stage0);
+    const CommVolume dp_reduce =
+        commVolume(CommPhase::DpReduce).delta(dp_reduce0);
+    const CommVolume emb_sync =
+        commVolume(CommPhase::EmbSync).delta(emb_sync0);
+    stats.interStageBytes = inter_stage.wireBytes;
+    stats.interStageBytesExact = inter_stage.exactBytes;
+    stats.dpVolume.exactBytes = dp_reduce.exactBytes;
+    stats.dpVolume.actualBytes = dp_reduce.wireBytes;
 
     stats.loss = loss_sum / static_cast<double>(d_ways * m_count);
     const int64_t t_end = obs::nowNs();
@@ -444,7 +435,7 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     // Telemetry boundary: ring samples, health-probe rollups, and
     // threshold monitors — all pure observation, all allocation-
     // free once the rings are registered (warmup does that).
-    sampleTelemetry(stats, grad_norm);
+    sampleTelemetry(stats, grad_norm, emb_sync.wireBytes);
     // Fold the allocation tallies into obs::metrics and the
     // mem.heapAllocs counter track once per step.
     mem::publishMetrics();
@@ -460,7 +451,7 @@ Trainer3d::ppHealth() const
         for (const auto &channel : replica)
             h.merge(channel->health());
     }
-    return h;
+    return tracing_->health(CommPhase::InterStage, h);
 }
 
 obs::CompressionHealth
@@ -469,14 +460,14 @@ Trainer3d::dpHealth() const
     obs::CompressionHealth h;
     for (const auto &engine : engines_)
         h.merge(engine->health());
-    return h;
+    return tracing_->health(CommPhase::DpReduce, h);
 }
 
 // optlint:hot — runs once per step inside the zero-allocation
 // window; rings and alert slots were registered during warmup.
 void
 Trainer3d::sampleTelemetry(const IterationStats &stats,
-                           double grad_norm)
+                           double grad_norm, int64_t emb_wire_bytes)
 {
     if (obs::metricsEnabled()) {
         static obs::Ring &loss_ring =
@@ -541,46 +532,32 @@ Trainer3d::sampleTelemetry(const IterationStats &stats,
         dp_ratio.push(dp_step.wireRatio());
         dp_residual.push(dp_step.residualNorm());
         dp_cosine.push(dp_step.meanCosine());
-        emb_bytes.push(static_cast<double>(
-            stats.embVolume.tableBytes));
+        emb_bytes.push(static_cast<double>(emb_wire_bytes));
         gradnorm_ring.push(grad_norm);
     }
 
-    // Threshold monitors -> rate-limited alerts. The stderr line
-    // is the sanctioned step-summary echo: the one place training
-    // surfaces an alert as text; every other consumer reads the
-    // obs metrics / exporter.
+    // Threshold monitors -> rate-limited alerts.
     const obs::ProbeThresholds &limits = obs::probeThresholds();
-    const auto monitor = [&](const char *channel,
-                             obs::AlertKind kind, double value,
-                             double threshold) {
-        if (threshold <= 0.0 || !(value > threshold))
-            return;
-        if (!obs::AlertLog::instance().raise(
-                channel, kind, iterations_, value, threshold))
-            return;
-        std::fprintf( // optlint:allow(OBS02)
-            stderr,
-            "optimus: alert step=%lld channel=%s kind=%s "
-            "value=%.6g threshold=%.6g\n",
-            static_cast<long long>(iterations_), channel,
-            obs::alertKindName(kind), value, threshold);
-    };
     if (pp_step.compressedSends > 0) {
-        monitor("pp", obs::AlertKind::RelError,
-                pp_step.relError(), limits.relErrMax);
+        obs::monitorThreshold("pp", obs::AlertKind::RelError,
+                              iterations_, pp_step.relError(),
+                              limits.relErrMax);
     }
     if (dp_step.compressedSends > 0) {
-        monitor("dp", obs::AlertKind::RelError,
-                dp_step.relError(), limits.relErrMax);
+        obs::monitorThreshold("dp", obs::AlertKind::RelError,
+                              iterations_, dp_step.relError(),
+                              limits.relErrMax);
     }
-    if (grad_norm >= 0.0) {
-        monitor("train", obs::AlertKind::GradNorm, grad_norm,
-                limits.gradNormMax);
+    // Negative means "not sampled"; a NaN norm is a sampled value.
+    if (!(grad_norm < 0.0)) {
+        obs::monitorThreshold("train", obs::AlertKind::GradNorm,
+                              iterations_, grad_norm,
+                              limits.gradNormMax);
     }
     if (haveBestLoss_ && limits.lossFactor > 0.0) {
-        monitor("train", obs::AlertKind::LossDrift, stats.loss,
-                limits.lossFactor * bestLoss_);
+        obs::monitorThreshold("train", obs::AlertKind::LossDrift,
+                              iterations_, stats.loss,
+                              limits.lossFactor * bestLoss_);
     }
     if (!haveBestLoss_ || stats.loss < bestLoss_) {
         bestLoss_ = stats.loss;

@@ -122,11 +122,12 @@ struct IterationStats
 {
     /** Mean micro-batch NLL across the global mini-batch. */
     double loss = 0.0;
-    /** DP gradient traffic this iteration. */
+    /** DP gradient traffic this iteration (comm ledger delta). */
     ReduceVolume dpVolume;
     /** Embedding synchronization traffic this iteration. */
     EmbSyncVolume embVolume;
-    /** Inter-stage backward payload bytes actually sent. */
+    /** Inter-stage backward payload bytes actually sent (comm
+     *  ledger delta, like interStageBytesExact). */
     int64_t interStageBytes = 0;
     /** Inter-stage backward bytes without compression. */
     int64_t interStageBytesExact = 0;
@@ -186,16 +187,27 @@ class Trainer3d
     int64_t iterations() const { return iterations_; }
 
     /**
-     * Cumulative compression health of the PP backward channels
-     * (merged over replicas and boundaries in fixed order). Norm
-     * fields are populated only while obs::probesEnabled(); byte
-     * totals always reflect the channels' transport events.
+     * Cumulative compression health of the PP backward channels.
+     * Norm fields merge the channels' probes over replicas and
+     * boundaries in fixed order and are populated only while
+     * obs::probesEnabled(); the send and byte fields are the
+     * InterStage entry of the comm ledger.
      */
     obs::CompressionHealth ppHealth() const;
 
-    /** Cumulative compression health of the DP reduction (merged
-     *  over the per-stage engines in stage order). */
+    /** Cumulative compression health of the DP reduction: norm
+     *  fields merged over the per-stage engines in stage order,
+     *  send and byte fields from the DpReduce ledger entry. */
     obs::CompressionHealth dpHealth() const;
+
+    /**
+     * Comm ledger entry of @p phase: every event and byte the
+     * trainer's transport carried since construction.
+     */
+    CommVolume commVolume(CommPhase phase) const
+    {
+        return tracing_->volume(phase);
+    }
 
     /**
      * The recorded communication trace, or nullptr unless
@@ -223,7 +235,8 @@ class Trainer3d
     /** Transport stack; declared before every component using it. */
     std::unique_ptr<InProcessTransport> baseTransport_;
     std::unique_ptr<RecordingTransport> recorder_;
-    /** Outermost decorator: span/metrics observation (src/obs). */
+    /** Outermost decorator: the comm ledger plus span/metrics
+     *  observation (src/obs). */
     std::unique_ptr<TracingTransport> tracing_;
     Transport *transport_ = nullptr;
     /** Resolved span-trace output path ("" = tracing not requested). */
@@ -249,9 +262,10 @@ class Trainer3d
     int64_t iterations_ = 0;
 
     /** One ring-sample + health-probe + monitor pass at the end of
-     *  a step (@p grad_norm < 0 means "not sampled"). */
+     *  a step (@p grad_norm < 0 means "not sampled";
+     *  @p emb_wire_bytes is the step's EmbSync ledger delta). */
     void sampleTelemetry(const IterationStats &stats,
-                         double grad_norm);
+                         double grad_norm, int64_t emb_wire_bytes);
 
     /** Previous-step cumulative health (per-step ring deltas). */
     obs::CompressionHealth ppHealthPrev_;

@@ -1,6 +1,5 @@
 #include "serve/engine.hh"
 
-#include <cstdio>
 #include <span>
 
 #include "obs/metrics.hh"
@@ -8,7 +7,6 @@
 #include "obs/rings.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace optimus
 {
@@ -319,48 +317,33 @@ ServeEngine::boundaryTransfer(int src_stage, Tensor &acts)
         acts.size() * static_cast<int64_t>(sizeof(float));
     int64_t wire = exact;
     CompressorSpec spec; // kind None: exact transfer
-    ++boundaryProbe_.sends;
     if (!boundaryCompressors_.empty()) {
         // The receiving stage decodes from the lossy
         // reconstruction, exactly like the trainer's compressed
         // backward channels.
         Compressor &channel = *boundaryCompressors_[src_stage];
         wire = channel.compress(acts, boundaryRecon_);
-        ++boundaryProbe_.compressedSends;
         const float *rd = boundaryRecon_.data();
         float *ad = acts.data();
         const int64_t n = acts.size();
-        if (obs::probeActive()) {
-            // Pure observation before the reconstruction overwrites
-            // the activations: compare the exact boundary payload
-            // against what the next stage will actually decode from.
-            const size_t un = static_cast<size_t>(n);
-            boundaryProbe_.inputNormSq += obs::l2NormSq(ad, un);
-            boundaryProbe_.errNormSq +=
-                obs::l2DiffNormSq(ad, rd, un);
-            boundaryProbe_.cosineSum += cosineSimilarity(ad, rd, un);
-            ++boundaryProbe_.cosineCount;
-        }
+        // Observe before the reconstruction overwrites the
+        // activations: the exact boundary payload against what the
+        // next stage will actually decode from.
+        boundaryProbe_.observe(ad, rd, static_cast<size_t>(n));
         for (int64_t c = 0; c < n; ++c)
             ad[c] = rd[c];
         spec = config_.boundary;
     }
-    boundaryVolume_.add(transport_->p2pSend(CommPhase::InterStage,
-                                            src_stage, src_stage + 1,
-                                            -1, exact, wire, spec));
+    transport_->p2pSend(CommPhase::InterStage, src_stage, src_stage + 1,
+                        -1, exact, wire, spec);
 }
 
 obs::CompressionHealth
 ServeEngine::boundaryHealth() const
 {
-    // Compose the probe accumulators with the transport-event byte
-    // totals; the assignments are views over boundaryVolume_'s
-    // CommEvent folds, so the health report reconciles exactly with
-    // a RecordingTransport trace of the same run.
-    obs::CompressionHealth h = boundaryProbe_;
-    h.exactBytes = boundaryVolume_.exactBytes;
-    h.wireBytes = boundaryVolume_.wireBytes;
-    return h;
+    // The boundary is the engine's only traffic, so the ledger's
+    // InterStage entry is exactly the boundary's sends and bytes.
+    return tracing_->health(CommPhase::InterStage, boundaryProbe_);
 }
 
 // optlint:hot — runs once per scheduler round inside the
@@ -405,21 +388,11 @@ ServeEngine::sampleTelemetry(int64_t produced, double step_seconds)
     }
 
     // Boundary-reconstruction monitor, mirroring the trainer's
-    // channel monitors (the stderr line is the sanctioned
-    // step-summary echo).
-    const obs::ProbeThresholds &limits = obs::probeThresholds();
-    if (round.compressedSends > 0 && limits.relErrMax > 0.0 &&
-        round.relError() > limits.relErrMax &&
-        obs::AlertLog::instance().raise(
-            "serve", obs::AlertKind::RelError, iteration_,
-            round.relError(), limits.relErrMax)) {
-        std::fprintf( // optlint:allow(OBS02)
-            stderr,
-            "optimus: alert step=%lld channel=serve kind=%s "
-            "value=%.6g threshold=%.6g\n",
-            static_cast<long long>(iteration_),
-            obs::alertKindName(obs::AlertKind::RelError),
-            round.relError(), limits.relErrMax);
+    // channel monitors.
+    if (round.compressedSends > 0) {
+        obs::monitorThreshold("serve", obs::AlertKind::RelError,
+                              iteration_, round.relError(),
+                              obs::probeThresholds().relErrMax);
     }
 }
 

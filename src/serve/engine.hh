@@ -141,9 +141,10 @@ class ServeEngine
 
     /**
      * Cumulative compression health of the boundary transfers.
-     * Byte totals are views over the engine's transport events;
-     * norm and cosine fields accumulate only while
-     * obs::probesEnabled() and the boundary is lossy.
+     * Send and byte fields are the InterStage entry of the engine's
+     * comm ledger (its TracingTransport); norm and cosine fields
+     * accumulate only while obs::probesEnabled() and the boundary
+     * is lossy.
      */
     obs::CompressionHealth boundaryHealth() const;
 
@@ -193,10 +194,7 @@ class ServeEngine
 
     FinishFn onFinish_;
     Log2Histogram latencyUs_;
-    /** Boundary transport-event byte totals (CommEvent folds). */
-    CommVolume boundaryVolume_;
-    /** Boundary probe accumulators (norms, counts; see
-     *  boundaryHealth()). */
+    /** Boundary norm probe (see boundaryHealth()). */
     obs::CompressionHealth boundaryProbe_;
     /** Previous-round cumulative health (per-round ring deltas). */
     obs::CompressionHealth boundaryHealthPrev_;

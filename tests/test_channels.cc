@@ -3,7 +3,8 @@
  * Direct unit tests for BackwardChannel (compression policy, byte
  * accounting, instrumentation) and the DP ReduceEngine (exclusion,
  * compressibility, residual bookkeeping, error feedback), plus the
- * trainer's DP health view at a single replica.
+ * trainer's DP health view at a single replica. Sends and bytes are
+ * read off the transport events a RecordingTransport captured.
  */
 
 #include <gtest/gtest.h>
@@ -33,23 +34,46 @@ powerSgdCb(bool lep, bool epilogue_only, int rank = 2)
     return config;
 }
 
+/** Sends of channel @p src -> @p src - 1 on @p replica, folded
+ *  from the recorded InterStage events. */
+CommVolume
+channelVolume(const CommTrace &trace, int src, int replica = 0)
+{
+    CommVolume volume;
+    for (const CommEvent &e : trace.events()) {
+        if (e.phase == CommPhase::InterStage && e.src == src &&
+            e.replica == replica) {
+            EXPECT_EQ(e.dst, src - 1);
+            volume.add(e);
+        }
+    }
+    return volume;
+}
+
 TEST(BackwardChannel, DisabledPassesThroughExactly)
 {
     CbConfig config; // enabled = false
-    BackwardChannel channel(config, 4, 1, 7);
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+    BackwardChannel channel(config, 4, 1, 7, &recorder);
     Rng rng(1);
     Tensor grad = Tensor::randn({8, 8}, rng);
     Tensor out = channel.send(grad, 0, 4);
     EXPECT_TRUE(out.allClose(grad, 0.0f));
-    EXPECT_EQ(channel.bytesSent(), channel.bytesUncompressed());
-    EXPECT_EQ(channel.compressedSends(), 0);
+    const CommVolume volume = channelVolume(recorder.trace(), 1);
+    EXPECT_EQ(volume.events, 1);
+    EXPECT_EQ(volume.wireBytes, volume.exactBytes);
+    EXPECT_EQ(volume.compressedEvents, 0);
 }
 
 TEST(BackwardChannel, EpiloguePolicyControlsWhichSendsCompress)
 {
     // P=4, channel 1->0, M=8: the receiver's warm-up is 3, so the
     // first 3 sends pass through exactly and the last 5 compress.
-    BackwardChannel channel(powerSgdCb(true, true), 4, 1, 7);
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+    BackwardChannel channel(powerSgdCb(true, true), 4, 1, 7,
+                            &recorder);
     Rng rng(2);
     for (int m = 0; m < 8; ++m) {
         Tensor grad = Tensor::randn({16, 8}, rng);
@@ -60,9 +84,10 @@ TEST(BackwardChannel, EpiloguePolicyControlsWhichSendsCompress)
             EXPECT_FALSE(out.allClose(grad, 1e-6f)) << m;
         }
     }
-    EXPECT_EQ(channel.compressedSends(), 5);
-    EXPECT_EQ(channel.totalSends(), 8);
-    EXPECT_LT(channel.bytesSent(), channel.bytesUncompressed());
+    const CommVolume volume = channelVolume(recorder.trace(), 1);
+    EXPECT_EQ(volume.compressedEvents, 5);
+    EXPECT_EQ(volume.events, 8);
+    EXPECT_LT(volume.wireBytes, volume.exactBytes);
 }
 
 TEST(BackwardChannel, UncompressedSendResolvesStoredError)
@@ -91,14 +116,19 @@ TEST(BackwardChannel, UncompressedSendResolvesStoredError)
 TEST(BackwardChannel, ByteAccountingMatchesPayloads)
 {
     CbConfig config = powerSgdCb(true, false, 2);
-    BackwardChannel channel(config, 2, 1, 7);
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+    BackwardChannel channel(config, 2, 1, 7, &recorder, 3);
     Rng rng(4);
     Tensor grad = Tensor::randn({16, 8}, rng);
     channel.send(grad, 0, 1);
+    // Events carry the channel's replica tag.
+    EXPECT_EQ(channelVolume(recorder.trace(), 1, 0).events, 0);
+    const CommVolume volume = channelVolume(recorder.trace(), 1, 3);
+    EXPECT_EQ(volume.events, 1);
     // Compressed payload: rank * (rows + cols) * 4 bytes.
-    EXPECT_EQ(channel.bytesSent(), 4 * 2 * (16 + 8));
-    EXPECT_EQ(channel.bytesUncompressed(),
-              4 * grad.size());
+    EXPECT_EQ(volume.wireBytes, 4 * 2 * (16 + 8));
+    EXPECT_EQ(volume.exactBytes, 4 * grad.size());
 }
 
 TEST(BackwardChannel, InstrumentationRecordsCompressedSendsOnly)
@@ -126,10 +156,16 @@ TEST(BackwardChannel, ResetClearsEverything)
     BackwardChannel channel(powerSgdCb(true, false), 2, 1, 7);
     Rng rng(6);
     Tensor grad = Tensor::randn({8, 8}, rng);
+    obs::enableProbes(true);
+    obs::probeStepBegin(0);
     channel.send(grad, 0, 2);
+    obs::enableProbes(false);
+    EXPECT_GT(channel.health().inputNormSq, 0.0);
+    EXPECT_GT(channel.health().residualNormSq, 0.0);
     channel.reset();
-    EXPECT_EQ(channel.bytesSent(), 0);
-    EXPECT_EQ(channel.totalSends(), 0);
+    EXPECT_EQ(channel.health().inputNormSq, 0.0);
+    EXPECT_EQ(channel.health().cosineCount, 0);
+    EXPECT_EQ(channel.health().residualNormSq, 0.0);
     EXPECT_EQ(channel.storedError().size(), 0);
     EXPECT_EQ(channel.errorBufferBytes(), 0);
 }
@@ -158,7 +194,7 @@ compressedEngine(int workers)
 }
 
 /** One engine iteration with every replica signalling done. */
-ReduceVolume
+void
 reduceOnce(ReduceEngine &engine, int workers)
 {
     TaskGroup group;
@@ -167,30 +203,35 @@ reduceOnce(ReduceEngine &engine, int workers)
         engine.notifyReplicaDone();
     engine.flush();
     group.wait();
-    return engine.collect();
 }
 
 TEST(ReduceEngine, ExclusionLeavesGradientsUntouched)
 {
+    InProcessTransport base;
+    RecordingTransport recorder(base);
     ReduceEngineConfig config;
     config.workers = 2;
+    config.transport = &recorder;
     ReduceEngine engine(config);
     auto p0 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
     auto p1 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
     p0->grad.fill(1.0f);
     p1->grad.fill(3.0f);
     engine.bind({{p0}, {p1}}, {p0.get(), p1.get()});
-    const ReduceVolume volume = reduceOnce(engine, 2);
+    reduceOnce(engine, 2);
     // Untouched: still different, and nothing went on the wire.
     EXPECT_FLOAT_EQ(p0->grad[0], 1.0f);
     EXPECT_FLOAT_EQ(p1->grad[0], 3.0f);
-    EXPECT_EQ(volume.exactBytes, 0);
-    EXPECT_EQ(volume.actualBytes, 0);
+    EXPECT_EQ(recorder.trace().size(), 0u);
 }
 
 TEST(ReduceEngine, CompressedReduceKeepsReplicasIdentical)
 {
-    ReduceEngine engine(compressedEngine(3));
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+    ReduceEngineConfig config = compressedEngine(3);
+    config.transport = &recorder;
+    ReduceEngine engine(config);
     Rng rng(8);
     std::vector<std::vector<ParamPtr>> workers(3);
     for (int d = 0; d < 3; ++d) {
@@ -199,8 +240,11 @@ TEST(ReduceEngine, CompressedReduceKeepsReplicasIdentical)
         workers[d] = {p};
     }
     engine.bind(workers, {});
-    const ReduceVolume volume = reduceOnce(engine, 3);
-    EXPECT_LT(volume.actualBytes, volume.exactBytes);
+    reduceOnce(engine, 3);
+    const CommVolume volume =
+        recorder.trace().volume(CommPhase::DpReduce);
+    EXPECT_EQ(volume.compressedEvents, 1);
+    EXPECT_LT(volume.wireBytes, volume.exactBytes);
     // All replicas hold the identical reconstruction.
     EXPECT_TRUE(workers[0][0]->grad.allClose(workers[1][0]->grad,
                                              0.0f));

@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "comm/transport.hh"
@@ -245,14 +246,17 @@ TEST(Recording, CapturesEveryEvent)
 
     const CommTrace &trace = recorder.trace();
     ASSERT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.count(CommPhase::InterStage), 1);
-    EXPECT_EQ(trace.count(CommPhase::DpReduce), 1);
-    EXPECT_EQ(trace.count(CommPhase::InterStage, 4), 1);
-    EXPECT_EQ(trace.count(CommPhase::InterStage, 5), 0);
+    EXPECT_EQ(trace.volume(CommPhase::InterStage, 4).events, 1);
+    EXPECT_EQ(trace.volume(CommPhase::InterStage, 5).events, 0);
     const CommVolume is = trace.volume(CommPhase::InterStage);
+    EXPECT_EQ(is.events, 1);
+    // Kind None is an exact send, whatever its byte counts say.
+    EXPECT_EQ(is.compressedEvents, 0);
     EXPECT_EQ(is.exactBytes, 100);
     EXPECT_EQ(is.wireBytes, 40);
     const CommVolume dp = trace.volume(CommPhase::DpReduce);
+    EXPECT_EQ(dp.events, 1);
+    EXPECT_EQ(dp.compressedEvents, 0);
     EXPECT_EQ(dp.exactBytes, 20);
     EXPECT_EQ(dp.wireBytes, 20);
 
@@ -354,56 +358,191 @@ TEST(TracedTrainer, RecordingIsBitwiseNeutral)
     EXPECT_GT(traced.trace()->size(), 0u);
 }
 
-TEST(TracedTrainer, TraceVolumesMatchReportedCounters)
+void
+expectSameVolume(const CommVolume &a, const CommVolume &b,
+                 const char *what)
 {
-    // Consistency gate: the counters the trainer reports are views
-    // over the event stream, so per-iteration trace volumes must
-    // equal them to the exact integer byte.
-    Trainer3d trainer(
-        tracedConfig(true, false));
+    EXPECT_EQ(a.events, b.events) << what;
+    EXPECT_EQ(a.compressedEvents, b.compressedEvents) << what;
+    EXPECT_EQ(a.exactBytes, b.exactBytes) << what;
+    EXPECT_EQ(a.wireBytes, b.wireBytes) << what;
+}
+
+/** One (D, P, compression) point of the ledger grid. */
+struct LedgerCase
+{
+    int dataParallel;
+    int pipelineStages;
+    /** CB and DP compression both on (else both off). */
+    bool compress;
+};
+
+class TracedTrainerGrid : public ::testing::TestWithParam<LedgerCase>
+{
+};
+
+TEST_P(TracedTrainerGrid, TraceVolumesMatchReportedCounters)
+{
+    // Consistency gate: the trainer's comm ledger and the counters
+    // it reports must equal the recorded event stream to the exact
+    // integer, events and compressed events included.
+    const LedgerCase grid = GetParam();
+    Trainer3dConfig config = tracedConfig(true, false);
+    config.dataParallel = grid.dataParallel;
+    config.pipelineStages = grid.pipelineStages;
+    config.cb.enabled = grid.compress;
+    config.dp.enabled = grid.compress;
+    Trainer3d trainer(config);
+    const int d_ways = grid.dataParallel;
+    const int p_ways = grid.pipelineStages;
     LmDataset data = tinyData(tinyModel().seqLen);
     Rng rng(11);
+
+    // The DP exact volume is the flat size of every reduced
+    // parameter -- derivable from the model independently of the
+    // events. The synchronizer owns the embedding table of the
+    // first and the last stage (one tied table when P = 1).
+    const int64_t table =
+        static_cast<int64_t>(tinyModel().vocab) * tinyModel().hidden;
+    int64_t reduced_elems = -(p_ways == 1 ? 1 : 2) * table;
+    int64_t buckets = 0;
+    for (int p = 0; p < p_ways; ++p) {
+        for (const auto &param : trainer.stage(0, p).params())
+            reduced_elems += param->size();
+    }
+
     for (int it = 0; it < 5; ++it) {
         const IterationStats stats =
             trainer.trainIteration(data, rng);
         const CommTrace &trace = *trainer.trace();
+        if (it == 0) {
+            for (int p = 0; p < p_ways; ++p)
+                buckets += static_cast<int64_t>(
+                    trainer.reduceEngine(p).buckets().size());
+        }
 
         const CommVolume is =
             trace.volume(CommPhase::InterStage, it);
         EXPECT_EQ(is.wireBytes, stats.interStageBytes);
         EXPECT_EQ(is.exactBytes, stats.interStageBytesExact);
+        EXPECT_EQ(is.events,
+                  int64_t{d_ways} * (p_ways - 1) * config.microBatches);
 
         const CommVolume dp = trace.volume(CommPhase::DpReduce, it);
         EXPECT_EQ(dp.wireBytes, stats.dpVolume.actualBytes);
         EXPECT_EQ(dp.exactBytes, stats.dpVolume.exactBytes);
-
-        // The DP exact volume is the flat size of every reduced
-        // parameter -- derivable from the model independently of
-        // the events.
-        int64_t reduced_elems = 0;
-        const auto &params = trainer.stage(0, 0).params();
-        const auto &params1 = trainer.stage(0, 1).params();
-        for (const auto &p : params)
-            reduced_elems += p->size();
-        for (const auto &p : params1)
-            reduced_elems += p->size();
-        // Both stages hold one embedding table the synchronizer
-        // owns; the reducer skips those.
-        const int64_t table =
-            static_cast<int64_t>(tinyModel().vocab) *
-            tinyModel().hidden;
-        reduced_elems -= 2 * table;
         EXPECT_EQ(dp.exactBytes, 4 * reduced_elems);
+        EXPECT_EQ(dp.events, buckets);
 
         // Baseline sync is two grouped collectives of the table
         // (D-way averages, then pairwise sums), each of logical
-        // size V.
+        // size V; P = 1 only averages the one tied table.
         const CommVolume emb = trace.volume(CommPhase::EmbSync, it);
-        EXPECT_EQ(emb.exactBytes, 2 * stats.embVolume.tableBytes);
+        EXPECT_EQ(emb.events, p_ways == 1 ? 1 : 2);
+        EXPECT_EQ(emb.exactBytes,
+                  emb.events * stats.embVolume.tableBytes);
+        EXPECT_EQ(emb.compressedEvents, 0);
         // Eq 15 exactness straight off the recorded events.
         EXPECT_EQ(trace.trafficBytes(CommPhase::EmbSync, it),
                   stats.embVolume.trafficBytes);
+
+        if (!grid.compress) {
+            EXPECT_EQ(is.compressedEvents, 0);
+            EXPECT_EQ(dp.compressedEvents, 0);
+            EXPECT_EQ(is.wireBytes, is.exactBytes);
+            EXPECT_EQ(dp.wireBytes, dp.exactBytes);
+        }
     }
+
+    // The ledger is cumulative over the run: all phases equal the
+    // whole recording, and the health views read it.
+    const CommTrace &trace = *trainer.trace();
+    const CommPhase phases[] = {CommPhase::InterStage,
+                                CommPhase::DpReduce,
+                                CommPhase::EmbSync, CommPhase::Other};
+    for (const CommPhase phase : phases)
+        expectSameVolume(trainer.commVolume(phase), trace.volume(phase),
+                         commPhaseName(phase));
+    const CommVolume is = trace.volume(CommPhase::InterStage);
+    const CommVolume dp = trace.volume(CommPhase::DpReduce);
+    const obs::CompressionHealth pp_health = trainer.ppHealth();
+    const obs::CompressionHealth dp_health = trainer.dpHealth();
+    EXPECT_EQ(pp_health.sends, is.events);
+    EXPECT_EQ(pp_health.compressedSends, is.compressedEvents);
+    EXPECT_EQ(pp_health.exactBytes, is.exactBytes);
+    EXPECT_EQ(pp_health.wireBytes, is.wireBytes);
+    EXPECT_EQ(dp_health.sends, dp.events);
+    EXPECT_EQ(dp_health.compressedSends, dp.compressedEvents);
+    EXPECT_EQ(dp_health.exactBytes, dp.exactBytes);
+    EXPECT_EQ(dp_health.wireBytes, dp.wireBytes);
+    if (grid.compress) {
+        // Compression is live on the boundaries and the DP reduce.
+        if (p_ways > 1) {
+            EXPECT_GT(is.compressedEvents, 0);
+            EXPECT_LT(is.wireBytes, is.exactBytes);
+        }
+        EXPECT_GT(dp.compressedEvents, 0);
+        EXPECT_LT(dp.wireBytes, dp.exactBytes);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, TracedTrainerGrid,
+    ::testing::Values(LedgerCase{1, 1, false}, LedgerCase{1, 1, true},
+                      LedgerCase{1, 2, false}, LedgerCase{1, 2, true},
+                      LedgerCase{2, 2, false}, LedgerCase{2, 2, true},
+                      LedgerCase{4, 4, false},
+                      LedgerCase{4, 4, true}),
+    [](const ::testing::TestParamInfo<LedgerCase> &info) {
+        return "D" + std::to_string(info.param.dataParallel) + "P" +
+               std::to_string(info.param.pipelineStages) +
+               (info.param.compress ? "_compressed" : "_exact");
+    });
+
+TEST(Tracing, LedgerFoldsEveryEventPerPhase)
+{
+    // The ledger counts what passes through, per phase, and treats
+    // exactly the events with a compressor kind as compressed.
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+    TracingTransport tracing(recorder);
+    CompressorSpec powersgd;
+    powersgd.kind = CompressorKind::PowerSgd;
+    tracing.p2pSend(CommPhase::InterStage, 1, 0, 0, 100, 40, powersgd);
+    tracing.p2pSend(CommPhase::InterStage, 1, 0, 1, 100, 100,
+                    CompressorSpec{});
+    std::vector<Tensor> tensors;
+    std::vector<Tensor *> ptrs;
+    for (int d = 0; d < 3; ++d)
+        tensors.push_back(patternTensor({5}, d));
+    for (auto &t : tensors)
+        ptrs.push_back(&t);
+    tracing.allReduceTensors(CommPhase::EmbSync, ptrs, ReduceOp::Sum);
+
+    const CommVolume is = tracing.volume(CommPhase::InterStage);
+    EXPECT_EQ(is.events, 2);
+    EXPECT_EQ(is.compressedEvents, 1);
+    EXPECT_EQ(is.exactBytes, 200);
+    EXPECT_EQ(is.wireBytes, 140);
+    const CommVolume emb = tracing.volume(CommPhase::EmbSync);
+    EXPECT_EQ(emb.events, 1);
+    EXPECT_EQ(emb.compressedEvents, 0);
+    EXPECT_EQ(emb.wireBytes, 20);
+    EXPECT_EQ(tracing.volume(CommPhase::DpReduce).events, 0);
+    const CommPhase phases[] = {CommPhase::InterStage,
+                                CommPhase::DpReduce,
+                                CommPhase::EmbSync, CommPhase::Other};
+    for (const CommPhase phase : phases)
+        expectSameVolume(tracing.volume(phase),
+                         recorder.trace().volume(phase),
+                         commPhaseName(phase));
+
+    // delta() is the per-window view the trainer's stats use.
+    const CommVolume window = is.delta(CommVolume{1, 1, 100, 40});
+    EXPECT_EQ(window.events, 1);
+    EXPECT_EQ(window.compressedEvents, 0);
+    EXPECT_EQ(window.exactBytes, 100);
+    EXPECT_EQ(window.wireBytes, 100);
 }
 
 TEST(EmbSyncTrace, MatchesClosedFormsForD248)
@@ -491,8 +630,8 @@ TEST(Replay, SecondsMatchIndependentRecomputation)
             << commPhaseName(phase);
         EXPECT_EQ(cat.trafficBytes, expect_traffic[c]);
         EXPECT_EQ(cat.wireBytes, expect_wire[c]);
-        EXPECT_EQ(cat.events, trace.count(phase));
         const CommVolume v = trace.volume(phase);
+        EXPECT_EQ(cat.events, v.events);
         EXPECT_EQ(cat.exactBytes, v.exactBytes);
     }
     EXPECT_GT(result.interStage.events, 0);

@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "parallel/trainer3d.hh"
 #include "runtime/runtime.hh"
 #include "serve/engine.hh"
+#include "util/stats.hh"
 
 namespace optimus
 {
@@ -391,14 +393,12 @@ TEST(Metrics, SnapshotMatchesCommTraceAndIsDeterministic)
             const auto snap = registry.counterSnapshot();
             const auto dp = trace->volume(CommPhase::DpReduce);
             const auto emb = trace->volume(CommPhase::EmbSync);
-            EXPECT_EQ(snap.at("comm.dpReduce.events"),
-                      trace->count(CommPhase::DpReduce));
+            EXPECT_EQ(snap.at("comm.dpReduce.events"), dp.events);
             EXPECT_EQ(snap.at("comm.dpReduce.exactBytes"),
                       dp.exactBytes);
             EXPECT_EQ(snap.at("comm.dpReduce.wireBytes"),
                       dp.wireBytes);
-            EXPECT_EQ(snap.at("comm.embSync.events"),
-                      trace->count(CommPhase::EmbSync));
+            EXPECT_EQ(snap.at("comm.embSync.events"), emb.events);
             EXPECT_EQ(snap.at("comm.embSync.wireBytes"),
                       emb.wireBytes);
             EXPECT_EQ(snap.at("trainer.iterations"), 3);
@@ -516,20 +516,55 @@ TEST(Probes, HealthArithmeticMatchesHandComputedNorms)
     EXPECT_EQ(empty.relError(), 0.0);
     EXPECT_EQ(empty.meanCosine(), 1.0);
 
-    // merge() folds accumulators; delta() subtracts them but keeps
-    // residualNormSq (state, not accumulation).
+    // merge() folds the norm accumulators and leaves the send and
+    // byte fields (ledger-owned) alone; delta() subtracts every
+    // accumulated field but keeps residualNormSq (state, not
+    // accumulation).
     obs::CompressionHealth sum = h;
     sum.merge(h);
-    EXPECT_EQ(sum.sends, 8);
-    EXPECT_EQ(sum.exactBytes, 8000);
+    EXPECT_EQ(sum.sends, 4);
+    EXPECT_EQ(sum.exactBytes, 4000);
     EXPECT_EQ(sum.inputNormSq, 58.0);
     EXPECT_EQ(sum.residualNormSq, 32.0);
-    const obs::CompressionHealth window = sum.delta(h);
+    EXPECT_EQ(sum.cosineCount, 6);
+    obs::CompressionHealth later = sum;
+    later.sends = 8;
+    later.compressedSends = 6;
+    later.wireBytes = 2000;
+    const obs::CompressionHealth window = later.delta(h);
     EXPECT_EQ(window.sends, 4);
+    EXPECT_EQ(window.compressedSends, 3);
     EXPECT_EQ(window.wireBytes, 1000);
     EXPECT_EQ(window.errNormSq, 12.0);
     EXPECT_EQ(window.cosineCount, 3);
     EXPECT_EQ(window.residualNormSq, sum.residualNormSq);
+}
+
+TEST(Probes, ObserveAccumulatesOnlyOnSampledSteps)
+{
+    const float a[4] = {3.0f, 4.0f, 0.0f, -2.0f};
+    const float b[4] = {1.0f, 4.0f, 2.0f, 0.0f};
+    obs::CompressionHealth h;
+    obs::enableProbes(false);
+    h.observe(a, b, 4);
+    EXPECT_EQ(h.cosineCount, 0);
+
+    obs::enableProbes(true);
+    obs::setProbeInterval(2);
+    obs::probeStepBegin(1); // not sampled
+    h.observe(a, b, 4);
+    EXPECT_EQ(h.cosineCount, 0);
+    obs::probeStepBegin(2);
+    h.observe(a, b, 4);
+    h.observe(a, b, 4);
+    obs::enableProbes(false);
+    obs::setProbeInterval(16);
+    EXPECT_EQ(h.inputNormSq, 2 * 29.0);
+    EXPECT_EQ(h.errNormSq, 2 * 12.0);
+    EXPECT_EQ(h.cosineSum, 2 * cosineSimilarity(a, b, 4));
+    EXPECT_EQ(h.cosineCount, 2);
+    EXPECT_EQ(h.sends, 0);
+    EXPECT_EQ(h.wireBytes, 0);
 }
 
 TEST(Probes, SampledCadenceFollowsProbeStepBegin)
@@ -586,6 +621,87 @@ TEST(Alerts, RateLimiterHoldsPerChannelAndKind)
     EXPECT_STREQ(obs::alertKindName(alerts[1].kind), "gradNorm");
     log.reset();
     EXPECT_EQ(log.raisedTotal(), 0);
+}
+
+TEST(Alerts, MonitorRaisesOnNonFiniteValues)
+{
+    // NaN fails every ordered comparison, so a plain value >
+    // threshold check would never alert on it.
+    obs::AlertLog &log = obs::AlertLog::instance();
+    log.reset();
+    obs::probeThresholds().alertIntervalSteps = 10;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    // Threshold 0 disables the monitor, non-finite values included.
+    EXPECT_FALSE(obs::monitorThreshold("pp", obs::AlertKind::RelError,
+                                       0, nan, 0.0));
+    EXPECT_FALSE(obs::monitorThreshold("pp", obs::AlertKind::RelError,
+                                       0, inf, 0.0));
+    EXPECT_EQ(log.raisedTotal(), 0);
+
+    // A NaN relative error alerts once, then rate-limits.
+    EXPECT_TRUE(obs::monitorThreshold("pp", obs::AlertKind::RelError,
+                                      1, nan, 0.95));
+    EXPECT_FALSE(obs::monitorThreshold("pp", obs::AlertKind::RelError,
+                                       2, nan, 0.95));
+    EXPECT_EQ(log.raisedTotal(), 1);
+    const std::vector<obs::Alert> alerts = log.snapshot();
+    ASSERT_EQ(alerts.size(), 1u);
+    EXPECT_STREQ(alerts[0].channel, "pp");
+    EXPECT_TRUE(std::isnan(alerts[0].value));
+    EXPECT_EQ(alerts[0].threshold, 0.95);
+
+    // Finite values keep the plain threshold semantics; +Inf alerts.
+    EXPECT_FALSE(obs::monitorThreshold("dp", obs::AlertKind::RelError,
+                                       1, 0.95, 0.95));
+    EXPECT_TRUE(obs::monitorThreshold("dp", obs::AlertKind::GradNorm,
+                                      1, inf, 10.0));
+    EXPECT_EQ(log.raisedTotal(), 2);
+    log.reset();
+}
+
+TEST(ProbedTrainer, EmbBytesRingReadsTheStepsSyncWireBytes)
+{
+    // probe.emb.bytes is the step's EmbSync wire traffic: the
+    // baseline sync moves the table twice (stage averages, then
+    // pairwise sums), the fused sync once, and P = 1 (one tied
+    // table) once.
+    struct Case
+    {
+        int stages;
+        bool fused;
+        int64_t tables;
+    };
+    const Case cases[] = {{2, false, 2}, {2, true, 1}, {1, false, 1}};
+    const int64_t table_bytes =
+        4 * static_cast<int64_t>(tinyModel().vocab) * tinyModel().hidden;
+    obs::enableMetrics(true);
+    obs::enableProbes(true);
+    obs::setProbeInterval(1);
+    for (const Case &c : cases) {
+        obs::RingRegistry::instance().resetValues();
+        Trainer3dConfig config = tracedConfig("");
+        config.pipelineStages = c.stages;
+        config.fusedEmbeddingSync = c.fused;
+        Trainer3d trainer(config);
+        LmDataset data = tinyData(tinyModel().seqLen);
+        Rng rng(11);
+        for (int it = 0; it < 2; ++it)
+            trainer.trainIteration(data, rng);
+        const obs::Ring *ring =
+            obs::RingRegistry::instance().find("probe.emb.bytes");
+        ASSERT_NE(ring, nullptr);
+        ASSERT_EQ(ring->size(), 2);
+        for (int64_t i = 0; i < ring->size(); ++i) {
+            EXPECT_EQ(ring->at(i),
+                      static_cast<double>(c.tables * table_bytes))
+                << "P=" << c.stages << " fused=" << c.fused;
+        }
+    }
+    obs::enableProbes(false);
+    obs::enableMetrics(false);
+    obs::setProbeInterval(16);
 }
 
 TEST(ProbedTrainer, ProbesAreBitwiseNeutralAndReconcile)
@@ -645,8 +761,15 @@ TEST(ProbedTrainer, ProbesAreBitwiseNeutralAndReconcile)
     const CommTrace *trace = probed.trace();
     ASSERT_NE(trace, nullptr);
     const auto dp_volume = trace->volume(CommPhase::DpReduce);
+    EXPECT_EQ(dp.sends, dp_volume.events);
+    EXPECT_EQ(dp.compressedSends, dp_volume.compressedEvents);
     EXPECT_EQ(dp.exactBytes, dp_volume.exactBytes);
     EXPECT_EQ(dp.wireBytes, dp_volume.wireBytes);
+    const auto pp_volume = trace->volume(CommPhase::InterStage);
+    EXPECT_EQ(pp.sends, pp_volume.events);
+    EXPECT_EQ(pp.compressedSends, pp_volume.compressedEvents);
+    EXPECT_EQ(pp.exactBytes, pp_volume.exactBytes);
+    EXPECT_EQ(pp.wireBytes, pp_volume.wireBytes);
 
     // The probe rings sampled every step.
     const obs::Ring *relerr =

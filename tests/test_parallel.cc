@@ -301,6 +301,7 @@ TEST(CompressedBackprop, EpilogueOnlyCompressesOnlyEpilogue)
     config.cb.enabled = true;
     config.cb.epilogueOnly = true;
     config.cb.spec.rank = 2;
+    config.traceCommunication = true;
     Trainer3d trainer(config);
     LmDataset data = tinyData(config.model.seqLen);
     Rng rng(49);
@@ -308,14 +309,21 @@ TEST(CompressedBackprop, EpilogueOnlyCompressesOnlyEpilogue)
 
     // Channel from stage s compresses exactly
     // epilogueBackwardCount(P, M, s) messages per iteration (all
-    // but the receiver's warm-up-overlapped ones).
-    for (int s = 1; s < 4; ++s) {
-        auto &ch = trainer.channel(0, s);
-        EXPECT_EQ(ch.compressedSends(),
-                  epilogueBackwardCount(4, 8, s))
-            << "stage " << s;
-        EXPECT_LT(ch.compressedSends(), 8);
-        EXPECT_EQ(ch.totalSends(), 8);
+    // but the receiver's warm-up-overlapped ones), on every replica.
+    for (int d = 0; d < config.dataParallel; ++d) {
+        for (int s = 1; s < 4; ++s) {
+            CommVolume channel;
+            for (const CommEvent &e : trainer.trace()->events()) {
+                if (e.phase == CommPhase::InterStage && e.src == s &&
+                    e.replica == d)
+                    channel.add(e);
+            }
+            EXPECT_EQ(channel.compressedEvents,
+                      epilogueBackwardCount(4, 8, s))
+                << "replica " << d << " stage " << s;
+            EXPECT_LT(channel.compressedEvents, 8);
+            EXPECT_EQ(channel.events, 8);
+        }
     }
 }
 

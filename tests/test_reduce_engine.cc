@@ -131,7 +131,11 @@ TEST(ReduceEngineExact, AveragesAcrossWorkersBothSchedules)
         // Worker d's grad for param j is (d+1)*(j+1), so the mean
         // for param j is (D+1)/2 * (j+1).
         auto lists = makeWorkerParams(workers, {{6}, {10}, {3}});
-        ReduceEngine engine(exactConfig(workers, 32));
+        InProcessTransport base;
+        RecordingTransport recorder(base);
+        ReduceEngineConfig config = exactConfig(workers, 32);
+        config.transport = &recorder;
+        ReduceEngine engine(config);
         engine.bind(lists, {});
         const int64_t buckets =
             static_cast<int64_t>(engine.buckets().size());
@@ -159,11 +163,13 @@ TEST(ReduceEngineExact, AveragesAcrossWorkersBothSchedules)
             }
         }
 
-        double busy = 0.0;
-        const ReduceVolume volume = engine.collect(&busy);
+        const CommVolume volume =
+            recorder.trace().volume(CommPhase::DpReduce);
+        EXPECT_EQ(volume.events, buckets);
+        EXPECT_EQ(volume.compressedEvents, 0);
         EXPECT_EQ(volume.exactBytes, 4 * (6 + 10 + 3));
-        EXPECT_EQ(volume.actualBytes, volume.exactBytes);
-        EXPECT_GE(busy, 0.0);
+        EXPECT_EQ(volume.wireBytes, volume.exactBytes);
+        EXPECT_GE(engine.busySeconds(), 0.0);
     }
 }
 
@@ -178,6 +184,9 @@ TEST(ReduceEngineCompressed, DedicatedBucketsAndState)
     // Matrices large enough that the rank-8 payload undercuts the
     // dense size (rank clamps to min(rows, cols) on tiny shapes).
     auto lists = makeWorkerParams(2, {{32, 32}, {7}, {24, 16}});
+    InProcessTransport base;
+    RecordingTransport recorder(base);
+    config.transport = &recorder;
     ReduceEngine engine(config);
     engine.bind(lists, {});
 
@@ -192,9 +201,12 @@ TEST(ReduceEngineCompressed, DedicatedBucketsAndState)
     engine.flush();
     group.wait();
 
-    const ReduceVolume volume = engine.collect();
+    const CommVolume volume =
+        recorder.trace().volume(CommPhase::DpReduce);
+    EXPECT_EQ(volume.events, 3);
+    EXPECT_EQ(volume.compressedEvents, 2);
     EXPECT_EQ(volume.exactBytes, 4 * (32 * 32 + 7 + 24 * 16));
-    EXPECT_LT(volume.actualBytes, volume.exactBytes);
+    EXPECT_LT(volume.wireBytes, volume.exactBytes);
     // Warm Q matrices + residuals persist.
     EXPECT_GT(engine.stateBytes(), 0);
     const auto norms = engine.residualNorms();

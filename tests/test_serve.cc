@@ -259,8 +259,14 @@ TEST(Serve, PipelineBoundaryVolumeIsAccounted)
     const int64_t rows = prompt_len + (max_new - 1);
     const CommVolume vol =
         recorder.trace().volume(CommPhase::InterStage);
-    EXPECT_EQ(recorder.trace().count(CommPhase::InterStage),
-              1 + (max_new - 1));
+    EXPECT_EQ(vol.events, 1 + (max_new - 1));
+    EXPECT_EQ(vol.compressedEvents, 0);
+    // The engine's ledger agrees with the recording event for event.
+    const obs::CompressionHealth health = engine.boundaryHealth();
+    EXPECT_EQ(health.sends, vol.events);
+    EXPECT_EQ(health.compressedSends, 0);
+    EXPECT_EQ(health.exactBytes, vol.exactBytes);
+    EXPECT_EQ(health.wireBytes, vol.wireBytes);
     EXPECT_EQ(vol.exactBytes,
               rows * model.hidden *
                   static_cast<int64_t>(sizeof(float)));
@@ -344,6 +350,11 @@ TEST(Serve, CompressedBoundaryShrinksWireBytes)
         recorder.trace().volume(CommPhase::InterStage);
     EXPECT_GT(vol.exactBytes, 0);
     EXPECT_LT(vol.wireBytes, vol.exactBytes);
+    EXPECT_EQ(vol.compressedEvents, vol.events);
+    const obs::CompressionHealth health = engine.boundaryHealth();
+    EXPECT_EQ(health.sends, vol.events);
+    EXPECT_EQ(health.compressedSends, vol.compressedEvents);
+    EXPECT_EQ(health.wireBytes, vol.wireBytes);
     for (const auto &event : recorder.trace().events()) {
         if (event.phase == CommPhase::InterStage) {
             EXPECT_EQ(static_cast<int>(event.compressor.kind),

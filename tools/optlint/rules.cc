@@ -47,8 +47,9 @@ const RuleInfo kRules[] = {
     {"HYG03", "float accumulator in a loop — accumulate in double "
               "(chunk-order-stable precision), cast once at the end"},
     {"COM01", "direct mutation of a byte counter outside the comm "
-              "transport layer — every reported byte must derive "
-              "from transport CommEvents (fold via CommVolume); see "
+              "transport layer — every reported byte must come from "
+              "the comm ledger TracingTransport folds from the "
+              "CommEvents (read it via TracingTransport::volume); see "
               "DESIGN.md section 4d"},
     {"OBS01", "direct std::chrono / clock_gettime timing outside "
               "src/obs and src/util — all timestamps must flow "
@@ -456,11 +457,11 @@ checkFloatAccumulators(const LexedFile &f, std::vector<Violation> &out)
 /**
  * COM01: compound assignment or increment of an identifier whose
  * name contains "bytes" is hand-maintained byte bookkeeping, which
- * the comm transport layer made obsolete: components fold the
- * CommEvents the transport returns (CommVolume::add) so every
- * reported byte is provably derived from the event stream. Unlike
- * THR01, member-access targets *are* flagged — `stats.fooBytes += x`
- * is exactly the pattern the rule exists to catch. The transport
+ * the comm transport layer made obsolete: TracingTransport folds
+ * every CommEvent into one per-phase ledger, and every reported
+ * byte is read from it. Unlike THR01, member-access targets *are*
+ * flagged — `stats.fooBytes += x` is exactly the pattern the rule
+ * exists to catch. The transport
  * layer and the trace replayer are exempt by path; the few
  * sanctioned view-fold sites carry `optlint:allow(COM01)` with a
  * justification.
@@ -496,8 +497,8 @@ checkByteCounterWrites(const LexedFile &f, std::vector<Violation> &out)
         addViolation(out, f, t[k].line, "COM01",
                      "byte counter '" + target +
                          "' mutated outside the comm transport "
-                         "layer (fold transport CommEvents via "
-                         "CommVolume instead)");
+                         "layer (read the TracingTransport comm "
+                         "ledger instead)");
     }
 }
 
