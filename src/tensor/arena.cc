@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "runtime/runtime.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -20,9 +21,6 @@ constexpr int64_t kMinClassBytes = 64;
 constexpr int kNumClasses = 26;
 /** Default slab; classes larger than this get a dedicated slab. */
 constexpr int64_t kSlabBytes = int64_t(1) << 20;
-
-/** The thread's innermost scope (raw; gate applied on read). */
-thread_local Workspace *t_currentWs = nullptr;
 
 // Process-wide tallies — always on, so they are plain relaxed
 // atomics here instead of obs::metrics counters (which sit behind
@@ -164,28 +162,19 @@ Workspace::stats() const
     return stats_;
 }
 
-WorkspaceScope::WorkspaceScope(Workspace *ws) : saved_(t_currentWs)
-{
-    t_currentWs = ws;
-}
+WorkspaceScope::WorkspaceScope(Workspace *ws)
+    : saved_(exchangeCurrentWorkspaceSlot(ws))
+{}
 
 WorkspaceScope::~WorkspaceScope()
 {
-    t_currentWs = saved_;
+    exchangeCurrentWorkspaceSlot(saved_);
 }
 
 Workspace *
 currentWorkspace()
 {
-    return arenaEnabled() ? t_currentWs : nullptr;
-}
-
-Workspace *
-exchangeCurrentWorkspace(Workspace *ws)
-{
-    Workspace *prev = t_currentWs;
-    t_currentWs = ws;
-    return prev;
+    return arenaEnabled() ? currentWorkspaceSlot() : nullptr;
 }
 
 bool

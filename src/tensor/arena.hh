@@ -25,8 +25,10 @@
  * tensors (persistent compressor state, parked activations) it
  * degrades to pure free-list recycling, which is still heap-free.
  *
- * Scoping: `WorkspaceScope` installs a workspace in a thread-local
- * slot read by Tensor's storage path. The runtime propagates the
+ * Scoping: `WorkspaceScope` installs a workspace in the runtime's
+ * thread-local workspace slot (runtime.hh,
+ * exchangeCurrentWorkspaceSlot), which Tensor's storage path reads
+ * through currentWorkspace(). The runtime propagates the
  * installing thread's scope to pool workers for the duration of a
  * parallelFor job or queued task, so tensors constructed inside
  * parallel bodies land in the caller's arena. `OPTIMUS_ARENA=0`
@@ -153,15 +155,6 @@ class WorkspaceScope
  * for the heap (no scope active, or OPTIMUS_ARENA=0).
  */
 Workspace *currentWorkspace();
-
-/**
- * Install @p ws as the thread's scope and return the previous one —
- * the runtime uses this pair to propagate the submitting thread's
- * scope onto pool workers. Unlike WorkspaceScope, this bypasses the
- * OPTIMUS_ARENA gate check on read (the gate applies at
- * currentWorkspace()).
- */
-Workspace *exchangeCurrentWorkspace(Workspace *ws);
 
 /** True unless OPTIMUS_ARENA=0 disabled arenas (read once). */
 bool arenaEnabled();

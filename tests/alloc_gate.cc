@@ -1,13 +1,16 @@
 /**
  * @file
  * The zero-allocation steady-state gate (tier-1). Global operator
- * new/delete are replaced with counting wrappers; after a two-step
- * warmup the counter is armed around full training iterations and
- * the gate fails on ANY heap allocation made anywhere in the
- * process — tensor storage, containers, closures, pool tasks — on
- * the forward/backward/compress/reduce/update path. This is the
- * runtime enforcement of what optlint's ALLOC01 hot set declares
- * statically and what the coldalloc / coldfn annotations promise is
+ * new/delete are replaced with counting wrappers, and tensor storage
+ * (which takes std::aligned_alloc directly, not operator new) is
+ * counted by mem::heapAllocs(). After a two-step warmup both counts
+ * are armed around full training iterations, and the gate fails on
+ * ANY heap allocation made anywhere in the process — tensor storage,
+ * containers, closures, pool tasks — on the
+ * forward/backward/compress/reduce/update path. It runs at every
+ * (D,P,M) point of kGrid in one process. This is the runtime
+ * enforcement of what optlint's ALLOC01 hot set declares statically
+ * and what the coldalloc / coldfn annotations promise is
  * warmup-only.
  *
  * `--serve` gates the serving decode path instead: a pipelined
@@ -161,16 +164,58 @@ namespace
 
 using namespace optimus;
 
+/** Heap allocations made inside one armed window. */
+struct Armed
+{
+    /** Replaced operator new calls (containers, closures, ...). */
+    long long news = 0;
+    /** mem::heapAllocs() delta: tensor storage off the arenas. */
+    long long tensors = 0;
+
+    bool clean() const { return news == 0 && tensors == 0; }
+};
+
+/** Open an armed window. @return the tensor tally to disarm with. */
+int64_t
+arm()
+{
+    g_armedAllocs.store(0, std::memory_order_relaxed);
+    g_armed.store(true, std::memory_order_relaxed);
+    return mem::heapAllocs();
+}
+
+Armed
+disarm(int64_t heap_before)
+{
+    g_armed.store(false, std::memory_order_relaxed);
+    return {g_armedAllocs.load(std::memory_order_relaxed),
+            static_cast<long long>(mem::heapAllocs() - heap_before)};
+}
+
+struct GridPoint
+{
+    int d, p, m;
+};
+
 /**
- * The gated training config: D=2 P=2, compressed backward channels
- * and compressed DP reduction, so the armed steps cover the bucket
- * reduce overlapped with backward. D=1 is not gated yet: at
- * OPTIMUS_THREADS=4 a D=1 P=2 M=4 step still makes about 1344 heap
- * allocations in the steady state (bench_step_overlap echoes
- * +36288 over its 27 measured steps), which is open work.
+ * The gated (D,P,M) points: the P=1 and D=1 corners, a 4-stage
+ * pipeline, and 4 replicas, around the D=2 P=2 M=2 centre.
+ */
+constexpr GridPoint kGrid[] = {
+    {1, 1, 2},
+    {1, 2, 4},
+    {2, 2, 2},
+    {2, 4, 4},
+    {4, 2, 2},
+};
+
+/**
+ * The gated training config: compressed backward channels and
+ * compressed DP reduction, so the armed steps at D >= 2 cover the
+ * bucket reduce overlapped with backward.
  */
 Trainer3dConfig
-gateConfig()
+gateConfig(const GridPoint &point)
 {
     GptConfig model;
     model.vocab = 24;
@@ -182,9 +227,9 @@ gateConfig()
 
     Trainer3dConfig config;
     config.model = model;
-    config.dataParallel = 2;
-    config.pipelineStages = 2;
-    config.microBatches = 2;
+    config.dataParallel = point.d;
+    config.pipelineStages = point.p;
+    config.microBatches = point.m;
     config.microBatchSize = 2;
     config.useAdam = true;
     config.cb.enabled = true;
@@ -196,11 +241,11 @@ gateConfig()
     return config;
 }
 
-/** @return armed allocation count over two post-warmup steps. */
-long long
-runGate(const LmDataset &data)
+/** @return allocations over two post-warmup steps at @p point. */
+Armed
+runGate(const LmDataset &data, const GridPoint &point)
 {
-    Trainer3d trainer(gateConfig());
+    Trainer3d trainer(gateConfig(point));
     Rng rng(99);
     // Warmup: step one sizes the arenas and ratchets every scratch
     // capacity; step two builds lazily-constructed compressor warm
@@ -208,12 +253,37 @@ runGate(const LmDataset &data)
     trainer.trainIteration(data, rng);
     trainer.trainIteration(data, rng);
 
-    g_armedAllocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
+    const int64_t heap_before = arm();
     trainer.trainIteration(data, rng);
     trainer.trainIteration(data, rng);
-    g_armed.store(false, std::memory_order_relaxed);
-    return g_armedAllocs.load(std::memory_order_relaxed);
+    return disarm(heap_before);
+}
+
+/**
+ * Run the training gate at every grid point, printing one line per
+ * point. @return true when every point was allocation-free.
+ */
+bool
+runGrid(const LmDataset &data, const char *mode)
+{
+    bool ok = true;
+    for (const GridPoint &point : kGrid) {
+        const Armed armed = runGate(data, point);
+        std::printf("alloc_gate: mode=%-9s D=%d P=%d M=%d  armed "
+                    "allocs=%lld  tensor heapAllocs=%lld\n",
+                    mode, point.d, point.p, point.m, armed.news,
+                    armed.tensors);
+        if (!armed.clean()) {
+            ok = false;
+            std::fprintf(stderr,
+                         "alloc_gate: FAIL mode=%s D=%d P=%d M=%d: "
+                         "%lld operator new + %lld tensor heap "
+                         "allocation(s) in a steady-state step\n",
+                         mode, point.d, point.p, point.m, armed.news,
+                         armed.tensors);
+        }
+    }
+    return ok;
 }
 
 /** Deterministic prompt mix (lengths 3..5 over the gate vocab). */
@@ -231,10 +301,10 @@ servePrompts()
 }
 
 /**
- * @return armed allocation count over one full post-warmup request
- * wave (admission, batched pipelined decode, retirement).
+ * @return allocations over one full post-warmup request wave
+ * (admission, batched pipelined decode, retirement).
  */
-long long
+Armed
 runServeGate()
 {
     serve::ServeConfig config;
@@ -263,11 +333,9 @@ runServeGate()
 
     for (const auto &prompt : prompts)
         engine.submit(prompt, 8);
-    g_armedAllocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
+    const int64_t heap_before = arm();
     engine.drain();
-    g_armed.store(false, std::memory_order_relaxed);
-    return g_armedAllocs.load(std::memory_order_relaxed);
+    return disarm(heap_before);
 }
 
 /**
@@ -286,16 +354,16 @@ telemetryMain(const LmDataset &data)
     if (!obs::startMetricsServer(0))
         std::fprintf(stderr, "alloc_gate: warning: exporter "
                              "listener failed to start\n");
-    const long long train_count = runGate(data);
-    const long long serve_count = runServeGate();
+    const bool train_ok = runGrid(data, "telemetry");
+    const Armed serve = runServeGate();
     obs::stopMetricsServer();
     obs::enableProbes(false);
     obs::enableMetrics(false);
     obs::setProbeInterval(16);
-    std::printf("alloc_gate: mode=telemetry  armed allocs=%lld "
-                "(train step) / %lld (serve wave)\n",
-                train_count, serve_count);
-    if (train_count != 0 || serve_count != 0) {
+    std::printf("alloc_gate: mode=telemetry serve wave  armed "
+                "allocs=%lld  tensor heapAllocs=%lld\n",
+                serve.news, serve.tensors);
+    if (!train_ok || !serve.clean()) {
         std::fprintf(stderr,
                      "alloc_gate: FAIL mode=telemetry: heap "
                      "allocation(s) with rings+probes+exporter "
@@ -308,23 +376,32 @@ telemetryMain(const LmDataset &data)
     return 0;
 }
 
-int
-serveMain()
+/** Lifetime tallies, for context next to a gate's verdict. */
+void
+printLifetime()
 {
-    const long long count = runServeGate();
-    std::printf("alloc_gate: mode=serve      armed allocs=%lld "
-                "(lifetime: heapAllocs=%lld arenaHits=%lld "
-                "fallbacks=%lld peakBytes=%lld)\n",
-                count, static_cast<long long>(mem::heapAllocs()),
+    std::printf("alloc_gate: lifetime heapAllocs=%lld arenaHits=%lld "
+                "fallbacks=%lld peakBytes=%lld\n",
+                static_cast<long long>(mem::heapAllocs()),
                 static_cast<long long>(mem::arenaHits()),
                 static_cast<long long>(mem::heapFallbacks()),
                 static_cast<long long>(mem::peakBytes()));
-    if (count != 0) {
+}
+
+int
+serveMain()
+{
+    const Armed armed = runServeGate();
+    std::printf("alloc_gate: mode=serve     armed allocs=%lld  "
+                "tensor heapAllocs=%lld\n",
+                armed.news, armed.tensors);
+    printLifetime();
+    if (!armed.clean()) {
         std::fprintf(stderr,
-                     "alloc_gate: FAIL mode=serve: %lld heap "
-                     "allocation(s) in a steady-state request "
-                     "wave\n",
-                     count);
+                     "alloc_gate: FAIL mode=serve: %lld operator new "
+                     "+ %lld tensor heap allocation(s) in a "
+                     "steady-state request wave\n",
+                     armed.news, armed.tensors);
         return 1;
     }
     std::printf("alloc_gate: PASS (zero steady-state heap "
@@ -356,22 +433,12 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "--telemetry") == 0)
         return telemetryMain(data);
 
-    const long long count = runGate(data);
-    std::printf("alloc_gate: mode=train      armed allocs=%lld "
-                "(lifetime: heapAllocs=%lld arenaHits=%lld "
-                "fallbacks=%lld peakBytes=%lld)\n",
-                count, static_cast<long long>(mem::heapAllocs()),
-                static_cast<long long>(mem::arenaHits()),
-                static_cast<long long>(mem::heapFallbacks()),
-                static_cast<long long>(mem::peakBytes()));
-    if (count != 0) {
-        std::fprintf(stderr,
-                     "alloc_gate: FAIL mode=train: %lld heap "
-                     "allocation(s) in a steady-state step\n",
-                     count);
+    const bool ok = runGrid(data, "train");
+    printLifetime();
+    if (!ok)
         return 1;
-    }
     std::printf("alloc_gate: PASS (zero steady-state heap "
-                "allocations on the training step)\n");
+                "allocations on the training step at every grid "
+                "point)\n");
     return 0;
 }

@@ -1,27 +1,32 @@
 /**
  * @file
  * The workspace-arena memory layer (DESIGN.md section 9): size-class
- * recycling across shape changes, scope install/restore, the
- * steady-state zero-heap-allocation metrics gate over full 3D
- * training steps, and bitwise identity of
- * training with arenas on vs off. OPTIMUS_ARENA is latched once per
- * process, so the on/off A/B re-runs this binary in a child process
- * with the gate flipped and compares parameter digests.
+ * recycling across shape changes, scope install/restore, scope
+ * propagation onto pool workers, arena hits on the training step,
+ * and bitwise identity of training with arenas on vs off (the
+ * steady-state zero-allocation gate over the (D,P,M) grid is
+ * tests/alloc_gate.cc). OPTIMUS_ARENA is latched once per process,
+ * so the on/off A/B re-runs this binary in a child process with the
+ * gate flipped and compares parameter digests.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
 #include "data/corpus.hh"
 #include "data/dataset.hh"
 #include "parallel/trainer3d.hh"
+#include "runtime/runtime.hh"
 #include "tensor/arena.hh"
 #include "tensor/tensor.hh"
 
@@ -183,28 +188,54 @@ TEST(Workspace, ScopeRestoresOuterWorkspace)
 }
 
 /**
- * The tentpole contract: after a two-step warmup, a full training
- * step performs zero heap allocations for tensor storage.
- * mem::heapAllocs() counts arena slab growth plus every unscoped
- * tensor allocation, so a zero delta means the whole
- * forward/backward/compress/reduce/update path ran out of the
- * arenas' recycled blocks.
+ * A scope covers the parallel work its thread starts: tensors built
+ * in parallelFor chunk bodies and in queued tasks come from the
+ * caller's workspace, whichever thread runs them. At
+ * OPTIMUS_THREADS >= 2 chunk 1 runs on a pool worker (static
+ * round-robin), and the task below only ever runs on one, because
+ * the caller does not drain the queue until the task has finished.
  */
-TEST(AllocGate, StepIsHeapFreeAfterWarmup)
+TEST(Workspace, PoolWorkersDrawFromTheCallersScope)
 {
     if (!arenaEnabled())
         GTEST_SKIP() << "OPTIMUS_ARENA=0";
-    Trainer3d trainer(fullConfig());
-    LmDataset data = tinyData(tinyModel().seqLen);
-    Rng rng(99);
-    // Two warmup steps: the first sizes the arenas, the second
-    // builds lazily-constructed compressor warm state.
-    trainer.trainIteration(data, rng);
-    trainer.trainIteration(data, rng);
-    const int64_t before = mem::heapAllocs();
-    for (int i = 0; i < 3; ++i)
-        trainer.trainIteration(data, rng);
-    EXPECT_EQ(mem::heapAllocs() - before, 0);
+    const int64_t chunks = 2 * runtimeThreads();
+    std::vector<Workspace *> seen(static_cast<size_t>(chunks) + 1,
+                                  nullptr);
+    Workspace ws("test.pool");
+    WorkspaceScope scope(&ws);
+    const int64_t heap_before = mem::heapAllocs();
+    const WorkspaceStats before = ws.stats();
+
+    parallelFor(0, chunks, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+            Tensor t({4, 4});
+            seen[static_cast<size_t>(i)] = currentWorkspace();
+        }
+    });
+    std::atomic<bool> ran{false};
+    TaskGroup group;
+    group.run([&] {
+        Tensor t({4, 4});
+        seen.back() = currentWorkspace();
+        ran.store(true);
+    });
+    while (!ran.load())
+        std::this_thread::yield();
+    group.wait();
+
+    for (size_t i = 0; i + 1 < seen.size(); ++i)
+        EXPECT_EQ(seen[i], &ws) << "chunk " << i;
+    EXPECT_EQ(seen.back(), &ws) << "task";
+    const WorkspaceStats after = ws.stats();
+    EXPECT_EQ(after.arenaHits + after.heapFallbacks -
+                  before.arenaHits - before.heapFallbacks,
+              chunks + 1);
+    EXPECT_EQ(after.outstanding, 0);
+    // Only slab growth may touch the heap; no tensor went around
+    // the workspace.
+    EXPECT_EQ(mem::heapAllocs() - heap_before,
+              after.heapFallbacks - before.heapFallbacks);
 }
 
 TEST(AllocGate, ArenaHitsAccumulateOnTheStepPath)

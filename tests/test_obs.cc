@@ -6,13 +6,14 @@
  * PR's acceptance gate, mirroring the CommTrace gate in
  * test_comm.cc), determinism of the metrics registry snapshot
  * against the thread-invariant CommTrace volumes, and the
- * tracesum-vs-StepPhaseTimes reconciliation (<1%), ring-buffer
+ * tracesum-vs-StepPhaseTimes reconciliation (<1%), DP bucket
+ * reduce spans overlapping backward spans, ring-buffer
  * wraparound and rollup arithmetic, compression-health probes
  * (hand-computed norms, bitwise neutrality of a probed run, exact
  * probe-vs-CommTrace byte reconciliation), the alert log's rate
- * limiter, the Prometheus exporter's text format and HTTP listener,
- * and the tracesum serve-wave summary. Run at OPTIMUS_THREADS in
- * {1, 4, 8} via tests/CMakeLists.txt.
+ * limiter, the Prometheus exporter's text format and a live scrape
+ * of a probed run, and the tracesum serve-wave summary. Run at
+ * OPTIMUS_THREADS in {1, 4, 8} via tests/CMakeLists.txt.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -366,6 +368,52 @@ TEST(TraceSummary, ReconcilesWithStepPhaseTimes)
     EXPECT_NE(table.find("dpReduceBusy"), std::string::npos);
     EXPECT_NE(table.find("overlapHidden"), std::string::npos);
     EXPECT_NE(table.find("total(step)"), std::string::npos);
+}
+
+TEST(TraceSummary, BucketReduceOverlapsBackward)
+{
+    // The overlap the reduce engine exists to create: with a worker
+    // free to drain buckets while the D replica chunks occupy the
+    // others, some bucket reduce span must run concurrently with a
+    // backward span.
+    Trainer3dConfig config =
+        tracedConfig(tempPath("optimus_obs_overlap.json"));
+    config.bucketBytes = 64 * 1024;
+    config.fusedEmbeddingSync = false;
+    if (runtimeThreads() < config.dataParallel + 1)
+        GTEST_SKIP() << "needs " << config.dataParallel + 1
+                     << " pool threads, have " << runtimeThreads();
+    resetTracing();
+    {
+        Trainer3d trainer(config);
+        LmDataset data = tinyData(tinyModel().seqLen);
+        Rng rng(11);
+        for (int it = 0; it < 5; ++it)
+            trainer.trainIteration(data, rng);
+    }
+    std::vector<obs::TraceEvent> buckets, backwards;
+    for (const obs::TraceEvent &e : obs::traceEvents()) {
+        if (e.phase != 'X')
+            continue;
+        if (std::strcmp(e.category, "reduce") == 0)
+            buckets.push_back(e);
+        else if (std::strcmp(e.category, "compute") == 0 &&
+                 std::strcmp(e.name, "backward") == 0)
+            backwards.push_back(e);
+    }
+    ASSERT_FALSE(buckets.empty());
+    ASSERT_FALSE(backwards.empty());
+    bool overlapped = false;
+    for (const obs::TraceEvent &bucket : buckets) {
+        for (const obs::TraceEvent &backward : backwards) {
+            if (bucket.beginNs < backward.endNs &&
+                backward.beginNs < bucket.endNs)
+                overlapped = true;
+        }
+    }
+    EXPECT_TRUE(overlapped)
+        << "no reduce bucket span overlaps a backward span with "
+        << runtimeThreads() << " pool threads";
 }
 
 TEST(Metrics, SnapshotMatchesCommTraceAndIsDeterministic)
@@ -818,6 +866,19 @@ TEST(Promexport, RendersExpositionFormatAndServesHttp)
     EXPECT_NE(dumped.str().find("# ring test.export.ring"),
               std::string::npos);
 
+    // A short probed training run fills the train.* rings and the
+    // probe gauges the live scrape below must carry.
+    obs::enableMetrics(true);
+    obs::enableProbes(true);
+    obs::setProbeInterval(1);
+    {
+        Trainer3d trainer(tracedConfig(""));
+        LmDataset data = tinyData(tinyModel().seqLen);
+        Rng rng(11);
+        for (int it = 0; it < 3; ++it)
+            trainer.trainIteration(data, rng);
+    }
+
     // Live scrape over the loopback listener on an ephemeral port.
     ASSERT_TRUE(obs::startMetricsServer(0));
     const int port = obs::metricsServerPort();
@@ -846,6 +907,9 @@ TEST(Promexport, RendersExpositionFormatAndServesHttp)
     }
     ::close(fd);
     obs::stopMetricsServer();
+    obs::enableProbes(false);
+    obs::enableMetrics(false);
+    obs::setProbeInterval(16);
     EXPECT_EQ(obs::metricsServerPort(), -1);
 
     EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
@@ -855,6 +919,37 @@ TEST(Promexport, RendersExpositionFormatAndServesHttp)
     EXPECT_NE(response.find("optimus_ring{ring=\"test.export.ring"),
               std::string::npos);
     EXPECT_GE(obs::metricsScrapeCount(), 1);
+
+    // The body is Prometheus text exposition: the ring gauge family,
+    // the raw-series comments and the alert counter are present, and
+    // every sample line parses as `name{labels} value`.
+    const size_t body_at = response.find("\r\n\r\n");
+    ASSERT_NE(body_at, std::string::npos);
+    const std::regex sample(
+        "[A-Za-z_:][A-Za-z0-9_:]*(\\{[^}]*\\})? [-+0-9.eEnaif]+");
+    bool type_line = false, p99 = false, raw = false, alerts = false;
+    int64_t samples = 0;
+    std::istringstream lines(response.substr(body_at + 4));
+    for (std::string line; std::getline(lines, line);) {
+        const auto starts = [&line](const char *prefix) {
+            return line.rfind(prefix, 0) == 0;
+        };
+        type_line = type_line || line == "# TYPE optimus_ring gauge";
+        p99 = p99 || starts("optimus_ring{ring=\"train.loss\","
+                            "stat=\"p99\"} ");
+        raw = raw || starts("# ring train.loss ");
+        alerts = alerts || starts("optimus_alerts_total ");
+        if (line.empty() || line[0] == '#')
+            continue;
+        ++samples;
+        EXPECT_TRUE(std::regex_match(line, sample))
+            << "unparseable exposition line: " << line;
+    }
+    EXPECT_TRUE(type_line);
+    EXPECT_TRUE(p99);
+    EXPECT_TRUE(raw);
+    EXPECT_TRUE(alerts);
+    EXPECT_GT(samples, 0);
     obs::AlertLog::instance().reset();
 }
 

@@ -7,18 +7,24 @@
  * constructs stash storage, and pipelined serving traffic is
  * accounted in the InterStage CommEvent stream (exactly, one event
  * per stacked pass, and with smaller wire bytes when a lossy
- * boundary compressor is installed). The ctest legs re-run this
- * suite across OPTIMUS_THREADS and OPTIMUS_SIMD=scalar.
+ * boundary compressor is installed), and a reused engine keeps
+ * matching the oracle wave after wave while batching beats
+ * serialized decode in tokens/s. The ctest legs re-run this suite
+ * across OPTIMUS_THREADS and OPTIMUS_SIMD=scalar.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "comm/transport.hh"
 #include "nn/attention.hh"
+#include "obs/clock.hh"
+#include "runtime/runtime.hh"
 #include "serve/engine.hh"
 #include "tensor/arena.hh"
 
@@ -49,14 +55,14 @@ fillCells(Tensor &t)
         d[i] = 0.1f * static_cast<float>((i * 31 + 7) % 13 - 6);
 }
 
-/** Deterministic prompt mix with lengths 3..5. */
+/** Deterministic prompt mix with lengths 3 .. 2 + @p lengths. */
 std::vector<std::vector<int32_t>>
-mixedPrompts(int count)
+mixedPrompts(int count, int lengths = 3)
 {
     std::vector<std::vector<int32_t>> prompts;
     for (int r = 0; r < count; ++r) {
         std::vector<int32_t> prompt;
-        for (int t = 0; t < 3 + r % 3; ++t)
+        for (int t = 0; t < 3 + r % lengths; ++t)
             prompt.push_back((7 * r + 3 * t + 1) % 24);
         prompts.push_back(std::move(prompt));
     }
@@ -192,6 +198,82 @@ TEST(Serve, BatchingIsInterleavingInvariant)
             << "burst request " << r;
         EXPECT_EQ(trickle_out[trickle_ids[r]], expect[r])
             << "trickled request " << r;
+    }
+}
+
+TEST(Serve, ReusedEngineMatchesOracleAndBatchingBeatsSerialized)
+{
+    // Closed-loop waves on one engine: the slots a wave retires
+    // serve the next, and every wave must still reproduce the
+    // full-recompute oracle with its full token budget. A stacked
+    // pass runs each row-wise layer as one GEMM over every decoding
+    // sequence, so the best batched wave must also beat the best
+    // serialized (one-slot) wave in tokens/s, at one thread and at
+    // the pool width.
+    const GptConfig model = tinyModel();
+    const auto prompts = mixedPrompts(6, 4);
+    const int64_t max_new = 8;
+    const int reps = 10;
+    const int64_t wave_tokens =
+        static_cast<int64_t>(prompts.size()) * max_new;
+    std::vector<std::vector<int32_t>> expect;
+    for (const auto &prompt : prompts)
+        expect.push_back(
+            serve::referenceGreedyDecode(model, prompt, max_new));
+
+    // One untimed wave sizes the slot arenas, then best of reps.
+    const auto best_tokens_per_s = [&](serve::ServeEngine &engine) {
+        double best = 0.0;
+        for (int rep = 0; rep <= reps; ++rep) {
+            const int64_t before = engine.tokensGenerated();
+            const int64_t t0 = obs::nowNs();
+            for (const auto &prompt : prompts)
+                engine.submit(prompt, max_new);
+            engine.drain();
+            const double s = obs::secondsBetween(t0, obs::nowNs());
+            EXPECT_EQ(engine.tokensGenerated() - before, wave_tokens)
+                << "wave " << rep;
+            if (rep > 0)
+                best = std::max(best, wave_tokens / s);
+        }
+        return best;
+    };
+
+    std::vector<int> widths = {1};
+    if (runtimeThreads() > 1)
+        widths.push_back(runtimeThreads());
+    for (int threads : widths) {
+        std::optional<SerialRegion> serial_region;
+        if (threads == 1)
+            serial_region.emplace();
+
+        serve::ServeConfig config;
+        config.model = model;
+        config.pipelineStages = 2;
+        config.maxSequences = 1;
+        config.maxBatchTokens = model.seqLen;
+        serve::ServeEngine serialized(config);
+        config.maxSequences = 8;
+        config.maxBatchTokens = 64;
+        serve::ServeEngine batched(config);
+        auto outputs = attachCollector(batched);
+
+        const double serialized_tps = best_tokens_per_s(serialized);
+        const double batched_tps = best_tokens_per_s(batched);
+
+        // Ids ascend in submission order, so entry k of the map is
+        // wave k / 6's instance of prompt k % 6.
+        ASSERT_EQ(outputs.size(), (reps + 1) * prompts.size());
+        size_t k = 0;
+        for (const auto &entry : outputs) {
+            EXPECT_EQ(entry.second, expect[k % prompts.size()])
+                << "threads " << threads << " wave "
+                << k / prompts.size() << " request "
+                << k % prompts.size();
+            ++k;
+        }
+        EXPECT_GT(batched_tps, serialized_tps)
+            << "threads " << threads;
     }
 }
 
