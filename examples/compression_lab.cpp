@@ -15,8 +15,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "compress/compressor.hh"
 #include "compress/error_feedback.hh"
-#include "compress/powersgd.hh"
 #include "tensor/matmul.hh"
 #include "util/cli.hh"
 #include "util/random.hh"
@@ -80,7 +80,8 @@ main(int argc, char **argv)
         // Error-feedback channel: judge the error of the *sum* of
         // deliveries against the sum of inputs (what the optimizer
         // integrates).
-        ErrorFeedbackCompressor ef(makeCompressor(spec));
+        auto lossy = makeCompressor(spec);
+        ErrorFeedback ef;
 
         double err_sum = 0.0;
         Tensor input_total({rows, cols});
@@ -98,8 +99,10 @@ main(int argc, char **argv)
                     .count();
             err_sum += sub(grad, out).norm() / grad.norm();
 
-            Tensor ef_out;
-            ef.compress(grad, ef_out);
+            Tensor fed, ef_out;
+            ef.fold(grad, fed);
+            lossy->compress(fed, ef_out);
+            ef.update(fed, ef_out);
             input_total.add(grad);
             ef_total.add(ef_out);
         }

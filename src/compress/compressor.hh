@@ -37,9 +37,6 @@ class Compressor
      */
     virtual int64_t compress(const Tensor &input, Tensor &output) = 0;
 
-    /** Short identifier such as "powersgd(r=16)". */
-    virtual std::string name() const = 0;
-
     /**
      * Payload bytes for a [rows x cols] message, without compressing
      * anything (used by the performance model).
@@ -61,7 +58,6 @@ class IdentityCompressor : public Compressor
 {
   public:
     int64_t compress(const Tensor &input, Tensor &output) override;
-    std::string name() const override { return "identity"; }
     int64_t payloadBytes(int64_t rows, int64_t cols) const override;
 };
 

@@ -5,88 +5,27 @@
 namespace optimus
 {
 
-ErrorFeedbackCompressor::ErrorFeedbackCompressor(
-    std::unique_ptr<Compressor> inner)
-    : inner_(std::move(inner))
-{
-    OPTIMUS_ASSERT(inner_ != nullptr);
-}
-
 // optlint:hot — steady-state step path (zero-allocation contract).
-int64_t
-ErrorFeedbackCompressor::compress(const Tensor &input, Tensor &output)
+void
+ErrorFeedback::fold(const Tensor &input, Tensor &fed)
 {
-    Tensor fed = input;
+    fed = input;
     if (residual_.shape() == input.shape()) {
         fed.add(residual_);
     } else if (residual_.size() != 0) {
-        // A shape change mid-stream means the caller rewired the
-        // channel; folding a stale residual into an unrelated tensor
-        // (even one of coincidentally equal size) would silently
-        // corrupt the gradient stream, so drop it and restart.
         warn("error feedback: residual %s dropped for input %s",
              residual_.shapeString().c_str(),
              input.shapeString().c_str());
+        clear();
     }
-    const int64_t bytes = inner_->compress(fed, output);
+}
+
+// optlint:hot — steady-state step path (zero-allocation contract).
+void
+ErrorFeedback::update(const Tensor &fed, const Tensor &delivered)
+{
     residual_ = fed;
-    residual_.sub(output);
-    return bytes;
-}
-
-std::string
-ErrorFeedbackCompressor::name() const
-{
-    return "ef+" + inner_->name();
-}
-
-int64_t
-ErrorFeedbackCompressor::payloadBytes(int64_t rows, int64_t cols) const
-{
-    return inner_->payloadBytes(rows, cols);
-}
-
-void
-ErrorFeedbackCompressor::reset()
-{
-    residual_ = Tensor();
-    inner_->reset();
-}
-
-LazyErrorBuffer::LazyErrorBuffer(std::unique_ptr<Compressor> inner,
-                                 bool enabled)
-    : inner_(std::move(inner)), enabled_(enabled)
-{
-    OPTIMUS_ASSERT(inner_ != nullptr);
-}
-
-int64_t
-LazyErrorBuffer::send(const Tensor &input, Tensor &output)
-{
-    Tensor fed = input;
-    if (enabled_) {
-        if (error_.shape() == input.shape()) {
-            fed.add(error_);
-        } else if (error_.size() != 0) {
-            // Same stale-state policy as ErrorFeedbackCompressor.
-            warn("lazy error buffer: error %s dropped for input %s",
-                 error_.shapeString().c_str(),
-                 input.shapeString().c_str());
-        }
-    }
-    const int64_t bytes = inner_->compress(fed, output);
-    if (enabled_) {
-        error_ = fed;
-        error_.sub(output);
-    }
-    return bytes;
-}
-
-void
-LazyErrorBuffer::reset()
-{
-    error_ = Tensor();
-    inner_->reset();
+    residual_.sub(delivered);
 }
 
 } // namespace optimus

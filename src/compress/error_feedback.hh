@@ -1,110 +1,67 @@
 /**
  * @file
- * Error-feedback wrappers around lossy compressors.
+ * Error feedback: the one residual carry behind every lossy
+ * compression stream the trainer runs.
  *
- * ErrorFeedbackCompressor implements the classic residual scheme
- * (add the previous message's compression error to the next message
- * before compressing). Optimus-CC uses this mechanism in two places
- * with very different semantics:
+ * The scheme adds the previous message's compression error to the
+ * next message before compressing it. Optimus-CC uses it in two
+ * places with very different semantics:
  *
- *  - Data-parallel gradient compression: the residual is applied to
- *    the *next iteration's* gradient, i.e. after a weight update has
- *    already happened, producing the staleness effect the paper
- *    blames for the quality drop (Section 7).
+ *  - Lazy error propagation (Section 5.1, BackwardChannel): the
+ *    residual is applied to the *next micro-batch's* activation
+ *    gradient within the same mini-batch, before any weight update,
+ *    so no staleness occurs.
  *
- *  - Lazy error propagation (Section 5.1): the residual is applied
- *    to the *next micro-batch's* activation gradient within the same
- *    mini-batch, before any weight update, so no staleness occurs.
- *    LazyErrorBuffer is a thin alias capturing those semantics plus
- *    the instrumentation hooks used for Fig 11.
+ *  - Data-parallel gradient compression (Section 7, ReduceEngine,
+ *    one residual per worker of a compressed bucket): the residual
+ *    is applied to the *next iteration's* gradient, i.e. after a
+ *    weight update has already happened, producing the staleness
+ *    effect the paper blames for the quality drop.
+ *
+ * Either way a stream runs fold -> compress -> update, so that
+ * sum(delivered) + residual() == sum(inputs) (the telescoping
+ * identity, DESIGN.md section 4, invariant 5).
  */
 
 #ifndef OPTIMUS_COMPRESS_ERROR_FEEDBACK_HH
 #define OPTIMUS_COMPRESS_ERROR_FEEDBACK_HH
 
-#include <memory>
-
-#include "compress/compressor.hh"
+#include "tensor/tensor.hh"
 
 namespace optimus
 {
 
-/** Residual error-feedback wrapper around any Compressor. */
-class ErrorFeedbackCompressor : public Compressor
+/** Compression residual of one tensor stream. */
+class ErrorFeedback
 {
   public:
-    /** Takes ownership of the inner compressor. */
-    explicit ErrorFeedbackCompressor(std::unique_ptr<Compressor> inner);
+    /** Empty residual: the first fold delivers the input as is. */
+    ErrorFeedback() = default;
+
+    /** All-zero residual of @p shape, sized before the first fold. */
+    explicit ErrorFeedback(const ShapeVec &shape) : residual_(shape) {}
 
     /**
-     * Compresses (input + residual) and stores the new residual
-     * (input + residual - output). If the input's shape differs
-     * from the stored residual's, the stale residual is dropped
-     * (with a warning) and feedback restarts from this message.
+     * fed = input + residual, into the caller-owned @p fed (its
+     * storage is reused when large enough). A residual whose shape
+     * differs from the input's is stale -- the caller rewired the
+     * stream, and folding it into an unrelated tensor (even one of
+     * coincidentally equal size) would silently corrupt the
+     * gradient -- so it is dropped with a warning and fed = input.
      */
-    int64_t compress(const Tensor &input, Tensor &output) override;
+    void fold(const Tensor &input, Tensor &fed);
 
-    std::string name() const override;
-    int64_t payloadBytes(int64_t rows, int64_t cols) const override;
+    /** residual = fed - delivered, the compression error of @p fed. */
+    void update(const Tensor &fed, const Tensor &delivered);
 
-    /** Clear both the residual and the inner compressor's state. */
-    void reset() override;
+    /** Drop the residual (an exact delivery resolved it). */
+    void clear() { residual_ = Tensor(); }
 
-    /** Current residual (empty before the first message). */
+    /** Current residual (empty when none is carried). */
     const Tensor &residual() const { return residual_; }
 
-    /** Inner compressor access (e.g., to query its rank). */
-    Compressor &inner() { return *inner_; }
-
   private:
-    std::unique_ptr<Compressor> inner_;
     Tensor residual_;
-};
-
-/**
- * Lazy error propagation buffer for one inter-stage channel. The
- * mechanism is residual error feedback across micro-batches; the
- * class additionally records the per-message statistics (error mean,
- * error vector, previous input) needed to verify the paper's Eq. 14
- * independence conditions (Fig 11).
- */
-class LazyErrorBuffer
-{
-  public:
-    /**
-     * @param inner Lossy compressor for this channel (owned).
-     * @param enabled When false, behaves as plain compression with
-     *        no error carry-over ('CB (Non-LEP)' in Table 4).
-     */
-    LazyErrorBuffer(std::unique_ptr<Compressor> inner, bool enabled);
-
-    /**
-     * Process one micro-batch's activation gradient: adds the stored
-     * error (when enabled), compresses, stores the new error. A
-     * shape change drops the stale error (with a warning).
-     *
-     * @param input Exact activation gradient for this micro-batch.
-     * @param output Receiver-side reconstruction.
-     * @return payload bytes.
-     */
-    int64_t send(const Tensor &input, Tensor &output);
-
-    /** True when lazy error propagation is active. */
-    bool enabled() const { return enabled_; }
-
-    /** Stored error from the last message (empty initially). */
-    const Tensor &storedError() const { return error_; }
-
-    /** Clear the stored error and the compressor's warm state. */
-    void reset();
-
-    /** Inner compressor access. */
-    Compressor &inner() { return *inner_; }
-
-  private:
-    std::unique_ptr<Compressor> inner_;
-    bool enabled_;
-    Tensor error_;
 };
 
 } // namespace optimus

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -125,62 +124,6 @@ ensureZeroed(Tensor &scratch, int64_t rows, int64_t cols)
 
 } // namespace
 
-PowerSgdCompressor::PowerSgdCompressor(int rank, uint64_t seed)
-    : rank_(rank), seed_(seed), rng_(seed)
-{
-    OPTIMUS_ASSERT(rank >= 1);
-}
-
-int64_t
-PowerSgdCompressor::compress(const Tensor &input, Tensor &output)
-{
-    OPTIMUS_ASSERT(input.rank() == 2);
-    const int64_t rows = input.rows();
-    const int64_t cols = input.cols();
-    obs::ScopedSpan span("compress", "powersgd.compress", -1,
-                         "elems", input.size());
-    const int r = effectiveRank(rank_, rows, cols);
-
-    ensureWarmQ(q_, cols, r, rng_);
-
-    // Single power iteration against the warm-started Q.
-    Tensor p = matmul(input, q_);        // [rows x r]
-    orthonormalizeColumns(p);
-    q_ = matmulTN(input, p);             // [cols x r] = M^T * P_hat
-
-    // Receiver-side reconstruction: P_hat * Q^T.
-    output = matmulNT(p, q_);            // [rows x cols]
-    return payloadBytes(rows, cols);
-}
-
-std::string
-PowerSgdCompressor::name() const
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "powersgd(r=%d)", rank_);
-    return buf;
-}
-
-int64_t
-PowerSgdCompressor::payloadBytes(int64_t rows, int64_t cols) const
-{
-    const int r = effectiveRank(rank_, rows, cols);
-    return static_cast<int64_t>(sizeof(float)) * r * (rows + cols);
-}
-
-void
-PowerSgdCompressor::reset()
-{
-    q_ = Tensor();
-    rng_.seed(seed_);
-}
-
-int64_t
-PowerSgdCompressor::stateBytes() const
-{
-    return static_cast<int64_t>(sizeof(float)) * q_.size();
-}
-
 DistributedPowerSgd::DistributedPowerSgd(int workers, int rank,
                                          uint64_t seed)
     : workers_(workers), rank_(rank), seed_(seed), rng_(seed)
@@ -189,16 +132,26 @@ DistributedPowerSgd::DistributedPowerSgd(int workers, int rank,
     OPTIMUS_ASSERT(rank >= 1);
 }
 
+// optlint:hot — steady-state step path (zero-allocation contract).
 int64_t
 DistributedPowerSgd::reduce(const std::vector<const Tensor *> &inputs,
                             Tensor &mean_output)
+{
+    OPTIMUS_ASSERT(!inputs.empty() && inputs[0] != nullptr);
+    obs::ScopedSpan span("compress", "powersgd.reduce", -1, "elems",
+                         inputs[0]->size());
+    return iterate(inputs, mean_output);
+}
+
+// optlint:hot — steady-state step path (zero-allocation contract).
+int64_t
+DistributedPowerSgd::iterate(const std::vector<const Tensor *> &inputs,
+                             Tensor &mean_output)
 {
     OPTIMUS_ASSERT(static_cast<int>(inputs.size()) == workers_);
     OPTIMUS_ASSERT(inputs[0] != nullptr && inputs[0]->rank() == 2);
     const int64_t rows = inputs[0]->rows();
     const int64_t cols = inputs[0]->cols();
-    obs::ScopedSpan span("compress", "powersgd.reduce", -1, "elems",
-                         inputs[0]->size());
     for (const Tensor *t : inputs) {
         OPTIMUS_ASSERT(t != nullptr && t->rank() == 2);
         OPTIMUS_ASSERT(t->rows() == rows && t->cols() == cols);
@@ -218,7 +171,8 @@ DistributedPowerSgd::reduce(const std::vector<const Tensor *> &inputs,
     for (const Tensor *t : inputs)
         matmulAccTN(qScratch_, *t, pScratch_);
     qScratch_.scale(1.0f / static_cast<float>(workers_));
-    q_ = qScratch_;
+    // The old Q's storage becomes the next call's Q scratch.
+    std::swap(q_, qScratch_);
 
     ensureZeroed(mean_output, rows, cols);
     matmulAccNT(mean_output, pScratch_, q_);
@@ -245,6 +199,39 @@ int64_t
 DistributedPowerSgd::stateBytes() const
 {
     return static_cast<int64_t>(sizeof(float)) * q_.size();
+}
+
+PowerSgdCompressor::PowerSgdCompressor(int rank, uint64_t seed)
+    : iteration_(1, rank, seed), inputs_(1, nullptr)
+{
+}
+
+// optlint:hot — steady-state step path (zero-allocation contract).
+int64_t
+PowerSgdCompressor::compress(const Tensor &input, Tensor &output)
+{
+    obs::ScopedSpan span("compress", "powersgd.compress", -1,
+                         "elems", input.size());
+    inputs_[0] = &input;
+    return iteration_.iterate(inputs_, output);
+}
+
+int64_t
+PowerSgdCompressor::payloadBytes(int64_t rows, int64_t cols) const
+{
+    return iteration_.payloadBytes(rows, cols);
+}
+
+void
+PowerSgdCompressor::reset()
+{
+    iteration_.reset();
+}
+
+int64_t
+PowerSgdCompressor::stateBytes() const
+{
+    return iteration_.stateBytes();
 }
 
 } // namespace optimus

@@ -34,36 +34,6 @@ namespace optimus
  */
 void orthonormalizeColumns(Tensor &m);
 
-/** Single-stream PowerSGD channel with warm-started Q. */
-class PowerSgdCompressor : public Compressor
-{
-  public:
-    /**
-     * @param rank Approximation rank r (clamped to min(rows, cols)
-     *        at compression time).
-     * @param seed Seed for the initial random Q.
-     */
-    explicit PowerSgdCompressor(int rank, uint64_t seed = 1);
-
-    int64_t compress(const Tensor &input, Tensor &output) override;
-    std::string name() const override;
-    int64_t payloadBytes(int64_t rows, int64_t cols) const override;
-    void reset() override;
-    int64_t stateBytes() const override;
-
-    /** Configured rank. */
-    int rank() const { return rank_; }
-
-    /** Warm-start matrix from the previous message (empty first). */
-    const Tensor &warmQ() const { return q_; }
-
-  private:
-    int rank_;
-    uint64_t seed_;
-    Rng rng_;
-    Tensor q_;
-};
-
 /**
  * The *distributed* PowerSGD mean-reduction protocol used for
  * data-parallel gradient compression across D workers. Unlike a
@@ -117,6 +87,12 @@ class DistributedPowerSgd
     int workers() const { return workers_; }
 
   private:
+    friend class PowerSgdCompressor;
+
+    /** The power iteration behind reduce(), without its span. */
+    int64_t iterate(const std::vector<const Tensor *> &inputs,
+                    Tensor &mean_output);
+
     int workers_;
     int rank_;
     uint64_t seed_;
@@ -124,12 +100,42 @@ class DistributedPowerSgd
     Tensor q_;
     /**
      * Persistent P/Q accumulation scratch, zeroed and reused across
-     * reduce() calls so the steady state allocates nothing. Starting
+     * calls so the steady state allocates nothing (the new Q swaps
+     * with q_, so qScratch_ recycles the old Q's storage). Starting
      * from a zeroed buffer and accumulating is bitwise identical to
      * the old freshly-allocated tensors (which were zeroed too).
      */
     Tensor pScratch_;
     Tensor qScratch_;
+};
+
+/**
+ * Single-stream PowerSGD channel with warm-started Q: the
+ * distributed protocol above at D = 1, so CB channels and DP buckets
+ * run one power iteration (the 1/D scale is an exact x 1.0f).
+ */
+class PowerSgdCompressor : public Compressor
+{
+  public:
+    /**
+     * @param rank Approximation rank r (clamped to min(rows, cols)
+     *        at compression time).
+     * @param seed Seed for the initial random Q.
+     */
+    explicit PowerSgdCompressor(int rank, uint64_t seed = 1);
+
+    int64_t compress(const Tensor &input, Tensor &output) override;
+    int64_t payloadBytes(int64_t rows, int64_t cols) const override;
+    void reset() override;
+    int64_t stateBytes() const override;
+
+    /** Configured rank. */
+    int rank() const { return iteration_.rank(); }
+
+  private:
+    DistributedPowerSgd iteration_;
+    /** One-entry input view, rebuilt in place every compress. */
+    std::vector<const Tensor *> inputs_;
 };
 
 } // namespace optimus

@@ -25,7 +25,6 @@ class TernaryCompressor : public Compressor
     explicit TernaryCompressor(uint64_t seed = 1);
 
     int64_t compress(const Tensor &input, Tensor &output) override;
-    std::string name() const override { return "ternary"; }
     int64_t payloadBytes(int64_t rows, int64_t cols) const override;
     void reset() override;
 
@@ -45,7 +44,6 @@ class OneBitCompressor : public Compressor
     OneBitCompressor() = default;
 
     int64_t compress(const Tensor &input, Tensor &output) override;
-    std::string name() const override { return "onebit"; }
     int64_t payloadBytes(int64_t rows, int64_t cols) const override;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <numeric>
@@ -106,14 +105,6 @@ TopKCompressor::compress(const Tensor &input, Tensor &output)
     }
     return payloadBytes(input.rank() == 2 ? input.rows() : 1,
                         input.rank() == 2 ? input.cols() : n);
-}
-
-std::string
-TopKCompressor::name() const
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "topk(%.3f)", fraction_);
-    return buf;
 }
 
 int64_t

@@ -25,7 +25,6 @@ class TopKCompressor : public Compressor
     explicit TopKCompressor(double fraction);
 
     int64_t compress(const Tensor &input, Tensor &output) override;
-    std::string name() const override;
     int64_t payloadBytes(int64_t rows, int64_t cols) const override;
 
     double fraction() const { return fraction_; }

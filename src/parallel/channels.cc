@@ -56,9 +56,8 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
                            micro_batch);
 
     // Fold the lazily propagated error into this message.
-    Tensor fed = grad;
-    if (config_.lazyErrorPropagation && error_.size() == grad.size())
-        fed.add(error_);
+    Tensor fed;
+    lep_.fold(grad, fed);
 
     Tensor delivered;
     if (compress_this) {
@@ -69,10 +68,8 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
                             seededSpec_);
         probe_.observe(fed.data(), delivered.data(),
                        static_cast<size_t>(fed.size()));
-        if (config_.lazyErrorPropagation) {
-            error_ = fed;
-            error_.sub(delivered);
-        }
+        if (config_.lazyErrorPropagation)
+            lep_.update(fed, delivered);
     } else {
         // Uncompressed message: delivered exactly; any folded-in
         // error is thereby resolved losslessly.
@@ -80,8 +77,7 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
                             replica_, exact_bytes, exact_bytes,
                             CompressorSpec{});
         delivered = std::move(fed);
-        if (config_.lazyErrorPropagation)
-            error_ = Tensor();
+        lep_.clear();
     }
 
     if (instrument_ && compress_this) {
@@ -89,11 +85,10 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
         rec.microBatch = micro_batch;
         rec.compressed = true;
         Tensor err = grad;
-        if (config_.lazyErrorPropagation &&
-            error_.size() == grad.size()) {
-            // error_ currently holds fed - delivered == the full
-            // residual; report it as the per-send error.
-            err = error_;
+        if (config_.lazyErrorPropagation) {
+            // The residual currently holds fed - delivered == the
+            // full compression error; report it as the per-send error.
+            err = lep_.residual();
         } else {
             err.sub(delivered);
         }
@@ -117,15 +112,16 @@ obs::CompressionHealth
 BackwardChannel::health() const
 {
     obs::CompressionHealth h = probe_;
-    h.residualNormSq = obs::l2NormSq(
-        error_.data(), static_cast<size_t>(error_.size()));
+    h.residualNormSq =
+        obs::l2NormSq(lep_.residual().data(),
+                      static_cast<size_t>(lep_.residual().size()));
     return h;
 }
 
 void
 BackwardChannel::reset()
 {
-    error_ = Tensor();
+    lep_.clear();
     compressor_->reset();
     stats_.clear();
     prevForward_ = Tensor();

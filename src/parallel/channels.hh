@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "comm/transport.hh"
+#include "compress/compressor.hh"
 #include "compress/error_feedback.hh"
 #include "obs/probes.hh"
 #include "schedule/schedule.hh"
@@ -112,12 +113,13 @@ class BackwardChannel
     obs::CompressionHealth health() const;
 
     /** Stored lazy-propagation error (for tests / memory model). */
-    const Tensor &storedError() const { return error_; }
+    const Tensor &storedError() const { return lep_.residual(); }
 
     /** Bytes of the stored lazy-propagation error buffer. */
     int64_t errorBufferBytes() const
     {
-        return static_cast<int64_t>(sizeof(float)) * error_.size();
+        return static_cast<int64_t>(sizeof(float)) *
+               lep_.residual().size();
     }
 
     /** Bytes of persistent compressor state (warm-start Q). */
@@ -140,7 +142,8 @@ class BackwardChannel
     /** The channel's seeded spec, reported in compressed events. */
     CompressorSpec seededSpec_;
     std::unique_ptr<Compressor> compressor_;
-    Tensor error_;
+    /** Lazily propagated error (stays empty with LEP off). */
+    ErrorFeedback lep_;
     bool instrument_ = false;
     std::vector<ChannelSendStats> stats_;
     Tensor prevForward_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "compress/error_feedback.hh"
 #include "compress/powersgd.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -38,8 +39,11 @@ struct ReduceEngine::Bucket
     std::unique_ptr<DistributedPowerSgd> dps;
     /** Persistent error-fed inputs M_d = grad_d + e_d. */
     std::vector<Tensor> fed;
-    /** Per-worker error-feedback residuals e_d. */
-    std::vector<Tensor> residual;
+    /**
+     * Per-worker residuals e_d: zeros from bind() with error
+     * feedback on, empty (so fold copies) with it off.
+     */
+    std::vector<ErrorFeedback> feedback;
     /** Persistent mean reconstruction. */
     Tensor mean;
     /** Pointer view over fed, rebuilt in place every reduce. */
@@ -130,12 +134,10 @@ ReduceEngine::bind(
                 config_.workers, config_.dp.spec.rank,
                 config_.seed + 0x1000 * (j + 1));
             const auto &shape = worker_params[0][j]->value.shape();
-            for (int d = 0; d < config_.workers; ++d) {
+            for (int d = 0; d < config_.workers; ++d)
                 bucket->fed.emplace_back(shape);
-                if (config_.dp.errorFeedback)
-                    bucket->residual.emplace_back(shape);
-            }
             bucket->mean = Tensor(shape);
+            resetFeedback(*bucket);
             bucket->inputs.resize(config_.workers);
             buckets_.push_back(std::move(bucket));
             continue;
@@ -300,11 +302,9 @@ ReduceEngine::reduceCompressed(Bucket &bucket)
     const int workers = config_.workers;
     std::vector<const Tensor *> &inputs = bucket.inputs;
     for (int d = 0; d < workers; ++d) {
-        // Persistent scratch: the copy assignment reuses the fed
+        // Persistent scratch: the fold's copy reuses the fed
         // tensor's storage, so the steady state allocates nothing.
-        bucket.fed[d] = *bucket.grads[0][d];
-        if (config_.dp.errorFeedback)
-            bucket.fed[d].add(bucket.residual[d]);
+        bucket.feedback[d].fold(*bucket.grads[0][d], bucket.fed[d]);
         inputs[d] = &bucket.fed[d];
     }
 
@@ -321,10 +321,8 @@ ReduceEngine::reduceCompressed(Bucket &bucket)
                              n);
 
     for (int d = 0; d < workers; ++d) {
-        if (config_.dp.errorFeedback) {
-            bucket.residual[d] = bucket.fed[d];
-            bucket.residual[d].sub(bucket.mean);
-        }
+        if (config_.dp.errorFeedback)
+            bucket.feedback[d].update(bucket.fed[d], bucket.mean);
         *bucket.grads[0][d] = bucket.mean;
     }
 }
@@ -356,8 +354,8 @@ ReduceEngine::residualNorms() const
 {
     std::vector<double> norms(config_.workers, 0.0);
     for (const auto &bucket : buckets_) {
-        for (size_t d = 0; d < bucket->residual.size(); ++d) {
-            const double n = bucket->residual[d].norm();
+        for (size_t d = 0; d < bucket->feedback.size(); ++d) {
+            const double n = bucket->feedback[d].residual().norm();
             norms[d] += n * n;
         }
     }
@@ -372,10 +370,10 @@ ReduceEngine::health() const
     obs::CompressionHealth h;
     for (const auto &bucket : buckets_) {
         h.merge(bucket->probe);
-        for (const Tensor &residual : bucket->residual)
+        for (const ErrorFeedback &feedback : bucket->feedback)
             h.residualNormSq += obs::l2NormSq(
-                residual.data(),
-                static_cast<size_t>(residual.size()));
+                feedback.residual().data(),
+                static_cast<size_t>(feedback.residual().size()));
     }
     return h;
 }
@@ -387,8 +385,9 @@ ReduceEngine::stateBytes() const
     for (const auto &bucket : buckets_) {
         if (bucket->dps)
             total += bucket->dps->stateBytes();
-        for (const Tensor &t : bucket->residual)
-            total += static_cast<int64_t>(sizeof(float)) * t.size();
+        for (const ErrorFeedback &feedback : bucket->feedback)
+            total += static_cast<int64_t>(sizeof(float)) *
+                     feedback.residual().size();
     }
     return total;
 }
@@ -397,11 +396,23 @@ void
 ReduceEngine::reset()
 {
     for (auto &bucket : buckets_) {
-        if (bucket->dps)
+        if (bucket->dps) {
             bucket->dps->reset();
-        for (Tensor &t : bucket->residual)
-            t.setZero();
+            resetFeedback(*bucket);
+        }
     }
+}
+
+// optlint:coldfn — bind()/reset() only, never per step.
+void
+ReduceEngine::resetFeedback(Bucket &bucket) const
+{
+    // Pre-sized zero residuals: the first fold adds zeros, exactly
+    // as every later fold adds the carried residual.
+    const ErrorFeedback zero = config_.dp.errorFeedback
+                                   ? ErrorFeedback(bucket.mean.shape())
+                                   : ErrorFeedback();
+    bucket.feedback.assign(config_.workers, zero);
 }
 
 } // namespace optimus

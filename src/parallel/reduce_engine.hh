@@ -11,8 +11,8 @@
  *    bucket is a contiguous extent of the stage's flat gradient
  *    space). Compressible parameters of a compression-selected
  *    stage are carved into dedicated single-parameter buckets that
- *    own a `DistributedPowerSgd` instance and per-worker error-
- *    feedback residuals.
+ *    own a `DistributedPowerSgd` instance and one `ErrorFeedback`
+ *    residual per worker.
  *
  *  - **Overlap.** Buckets are independent tasks on the runtime
  *    thread pool's task queue (`TaskGroup`). With D >= 2 workers
@@ -174,6 +174,8 @@ class ReduceEngine
     void reduceBucket(Bucket &bucket);
     void reduceExact(Bucket &bucket);
     void reduceCompressed(Bucket &bucket);
+    /** Per-worker residuals of a compressed bucket back to zero. */
+    void resetFeedback(Bucket &bucket) const;
 
     ReduceEngineConfig config_;
     Transport *transport_ = nullptr;

@@ -315,6 +315,15 @@ Tensor::fill(float value)
 }
 
 void
+Tensor::setZero()
+{
+    // +0.0f is all-zero bits; fill()'s runtime value is a store loop
+    // the compiler cannot turn into memset.
+    if (size_ > 0)
+        std::memset(data_, 0, size_ * sizeof(float));
+}
+
+void
 Tensor::add(const Tensor &other)
 {
     OPTIMUS_ASSERT(size() == other.size());

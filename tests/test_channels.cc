@@ -113,6 +113,80 @@ TEST(BackwardChannel, UncompressedSendResolvesStoredError)
     EXPECT_EQ(epi.storedError().size(), 0);
 }
 
+TEST(BackwardChannel, LepStoresAndFoldsError)
+{
+    BackwardChannel channel(powerSgdCb(true, false), 2, 1, 5);
+    Rng rng(12);
+    Tensor g1 = Tensor::randn({10, 10}, rng);
+    const Tensor out1 = channel.send(g1, 0, 2);
+    Tensor err1 = g1;
+    err1.sub(out1);
+    EXPECT_TRUE(channel.storedError().allClose(err1, 1e-5f));
+
+    // Second send compresses (g2 + err1).
+    Tensor g2 = Tensor::randn({10, 10}, rng);
+    const Tensor out2 = channel.send(g2, 1, 2);
+    Tensor err2 = g2;
+    err2.add(err1);
+    err2.sub(out2);
+    EXPECT_TRUE(channel.storedError().allClose(err2, 1e-5f));
+    EXPECT_EQ(channel.errorBufferBytes(), 4 * 100);
+}
+
+TEST(BackwardChannel, LepOffKeepsNoState)
+{
+    BackwardChannel channel(powerSgdCb(false, false), 2, 1, 5);
+    Rng rng(13);
+    for (int m = 0; m < 2; ++m)
+        channel.send(Tensor::randn({10, 10}, rng), m, 2);
+    EXPECT_EQ(channel.storedError().size(), 0);
+    EXPECT_EQ(channel.errorBufferBytes(), 0);
+}
+
+TEST(BackwardChannel, LepTelescopesOverMicroBatches)
+{
+    // The LEP guarantee: sum(delivered) + stored error ==
+    // sum(true gradients) -- the compression error never escapes
+    // the mini-batch except as the final stored residual. With the
+    // epilogue policy the first 3 of 8 sends are exact (P=4,
+    // channel 1->0) and resolve the carried error losslessly.
+    for (bool epilogue_only : {false, true}) {
+        SCOPED_TRACE(epilogue_only ? "epilogueOnly" : "every send");
+        BackwardChannel channel(powerSgdCb(true, epilogue_only), 4, 1,
+                                5);
+        Rng rng(14);
+        Tensor true_sum({14, 10});
+        Tensor delivered_sum({14, 10});
+        for (int m = 0; m < 8; ++m) {
+            Tensor g = Tensor::randn({14, 10}, rng);
+            true_sum.add(g);
+            delivered_sum.add(channel.send(g, m, 8));
+        }
+        ASSERT_EQ(channel.storedError().size(), true_sum.size());
+        Tensor lhs = delivered_sum;
+        lhs.add(channel.storedError());
+        EXPECT_TRUE(lhs.allClose(true_sum, 1e-3f));
+    }
+}
+
+TEST(BackwardChannel, ShapeChangeDropsStaleError)
+{
+    // [5 x 8] after [10 x 4]: equal element count, so a size check
+    // alone would fold the stale error into an unrelated gradient.
+    BackwardChannel channel(powerSgdCb(true, false), 2, 1, 5);
+    Rng rng(24);
+    Tensor g1 = Tensor::randn({10, 4}, rng);
+    channel.send(g1, 0, 2);
+    ASSERT_EQ(channel.storedError().rows(), 10);
+
+    Tensor g2 = Tensor::randn({5, 8}, rng);
+    const Tensor out = channel.send(g2, 1, 2);
+    Tensor fresh = g2;
+    fresh.sub(out);
+    EXPECT_EQ(channel.storedError().rows(), 5);
+    EXPECT_TRUE(channel.storedError().allClose(fresh, 1e-5f));
+}
+
 TEST(BackwardChannel, ByteAccountingMatchesPayloads)
 {
     CbConfig config = powerSgdCb(true, false, 2);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the compression stack: PowerSGD properties, distributed
- * PowerSGD reduction, top-k, quantizers, error feedback, and the
- * lazy-error-propagation buffer semantics.
+ * PowerSGD reduction, top-k, quantizers, and the error-feedback
+ * residual (its lazy-error-propagation use on BackwardChannel is
+ * tested in test_channels.cc).
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,17 @@ lowRankMatrix(int64_t rows, int64_t cols, int rank, Rng &rng)
     Tensor a = Tensor::randn({rows, rank}, rng);
     Tensor b = Tensor::randn({rank, cols}, rng);
     return matmul(a, b);
+}
+
+/** One error-fed message: fold, compress, update the residual. */
+void
+sendWithFeedback(ErrorFeedback &ef, Compressor &comp, const Tensor &m,
+                 Tensor &out)
+{
+    Tensor fed;
+    ef.fold(m, fed);
+    comp.compress(fed, out);
+    ef.update(fed, out);
 }
 
 TEST(Orthonormalize, ColumnsAreOrthonormal)
@@ -243,10 +255,10 @@ TEST(ErrorFeedback, ResidualIsExactCompressionError)
 {
     Rng rng(10);
     Tensor m = Tensor::randn({16, 16}, rng);
-    ErrorFeedbackCompressor ef(
-        std::make_unique<PowerSgdCompressor>(2, 5));
+    ErrorFeedback ef;
+    PowerSgdCompressor comp(2, 5);
     Tensor out;
-    ef.compress(m, out);
+    sendWithFeedback(ef, comp, m, out);
     Tensor expect_residual = m;
     expect_residual.sub(out);
     EXPECT_TRUE(ef.residual().allClose(expect_residual, 1e-5f));
@@ -256,15 +268,15 @@ TEST(ErrorFeedback, TelescopesAcrossSteps)
 {
     // sum of delivered messages + final residual == sum of inputs.
     Rng rng(11);
-    ErrorFeedbackCompressor ef(
-        std::make_unique<PowerSgdCompressor>(2, 5));
+    ErrorFeedback ef;
+    PowerSgdCompressor comp(2, 5);
     Tensor delivered_sum({12, 12});
     Tensor input_sum({12, 12});
     Tensor out;
     for (int step = 0; step < 6; ++step) {
         Tensor m = Tensor::randn({12, 12}, rng);
         input_sum.add(m);
-        ef.compress(m, out);
+        sendWithFeedback(ef, comp, m, out);
         delivered_sum.add(out);
     }
     Tensor lhs = delivered_sum;
@@ -272,60 +284,23 @@ TEST(ErrorFeedback, TelescopesAcrossSteps)
     EXPECT_TRUE(lhs.allClose(input_sum, 1e-3f));
 }
 
-TEST(LazyErrorBuffer, StoresAndFoldsErrorWhenEnabled)
+TEST(ErrorFeedback, PresizedResidualFoldsZerosAndClearDropsIt)
 {
     Rng rng(12);
-    LazyErrorBuffer lep(std::make_unique<PowerSgdCompressor>(2, 5),
-                        true);
-    Tensor g1 = Tensor::randn({10, 10}, rng);
-    Tensor out1;
-    lep.send(g1, out1);
-    Tensor err1 = g1;
-    err1.sub(out1);
-    EXPECT_TRUE(lep.storedError().allClose(err1, 1e-5f));
+    ErrorFeedback ef({6, 4});
+    ASSERT_EQ(ef.residual().size(), 24);
+    EXPECT_EQ(ef.residual().norm(), 0.0);
+    Tensor m = Tensor::randn({6, 4}, rng);
+    Tensor fed;
+    ef.fold(m, fed);
+    EXPECT_TRUE(fed.allClose(m, 0.0f));
 
-    // Second send compresses (g2 + err1).
-    Tensor g2 = Tensor::randn({10, 10}, rng);
-    Tensor out2;
-    lep.send(g2, out2);
-    Tensor fed = g2;
-    fed.add(err1);
-    Tensor err2 = fed;
-    err2.sub(out2);
-    EXPECT_TRUE(lep.storedError().allClose(err2, 1e-5f));
-}
-
-TEST(LazyErrorBuffer, DisabledKeepsNoState)
-{
-    Rng rng(13);
-    LazyErrorBuffer lep(std::make_unique<PowerSgdCompressor>(2, 5),
-                        false);
-    Tensor g = Tensor::randn({10, 10}, rng);
-    Tensor out;
-    lep.send(g, out);
-    EXPECT_EQ(lep.storedError().size(), 0);
-}
-
-TEST(LazyErrorBuffer, TelescopingIdentityOverMicroBatches)
-{
-    // The LEP guarantee: sum(delivered) + stored error ==
-    // sum(true gradients) -- the compression error never escapes
-    // the mini-batch except as the final stored residual.
-    Rng rng(14);
-    LazyErrorBuffer lep(std::make_unique<PowerSgdCompressor>(2, 5),
-                        true);
-    Tensor true_sum({14, 10});
-    Tensor delivered_sum({14, 10});
-    Tensor out;
-    for (int m = 0; m < 8; ++m) {
-        Tensor g = Tensor::randn({14, 10}, rng);
-        true_sum.add(g);
-        lep.send(g, out);
-        delivered_sum.add(out);
-    }
-    Tensor lhs = delivered_sum;
-    lhs.add(lep.storedError());
-    EXPECT_TRUE(lhs.allClose(true_sum, 1e-3f));
+    ef.update(fed, Tensor({6, 4}));
+    EXPECT_TRUE(ef.residual().allClose(m, 0.0f));
+    ef.clear();
+    EXPECT_EQ(ef.residual().size(), 0);
+    ef.fold(m, fed);
+    EXPECT_TRUE(fed.allClose(m, 0.0f));
 }
 
 TEST(CompressorFactory, BuildsEveryKind)
@@ -382,7 +357,8 @@ TEST_P(CompressorProperty, ErrorFeedbackTelescopes)
     spec.kind = GetParam();
     spec.rank = 2;
     spec.topkFraction = 0.1;
-    ErrorFeedbackCompressor ef(makeCompressor(spec));
+    auto comp = makeCompressor(spec);
+    ErrorFeedback ef;
 
     Rng rng(17);
     Tensor delivered_sum({10, 10});
@@ -391,12 +367,11 @@ TEST_P(CompressorProperty, ErrorFeedbackTelescopes)
     for (int step = 0; step < 5; ++step) {
         Tensor m = Tensor::randn({10, 10}, rng);
         input_sum.add(m);
-        ef.compress(m, out);
+        sendWithFeedback(ef, *comp, m, out);
         delivered_sum.add(out);
     }
     Tensor lhs = delivered_sum;
-    if (ef.residual().size() == lhs.size())
-        lhs.add(ef.residual());
+    lhs.add(ef.residual());
     EXPECT_TRUE(lhs.allClose(input_sum, 1e-3f));
 }
 
@@ -503,17 +478,22 @@ TEST(TopKEdge, TinyFractionKeepsAtLeastOne)
 TEST(ErrorFeedbackEdge, ShapeChangeDropsStaleResidual)
 {
     Rng rng(23);
-    ErrorFeedbackCompressor ef(
-        std::make_unique<PowerSgdCompressor>(2, 5));
+    ErrorFeedback ef;
+    PowerSgdCompressor comp(2, 5);
     Tensor g1 = Tensor::randn({8, 8}, rng);
     Tensor out;
-    ef.compress(g1, out);
+    sendWithFeedback(ef, comp, g1, out);
     ASSERT_EQ(ef.residual().rows(), 8);
 
     // Same element count, different shape: the stale residual must
     // not be folded into the new stream.
     Tensor g2 = Tensor::randn({4, 16}, rng);
-    ef.compress(g2, out);
+    Tensor fed;
+    ef.fold(g2, fed);
+    EXPECT_TRUE(fed.allClose(g2, 0.0f));
+    EXPECT_EQ(ef.residual().size(), 0);
+    comp.compress(fed, out);
+    ef.update(fed, out);
     Tensor fresh = g2;
     fresh.sub(out);
     EXPECT_EQ(ef.residual().rows(), 4);
@@ -522,27 +502,9 @@ TEST(ErrorFeedbackEdge, ShapeChangeDropsStaleResidual)
 
     // Different element count as well: still clean.
     Tensor g3 = Tensor::randn({3, 5}, rng);
-    ef.compress(g3, out);
+    sendWithFeedback(ef, comp, g3, out);
     EXPECT_EQ(out.rows(), 3);
     EXPECT_EQ(out.cols(), 5);
-}
-
-TEST(ErrorFeedbackEdge, LazyBufferShapeChangeDropsStaleError)
-{
-    Rng rng(24);
-    LazyErrorBuffer lep(std::make_unique<PowerSgdCompressor>(2, 5),
-                        true);
-    Tensor g1 = Tensor::randn({10, 4}, rng);
-    Tensor out;
-    lep.send(g1, out);
-    ASSERT_EQ(lep.storedError().rows(), 10);
-
-    Tensor g2 = Tensor::randn({5, 8}, rng);
-    lep.send(g2, out);
-    Tensor fresh = g2;
-    fresh.sub(out);
-    EXPECT_EQ(lep.storedError().rows(), 5);
-    EXPECT_TRUE(lep.storedError().allClose(fresh, 1e-5f));
 }
 
 // ---------------------------------------------------------------
