@@ -65,7 +65,10 @@ TopKCompressor::compress(const Tensor &input, Tensor &output)
         for (int64_t i = 0; i < k; ++i)
             dst[order[i]] = src[order[i]];
     } else if (k >= n) {
-        std::memcpy(dst, src, sizeof(float) * n);
+        // An empty tensor has no storage: memcpy needs non-null
+        // pointers even for a zero count.
+        if (n > 0)
+            std::memcpy(dst, src, sizeof(float) * n);
     } else {
         // SIMD tiers: select by magnitude threshold. nth_element
         // only has to produce the k-th largest magnitude (a value,

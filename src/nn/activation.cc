@@ -1,8 +1,7 @@
 #include "nn/activation.hh"
 
-#include <cmath>
-
 #include "runtime/runtime.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -10,9 +9,6 @@ namespace optimus
 
 namespace
 {
-
-constexpr float kSqrt2OverPi = 0.7978845608028654f;
-constexpr float kGeluCoeff = 0.044715f;
 
 /** parallelFor grain for element-wise maps (disjoint writes). */
 constexpr int64_t kElemGrain = 4096;
@@ -22,18 +18,18 @@ constexpr int64_t kElemGrain = 4096;
 float
 Gelu::value(float x)
 {
-    const float inner = kSqrt2OverPi * (x + kGeluCoeff * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
+    float y;
+    simd::geluForward(simd::Tier::Scalar, &y, &x, 1);
+    return y;
 }
 
 float
 Gelu::derivative(float x)
 {
-    const float inner = kSqrt2OverPi * (x + kGeluCoeff * x * x * x);
-    const float t = std::tanh(inner);
-    const float sech2 = 1.0f - t * t;
-    const float dinner = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoeff * x * x);
-    return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
+    const float one = 1.0f;
+    float d;
+    simd::geluBackward(simd::Tier::Scalar, &d, &one, &x, 1);
+    return d;
 }
 
 // optlint:hot — serving decode path (zero-allocation contract).
@@ -44,9 +40,9 @@ Gelu::forward(const Tensor &x)
     const float *xd = x.data();
     float *yd = y.data();
     const int64_t n = x.size();
+    const simd::Tier tier = simd::tier();
     parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            yd[i] = value(xd[i]);
+        simd::geluForward(tier, yd + lo, xd + lo, hi - lo);
     });
     if (mode() == Mode::Train)
         stash_.pushSlot() = x;
@@ -66,9 +62,9 @@ Gelu::backward(const Tensor &dy)
     const float *dyd = dy.data();
     float *dxd = dx.data();
     const int64_t n = dy.size();
+    const simd::Tier tier = simd::tier();
     parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            dxd[i] = dyd[i] * derivative(xd[i]);
+        simd::geluBackward(tier, dxd + lo, dyd + lo, xd + lo, hi - lo);
     });
     stash_.popFront();
     return dx;

@@ -26,7 +26,8 @@ class Gelu : public Layer
     void clearStash() override { stash_.clear(); }
     size_t stashDepth() const override { return stash_.size(); }
 
-    /** Scalar forms (used by tests). */
+    /** One element through the Scalar (std::tanh) kernel tier —
+     * the reference the vector tiers are tested against. */
     static float value(float x);
     static float derivative(float x);
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/simd.hh"
+
 namespace optimus
 {
 
@@ -69,19 +71,13 @@ AdamOptimizer::step()
     const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
     const float alpha = static_cast<float>(
         lr_ * std::sqrt(bc2) / bc1);
+    const simd::Tier tier = simd::tier();
 
     for (size_t i = 0; i < params_.size(); ++i) {
         Param &p = *params_[i];
-        float *m = m_[i].data();
-        float *v = v_[i].data();
-        const float *g = p.grad.data();
-        float *w = p.value.data();
-        const int64_t n = p.size();
-        for (int64_t j = 0; j < n; ++j) {
-            m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-            v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-            w[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps_);
-        }
+        simd::adamStep(tier, m_[i].data(), v_[i].data(),
+                       p.value.data(), p.grad.data(), p.size(), beta1_,
+                       beta2_, eps_, alpha);
     }
 }
 

@@ -12,8 +12,9 @@
  * Per-tier vector primitives. Layout of this file:
  *
  *   1. tier detection / OPTIMUS_SIMD resolution / setTier
- *   2. Scalar kernels — verbatim the loops the compression code
- *      used before dispatch existed (bit-exact baseline)
+ *   2. Scalar kernels — verbatim the loops the compression code,
+ *      the GELU layer and the Adam step used before dispatch
+ *      existed (bit-exact baseline)
  *   3. AVX2 kernels (8-wide, target attribute, no -mavx2 needed)
  *   4. AVX-512 kernels (16-wide, avx512f subset only)
  *   5. public dispatch wrappers
@@ -257,7 +258,72 @@ keepAboveScalar(float *dst, const float *src, const float *mag,
     return kept;
 }
 
+// GELU (tanh form) constants, shared by every tier.
+constexpr float kGeluK = 0.7978845608028654f; // sqrt(2 / pi)
+constexpr float kGeluC = 0.044715f;
+constexpr float kGeluC3 = 3.0f * kGeluC;
+
+void
+geluForwardScalar(float *y, const float *x, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const float xi = x[i];
+        const float inner = kGeluK * (xi + kGeluC * xi * xi * xi);
+        y[i] = 0.5f * xi * (1.0f + std::tanh(inner));
+    }
+}
+
+void
+geluBackwardScalar(float *dx, const float *dy, const float *x,
+                   int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const float xi = x[i];
+        const float inner = kGeluK * (xi + kGeluC * xi * xi * xi);
+        const float t = std::tanh(inner);
+        const float sech2 = 1.0f - t * t;
+        const float dinner = kGeluK * (1.0f + kGeluC3 * xi * xi);
+        dx[i] = dy[i] * (0.5f * (1.0f + t) +
+                         0.5f * xi * sech2 * dinner);
+    }
+}
+
+void
+adamScalar(float *m, float *v, float *w, const float *g, int64_t n,
+           float beta1, float beta2, float eps, float alpha)
+{
+    for (int64_t j = 0; j < n; ++j) {
+        m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+        v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+        w[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps);
+    }
+}
+
 #if OPTIMUS_SIMD_X86
+
+/*
+ * Vector tanh of the GELU kernels, built only from IEEE
+ * mul/add/sub/div, round-to-nearest-even and exact bit operations:
+ *
+ *   a = |u|;  z = min(kTanhClamp, a + a)   (NaN stays NaN)
+ *   k = round(z * log2 e);  r = (z - k*kLn2Hi) - k*kLn2Lo
+ *   e = (p(r) * r^2 + r + 1) * 2^k          (Cephes expf polynomial)
+ *   tanh(u) = copysign(1 - 2 / (e + 1), u)
+ *
+ * tanh(20) already rounds to 1.0f, so clamping 2|u| at 40 keeps e
+ * finite without changing a result; min() returns its second
+ * operand when either is NaN, which is why z is min(clamp, 2a).
+ */
+constexpr float kTanhClamp = 40.0f;
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+constexpr float kExpP0 = 1.9875691500e-4f;
+constexpr float kExpP1 = 1.3981999507e-3f;
+constexpr float kExpP2 = 8.3334519073e-3f;
+constexpr float kExpP3 = 4.1665795894e-2f;
+constexpr float kExpP4 = 1.6666665459e-1f;
+constexpr float kExpP5 = 5.0000001201e-1f;
 
 // ----------------------------------------------------------------
 // AVX2 kernels (8 floats / 4 doubles per register)
@@ -457,6 +523,145 @@ keepAboveAvx2(float *dst, const float *src, const float *mag,
         }
     }
     return kept;
+}
+
+/** The vector tanh (see kTanhClamp), 8 lanes. */
+OPTIMUS_TARGET_AVX2 inline __m256
+tanhAvx2(__m256 u)
+{
+    const __m256i sign_bit = _mm256_set1_epi32(INT32_MIN);
+    const __m256 a = _mm256_and_ps(absMask256(), u);
+    const __m256 z =
+        _mm256_min_ps(_mm256_set1_ps(kTanhClamp), _mm256_add_ps(a, a));
+    const __m256 k = _mm256_round_ps(
+        _mm256_mul_ps(z, _mm256_set1_ps(kLog2e)),
+        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    const __m256 r = _mm256_sub_ps(
+        _mm256_sub_ps(z, _mm256_mul_ps(k, _mm256_set1_ps(kLn2Hi))),
+        _mm256_mul_ps(k, _mm256_set1_ps(kLn2Lo)));
+    __m256 p = _mm256_set1_ps(kExpP0);
+    for (float c : {kExpP1, kExpP2, kExpP3, kExpP4, kExpP5})
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+    __m256 e = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+        _mm256_set1_ps(1.0f));
+    const __m256i pow2 = _mm256_slli_epi32(
+        _mm256_add_epi32(_mm256_cvtps_epi32(k), _mm256_set1_epi32(127)),
+        23);
+    e = _mm256_mul_ps(e, _mm256_castsi256_ps(pow2));
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 t = _mm256_sub_ps(
+        one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e, one)));
+    return _mm256_or_ps(
+        t, _mm256_and_ps(u, _mm256_castsi256_ps(sign_bit)));
+}
+
+/** inner = k * (x + c*x*x*x), in the scalar association. */
+OPTIMUS_TARGET_AVX2 inline __m256
+geluInnerAvx2(__m256 x)
+{
+    const __m256 cube = _mm256_mul_ps(
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluC), x), x), x);
+    return _mm256_mul_ps(_mm256_set1_ps(kGeluK), _mm256_add_ps(x, cube));
+}
+
+OPTIMUS_TARGET_AVX2 inline __m256
+geluForwardLanesAvx2(__m256 x)
+{
+    const __m256 t = tanhAvx2(geluInnerAvx2(x));
+    return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
+                         _mm256_add_ps(_mm256_set1_ps(1.0f), t));
+}
+
+OPTIMUS_TARGET_AVX2 inline __m256
+geluBackwardLanesAvx2(__m256 dy, __m256 x)
+{
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 t = tanhAvx2(geluInnerAvx2(x));
+    const __m256 sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
+    const __m256 dinner = _mm256_mul_ps(
+        _mm256_set1_ps(kGeluK),
+        _mm256_add_ps(
+            one,
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluC3), x), x)));
+    const __m256 d = _mm256_add_ps(
+        _mm256_mul_ps(half, _mm256_add_ps(one, t)),
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, x), sech2),
+                      dinner));
+    return _mm256_mul_ps(dy, d);
+}
+
+/** Lane mask selecting the first @p rem (0 < rem < 8) lanes. */
+OPTIMUS_TARGET_AVX2 inline __m256i
+tailMaskAvx2(int64_t rem)
+{
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(rem)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+OPTIMUS_TARGET_AVX2 void
+geluForwardAvx2(float *y, const float *x, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(y + i,
+                         geluForwardLanesAvx2(_mm256_loadu_ps(x + i)));
+    if (i < n) {
+        const __m256i mask = tailMaskAvx2(n - i);
+        _mm256_maskstore_ps(
+            y + i, mask,
+            geluForwardLanesAvx2(_mm256_maskload_ps(x + i, mask)));
+    }
+}
+
+OPTIMUS_TARGET_AVX2 void
+geluBackwardAvx2(float *dx, const float *dy, const float *x, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(dx + i,
+                         geluBackwardLanesAvx2(_mm256_loadu_ps(dy + i),
+                                               _mm256_loadu_ps(x + i)));
+    if (i < n) {
+        const __m256i mask = tailMaskAvx2(n - i);
+        _mm256_maskstore_ps(
+            dx + i, mask,
+            geluBackwardLanesAvx2(_mm256_maskload_ps(dy + i, mask),
+                                  _mm256_maskload_ps(x + i, mask)));
+    }
+}
+
+OPTIMUS_TARGET_AVX2 void
+adamAvx2(float *m, float *v, float *w, const float *g, int64_t n,
+         float beta1, float beta2, float eps, float alpha)
+{
+    const __m256 b1 = _mm256_set1_ps(beta1);
+    const __m256 c1 = _mm256_set1_ps(1.0f - beta1);
+    const __m256 b2 = _mm256_set1_ps(beta2);
+    const __m256 c2 = _mm256_set1_ps(1.0f - beta2);
+    const __m256 ev = _mm256_set1_ps(eps);
+    const __m256 av = _mm256_set1_ps(alpha);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256 gj = _mm256_loadu_ps(g + j);
+        const __m256 mj =
+            _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + j)),
+                          _mm256_mul_ps(c1, gj));
+        const __m256 vj = _mm256_add_ps(
+            _mm256_mul_ps(b2, _mm256_loadu_ps(v + j)),
+            _mm256_mul_ps(_mm256_mul_ps(c2, gj), gj));
+        const __m256 step =
+            _mm256_div_ps(_mm256_mul_ps(av, mj),
+                          _mm256_add_ps(_mm256_sqrt_ps(vj), ev));
+        _mm256_storeu_ps(m + j, mj);
+        _mm256_storeu_ps(v + j, vj);
+        _mm256_storeu_ps(w + j,
+                         _mm256_sub_ps(_mm256_loadu_ps(w + j), step));
+    }
+    adamScalar(m + j, v + j, w + j, g + j, n - j, beta1, beta2, eps,
+               alpha);
 }
 
 // ----------------------------------------------------------------
@@ -840,6 +1045,45 @@ keepAbove(Tier t, float *dst, const float *src, const float *mag,
 #endif
     (void)t;
     return keepAboveScalar(dst, src, mag, thresh, n);
+}
+
+// The Avx512 tier runs the AVX2 element-wise kernels (tiers are
+// cumulative): one kernel makes the two vector tiers bitwise equal
+// by construction.
+
+void
+geluForward(Tier t, float *y, const float *x, int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return geluForwardAvx2(y, x, n);
+#endif
+    (void)t;
+    geluForwardScalar(y, x, n);
+}
+
+void
+geluBackward(Tier t, float *dx, const float *dy, const float *x,
+             int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return geluBackwardAvx2(dx, dy, x, n);
+#endif
+    (void)t;
+    geluBackwardScalar(dx, dy, x, n);
+}
+
+void
+adamStep(Tier t, float *m, float *v, float *w, const float *g,
+         int64_t n, float beta1, float beta2, float eps, float alpha)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return adamAvx2(m, v, w, g, n, beta1, beta2, eps, alpha);
+#endif
+    (void)t;
+    adamScalar(m, v, w, g, n, beta1, beta2, eps, alpha);
 }
 
 double

@@ -3,8 +3,9 @@
  * Runtime SIMD dispatch for the dense and compression hot paths.
  *
  * Every vectorized kernel in the tree (the GEMM micro-kernels in
- * gemm_kernels.cc and the compression primitives implemented in
- * simd.cc) is selected through a `simd::Tier`:
+ * gemm_kernels.cc, and the compression primitives, GELU and the
+ * Adam step implemented in simd.cc) is selected through a
+ * `simd::Tier`:
  *
  *   Scalar — the portable kernels the tree shipped with; always
  *            available and the bit-exact baseline.
@@ -133,6 +134,37 @@ void selectBySign(Tier t, float *dst, const float *src, float pos,
  */
 int64_t keepAbove(Tier t, float *dst, const float *src,
                   const float *mag, float thresh, int64_t n);
+
+// ---------------------------------------------------------------
+// Element-wise layer kernels (the nn hot loops).
+// ---------------------------------------------------------------
+
+/**
+ * GELU, tanh approximation: y[i] = 0.5 x (1 + tanh(k (x + c x^3))).
+ * Scalar: the historical loop with std::tanh. AVX2 evaluates tanh
+ * from one fixed exp polynomial with IEEE mul, add, sub, div and
+ * round only (masked tails, no FMA) and agrees with Scalar to the
+ * bound pinned in test_simd_dispatch; Avx512 runs the same AVX2
+ * kernel, so the two vector tiers are bitwise equal. Non-finite
+ * inputs give the Scalar form's NaN/Inf class.
+ */
+void geluForward(Tier t, float *y, const float *x, int64_t n);
+
+/** GELU backward: dx[i] = dy[i] * gelu'(x[i]), same per-tier
+ * contract as geluForward. */
+void geluBackward(Tier t, float *dx, const float *dy, const float *x,
+                  int64_t n);
+
+/**
+ * One Adam update over a contiguous span, in the historical order:
+ *   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+ *   w = w - (alpha*m) / (sqrt(v) + eps).
+ * Every step is one IEEE-rounded operation, so every tier is
+ * bitwise equal to the scalar loop.
+ */
+void adamStep(Tier t, float *m, float *v, float *w, const float *g,
+              int64_t n, float beta1, float beta2, float eps,
+              float alpha);
 
 // ---------------------------------------------------------------
 // Strided variants (gather-free column walks over row-major

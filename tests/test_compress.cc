@@ -20,6 +20,7 @@
 #include "tensor/matmul.hh"
 #include "tensor/simd.hh"
 #include "util/random.hh"
+#include "test_util.hh"
 
 namespace optimus
 {
@@ -512,16 +513,7 @@ TEST(ErrorFeedbackEdge, ShapeChangeDropsStaleResidual)
 // contract for the compression hot paths (DESIGN.md section 8).
 // ---------------------------------------------------------------
 
-std::vector<simd::Tier>
-supportedTiers()
-{
-    std::vector<simd::Tier> tiers;
-    for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
-                         simd::Tier::Avx512})
-        if (simd::supported(t))
-            tiers.push_back(t);
-    return tiers;
-}
+using test::supportedTiers;
 
 /** Sizes that divide no vector width: lane-count stragglers (63,
  * 65), degenerate 1/2, and primes past one block. */

@@ -17,6 +17,7 @@
 #include "tensor/simd.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
+#include "test_util.hh"
 
 using namespace optimus;
 
@@ -68,16 +69,7 @@ tolFor(int64_t k)
     return 1e-5f * static_cast<float>(k < 16 ? 16 : k);
 }
 
-std::vector<simd::Tier>
-supportedTiers()
-{
-    std::vector<simd::Tier> tiers;
-    for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
-                         simd::Tier::Avx512})
-        if (simd::supported(t))
-            tiers.push_back(t);
-    return tiers;
-}
+using test::supportedTiers;
 
 /**
  * Sizes that divide no vector width: 63/65 straddle every lane

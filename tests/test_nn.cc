@@ -47,11 +47,19 @@ TEST(GradCheck, LayerNorm)
 
 TEST(GradCheck, Gelu)
 {
-    Rng rng(3);
-    Gelu layer;
-    Tensor x = Tensor::randn({4, 6}, rng, 0.0f, 2.0f);
-    Tensor w = Tensor::randn({4, 6}, rng);
-    EXPECT_LT(test::inputGradError(layer, x, w, rng), kGradTol);
+    // Every tier's kernel pair must stay a consistent
+    // forward/backward (the vector tiers replace std::tanh).
+    const simd::Tier initial = simd::tier();
+    for (simd::Tier t : test::supportedTiers()) {
+        simd::setTier(t);
+        Rng rng(3);
+        Gelu layer;
+        Tensor x = Tensor::randn({4, 6}, rng, 0.0f, 2.0f);
+        Tensor w = Tensor::randn({4, 6}, rng);
+        EXPECT_LT(test::inputGradError(layer, x, w, rng), kGradTol)
+            << simd::tierName(t);
+    }
+    simd::setTier(initial);
 }
 
 TEST(GradCheck, Relu)

@@ -6,12 +6,16 @@
  * CPU supports, 5 iterations are bitwise reproducible (mirroring
  * the CommTrace/obs neutrality gates), bitwise invariant to the
  * thread count, and within documented tolerance of the Scalar
- * tier. Run at OPTIMUS_THREADS in {1, 4, 8} plus an
+ * tier. The element-wise kernels carry their own contracts: GELU
+ * bitwise equal across the vector tiers and within a stated bound
+ * of the Scalar form, Adam bitwise equal to the historical loop at
+ * every tier. Run at OPTIMUS_THREADS in {1, 4, 8} plus an
  * OPTIMUS_SIMD=scalar leg via tests/CMakeLists.txt.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -19,10 +23,12 @@
 
 #include "data/corpus.hh"
 #include "data/dataset.hh"
+#include "nn/activation.hh"
 #include "parallel/trainer3d.hh"
 #include "runtime/runtime.hh"
 #include "tensor/simd.hh"
 #include "util/random.hh"
+#include "test_util.hh"
 
 namespace optimus
 {
@@ -37,16 +43,7 @@ const bool kForceThreads = [] {
     return true;
 }();
 
-std::vector<simd::Tier>
-supportedTiers()
-{
-    std::vector<simd::Tier> tiers;
-    for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
-                         simd::Tier::Avx512})
-        if (simd::supported(t))
-            tiers.push_back(t);
-    return tiers;
-}
+using test::supportedTiers;
 
 GptConfig
 tinyModel()
@@ -251,6 +248,180 @@ TEST(SimdDispatch, StridedKernelsBitwiseMatchGatheredContiguous)
                         << simd::tierName(t) << " n=" << n;
                 }
             }
+        }
+    }
+}
+
+TEST(SimdDispatch, GeluVectorTiersBitwiseEqual)
+{
+    // Both vector tiers run one lane op sequence (no FMA, masked
+    // tails), so both must produce the same bits at every length —
+    // and never write past n.
+    if (!simd::supported(simd::Tier::Avx512))
+        GTEST_SKIP() << "needs both AVX2 and AVX-512";
+    constexpr float kGuard = -7.25f;
+    Rng rng(91);
+    for (int64_t n : {0, 1, 15, 16, 17, 4095, 4097, 131072}) {
+        std::vector<float> x(static_cast<size_t>(n));
+        std::vector<float> dy(x.size());
+        for (size_t i = 0; i < x.size(); ++i) {
+            x[i] = static_cast<float>(3.0 * rng.normal());
+            dy[i] = static_cast<float>(rng.normal());
+        }
+        std::vector<float> y[2], dx[2];
+        const simd::Tier tiers[2] = {simd::Tier::Avx2,
+                                     simd::Tier::Avx512};
+        for (int k = 0; k < 2; ++k) {
+            y[k].assign(x.size() + 16, kGuard);
+            dx[k].assign(x.size() + 16, kGuard);
+            simd::geluForward(tiers[k], y[k].data(), x.data(), n);
+            simd::geluBackward(tiers[k], dx[k].data(), dy.data(),
+                               x.data(), n);
+            for (size_t i = x.size(); i < y[k].size(); ++i) {
+                ASSERT_EQ(y[k][i], kGuard) << "n=" << n;
+                ASSERT_EQ(dx[k][i], kGuard) << "n=" << n;
+            }
+        }
+        EXPECT_EQ(0, std::memcmp(y[0].data(), y[1].data(),
+                                 sizeof(float) * x.size()))
+            << "forward n=" << n;
+        EXPECT_EQ(0, std::memcmp(dx[0].data(), dx[1].data(),
+                                 sizeof(float) * x.size()))
+            << "backward n=" << n;
+    }
+}
+
+TEST(SimdDispatch, GeluVectorTiersWithinBoundOfScalarForm)
+{
+    // The vector tanh differs from std::tanh by about an ulp; these
+    // absolute bounds over a dense sweep of [-12, 12] (step 2^-14)
+    // plus large magnitudes are the stated per-element contract.
+    constexpr double kForwardBound = 3e-7;
+    constexpr double kBackwardBound = 1e-6;
+    std::vector<float> x;
+    for (int64_t i = -12 * 16384; i <= 12 * 16384; ++i)
+        x.push_back(static_cast<float>(i) / 16384.0f);
+    for (float v : {20.0f, 100.0f, 1e4f, 1e13f, 1e20f, 3e38f, 1e-30f,
+                    1e-40f})
+        for (float s : {1.0f, -1.0f})
+            x.push_back(s * v);
+    const int64_t n = static_cast<int64_t>(x.size());
+    const std::vector<float> ones(x.size(), 1.0f);
+    std::vector<float> y(x.size()), d(x.size());
+    for (simd::Tier t : supportedTiers()) {
+        if (t == simd::Tier::Scalar)
+            continue;
+        simd::geluForward(t, y.data(), x.data(), n);
+        simd::geluBackward(t, d.data(), ones.data(), x.data(), n);
+        double worst_y = 0.0, worst_d = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+            worst_y = std::max(
+                worst_y, std::fabs(static_cast<double>(y[i]) -
+                                   Gelu::value(x[i])));
+            worst_d = std::max(
+                worst_d, std::fabs(static_cast<double>(d[i]) -
+                                   Gelu::derivative(x[i])));
+        }
+        EXPECT_LE(worst_y, kForwardBound) << simd::tierName(t);
+        EXPECT_LE(worst_d, kBackwardBound) << simd::tierName(t);
+    }
+}
+
+TEST(SimdDispatch, GeluNonFiniteMatchesScalarClass)
+{
+    // NaN must stay NaN (a NaN turned finite here would hide from
+    // the downstream NaN/Inf health alerts) and +-Inf must land in
+    // the Scalar form's class: forward(+Inf) = +Inf,
+    // forward(-Inf) = NaN, derivative(+-Inf) = NaN. Each special
+    // sits in a full vector block and in a masked tail.
+    const float kSpecials[] = {std::nanf(""), -std::nanf(""),
+                               INFINITY, -INFINITY, 1e30f, -1e30f};
+    auto classOf = [](float v) {
+        return std::isnan(v) ? 0 : std::isinf(v) ? (v > 0 ? 1 : -1) : 2;
+    };
+    for (float special : kSpecials) {
+        // n = 43 leaves a masked tail (lanes 40..42).
+        for (int64_t at : {3, 41}) {
+            std::vector<float> x(43, 0.5f);
+            x[static_cast<size_t>(at)] = special;
+            const std::vector<float> ones(x.size(), 1.0f);
+            std::vector<float> y(x.size()), d(x.size());
+            for (simd::Tier t : supportedTiers()) {
+                simd::geluForward(t, y.data(), x.data(), 43);
+                simd::geluBackward(t, d.data(), ones.data(), x.data(),
+                                   43);
+                EXPECT_EQ(classOf(y[at]),
+                          classOf(Gelu::value(special)))
+                    << simd::tierName(t) << " x=" << special;
+                EXPECT_EQ(classOf(d[at]),
+                          classOf(Gelu::derivative(special)))
+                    << simd::tierName(t) << " x=" << special;
+                // The special does not leak into its neighbours.
+                EXPECT_TRUE(std::isfinite(y[at - 1]) &&
+                            std::isfinite(d[at - 1]))
+                    << simd::tierName(t);
+            }
+        }
+    }
+}
+
+/** Bitwise equality of two float spans (memcmp needs non-null
+ * pointers, which an empty vector need not have). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     sizeof(float) * a.size()) == 0);
+}
+
+/** The Adam loop as it stood before dispatch, kept test-local. */
+void
+adamReference(std::vector<float> &m, std::vector<float> &v,
+              std::vector<float> &w, const std::vector<float> &g,
+              float beta1, float beta2, float eps, float alpha)
+{
+    for (size_t j = 0; j < w.size(); ++j) {
+        m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+        v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+        w[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps);
+    }
+}
+
+TEST(SimdDispatch, AdamStepBitwiseEqualToScalarLoopEveryTier)
+{
+    // Every Adam operation is one IEEE-rounded op, so each tier's
+    // m, v and w must match the historical loop bit for bit after
+    // several steps, one of them with an all-zero gradient.
+    const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+    for (int64_t n : {0, 1, 15, 17, 4099}) {
+        Rng rng(static_cast<uint64_t>(n) + 3);
+        std::vector<float> w0(static_cast<size_t>(n));
+        for (float &x : w0)
+            x = static_cast<float>(rng.normal());
+        std::vector<std::vector<float>> grads(5, w0);
+        for (auto &g : grads)
+            for (float &x : g)
+                x = static_cast<float>(1e-2 * rng.normal());
+        std::fill(grads[2].begin(), grads[2].end(), 0.0f);
+
+        for (simd::Tier t : supportedTiers()) {
+            std::vector<float> m(w0.size()), v(w0.size()), w = w0;
+            std::vector<float> rm(w0.size()), rv(w0.size()), rw = w0;
+            for (size_t step = 0; step < grads.size(); ++step) {
+                const float alpha = 1e-3f * static_cast<float>(step + 1);
+                simd::adamStep(t, m.data(), v.data(), w.data(),
+                               grads[step].data(), n, beta1, beta2,
+                               eps, alpha);
+                adamReference(rm, rv, rw, grads[step], beta1, beta2,
+                              eps, alpha);
+            }
+            EXPECT_TRUE(sameBits(m, rm))
+                << simd::tierName(t) << " n=" << n;
+            EXPECT_TRUE(sameBits(v, rv))
+                << simd::tierName(t) << " n=" << n;
+            EXPECT_TRUE(sameBits(w, rw))
+                << simd::tierName(t) << " n=" << n;
         }
     }
 }

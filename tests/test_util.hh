@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the test suite: finite-difference gradient
- * checking against the hand-written backward passes.
+ * checking against the hand-written backward passes, and the list
+ * of SIMD tiers the per-tier tests iterate.
  */
 
 #ifndef OPTIMUS_TESTS_TEST_UTIL_HH
@@ -9,13 +10,27 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "nn/layer.hh"
+#include "tensor/simd.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
 
 namespace optimus::test
 {
+
+/** Every SIMD tier this CPU runs, narrowest first. */
+inline std::vector<simd::Tier>
+supportedTiers()
+{
+    std::vector<simd::Tier> tiers;
+    for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
+                         simd::Tier::Avx512})
+        if (simd::supported(t))
+            tiers.push_back(t);
+    return tiers;
+}
 
 /**
  * Check d(sum(w .* layer(x)))/dx via central differences on a
