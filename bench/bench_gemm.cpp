@@ -8,7 +8,14 @@
  * pool, at square sizes 64..1024. Writes BENCH_gemm.json so the
  * numbers are diffable across PRs; the top-level fields keep their
  * historical meaning (the auto-dispatched kernel) and a per-tier
- * breakdown rides alongside.
+ * breakdown rides alongside. The file records the host, pool
+ * threads, dispatch tier and git revision it was measured at.
+ *
+ * A second table times the NN, NT and TN forms at the perfbench
+ * training workloads' MLP shapes, per tier. A Linear layer's forward
+ * is NN, its dX = dY * W^T is NT and its dW = X^T * dY is TN; only
+ * the packing differs between them, so at one shape the three
+ * should cost about the same.
  *
  * Usage: bench_gemm [--max-size 1024] [--reps 3]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
@@ -16,8 +23,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "runtime/runtime.hh"
 #include "tensor/matmul.hh"
@@ -94,6 +104,97 @@ struct Row
     }
 };
 
+/** One training-layer GEMM shape: C[m x n] = op(A) * op(B), depth k. */
+struct LayerShape
+{
+    const char *layer;
+    int64_t m, k, n;
+};
+
+/**
+ * tokens x hidden x 4*hidden of perfbench's train_cc (16 tokens per
+ * micro-batch, hidden 64) and train_dense (256 tokens, hidden 128):
+ * the shape of fc1's forward (NN) and of fc2's dX = dY * W^T (NT).
+ */
+const LayerShape kLayerShapes[] = {
+    {"train_cc mlp", 16, 64, 256},
+    {"train_dense mlp", 256, 128, 512},
+};
+
+enum class Form { NN, NT, TN };
+
+const char *
+formName(Form f)
+{
+    return f == Form::NN ? "NN" : f == Form::NT ? "NT" : "TN";
+}
+
+/**
+ * Best-of-@p reps microseconds per call of one matmulAcc form. Each
+ * rep times a batch of calls long enough (about 2 ms) that the clock
+ * resolution does not matter at the small shapes.
+ */
+double
+measureLayer(Form form, const LayerShape &s, bool serial, int reps,
+             Rng &rng)
+{
+    const Tensor a = form == Form::TN ? Tensor::randn({s.k, s.m}, rng)
+                                      : Tensor::randn({s.m, s.k}, rng);
+    const Tensor b = form == Form::NT ? Tensor::randn({s.n, s.k}, rng)
+                                      : Tensor::randn({s.k, s.n}, rng);
+    Tensor c({s.m, s.n});
+    auto call = [&] {
+        if (form == Form::NN)
+            matmulAcc(c, a, b);
+        else if (form == Form::NT)
+            matmulAccNT(c, a, b);
+        else
+            matmulAccTN(c, a, b);
+    };
+    auto timeBatch = [&](int64_t calls) {
+        const double t0 = seconds();
+        for (int64_t i = 0; i < calls; ++i)
+            call();
+        return seconds() - t0;
+    };
+    std::optional<SerialRegion> region;
+    if (serial)
+        region.emplace();
+    call();
+    int64_t calls = 1;
+    while (timeBatch(calls) < 2e-3)
+        calls *= 2;
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+        const double dt = timeBatch(calls) / calls;
+        if (dt < best)
+            best = dt;
+    }
+    return best * 1e6;
+}
+
+/** `git describe` of the working tree, or "unknown" outside git. */
+std::string
+gitRevision()
+{
+    std::string rev = "unknown";
+    FILE *p = popen("git describe --always --dirty --abbrev=12 "
+                    "2>/dev/null",
+                    "r");
+    if (p == nullptr)
+        return rev;
+    char buf[128];
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+        rev = buf;
+        while (!rev.empty() && (rev.back() == '\n' || rev.back() == ' '))
+            rev.pop_back();
+        if (rev.empty())
+            rev = "unknown";
+    }
+    pclose(p);
+    return rev;
+}
+
 } // namespace
 
 int
@@ -142,12 +243,48 @@ main(int argc, char **argv)
         rows.push_back(row);
     }
 
+    // Layer shapes: microseconds per call, 1 thread and pool.
+    struct LayerRow
+    {
+        const LayerShape *shape;
+        Form form;
+        std::vector<TierNumbers> tiers;
+    };
+    std::vector<LayerRow> layer_rows;
+    std::printf("\nlayer shapes (us per call, m x k x n):\n");
+    for (const LayerShape &s : kLayerShapes) {
+        for (Form form : {Form::NN, Form::NT, Form::TN}) {
+            LayerRow lr{&s, form, {}};
+            for (simd::Tier t : tiers) {
+                simd::setTier(t);
+                TierNumbers tn;
+                tn.tier = t;
+                tn.serial = measureLayer(form, s, true, reps, rng);
+                tn.threaded = measureLayer(form, s, false, reps, rng);
+                lr.tiers.push_back(tn);
+                std::printf("  %-16s %lldx%lldx%lld %s %-6s 1t %8.2f  "
+                            "%dt %8.2f\n",
+                            s.layer, static_cast<long long>(s.m),
+                            static_cast<long long>(s.k),
+                            static_cast<long long>(s.n), formName(form),
+                            simd::tierName(t), tn.serial,
+                            runtimeThreads(), tn.threaded);
+            }
+            simd::setTier(auto_tier);
+            layer_rows.push_back(lr);
+        }
+    }
+
+    char host[256] = "unknown";
+    gethostname(host, sizeof(host) - 1);
     FILE *f = std::fopen("BENCH_gemm.json", "w");
     if (!f) {
         std::fprintf(stderr, "cannot write BENCH_gemm.json\n");
         return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"gemm\",\n");
+    std::fprintf(f, "  \"host\": \"%s\",\n", host);
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n", gitRevision().c_str());
     std::fprintf(f, "  \"threads\": %d,\n", runtimeThreads());
     std::fprintf(f, "  \"tier\": \"%s\",\n",
                  simd::tierName(auto_tier));
@@ -175,6 +312,30 @@ main(int argc, char **argv)
                          j + 1 < r.tiers.size() ? ", " : "");
         }
         std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"layer_unit\": \"us per call\",\n"
+                    "  \"layer_shapes\": [\n");
+    for (size_t i = 0; i < layer_rows.size(); ++i) {
+        const LayerRow &lr = layer_rows[i];
+        std::fprintf(f,
+                     "    {\"layer\": \"%s\", \"m\": %lld, "
+                     "\"k\": %lld, \"n\": %lld, \"form\": \"%s\",\n"
+                     "     \"tiers\": {",
+                     lr.shape->layer, static_cast<long long>(lr.shape->m),
+                     static_cast<long long>(lr.shape->k),
+                     static_cast<long long>(lr.shape->n),
+                     formName(lr.form));
+        for (size_t j = 0; j < lr.tiers.size(); ++j) {
+            const TierNumbers &tn = lr.tiers[j];
+            std::fprintf(f,
+                         "\"%s\": {\"us_1thread\": %.2f, "
+                         "\"us_pool\": %.2f}%s",
+                         simd::tierName(tn.tier), tn.serial,
+                         tn.threaded,
+                         j + 1 < lr.tiers.size() ? ", " : "");
+        }
+        std::fprintf(f, "}}%s\n",
+                     i + 1 < layer_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

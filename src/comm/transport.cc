@@ -65,12 +65,16 @@ eventSelected(const CommEvent &e, CommPhase phase, int64_t iteration)
  * scaled float result is written back to every rank — the exact
  * arithmetic of the legacy parallel/ combine() and bucket kernels,
  * so results are bitwise identical to them at any OPTIMUS_THREADS.
+ * Over one rank the reduce is the identity, so the buffer is left as
+ * it is (the double round trip would only turn a -0 into +0).
  */
 void
 combineGroup(const CommGroup &group, ReduceOp op)
 {
     OPTIMUS_ASSERT(group.ranks >= 1 && !group.segLens.empty());
     OPTIMUS_ASSERT(group.segOffsets.size() == group.segLens.size());
+    if (group.ranks == 1)
+        return;
     const int ranks = group.ranks;
     const double scale =
         op == ReduceOp::Mean ? 1.0 / static_cast<double>(ranks) : 1.0;

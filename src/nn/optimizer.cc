@@ -21,6 +21,8 @@ Optimizer::zeroGrad()
 void
 Optimizer::scaleGrad(float factor)
 {
+    if (factor == 1.0f)
+        return;
     for (const auto &p : params_)
         p->grad.scale(factor);
 }

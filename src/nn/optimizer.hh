@@ -27,7 +27,8 @@ class Optimizer
     /** Zero all gradient accumulators. */
     void zeroGrad();
 
-    /** Scale all gradients by a constant (micro-batch averaging). */
+    /** Scale all gradients by a constant (micro-batch averaging);
+     * a factor of 1 (one micro-batch) leaves them as they are. */
     void scaleGrad(float factor);
 
     /** Managed (deduplicated) parameters. */

@@ -130,6 +130,43 @@ processRowGroup(const GemmBlockCtx &ctx, int64_t i, float *apack)
     }
 }
 
+/** Edge of the square tiles the transposed-B pack moves. */
+constexpr int64_t TT = 16;
+
+/**
+ * Pack a kc x nc block of B from its transposed [n x k] storage:
+ * bp[p*ldp + j] = src[j*lds + p]. Gathering one packed column at a
+ * time would put every store on a new cache line; moving TT x TT
+ * tiles instead reads TT contiguous floats from each source row into
+ * an L1 tile and writes TT contiguous floats to each packed row. It
+ * only moves data: the packed bytes do not depend on the tile order.
+ */
+inline void
+packTransposedB(float *bp, int64_t ldp, const float *src, int64_t lds,
+                int64_t kc, int64_t nc)
+{
+    for (int64_t j0 = 0; j0 < nc; j0 += TT) {
+        const int64_t jn = std::min(TT, nc - j0);
+        for (int64_t p0 = 0; p0 < kc; p0 += TT) {
+            const int64_t pn = std::min(TT, kc - p0);
+            const float *s = src + j0 * lds + p0;
+            float *d = bp + p0 * ldp + j0;
+            if (jn == TT && pn == TT) {
+                float tile[TT][TT];
+                for (int64_t j = 0; j < TT; ++j)
+                    std::memcpy(tile[j], s + j * lds, sizeof(tile[j]));
+                for (int64_t p = 0; p < TT; ++p)
+                    for (int64_t j = 0; j < TT; ++j)
+                        d[p * ldp + j] = tile[j][p];
+            } else {
+                for (int64_t j = 0; j < jn; ++j)
+                    for (int64_t p = 0; p < pn; ++p)
+                        d[p * ldp + j] = s[j * lds + p];
+            }
+        }
+    }
+}
+
 /**
  * Blocked GEMM core: C[m x n] (+)= op(A) * op(B) with op in
  * {identity, transpose}, never materializing a transposed copy.
@@ -194,24 +231,24 @@ gemmBlocked(float *c, const float *a, const float *b, int64_t m,
             const int64_t kc = std::min(KC, k - pc);
 
             // Pack B(pc:pc+kc, jc:jc+nc) p-major with rows padded to
-            // the register-tile width; pad columns are zero and feed
-            // accumulators that are never stored.
+            // the register-tile width: one memcpy per row when B is
+            // stored [k x n], the tiled transpose when it is [n x k].
+            // Pad columns are zero and feed accumulators that are
+            // never stored.
             float *bp = bpack;
-            if (nc_pad != nc)
-                std::memset(bp, 0,
-                            sizeof(float) * kc * nc_pad);
             if (!trans_b) {
                 for (int64_t p = 0; p < kc; ++p)
                     std::memcpy(bp + p * nc_pad,
                                 b + (pc + p) * n + jc,
                                 sizeof(float) * nc);
             } else {
-                for (int64_t j = 0; j < nc; ++j) {
-                    const float *src = b + (jc + j) * k + pc;
-                    for (int64_t p = 0; p < kc; ++p)
-                        bp[p * nc_pad + j] = src[p];
-                }
+                packTransposedB(bp, nc_pad, b + jc * k + pc, k, kc,
+                                nc);
             }
+            if (nc_pad != nc)
+                for (int64_t p = 0; p < kc; ++p)
+                    std::memset(bp + p * nc_pad + nc, 0,
+                                sizeof(float) * (nc_pad - nc));
 
             GemmBlockCtx ctx{c,  a,  m,  k,     n,  trans_a,
                              pc, kc, jc, nc,    bp, nc_pad};

@@ -114,6 +114,55 @@ TEST(InProcess, AllReduceSumMatchesManual)
     }
 }
 
+TEST(InProcess, OneRankAllReduceIsIdentityAndStillRecorded)
+{
+    // A D = 1 reduce leaves every byte as it was, the signed zero
+    // and a NaN payload included (a combine through double would
+    // turn -0 into +0), and still returns the full event, so the
+    // ledger and wire_bytes_per_token do not move.
+    InProcessTransport transport;
+    transport.setIteration(7);
+    Tensor t = patternTensor({3, 5}, 4);
+    const uint32_t nan_bits = 0x7fc01234u;
+    std::memcpy(t.data() + 1, &nan_bits, sizeof(nan_bits));
+    t.data()[2] = -0.0f;
+    t.data()[3] = 1e-40f;
+    const Tensor original = t;
+    for (ReduceOp op : {ReduceOp::Mean, ReduceOp::Sum}) {
+        const CommEvent ev =
+            transport.allReduceTensors(CommPhase::DpReduce, {&t}, op);
+        EXPECT_EQ(0, std::memcmp(t.data(), original.data(),
+                                 sizeof(float) * t.size()));
+        EXPECT_EQ(ev.iteration, 7);
+        EXPECT_EQ(ev.phase, CommPhase::DpReduce);
+        EXPECT_EQ(ev.verb, CommVerb::AllReduce);
+        EXPECT_EQ(ev.ranks, 1);
+        EXPECT_EQ(ev.exactBytes, 4 * 15);
+        EXPECT_EQ(ev.wireBytes, 4 * 15);
+    }
+
+    std::vector<CommGroup> groups;
+    groups.push_back(CommGroup::fromTensors({&t}));
+    const CommEvent ev = transport.allReduceGrouped(
+        CommPhase::DpReduce, groups, ReduceOp::Mean);
+    EXPECT_EQ(0, std::memcmp(t.data(), original.data(),
+                             sizeof(float) * t.size()));
+    EXPECT_EQ(ev.ranks, 1);
+    EXPECT_EQ(ev.groups, 1);
+    EXPECT_EQ(ev.exactBytes, 4 * 15);
+    EXPECT_EQ(ev.wireBytes, 4 * 15);
+
+    // Through the ledger: the event is counted with its bytes.
+    TracingTransport tracing(transport);
+    tracing.allReduceTensors(CommPhase::DpReduce, {&t}, ReduceOp::Mean);
+    EXPECT_EQ(0, std::memcmp(t.data(), original.data(),
+                             sizeof(float) * t.size()));
+    const CommVolume v = tracing.volume(CommPhase::DpReduce);
+    EXPECT_EQ(v.events, 1);
+    EXPECT_EQ(v.exactBytes, 4 * 15);
+    EXPECT_EQ(v.wireBytes, 4 * 15);
+}
+
 TEST(InProcess, GroupedCollectiveReducesEachGroup)
 {
     InProcessTransport transport;

@@ -8,6 +8,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -338,6 +340,67 @@ TEST(MatmulTiers, RowsAreBatchInvariantEveryTier)
                                                  sizeof(float) * n))
                             << simd::tierName(t) << " matmulNT m=" << m
                             << " k=" << k << " n=" << n << " row " << i;
+                    }
+                }
+            }
+        }
+    }
+    simd::setTier(initial);
+}
+
+/** True when @p x and @p y hold the same bytes. */
+bool
+sameBits(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) ==
+               0;
+}
+
+TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
+{
+    // Packing a transposed operand only moves data, so NT and TN
+    // must equal the NN product of an explicitly transposed copy bit
+    // for bit, at every tier and thread count. The sizes cut ragged
+    // pack tiles and register tiles, k = 257/300 crosses the KC =
+    // 256 block and n = 600 crosses the widest column block (512).
+    ASSERT_TRUE(kForceThreads);
+    const simd::Tier initial = simd::tier();
+    Rng rng(35);
+    for (simd::Tier t : supportedTiers()) {
+        simd::setTier(t);
+        for (bool serial : {true, false}) {
+            for (int64_t n : {1, 7, 8, 9, 17, 33, 600}) {
+                for (int64_t k : {1, 15, 17, 257, 300}) {
+                    for (int64_t m : {1, 13, 16, 57}) {
+                        const Tensor a = Tensor::randn({m, k}, rng);
+                        const Tensor bt = Tensor::randn({n, k}, rng);
+                        const Tensor at = Tensor::randn({k, m}, rng);
+                        const Tensor b = Tensor::randn({k, n}, rng);
+                        const Tensor init = Tensor::randn({m, n}, rng);
+                        std::optional<SerialRegion> region;
+                        if (serial)
+                            region.emplace();
+                        const Tensor nt = matmulNT(a, bt);
+                        const Tensor nt_ref = matmul(a, bt.transposed());
+                        Tensor acc_nt = init;
+                        matmulAccNT(acc_nt, a, bt);
+                        Tensor acc_ref = init;
+                        matmulAcc(acc_ref, a, bt.transposed());
+                        const Tensor tn = matmulTN(at, b);
+                        const Tensor tn_ref = matmul(at.transposed(), b);
+                        const std::string where =
+                            std::string(simd::tierName(t)) +
+                            (serial ? " 1 thread" : " pool") +
+                            " m=" + std::to_string(m) +
+                            " k=" + std::to_string(k) +
+                            " n=" + std::to_string(n);
+                        ASSERT_TRUE(sameBits(nt, nt_ref))
+                            << "matmulNT " << where;
+                        ASSERT_TRUE(sameBits(acc_nt, acc_ref))
+                            << "matmulAccNT " << where;
+                        ASSERT_TRUE(sameBits(tn, tn_ref))
+                            << "matmulTN " << where;
                     }
                 }
             }
