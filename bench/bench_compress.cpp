@@ -2,22 +2,24 @@
  * @file
  * Compression-kernel microbenchmark: throughput of the hot paths
  * the SIMD dispatch layer vectorizes — PowerSGD Gram-Schmidt
- * (orthonormalizeColumns), full PowerSGD compress, top-k selection,
- * ternary and one-bit quantization — at every supported dispatch
- * tier, forced via simd::setTier exactly like OPTIMUS_SIMD would.
- * Writes BENCH_compress.json (Melem/s, best of --reps) so the
- * per-tier speedups are diffable across PRs.
+ * (orthonormalizeRows on an [8 x n] factor), full PowerSGD compress,
+ * top-k selection, ternary and one-bit quantization — at every
+ * supported dispatch tier, forced via simd::setTier exactly like
+ * OPTIMUS_SIMD would. Writes BENCH_compress.json (Melem/s, best of
+ * --reps) so the per-tier speedups are diffable across PRs; the file
+ * records the host, pool threads, dispatch tier and git revision it
+ * was measured at.
  *
  * Usage: bench_compress [--elems 1048576] [--reps 5]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "compress/powersgd.hh"
 #include "compress/quantize.hh"
 #include "compress/topk.hh"
@@ -32,29 +34,11 @@ using namespace optimus;
 namespace
 {
 
-double
-seconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /** Best-of-reps Melem/s for one kernel over n elements. */
 double
 measure(int64_t n, int reps, const std::function<void()> &fn)
 {
-    fn(); // warm-up
-    double best_rate = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const double t0 = seconds();
-        fn();
-        const double dt = seconds() - t0;
-        const double rate = static_cast<double>(n) / dt * 1e-6;
-        if (rate > best_rate)
-            best_rate = rate;
-    }
-    return best_rate;
+    return static_cast<double>(n) / bench::bestSeconds(reps, fn) * 1e-6;
 }
 
 struct KernelRow
@@ -74,11 +58,7 @@ main(int argc, char **argv)
     const int reps = static_cast<int>(args.getInt("reps", 5));
 
     const simd::Tier auto_tier = simd::tier();
-    std::vector<simd::Tier> tiers;
-    for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
-                         simd::Tier::Avx512})
-        if (simd::supported(t))
-            tiers.push_back(t);
+    const std::vector<simd::Tier> tiers = bench::supportedTiers();
 
     std::printf("=== compression kernel microbenchmark ===\n");
     std::printf("pool threads: %d, dispatch tier: %s, n: %lld\n\n",
@@ -90,7 +70,9 @@ main(int argc, char **argv)
     // Square-ish matrix for the PowerSGD paths.
     const int64_t side = 1024;
     Tensor mat = Tensor::randn({side, side}, rng);
-    Tensor tall = Tensor::randn({n / 8, 8}, rng);
+    // Eight vectors of n / 8 floats, one per row: the layout of a
+    // rank-8 PowerSGD factor.
+    Tensor wide = Tensor::randn({8, n / 8}, rng);
 
     std::vector<KernelRow> rows;
     auto addRow = [&](const char *kernel, int64_t elems,
@@ -123,9 +105,9 @@ main(int argc, char **argv)
     OneBitCompressor onebit;
     addRow("onebit", n, [&] { onebit.compress(flat, out); });
 
-    addRow("orthonormalize[8]", tall.size(), [&] {
-        Tensor work = tall;
-        orthonormalizeColumns(work);
+    addRow("orthonormalize[8]", wide.size(), [&] {
+        Tensor work = wide;
+        orthonormalizeRows(work);
     });
 
     PowerSgdCompressor powersgd(4, 99);
@@ -140,6 +122,9 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"compress\",\n");
+    std::fprintf(f, "  \"host\": \"%s\",\n", bench::hostName().c_str());
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n",
+                 bench::gitRevision().c_str());
     std::fprintf(f, "  \"threads\": %d,\n", runtimeThreads());
     std::fprintf(f, "  \"tier\": \"%s\",\n",
                  simd::tierName(auto_tier));

@@ -27,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
+#include "bench_util.hh"
 #include "runtime/runtime.hh"
 #include "tensor/matmul.hh"
 #include "tensor/simd.hh"
@@ -173,28 +172,6 @@ measureLayer(Form form, const LayerShape &s, bool serial, int reps,
     return best * 1e6;
 }
 
-/** `git describe` of the working tree, or "unknown" outside git. */
-std::string
-gitRevision()
-{
-    std::string rev = "unknown";
-    FILE *p = popen("git describe --always --dirty --abbrev=12 "
-                    "2>/dev/null",
-                    "r");
-    if (p == nullptr)
-        return rev;
-    char buf[128];
-    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-        rev = buf;
-        while (!rev.empty() && (rev.back() == '\n' || rev.back() == ' '))
-            rev.pop_back();
-        if (rev.empty())
-            rev = "unknown";
-    }
-    pclose(p);
-    return rev;
-}
-
 } // namespace
 
 int
@@ -275,16 +252,15 @@ main(int argc, char **argv)
         }
     }
 
-    char host[256] = "unknown";
-    gethostname(host, sizeof(host) - 1);
     FILE *f = std::fopen("BENCH_gemm.json", "w");
     if (!f) {
         std::fprintf(stderr, "cannot write BENCH_gemm.json\n");
         return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"gemm\",\n");
-    std::fprintf(f, "  \"host\": \"%s\",\n", host);
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", gitRevision().c_str());
+    std::fprintf(f, "  \"host\": \"%s\",\n", bench::hostName().c_str());
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n",
+                 bench::gitRevision().c_str());
     std::fprintf(f, "  \"threads\": %d,\n", runtimeThreads());
     std::fprintf(f, "  \"tier\": \"%s\",\n",
                  simd::tierName(auto_tier));

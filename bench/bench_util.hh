@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/optimus.hh"
 #include "tensor/simd.hh"
 #include "util/cli.hh"
@@ -111,6 +113,38 @@ supportedTiers()
         if (simd::supported(t))
             tiers.push_back(t);
     return tiers;
+}
+
+/** This machine's host name, or "unknown". */
+inline std::string
+hostName()
+{
+    char host[256] = "unknown";
+    gethostname(host, sizeof(host) - 1);
+    host[sizeof(host) - 1] = '\0';
+    return host;
+}
+
+/** `git describe` of the working tree, or "unknown" outside git. */
+inline std::string
+gitRevision()
+{
+    std::string rev = "unknown";
+    FILE *p = popen("git describe --always --dirty --abbrev=12 "
+                    "2>/dev/null",
+                    "r");
+    if (p == nullptr)
+        return rev;
+    char buf[128];
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+        rev = buf;
+        while (!rev.empty() && (rev.back() == '\n' || rev.back() == ' '))
+            rev.pop_back();
+        if (rev.empty())
+            rev = "unknown";
+    }
+    pclose(p);
+    return rev;
 }
 
 } // namespace optimus::bench

@@ -1,8 +1,6 @@
 #include "comm/transport.hh"
 
 #include <algorithm>
-#include <array>
-#include <string>
 #include <tuple>
 
 #include "obs/metrics.hh"
@@ -427,44 +425,6 @@ RecordingTransport::broadcast(CommPhase phase, CommGroup &group)
     return record(inner_.broadcast(phase, group));
 }
 
-namespace
-{
-
-/** Per-phase metrics handles, resolved once per phase: registry
- * references are stable, so caching them keeps the per-event fold
- * at three relaxed adds plus one histogram observe. */
-struct PhaseMetrics
-{
-    obs::Counter *events;
-    obs::Counter *exactBytes;
-    obs::Counter *wireBytes;
-};
-
-// optlint:coldfn — the handle table is a function-local static
-// built exactly once; steady-state calls are an array index.
-PhaseMetrics &
-phaseMetrics(CommPhase phase)
-{
-    static std::array<PhaseMetrics, 4> all = [] {
-        std::array<PhaseMetrics, 4> built{};
-        auto &registry = obs::MetricsRegistry::instance();
-        for (int p = 0; p < 4; ++p) {
-            const std::string prefix =
-                std::string("comm.") +
-                commPhaseName(static_cast<CommPhase>(p));
-            built[p].events = &registry.counter(prefix + ".events");
-            built[p].exactBytes =
-                &registry.counter(prefix + ".exactBytes");
-            built[p].wireBytes =
-                &registry.counter(prefix + ".wireBytes");
-        }
-        return built;
-    }();
-    return all[static_cast<int>(phase)];
-}
-
-} // namespace
-
 CommEvent
 TracingTransport::note(const CommEvent &event, int64_t begin_ns)
 {
@@ -477,10 +437,6 @@ TracingTransport::note(const CommEvent &event, int64_t begin_ns)
     entry.wireBytes.fetch_add(event.wireBytes,
                               std::memory_order_relaxed);
     if (obs::metricsEnabled()) {
-        PhaseMetrics &metrics = phaseMetrics(event.phase);
-        metrics.events->add(1);
-        metrics.exactBytes->add(event.exactBytes);
-        metrics.wireBytes->add(event.wireBytes);
         static obs::MetricHistogram &wire_hist =
             obs::MetricsRegistry::instance().histogram(
                 "comm.event.wireBytes");

@@ -364,10 +364,10 @@ class RecordingTransport : public Transport
  * phase name, name = the verb name, args = exact/wire bytes) plus a
  * sample of the ledger's total wire bytes on the "comm.wireBytes"
  * counter track, cumulative since the transport was built; when
- * metrics are enabled, events also fold into per-phase event/byte
- * counters (a second, process-global tally) and a wire-size
- * histogram in the global MetricsRegistry. Pure observation: events
- * and data movement pass through bitwise unchanged.
+ * metrics are enabled, each event's wire size also goes into a
+ * histogram in the global MetricsRegistry (the ledger is the only
+ * per-phase tally). Pure observation: events and data movement pass
+ * through bitwise unchanged.
  */
 class TracingTransport : public Transport
 {

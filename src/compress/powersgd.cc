@@ -28,62 +28,52 @@ constexpr int64_t kOrthoGrain = 2048;
 
 // optlint:hot
 void
-orthonormalizeColumns(Tensor &m)
+orthonormalizeRows(Tensor &m)
 {
     OPTIMUS_ASSERT(m.rank() == 2);
     const int64_t rows = m.rows();
-    const int64_t cols = m.cols();
+    const int64_t len = m.cols();
     float *data = m.data();
     const simd::Tier tier = simd::tier();
 
-    // Gather-free: the matrix is row-major, so column j is the span
-    // data[j], data[j + cols], ... — walked in place through the
-    // strided simd:: kernels. Per tier, each strided kernel is
-    // bit-identical to gathering the column contiguous and running
-    // the contiguous kernel (the strided dot replicates the tier's
-    // exact lane order), so dropping the gather/scatter copies — and
-    // the rows*cols staging buffer — moves no bits at any tier and
-    // keeps the Scalar tier pinned to the pre-dispatch history.
-    auto colDot = [&](const float *x, const float *y) {
+    // Each vector is a contiguous row, so the Gram-Schmidt runs the
+    // contiguous simd:: kernels in place over fixed-grain chunks.
+    auto rowDot = [&](const float *x, const float *y) {
         return parallelReduceSum(
-            0, rows, kOrthoGrain, [&](int64_t lo, int64_t hi) {
-                return simd::dotDoubleStrided(
-                    tier, x + lo * cols, cols, y + lo * cols, cols,
-                    hi - lo);
+            0, len, kOrthoGrain, [&](int64_t lo, int64_t hi) {
+                return simd::dotDouble(tier, x + lo, y + lo, hi - lo);
             });
     };
 
-    for (int64_t j = 0; j < cols; ++j) {
-        float *cj = data + j;
-        const double norm_before_sq = colDot(cj, cj);
-        // Subtract projections onto previous columns (modified
-        // Gram-Schmidt: re-read the updated column each time).
+    for (int64_t j = 0; j < rows; ++j) {
+        float *vj = data + j * len;
+        const double norm_before_sq = rowDot(vj, vj);
+        // Subtract projections onto previous rows (modified
+        // Gram-Schmidt: re-read the updated row each time).
         for (int64_t p = 0; p < j; ++p) {
-            const float *cp = data + p;
-            const double proj = colDot(cj, cp);
-            parallelFor(0, rows, kOrthoGrain,
+            const float *vp = data + p * len;
+            const double proj = rowDot(vj, vp);
+            parallelFor(0, len, kOrthoGrain,
                         [&](int64_t lo, int64_t hi) {
-                            simd::subScaledStrided(
-                                tier, cj + lo * cols, cols,
-                                cp + lo * cols, cols,
-                                static_cast<float>(proj), hi - lo);
+                            simd::subScaled(tier, vj + lo, vp + lo,
+                                            static_cast<float>(proj),
+                                            hi - lo);
                         });
         }
-        const double norm_sq = colDot(cj, cj);
+        const double norm_sq = rowDot(vj, vj);
         const double norm = std::sqrt(norm_sq);
-        // A column that lost (almost) all of its norm to the
-        // projections is linearly dependent on earlier columns;
+        // A row that lost (almost) all of its norm to the
+        // projections is linearly dependent on earlier rows;
         // renormalizing it would amplify float noise into a random
         // direction, so zero it instead.
         if (norm < 1e-8 || norm_sq < 1e-10 * norm_before_sq) {
-            for (int64_t i = 0; i < rows; ++i)
-                cj[i * cols] = 0.0f;
+            std::fill(vj, vj + len, 0.0f);
         } else {
             const float inv = static_cast<float>(1.0 / norm);
-            parallelFor(0, rows, kOrthoGrain,
+            parallelFor(0, len, kOrthoGrain,
                         [&](int64_t lo, int64_t hi) {
-                            simd::scaleStrided(tier, cj + lo * cols,
-                                               cols, inv, hi - lo);
+                            simd::scaleInPlace(tier, vj + lo, inv,
+                                               hi - lo);
                         });
         }
     }
@@ -100,14 +90,18 @@ effectiveRank(int rank, int64_t rows, int64_t cols)
     return static_cast<int>(std::min<int64_t>(rank, limit));
 }
 
-/** Ensure q is [cols x r]; (re)initialize randomly when stale. */
+/**
+ * Ensure qt is Q^T [r x cols]; (re)initialize randomly when stale.
+ * Q is drawn [cols x r] and transposed once, so the RNG stream, and
+ * with it every warm start, is the one the column layout drew.
+ */
 void
-ensureWarmQ(Tensor &q, int64_t cols, int r, Rng &rng)
+ensureWarmQ(Tensor &qt, int64_t cols, int r, Rng &rng)
 {
-    if (q.rank() == 2 && q.rows() == cols && q.cols() == r)
+    if (qt.rank() == 2 && qt.rows() == r && qt.cols() == cols)
         return;
-    q = Tensor::randn({cols, r}, rng);
-    orthonormalizeColumns(q);
+    qt = Tensor::randn({cols, r}, rng).transposed();
+    orthonormalizeRows(qt);
 }
 
 /** Ensure scratch is a zeroed [rows x cols] tensor, reusing storage. */
@@ -160,22 +154,28 @@ DistributedPowerSgd::iterate(const std::vector<const Tensor *> &inputs,
 
     ensureWarmQ(q_, cols, r, rng_);
 
-    // Phase 1: local P_d = M_d * Q, then all-reduce(sum).
-    ensureZeroed(pScratch_, rows, r);
-    for (const Tensor *t : inputs)
-        matmulAcc(pScratch_, *t, q_);
-    orthonormalizeColumns(pScratch_);
+    // The factors are stored transposed (P^T [r x rows], Q^T
+    // [r x cols]) so each of the r vectors is a contiguous row. Each
+    // GEMM builds every element from the same k-ordered products as
+    // the column-layout form, so the layout moves no bits.
 
-    // Phase 2: local Q_d = M_d^T * P_hat, then all-reduce(mean).
-    ensureZeroed(qScratch_, cols, r);
+    // Phase 1: local P_d^T = Q^T * M_d^T, then all-reduce(sum).
+    ensureZeroed(pScratch_, r, rows);
     for (const Tensor *t : inputs)
-        matmulAccTN(qScratch_, *t, pScratch_);
+        matmulAccNT(pScratch_, q_, *t);
+    orthonormalizeRows(pScratch_);
+
+    // Phase 2: local Q_d^T = P_hat^T * M_d, then all-reduce(mean).
+    ensureZeroed(qScratch_, r, cols);
+    for (const Tensor *t : inputs)
+        matmulAcc(qScratch_, pScratch_, *t);
     qScratch_.scale(1.0f / static_cast<float>(workers_));
     // The old Q's storage becomes the next call's Q scratch.
     std::swap(q_, qScratch_);
 
+    // mean(M) ~= P_hat * Q^T = (P_hat^T)^T * Q^T.
     ensureZeroed(mean_output, rows, cols);
-    matmulAccNT(mean_output, pScratch_, q_);
+    matmulAccTN(mean_output, pScratch_, q_);
     return payloadBytes(rows, cols);
 }
 

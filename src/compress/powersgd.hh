@@ -12,6 +12,17 @@
  *   P = M * Q_prev;  P_hat = orthonormalize(P);  Q = M^T * P_hat;
  *   M_approx = P_hat * Q^T
  *
+ * The factors are kept row-major as P^T [r x rows] and Q^T
+ * [r x cols], so each of the r vectors the Gram-Schmidt walks is one
+ * contiguous row:
+ *
+ *   P^T = Q_prev^T * M^T          (matmulAccNT)
+ *   Q^T = P_hat^T * M             (matmulAcc)
+ *   M_approx = (P_hat^T)^T * Q^T  (matmulAccTN)
+ *
+ * Every GEMM builds each element from the same k-ordered products as
+ * the column-layout form, so the layout is bitwise neutral.
+ *
  * Payload is (rows + cols) * r floats instead of rows * cols.
  */
 
@@ -27,12 +38,13 @@ namespace optimus
 {
 
 /**
- * In-place modified Gram-Schmidt orthonormalization of the columns
- * of @p m. Degenerate (near-zero) columns are replaced with zero
- * vectors rather than being renormalized, matching the reference
- * PowerSGD implementation's tolerance for rank deficiency.
+ * In-place modified Gram-Schmidt orthonormalization of the rows of
+ * @p m, in row order. Degenerate (near-zero) rows are replaced with
+ * zero vectors rather than being renormalized, matching the
+ * reference PowerSGD implementation's tolerance for rank
+ * deficiency.
  */
-void orthonormalizeColumns(Tensor &m);
+void orthonormalizeRows(Tensor &m);
 
 /**
  * The *distributed* PowerSGD mean-reduction protocol used for
@@ -46,6 +58,8 @@ void orthonormalizeColumns(Tensor &m);
  *   each worker d:  Q_d = M_d^T * P_hat
  *   all-reduce:     Q   = (1/D) sum_d Q_d      (r * cols floats)
  *   everyone:       mean(M) ~= P_hat * Q^T
+ *
+ * (P and Q held transposed, as in the file comment.)
  *
  * All workers reconstruct the *same* approximation, so replicas stay
  * bit-identical -- the property that lets Optimus-CC compress DP
@@ -82,6 +96,9 @@ class DistributedPowerSgd
 
     /** Bytes of the shared warm-start matrix. */
     int64_t stateBytes() const;
+
+    /** The warm-start Q^T [r x cols] (empty before the first call). */
+    const Tensor &warmQ() const { return q_; }
 
     int rank() const { return rank_; }
     int workers() const { return workers_; }
@@ -131,6 +148,9 @@ class PowerSgdCompressor : public Compressor
 
     /** Configured rank. */
     int rank() const { return iteration_.rank(); }
+
+    /** The warm-start Q^T [r x cols] (empty before the first call). */
+    const Tensor &warmQ() const { return iteration_.warmQ(); }
 
   private:
     DistributedPowerSgd iteration_;

@@ -77,28 +77,17 @@ TopKCompressor::compress(const Tensor &input, Tensor &output)
         // are filled with threshold ties in index order — a
         // deterministic kept set, unlike the scalar path's
         // partition-order ties.
-        // Lane-width preference: the AVX-512 abs/keep passes
-        // measure consistently behind AVX2 on this kernel (94.5 vs
-        // 95.1 Melem/s baseline, reproduced locally) — both are
-        // memory-bound streams whose masked stores fire on ~1% of
-        // blocks, so the wider registers buy nothing and pay the
-        // 512-bit port/frequency cost. Both tiers compute the same
-        // exact values, so preferring the AVX2 lanes cannot change
-        // a single output bit (DESIGN.md section 8).
-        const simd::Tier lanes = tier == simd::Tier::Avx512
-                                     ? simd::Tier::Avx2
-                                     : tier;
         // optlint:coldalloc — warmup capacity ratchet.
         mag_.resize(n);
         std::vector<float> &mag = mag_;
-        simd::absVals(lanes, mag.data(), src, n);
+        simd::absVals(tier, mag.data(), src, n);
         sel_ = mag_;
         std::vector<float> &sel = sel_;
         std::nth_element(sel.begin(), sel.begin() + (k - 1),
                          sel.end(), std::greater<float>());
         const float thresh = sel[k - 1];
         int64_t kept =
-            simd::keepAbove(lanes, dst, src, mag.data(), thresh, n);
+            simd::keepAbove(tier, dst, src, mag.data(), thresh, n);
         for (int64_t i = 0; i < n && kept < k; ++i) {
             if (mag[i] == thresh) {
                 dst[i] = src[i];

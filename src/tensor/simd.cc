@@ -15,14 +15,14 @@
  *   2. Scalar kernels — verbatim the loops the compression code,
  *      the GELU layer and the Adam step used before dispatch
  *      existed (bit-exact baseline)
- *   3. AVX2 kernels (8-wide, target attribute, no -mavx2 needed)
- *   4. AVX-512 kernels (16-wide, avx512f subset only)
- *   5. public dispatch wrappers
+ *   3. AVX2 kernels (8-wide, target attribute, no -mavx2 needed),
+ *      which both vector tiers run
+ *   4. public dispatch wrappers
  *
  * Determinism: every reduction keeps a fixed number of double-lane
  * accumulators, combines adjacent accumulator pairs lanewise, and
- * funnels the final register through hsum4d/hsum8d
- * (simd_internal.hh), then appends the scalar tail in element order.
+ * funnels the final register through hsum4d (simd_internal.hh),
+ * then appends the scalar tail in element order.
  * Nothing here depends on OPTIMUS_THREADS — callers parallelize over
  * shape-derived chunk grids and invoke these on each chunk.
  *
@@ -664,286 +664,23 @@ adamAvx2(float *m, float *v, float *w, const float *g, int64_t n,
                alpha);
 }
 
-// ----------------------------------------------------------------
-// AVX-512 kernels (16 floats / 8 doubles per register)
-// ----------------------------------------------------------------
-
-OPTIMUS_TARGET_AVX512 double
-dotAvx512(const float *x, const float *y, int64_t n)
-{
-    __m512d acc0 = _mm512_setzero_pd();
-    __m512d acc1 = _mm512_setzero_pd();
-    __m512d acc2 = _mm512_setzero_pd();
-    __m512d acc3 = _mm512_setzero_pd();
-    int64_t i = 0;
-    for (; i + 32 <= n; i += 32)
-    {
-        acc0 = _mm512_fmadd_pd(
-            _mm512_cvtps_pd(_mm256_loadu_ps(x + i)),
-            _mm512_cvtps_pd(_mm256_loadu_ps(y + i)), acc0);
-        acc1 = _mm512_fmadd_pd(
-            _mm512_cvtps_pd(_mm256_loadu_ps(x + i + 8)),
-            _mm512_cvtps_pd(_mm256_loadu_ps(y + i + 8)), acc1);
-        acc2 = _mm512_fmadd_pd(
-            _mm512_cvtps_pd(_mm256_loadu_ps(x + i + 16)),
-            _mm512_cvtps_pd(_mm256_loadu_ps(y + i + 16)), acc2);
-        acc3 = _mm512_fmadd_pd(
-            _mm512_cvtps_pd(_mm256_loadu_ps(x + i + 24)),
-            _mm512_cvtps_pd(_mm256_loadu_ps(y + i + 24)), acc3);
-    }
-    double s = hsum8d(_mm512_add_pd(_mm512_add_pd(acc0, acc1),
-                                    _mm512_add_pd(acc2, acc3)));
-    for (; i < n; ++i)
-        s += static_cast<double>(x[i]) * y[i];
-    return s;
-}
-
-OPTIMUS_TARGET_AVX512 void
-subScaledAvx512(float *y, const float *x, float a, int64_t n)
-{
-    const __m512 av = _mm512_set1_ps(a);
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-    {
-        const __m512 prod =
-            _mm512_mul_ps(av, _mm512_loadu_ps(x + i));
-        _mm512_storeu_ps(
-            y + i, _mm512_sub_ps(_mm512_loadu_ps(y + i), prod));
-    }
-    for (; i < n; ++i)
-        y[i] -= a * x[i];
-}
-
-OPTIMUS_TARGET_AVX512 void
-scaleAvx512(float *x, float a, int64_t n)
-{
-    const __m512 av = _mm512_set1_ps(a);
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        _mm512_storeu_ps(x + i,
-                         _mm512_mul_ps(av, _mm512_loadu_ps(x + i)));
-    for (; i < n; ++i)
-        x[i] *= a;
-}
-
-OPTIMUS_TARGET_AVX512 void
-absAvx512(float *dst, const float *src, int64_t n)
-{
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        _mm512_storeu_ps(dst + i,
-                         _mm512_abs_ps(_mm512_loadu_ps(src + i)));
-    for (; i < n; ++i)
-        dst[i] = std::fabs(src[i]);
-}
-
-OPTIMUS_TARGET_AVX512 void
-absDivAvx512(float *dst, const float *src, float scale, int64_t n)
-{
-    const __m512 sv = _mm512_set1_ps(scale);
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-    {
-        const __m512 av = _mm512_abs_ps(_mm512_loadu_ps(src + i));
-        _mm512_storeu_ps(dst + i, _mm512_div_ps(av, sv));
-    }
-    for (; i < n; ++i)
-        dst[i] = std::fabs(src[i]) / scale;
-}
-
-OPTIMUS_TARGET_AVX512 void
-signedSumsAvx512(const float *src, int64_t n, double &pos_sum,
-                 double &neg_sum, int64_t &pos_count,
-                 int64_t &neg_count)
-{
-    const __m512 zero = _mm512_setzero_ps();
-    __m512d pacc0 = _mm512_setzero_pd();
-    __m512d pacc1 = _mm512_setzero_pd();
-    __m512d nacc0 = _mm512_setzero_pd();
-    __m512d nacc1 = _mm512_setzero_pd();
-    int64_t pc = 0;
-    int64_t nc = 0;
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-    {
-        const __m512 v = _mm512_loadu_ps(src + i);
-        const __mmask16 ge =
-            _mm512_cmp_ps_mask(v, zero, _CMP_GE_OQ);
-        const __m512 pos = _mm512_maskz_mov_ps(ge, v);
-        const __m512 neg =
-            _mm512_maskz_mov_ps(static_cast<__mmask16>(~ge), v);
-        pacc0 = _mm512_add_pd(
-            pacc0, _mm512_cvtps_pd(_mm512_castps512_ps256(pos)));
-        pacc1 = _mm512_add_pd(
-            pacc1, _mm512_cvtps_pd(_mm512_castps512_ps256(
-                       _mm512_shuffle_f32x4(pos, pos, 0xee))));
-        nacc0 = _mm512_add_pd(
-            nacc0, _mm512_cvtps_pd(_mm512_castps512_ps256(neg)));
-        nacc1 = _mm512_add_pd(
-            nacc1, _mm512_cvtps_pd(_mm512_castps512_ps256(
-                       _mm512_shuffle_f32x4(neg, neg, 0xee))));
-        const int64_t ones =
-            _mm_popcnt_u32(static_cast<unsigned short>(ge));
-        pc += ones;
-        nc += 16 - ones;
-    }
-    double ps = hsum8d(_mm512_add_pd(pacc0, pacc1));
-    double ns = hsum8d(_mm512_add_pd(nacc0, nacc1));
-    for (; i < n; ++i)
-    {
-        if (src[i] >= 0.0f)
-        {
-            ps += static_cast<double>(src[i]);
-            ++pc;
-        }
-        else
-        {
-            ns += static_cast<double>(src[i]);
-            ++nc;
-        }
-    }
-    pos_sum = ps;
-    neg_sum = ns;
-    pos_count = pc;
-    neg_count = nc;
-}
-
-OPTIMUS_TARGET_AVX512 void
-selectBySignAvx512(float *dst, const float *src, float pos,
-                   float neg, int64_t n)
-{
-    const __m512 zero = _mm512_setzero_ps();
-    const __m512 pv = _mm512_set1_ps(pos);
-    const __m512 nv = _mm512_set1_ps(neg);
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-    {
-        const __mmask16 ge = _mm512_cmp_ps_mask(
-            _mm512_loadu_ps(src + i), zero, _CMP_GE_OQ);
-        _mm512_storeu_ps(dst + i, _mm512_mask_blend_ps(ge, nv, pv));
-    }
-    for (; i < n; ++i)
-        dst[i] = src[i] >= 0.0f ? pos : neg;
-}
-
-OPTIMUS_TARGET_AVX512 int64_t
-keepAboveAvx512(float *dst, const float *src, const float *mag,
-                float thresh, int64_t n)
-{
-    const __m512 tv = _mm512_set1_ps(thresh);
-    int64_t kept = 0;
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-    {
-        const __mmask16 gt = _mm512_cmp_ps_mask(
-            _mm512_loadu_ps(mag + i), tv, _CMP_GT_OQ);
-        if (gt == 0)
-            continue;
-        _mm512_mask_storeu_ps(dst + i, gt,
-                              _mm512_loadu_ps(src + i));
-        kept += _mm_popcnt_u32(gt);
-    }
-    for (; i < n; ++i)
-    {
-        if (mag[i] > thresh)
-        {
-            dst[i] = src[i];
-            ++kept;
-        }
-    }
-    return kept;
-}
-
 #endif // OPTIMUS_SIMD_X86
-
-// ----------------------------------------------------------------
-// Strided kernels (portable). Each dot replica mirrors one tier's
-// register/lane accumulation structure exactly: kRegs accumulator
-// registers of kLanes double lanes each, filled round-robin over a
-// kRegs*kLanes element block, registers combined lane-wise as
-// (r0+r1)+(r2+r3), lanes combined by the hsum4d/hsum8d pairwise
-// order, scalar tail in element order. Because a float*float
-// product is exact in double, `acc += (double)x * y` is bit-equal
-// to the vector kernels' fmadd — so each replica matches its tier's
-// contiguous kernel bit for bit on the same element sequence.
-// ----------------------------------------------------------------
-
-double
-dotStridedScalar(const float *x, int64_t xs, const float *y,
-                 int64_t ys, int64_t n)
-{
-    double s = 0.0;
-    for (int64_t i = 0; i < n; ++i)
-        s += static_cast<double>(x[i * xs]) * y[i * ys];
-    return s;
-}
-
-/** The AVX2 dot order: 4 registers x 4 double lanes, 16/block. */
-double
-dotStridedAvx2Order(const float *x, int64_t xs, const float *y,
-                    int64_t ys, int64_t n)
-{
-    double acc[4][4] = {};
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16)
-    {
-        for (int r = 0; r < 4; ++r)
-            for (int l = 0; l < 4; ++l)
-            {
-                const int64_t e = i + 4 * r + l;
-                acc[r][l] += static_cast<double>(x[e * xs]) *
-                             y[e * ys];
-            }
-    }
-    double lane[4];
-    for (int l = 0; l < 4; ++l)
-        lane[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
-    double s = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    for (; i < n; ++i)
-        s += static_cast<double>(x[i * xs]) * y[i * ys];
-    return s;
-}
-
-/** The AVX-512 dot order: 4 registers x 8 double lanes, 32/block. */
-double
-dotStridedAvx512Order(const float *x, int64_t xs, const float *y,
-                      int64_t ys, int64_t n)
-{
-    double acc[4][8] = {};
-    int64_t i = 0;
-    for (; i + 32 <= n; i += 32)
-    {
-        for (int r = 0; r < 4; ++r)
-            for (int l = 0; l < 8; ++l)
-            {
-                const int64_t e = i + 8 * r + l;
-                acc[r][l] += static_cast<double>(x[e * xs]) *
-                             y[e * ys];
-            }
-    }
-    double lane[8];
-    for (int l = 0; l < 8; ++l)
-        lane[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
-    double s = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-               ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-    for (; i < n; ++i)
-        s += static_cast<double>(x[i * xs]) * y[i * ys];
-    return s;
-}
 
 } // namespace
 
 // ----------------------------------------------------------------
-// Public dispatch wrappers
+// Public dispatch wrappers. Tiers are cumulative, so the Avx512 tier
+// runs the AVX2 kernels: one vector kernel per primitive makes the
+// two vector tiers bitwise equal by construction, and on these
+// memory-bound streams wider registers measured no faster
+// (DESIGN.md section 8).
 // ----------------------------------------------------------------
 
 double
 dotDouble(Tier t, const float *x, const float *y, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return dotAvx512(x, y, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return dotAvx2(x, y, n);
 #endif
     (void)t;
@@ -954,9 +691,7 @@ void
 subScaled(Tier t, float *y, const float *x, float a, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return subScaledAvx512(y, x, a, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return subScaledAvx2(y, x, a, n);
 #endif
     (void)t;
@@ -967,9 +702,7 @@ void
 scaleInPlace(Tier t, float *x, float a, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return scaleAvx512(x, a, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return scaleAvx2(x, a, n);
 #endif
     (void)t;
@@ -980,9 +713,7 @@ void
 absVals(Tier t, float *dst, const float *src, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return absAvx512(dst, src, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return absAvx2(dst, src, n);
 #endif
     (void)t;
@@ -993,9 +724,7 @@ void
 absDiv(Tier t, float *dst, const float *src, float scale, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return absDivAvx512(dst, src, scale, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return absDivAvx2(dst, src, scale, n);
 #endif
     (void)t;
@@ -1007,10 +736,7 @@ signedSums(Tier t, const float *src, int64_t n, double &pos_sum,
            double &neg_sum, int64_t &pos_count, int64_t &neg_count)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return signedSumsAvx512(src, n, pos_sum, neg_sum, pos_count,
-                                neg_count);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return signedSumsAvx2(src, n, pos_sum, neg_sum, pos_count,
                               neg_count);
 #endif
@@ -1024,9 +750,7 @@ selectBySign(Tier t, float *dst, const float *src, float pos,
              float neg, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return selectBySignAvx512(dst, src, pos, neg, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return selectBySignAvx2(dst, src, pos, neg, n);
 #endif
     (void)t;
@@ -1038,18 +762,12 @@ keepAbove(Tier t, float *dst, const float *src, const float *mag,
           float thresh, int64_t n)
 {
 #if OPTIMUS_SIMD_X86
-    if (t == Tier::Avx512)
-        return keepAboveAvx512(dst, src, mag, thresh, n);
-    if (t == Tier::Avx2)
+    if (t != Tier::Scalar)
         return keepAboveAvx2(dst, src, mag, thresh, n);
 #endif
     (void)t;
     return keepAboveScalar(dst, src, mag, thresh, n);
 }
-
-// The Avx512 tier runs the AVX2 element-wise kernels (tiers are
-// cumulative): one kernel makes the two vector tiers bitwise equal
-// by construction.
 
 void
 geluForward(Tier t, float *y, const float *x, int64_t n)
@@ -1084,37 +802,6 @@ adamStep(Tier t, float *m, float *v, float *w, const float *g,
 #endif
     (void)t;
     adamScalar(m, v, w, g, n, beta1, beta2, eps, alpha);
-}
-
-double
-dotDoubleStrided(Tier t, const float *x, int64_t xstride,
-                 const float *y, int64_t ystride, int64_t n)
-{
-    if (t == Tier::Avx512)
-        return dotStridedAvx512Order(x, xstride, y, ystride, n);
-    if (t == Tier::Avx2)
-        return dotStridedAvx2Order(x, xstride, y, ystride, n);
-    return dotStridedScalar(x, xstride, y, ystride, n);
-}
-
-void
-subScaledStrided(Tier t, float *y, int64_t ystride, const float *x,
-                 int64_t xstride, float a, int64_t n)
-{
-    // One multiply and one subtract per element — bit-identical to
-    // every contiguous tier on the same values, so no per-tier
-    // bodies are needed.
-    (void)t;
-    for (int64_t i = 0; i < n; ++i)
-        y[i * ystride] -= a * x[i * xstride];
-}
-
-void
-scaleStrided(Tier t, float *x, int64_t stride, float a, int64_t n)
-{
-    (void)t;
-    for (int64_t i = 0; i < n; ++i)
-        x[i * stride] *= a;
 }
 
 } // namespace simd

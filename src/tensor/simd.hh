@@ -10,7 +10,8 @@
  *   Scalar — the portable kernels the tree shipped with; always
  *            available and the bit-exact baseline.
  *   Avx2   — 8-wide float kernels (AVX2 + FMA + POPCNT).
- *   Avx512 — 16-wide float kernels (AVX-512F).
+ *   Avx512 — the AVX2 element-wise kernels plus a 14x32 zmm GEMM
+ *            tile (AVX-512F).
  *
  * The active tier is resolved once, at first use, from the CPU
  * (via `__builtin_cpu_supports`) and the `OPTIMUS_SIMD` environment
@@ -25,10 +26,13 @@
  * shape only and each chunk's lane/accumulator order is fixed by the
  * kernel. Reductions accumulate into a fixed number of double lanes
  * and combine them in one documented order (the shared
- * horizontal-reduction helper in simd.cc), so a tier never depends
- * on thread count — but two different tiers legitimately round
- * differently and agree only to tolerance. The Scalar tier
- * reproduces the pre-dispatch tree bit-for-bit.
+ * horizontal-reduction helper in simd_internal.hh), so a tier never
+ * depends on thread count. The two vector tiers run one kernel per
+ * element-wise primitive, and their GEMM tiles build every element
+ * with the same FMA chain, so Avx2 and Avx512 are bitwise equal;
+ * Scalar and the vector tiers round reductions differently and
+ * agree only to tolerance. The Scalar tier reproduces the
+ * pre-dispatch tree bit-for-bit.
  *
  * This header is intrinsics-free on purpose: raw `_mm*` usage is
  * confined to simd.cc and gemm_kernels.cc (lint rule SIM01).
@@ -85,15 +89,17 @@ bool parseTier(const char *name, Tier &out);
 // ---------------------------------------------------------------
 // Tier-dispatched vector primitives (contiguous spans). The Scalar
 // implementations are the exact loops the compression kernels used
-// before dispatch existed; see simd.cc for the per-tier lane
-// orders. All are safe for any n >= 0 and never read past x[n-1].
+// before dispatch existed; both vector tiers run one AVX2 kernel
+// (see simd.cc for its lane order). All are safe for any n >= 0 and
+// never read past x[n-1].
 // ---------------------------------------------------------------
 
 /**
  * Double-precision dot product of two float spans. Scalar: one
- * running double in element order. SIMD tiers: fixed double-lane
- * accumulators combined by the shared horizontal-reduction helper,
- * then the scalar tail in element order.
+ * running double in element order. Vector tiers: 16 fixed
+ * double-lane accumulators combined by the shared
+ * horizontal-reduction helper, then the scalar tail in element
+ * order.
  */
 double dotDouble(Tier t, const float *x, const float *y, int64_t n);
 
@@ -115,7 +121,8 @@ void absDiv(Tier t, float *dst, const float *src, float scale,
 /**
  * Signed partition sums for the one-bit quantizer: accumulates
  * src[i] into @p pos_sum / @p neg_sum (double) and counts each side,
- * splitting on src[i] >= 0. Per-tier fixed accumulation order.
+ * splitting on src[i] >= 0. Fixed accumulation order per tier
+ * (one order for both vector tiers).
  */
 void signedSums(Tier t, const float *src, int64_t n, double &pos_sum,
                 double &neg_sum, int64_t &pos_count,
@@ -165,34 +172,6 @@ void geluBackward(Tier t, float *dx, const float *dy, const float *x,
 void adamStep(Tier t, float *m, float *v, float *w, const float *g,
               int64_t n, float beta1, float beta2, float eps,
               float alpha);
-
-// ---------------------------------------------------------------
-// Strided variants (gather-free column walks over row-major
-// matrices; element i of a span lives at p[i * stride]). Contract:
-// at every tier, each strided kernel produces bit-for-bit the value
-// the matching contiguous kernel produces on a gathered copy of the
-// same span — the dot replicas reproduce the tier's register/lane
-// accumulation structure in portable code (a float*float product is
-// exact in double, so `acc += (double)x * y` equals the fused
-// multiply-add the vector kernels issue), and the elementwise
-// kernels round once per element exactly like every contiguous
-// tier. This is what lets the PowerSGD Gram-Schmidt drop its
-// gather/scatter copies without moving a single bit (see
-// DESIGN.md section 8).
-// ---------------------------------------------------------------
-
-/** Strided dotDouble: sum over x[i*xstride] * y[i*ystride]. */
-double dotDoubleStrided(Tier t, const float *x, int64_t xstride,
-                        const float *y, int64_t ystride, int64_t n);
-
-/** Strided subScaled: y[i*ystride] -= a * x[i*xstride]. */
-void subScaledStrided(Tier t, float *y, int64_t ystride,
-                      const float *x, int64_t xstride, float a,
-                      int64_t n);
-
-/** Strided scaleInPlace: x[i*stride] *= a. */
-void scaleStrided(Tier t, float *x, int64_t stride, float a,
-                  int64_t n);
 
 } // namespace simd
 } // namespace optimus

@@ -2,7 +2,7 @@
  * @file
  * Shared plumbing for the SIMD translation units (simd.cc and
  * gemm_kernels.cc): the x86 feature gate, the per-tier function
- * target attributes, and the horizontal-reduction helpers that fix
+ * target attributes, and the horizontal-reduction helper that fixes
  * the intra-register lane-combination order.
  *
  * The kernels are compiled with per-function `target` attributes
@@ -29,7 +29,7 @@
 
 /** AVX2 kernel tier: 8-wide float, FMA, POPCNT for mask counts. */
 #define OPTIMUS_TARGET_AVX2 __attribute__((target("avx2,fma,popcnt")))
-/** AVX-512 kernel tier: foundation subset only (no DQ/BW/VL). */
+/** AVX-512 GEMM tile: foundation subset only (no DQ/BW/VL). */
 #define OPTIMUS_TARGET_AVX512 __attribute__((target("avx512f,popcnt")))
 
 namespace optimus
@@ -38,13 +38,11 @@ namespace simd
 {
 
 /**
- * The shared horizontal reduction: sum the double lanes of an
- * accumulator register pairwise, in one documented order. Every
- * reduction kernel funnels through these two helpers, so a tier's
- * result depends only on its chunk grid and lane count — never on
- * the thread count or any library reduction order.
- *
- * 4 lanes: (l0 + l1) + (l2 + l3).
+ * The shared horizontal reduction: sum the four double lanes of an
+ * accumulator register pairwise, (l0 + l1) + (l2 + l3). Every
+ * reduction kernel funnels through this helper, so a result depends
+ * only on the chunk grid — never on the thread count or any library
+ * reduction order.
  */
 OPTIMUS_TARGET_AVX2 inline double
 hsum4d(__m256d v)
@@ -52,16 +50,6 @@ hsum4d(__m256d v)
     alignas(32) double l[4];
     _mm256_store_pd(l, v);
     return (l[0] + l[1]) + (l[2] + l[3]);
-}
-
-/** 8 lanes: ((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7)). */
-OPTIMUS_TARGET_AVX512 inline double
-hsum8d(__m512d v)
-{
-    alignas(64) double l[8];
-    _mm512_store_pd(l, v);
-    return ((l[0] + l[1]) + (l[2] + l[3])) +
-           ((l[4] + l[5]) + (l[6] + l[7]));
 }
 
 } // namespace simd

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "compress/error_feedback.hh"
@@ -46,11 +48,21 @@ sendWithFeedback(ErrorFeedback &ef, Compressor &comp, const Tensor &m,
     ef.update(fed, out);
 }
 
+/** Orthonormalize the columns of @p m through orthonormalizeRows on
+ * its transpose. */
+void
+orthonormalizeColumnsViaRows(Tensor &m)
+{
+    Tensor t = m.transposed();
+    orthonormalizeRows(t);
+    m = t.transposed();
+}
+
 TEST(Orthonormalize, ColumnsAreOrthonormal)
 {
     Rng rng(1);
     Tensor m = Tensor::randn({12, 4}, rng);
-    orthonormalizeColumns(m);
+    orthonormalizeColumnsViaRows(m);
     for (int64_t a = 0; a < 4; ++a) {
         for (int64_t b = 0; b < 4; ++b) {
             double dot_val = 0.0;
@@ -72,7 +84,7 @@ TEST(Orthonormalize, DegenerateColumnsBecomeZero)
         m.at(i, 1) = v;
         m.at(i, 2) = 2.0f * v;
     }
-    orthonormalizeColumns(m);
+    orthonormalizeColumnsViaRows(m);
     for (int64_t i = 0; i < 6; ++i) {
         EXPECT_FLOAT_EQ(m.at(i, 1), 0.0f);
         EXPECT_FLOAT_EQ(m.at(i, 2), 0.0f);
@@ -522,10 +534,9 @@ const int64_t kTailSizes[] = {1, 2, 63, 64, 65, 127, 1031};
 /**
  * The pre-dispatch Gram-Schmidt, verbatim: strided column walks
  * with chunked double partial sums combined in chunk order. The
- * Scalar tier of orthonormalizeColumns must reproduce this bitwise
- * — it now walks the columns in place through the strided simd::
- * kernels, which at Scalar are these exact loops, element for
- * element.
+ * Scalar tier of orthonormalizeRows, run on the transpose, must
+ * reproduce this bitwise — its contiguous row walks are these exact
+ * loops, element for element.
  */
 void
 referenceOrthonormalize(Tensor &m)
@@ -587,7 +598,7 @@ TEST(SimdTiers, ScalarOrthonormalizeBitExactWithPreDispatchCode)
     for (const auto &s : shapes) {
         Tensor a = Tensor::randn({s.first, s.second}, rng);
         Tensor b = a;
-        orthonormalizeColumns(a);
+        orthonormalizeColumnsViaRows(a);
         referenceOrthonormalize(b);
         EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
                                  sizeof(float) * a.size()))
@@ -698,11 +709,11 @@ TEST(SimdTiers, OrthonormalizePerTierDeterministicAndClose)
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
         Tensor pooled = base;
-        orthonormalizeColumns(pooled);
+        orthonormalizeColumnsViaRows(pooled);
         Tensor serial_copy = base;
         {
             SerialRegion serial;
-            orthonormalizeColumns(serial_copy);
+            orthonormalizeColumnsViaRows(serial_copy);
         }
         EXPECT_EQ(0, std::memcmp(pooled.data(), serial_copy.data(),
                                  sizeof(float) * pooled.size()))
@@ -711,6 +722,188 @@ TEST(SimdTiers, OrthonormalizePerTierDeterministicAndClose)
     }
     for (size_t i = 1; i < per_tier.size(); ++i)
         EXPECT_TRUE(per_tier[i].allClose(per_tier[0], 1e-4f));
+    simd::setTier(initial);
+}
+
+// ---------------------------------------------------------------
+// PowerSGD factor layout: the row-major factors (P^T, Q^T) must
+// reproduce the column-layout power iteration bit for bit.
+// ---------------------------------------------------------------
+
+/**
+ * Gram-Schmidt over the columns of a row-major matrix, as the
+ * column layout ran it: each column gathered into a contiguous copy,
+ * walked with the contiguous simd:: kernels over fixed 2048-element
+ * chunks, and scattered back.
+ */
+void
+gatheredOrthonormalizeColumns(Tensor &m)
+{
+    constexpr int64_t kGrain = 2048;
+    const int64_t rows = m.rows();
+    const int64_t cols = m.cols();
+    const simd::Tier tier = simd::tier();
+    std::vector<std::vector<float>> col(
+        static_cast<size_t>(cols), std::vector<float>(rows));
+    for (int64_t j = 0; j < cols; ++j)
+        for (int64_t i = 0; i < rows; ++i)
+            col[j][i] = m.at(i, j);
+
+    auto dot = [&](const float *x, const float *y) {
+        return parallelReduceSum(
+            0, rows, kGrain, [&](int64_t lo, int64_t hi) {
+                return simd::dotDouble(tier, x + lo, y + lo, hi - lo);
+            });
+    };
+    for (int64_t j = 0; j < cols; ++j) {
+        float *cj = col[j].data();
+        const double norm_before_sq = dot(cj, cj);
+        for (int64_t p = 0; p < j; ++p) {
+            const float *cp = col[p].data();
+            const double proj = dot(cj, cp);
+            parallelFor(0, rows, kGrain, [&](int64_t lo, int64_t hi) {
+                simd::subScaled(tier, cj + lo, cp + lo,
+                                static_cast<float>(proj), hi - lo);
+            });
+        }
+        const double norm_sq = dot(cj, cj);
+        const double norm = std::sqrt(norm_sq);
+        if (norm < 1e-8 || norm_sq < 1e-10 * norm_before_sq) {
+            std::fill(col[j].begin(), col[j].end(), 0.0f);
+        } else {
+            const float inv = static_cast<float>(1.0 / norm);
+            parallelFor(0, rows, kGrain, [&](int64_t lo, int64_t hi) {
+                simd::scaleInPlace(tier, cj + lo, inv, hi - lo);
+            });
+        }
+    }
+    for (int64_t j = 0; j < cols; ++j)
+        for (int64_t i = 0; i < rows; ++i)
+            m.at(i, j) = col[j][i];
+}
+
+/**
+ * The column-layout power iteration: P [rows x r] and Q [cols x r],
+ * P = sum_d M_d * Q, Q = (1/D) sum_d M_d^T * P_hat and
+ * mean = P_hat * Q^T, in the GEMM forms matmulAcc, matmulAccTN and
+ * matmulAccNT, with the warm Q drawn [cols x r].
+ */
+class ColumnPowerSgdOracle
+{
+  public:
+    ColumnPowerSgdOracle(int workers, int rank, uint64_t seed)
+        : workers_(workers), rank_(rank), rng_(seed)
+    {
+    }
+
+    int64_t reduceColumnLayout(const std::vector<const Tensor *> &inputs,
+                               Tensor &mean)
+    {
+        const int64_t rows = inputs[0]->rows();
+        const int64_t cols = inputs[0]->cols();
+        const int r = static_cast<int>(
+            std::min<int64_t>(rank_, std::min(rows, cols)));
+        if (!(q_.rank() == 2 && q_.rows() == cols && q_.cols() == r)) {
+            q_ = Tensor::randn({cols, r}, rng_);
+            gatheredOrthonormalizeColumns(q_);
+        }
+        Tensor p({rows, r});
+        for (const Tensor *t : inputs)
+            matmulAcc(p, *t, q_);
+        gatheredOrthonormalizeColumns(p);
+        Tensor q({cols, r});
+        for (const Tensor *t : inputs)
+            matmulAccTN(q, *t, p);
+        q.scale(1.0f / static_cast<float>(workers_));
+        q_ = q;
+        mean = Tensor({rows, cols});
+        matmulAccNT(mean, p, q_);
+        return static_cast<int64_t>(sizeof(float)) * r * (rows + cols);
+    }
+
+    /** The warm-start Q [cols x r]. */
+    const Tensor &q() const { return q_; }
+
+  private:
+    int workers_;
+    int rank_;
+    Rng rng_;
+    Tensor q_;
+};
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           (a.size() == 0 ||
+            std::memcmp(a.data(), b.data(),
+                        sizeof(float) * a.size()) == 0);
+}
+
+TEST(PowerSgdLayout, RowMajorFactorsBitwiseMatchColumnLayout)
+{
+    // DistributedPowerSgd::reduce and PowerSgdCompressor::compress
+    // (the D = 1 iteration) against the column-layout oracle: the
+    // output, the payload bytes and the warm Q after each of three
+    // warm-started calls, at every tier, pooled and serial.
+    const simd::Tier initial = simd::tier();
+    const std::pair<int64_t, int64_t> shapes[] = {
+        {1, 2}, {16, 64}, {64, 256}, {256, 64}, {2085, 6}};
+    auto sweep = [&](const char *mode) {
+        for (int workers : {1, 2, 4}) {
+            // 300 exceeds min(rows, cols) of every shape.
+            for (int rank : {4, 300}) {
+                for (const auto &[rows, cols] : shapes) {
+                    const std::string where =
+                        std::string(simd::tierName(simd::tier())) +
+                        " " + mode + " D=" + std::to_string(workers) +
+                        " rank=" + std::to_string(rank) + " " +
+                        std::to_string(rows) + "x" +
+                        std::to_string(cols);
+                    DistributedPowerSgd dps(workers, rank, 9);
+                    ColumnPowerSgdOracle oracle(workers, rank, 9);
+                    PowerSgdCompressor comp(rank, 9);
+                    Rng rng(static_cast<uint64_t>(rows * 131 + cols));
+                    for (int call = 0; call < 3; ++call) {
+                        std::vector<Tensor> grads;
+                        std::vector<const Tensor *> inputs;
+                        for (int d = 0; d < workers; ++d)
+                            grads.push_back(
+                                Tensor::randn({rows, cols}, rng));
+                        for (const Tensor &g : grads)
+                            inputs.push_back(&g);
+                        Tensor want, got;
+                        const int64_t want_bytes =
+                            oracle.reduceColumnLayout(inputs, want);
+                        EXPECT_EQ(dps.reduce(inputs, got), want_bytes)
+                            << where;
+                        EXPECT_TRUE(sameBits(got, want))
+                            << where << " call " << call;
+                        EXPECT_TRUE(sameBits(dps.warmQ().transposed(),
+                                             oracle.q()))
+                            << where << " call " << call;
+                        if (workers != 1)
+                            continue;
+                        Tensor single;
+                        EXPECT_EQ(comp.compress(grads[0], single),
+                                  want_bytes)
+                            << where;
+                        EXPECT_TRUE(sameBits(single, want))
+                            << where << " call " << call;
+                        EXPECT_TRUE(sameBits(comp.warmQ().transposed(),
+                                             oracle.q()))
+                            << where << " call " << call;
+                    }
+                }
+            }
+        }
+    };
+    for (simd::Tier t : supportedTiers()) {
+        simd::setTier(t);
+        sweep("pooled");
+        SerialRegion serial;
+        sweep("serial");
+    }
     simd::setTier(initial);
 }
 

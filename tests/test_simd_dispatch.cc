@@ -6,11 +6,12 @@
  * CPU supports, 5 iterations are bitwise reproducible (mirroring
  * the CommTrace/obs neutrality gates), bitwise invariant to the
  * thread count, and within documented tolerance of the Scalar
- * tier. The element-wise kernels carry their own contracts: GELU
- * bitwise equal across the vector tiers and within a stated bound
- * of the Scalar form, Adam bitwise equal to the historical loop at
- * every tier. Run at OPTIMUS_THREADS in {1, 4, 8} plus an
- * OPTIMUS_SIMD=scalar leg via tests/CMakeLists.txt.
+ * tier; the two vector tiers are bitwise equal to each other, on
+ * every kernel and on the trainer. The element-wise kernels carry
+ * their own contracts: GELU within a stated bound of the Scalar
+ * form, Adam bitwise equal to the historical loop at every tier.
+ * Run at OPTIMUS_THREADS in {1, 4, 8} plus an OPTIMUS_SIMD=scalar
+ * leg via tests/CMakeLists.txt.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "data/corpus.hh"
@@ -26,6 +28,7 @@
 #include "nn/activation.hh"
 #include "parallel/trainer3d.hh"
 #include "runtime/runtime.hh"
+#include "tensor/matmul.hh"
 #include "tensor/simd.hh"
 #include "util/random.hh"
 #include "test_util.hh"
@@ -180,8 +183,9 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndTiersAreOrdered)
     EXPECT_TRUE(simd::supported(simd::cap()));
     // Tiers are cumulative: a CPU with AVX-512 kernels also runs
     // the AVX2 ones.
-    if (simd::supported(simd::Tier::Avx512))
+    if (simd::supported(simd::Tier::Avx512)) {
         EXPECT_TRUE(simd::supported(simd::Tier::Avx2));
+    }
 }
 
 TEST(SimdDispatch, SetTierSticksForSupportedTiers)
@@ -194,101 +198,141 @@ TEST(SimdDispatch, SetTierSticksForSupportedTiers)
     simd::setTier(initial);
 }
 
-TEST(SimdDispatch, StridedKernelsBitwiseMatchGatheredContiguous)
+/** Bitwise equality of two float spans (memcmp needs non-null
+ * pointers, which an empty vector need not have). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
 {
-    // The strided variants' contract (tensor/simd.hh): at EVERY
-    // tier, a strided kernel must produce bit-for-bit what the
-    // contiguous kernel produces on a gathered copy of the same
-    // span. This is what makes the gather-free PowerSGD
-    // Gram-Schmidt a pure data-movement optimization.
-    Rng rng(55);
-    const int64_t kSizes[] = {1, 2, 31, 32, 33, 63, 64, 65, 257};
-    const int64_t kStrides[] = {1, 3, 5};
-    for (int64_t n : kSizes) {
-        for (int64_t stride : kStrides) {
-            std::vector<float> xs(static_cast<size_t>(n * stride));
-            std::vector<float> ys(xs.size());
-            for (float &v : xs)
-                v = static_cast<float>(rng.normal());
-            for (float &v : ys)
-                v = static_cast<float>(rng.normal());
-            // Gathered copies of the strided spans.
-            std::vector<float> xg(static_cast<size_t>(n));
-            std::vector<float> yg(static_cast<size_t>(n));
-            for (int64_t i = 0; i < n; ++i) {
-                xg[i] = xs[i * stride];
-                yg[i] = ys[i * stride];
-            }
-            for (simd::Tier t : supportedTiers()) {
-                const double want =
-                    simd::dotDouble(t, xg.data(), yg.data(), n);
-                const double got = simd::dotDoubleStrided(
-                    t, xs.data(), stride, ys.data(), stride, n);
-                EXPECT_EQ(0, std::memcmp(&want, &got, sizeof want))
-                    << simd::tierName(t) << " n=" << n
-                    << " stride=" << stride;
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     sizeof(float) * a.size()) == 0);
+}
 
-                std::vector<float> yc = yg;
-                std::vector<float> ysc = ys;
-                simd::subScaled(t, yc.data(), xg.data(), 0.37f, n);
-                simd::subScaledStrided(t, ysc.data(), stride,
-                                       xs.data(), stride, 0.37f, n);
-                std::vector<float> xc = xg;
-                std::vector<float> xsc = xs;
-                simd::scaleInPlace(t, xc.data(), 1.61f, n);
-                simd::scaleStrided(t, xsc.data(), stride, 1.61f, n);
-                for (int64_t i = 0; i < n; ++i) {
-                    EXPECT_EQ(0, std::memcmp(&yc[i],
-                                             &ysc[i * stride],
-                                             sizeof(float)))
-                        << simd::tierName(t) << " n=" << n;
-                    EXPECT_EQ(0, std::memcmp(&xc[i],
-                                             &xsc[i * stride],
-                                             sizeof(float)))
-                        << simd::tierName(t) << " n=" << n;
+/** Bitwise equality of two doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** @p n standard-normal floats scaled by @p scale. */
+std::vector<float>
+normals(Rng &rng, int64_t n, double scale = 1.0)
+{
+    std::vector<float> v(static_cast<size_t>(n));
+    for (float &x : v)
+        x = static_cast<float>(scale * rng.normal());
+    return v;
+}
+
+TEST(SimdDispatch, VectorTiersBitwiseEqual)
+{
+    // Both vector tiers run one element-wise kernel per primitive
+    // and GEMM micro-kernels that build every element from the same
+    // FMA chain, so Avx2 and Avx512 must produce the same bits at
+    // every length, and never write past n.
+    if (!simd::supported(simd::Tier::Avx512))
+        GTEST_SKIP() << "needs both AVX2 and AVX-512";
+    const simd::Tier initial = simd::tier();
+    constexpr float kGuard = -7.25f;
+    constexpr int64_t kPad = 16;
+    const simd::Tier tiers[2] = {simd::Tier::Avx2, simd::Tier::Avx512};
+    Rng rng(91);
+    for (int64_t n : {0, 1, 15, 16, 17, 31, 32, 33, 257, 4099}) {
+        const std::vector<float> x = normals(rng, n, 3.0);
+        const std::vector<float> dy = normals(rng, n);
+        const std::vector<float> g = normals(rng, n, 1e-2);
+        std::vector<float> mag(x.size());
+        for (size_t i = 0; i < x.size(); ++i)
+            mag[i] = std::fabs(x[i]);
+        // The reductions see values spread over 40 binades, so their
+        // double sums round and any change of lane order shows.
+        std::vector<float> spread = x;
+        for (size_t i = 0; i < spread.size(); ++i)
+            spread[i] = std::ldexp(spread[i],
+                                   static_cast<int>(i * 7 % 41) - 20);
+
+        // One output buffer per (kernel, tier), padded with guards.
+        enum { kGelu, kGeluBack, kSub, kScale, kAbs, kAbsDiv, kSelect,
+               kKeep, kAdamM, kAdamV, kAdamW, kOutputs };
+        std::vector<float> out[kOutputs][2];
+        double dot[2], pos_sum[2], neg_sum[2];
+        int64_t pos_count[2], neg_count[2], kept[2];
+        for (int k = 0; k < 2; ++k) {
+            const simd::Tier t = tiers[k];
+            for (auto &o : out)
+                o[k].assign(x.size() + kPad, kGuard);
+            std::copy(dy.begin(), dy.end(), out[kSub][k].begin());
+            std::copy(x.begin(), x.end(), out[kScale][k].begin());
+            std::fill_n(out[kAdamM][k].begin(), n, 0.0f);
+            std::fill_n(out[kAdamV][k].begin(), n, 0.0f);
+            std::copy(x.begin(), x.end(), out[kAdamW][k].begin());
+
+            simd::geluForward(t, out[kGelu][k].data(), x.data(), n);
+            simd::geluBackward(t, out[kGeluBack][k].data(), dy.data(),
+                               x.data(), n);
+            dot[k] = simd::dotDouble(t, spread.data(), dy.data(), n);
+            simd::subScaled(t, out[kSub][k].data(), x.data(), 0.37f, n);
+            simd::scaleInPlace(t, out[kScale][k].data(), 1.61f, n);
+            simd::absVals(t, out[kAbs][k].data(), x.data(), n);
+            simd::absDiv(t, out[kAbsDiv][k].data(), x.data(), 2.9f, n);
+            simd::signedSums(t, spread.data(), n, pos_sum[k],
+                             neg_sum[k], pos_count[k], neg_count[k]);
+            simd::selectBySign(t, out[kSelect][k].data(), x.data(),
+                               1.5f, -0.5f, n);
+            kept[k] = simd::keepAbove(t, out[kKeep][k].data(), x.data(),
+                                      mag.data(), 2.0f, n);
+            for (int step = 0; step < 3; ++step)
+                simd::adamStep(t, out[kAdamM][k].data(),
+                               out[kAdamV][k].data(),
+                               out[kAdamW][k].data(), g.data(), n, 0.9f,
+                               0.999f, 1e-8f, 1e-3f);
+            for (int o = 0; o < kOutputs; ++o) {
+                for (size_t i = x.size(); i < out[o][k].size(); ++i) {
+                    ASSERT_EQ(out[o][k][i], kGuard)
+                        << "output " << o << " wrote past n=" << n;
                 }
             }
         }
-    }
-}
+        for (int o = 0; o < kOutputs; ++o)
+            EXPECT_TRUE(sameBits(out[o][0], out[o][1]))
+                << "output " << o << " n=" << n;
+        EXPECT_TRUE(sameBits(dot[0], dot[1])) << "dotDouble n=" << n;
+        EXPECT_TRUE(sameBits(pos_sum[0], pos_sum[1]))
+            << "signedSums n=" << n;
+        EXPECT_TRUE(sameBits(neg_sum[0], neg_sum[1]))
+            << "signedSums n=" << n;
+        EXPECT_EQ(pos_count[0], pos_count[1]) << "n=" << n;
+        EXPECT_EQ(neg_count[0], neg_count[1]) << "n=" << n;
+        EXPECT_EQ(kept[0], kept[1]) << "keepAbove n=" << n;
 
-TEST(SimdDispatch, GeluVectorTiersBitwiseEqual)
-{
-    // Both vector tiers run one lane op sequence (no FMA, masked
-    // tails), so both must produce the same bits at every length —
-    // and never write past n.
-    if (!simd::supported(simd::Tier::Avx512))
-        GTEST_SKIP() << "needs both AVX2 and AVX-512";
-    constexpr float kGuard = -7.25f;
-    Rng rng(91);
-    for (int64_t n : {0, 1, 15, 16, 17, 4095, 4097, 131072}) {
-        std::vector<float> x(static_cast<size_t>(n));
-        std::vector<float> dy(x.size());
-        for (size_t i = 0; i < x.size(); ++i) {
-            x[i] = static_cast<float>(3.0 * rng.normal());
-            dy[i] = static_cast<float>(rng.normal());
-        }
-        std::vector<float> y[2], dx[2];
-        const simd::Tier tiers[2] = {simd::Tier::Avx2,
-                                     simd::Tier::Avx512};
-        for (int k = 0; k < 2; ++k) {
-            y[k].assign(x.size() + 16, kGuard);
-            dx[k].assign(x.size() + 16, kGuard);
-            simd::geluForward(tiers[k], y[k].data(), x.data(), n);
-            simd::geluBackward(tiers[k], dx[k].data(), dy.data(),
-                               x.data(), n);
-            for (size_t i = x.size(); i < y[k].size(); ++i) {
-                ASSERT_EQ(y[k][i], kGuard) << "n=" << n;
-                ASSERT_EQ(dx[k][i], kGuard) << "n=" << n;
+        if (n == 0)
+            continue;
+        // GEMMs with n as the depth, the row count and the column
+        // count in turn: short and long k blocks, the 6- and 14-row
+        // tiles with their remainders, ragged column tiles.
+        const int64_t shapes[3][3] = {{13, n, 31}, {n, 17, 33},
+                                      {29, 40, n}};
+        for (const auto &s : shapes) {
+            const Tensor a = Tensor::randn({s[0], s[1]}, rng);
+            const Tensor b = Tensor::randn({s[1], s[2]}, rng);
+            const Tensor at = a.transposed();
+            const Tensor bt = b.transposed();
+            Tensor c[3][2];
+            for (int k = 0; k < 2; ++k) {
+                simd::setTier(tiers[k]);
+                c[0][k] = matmul(a, b);
+                c[1][k] = matmulNT(a, bt);
+                c[2][k] = matmulTN(at, b);
             }
+            for (int f = 0; f < 3; ++f)
+                EXPECT_EQ(0, std::memcmp(c[f][0].data(), c[f][1].data(),
+                                         sizeof(float) * c[f][0].size()))
+                    << "form " << f << " " << s[0] << "x" << s[1] << "x"
+                    << s[2];
         }
-        EXPECT_EQ(0, std::memcmp(y[0].data(), y[1].data(),
-                                 sizeof(float) * x.size()))
-            << "forward n=" << n;
-        EXPECT_EQ(0, std::memcmp(dx[0].data(), dx[1].data(),
-                                 sizeof(float) * x.size()))
-            << "backward n=" << n;
     }
+    simd::setTier(initial);
 }
 
 TEST(SimdDispatch, GeluVectorTiersWithinBoundOfScalarForm)
@@ -365,16 +409,6 @@ TEST(SimdDispatch, GeluNonFiniteMatchesScalarClass)
     }
 }
 
-/** Bitwise equality of two float spans (memcmp needs non-null
- * pointers, which an empty vector need not have). */
-bool
-sameBits(const std::vector<float> &a, const std::vector<float> &b)
-{
-    return a.size() == b.size() &&
-           (a.empty() || std::memcmp(a.data(), b.data(),
-                                     sizeof(float) * a.size()) == 0);
-}
-
 /** The Adam loop as it stood before dispatch, kept test-local. */
 void
 adamReference(std::vector<float> &m, std::vector<float> &v,
@@ -428,23 +462,38 @@ TEST(SimdDispatch, AdamStepBitwiseEqualToScalarLoopEveryTier)
 
 TEST(SimdDispatch, TrainerBitwiseIdenticalPerTier)
 {
+    // Each tier reproduces itself bitwise, and the two vector tiers
+    // (one element-wise kernel each, FMA-chain-identical GEMM tiles)
+    // reproduce each other.
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
     LmDataset data = tinyData(tinyModel().seqLen);
+    std::vector<std::unique_ptr<Trainer3d>> runs;
+    std::vector<std::vector<double>> losses;
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
-        Trainer3d a(tinyConfig());
+        auto a = std::make_unique<Trainer3d>(tinyConfig());
         Trainer3d b(tinyConfig());
         Rng rng_a(11), rng_b(11);
+        losses.emplace_back();
         for (int it = 0; it < 5; ++it) {
-            const auto sa = a.trainIteration(data, rng_a);
+            const auto sa = a->trainIteration(data, rng_a);
             const auto sb = b.trainIteration(data, rng_b);
             ASSERT_EQ(sa.loss, sb.loss)
                 << simd::tierName(t) << " iteration " << it;
+            losses.back().push_back(sa.loss);
         }
-        EXPECT_EQ(bitwiseMismatch(a, b), 0) << simd::tierName(t);
+        EXPECT_EQ(bitwiseMismatch(*a, b), 0) << simd::tierName(t);
+        runs.push_back(std::move(a));
     }
     simd::setTier(initial);
+    if (simd::supported(simd::Tier::Avx512)) {
+        // supportedTiers() is {Scalar, Avx2, Avx512} here.
+        ASSERT_EQ(runs.size(), 3u);
+        EXPECT_EQ(losses[1], losses[2]);
+        EXPECT_EQ(bitwiseMismatch(*runs[1], *runs[2]), 0)
+            << "avx512 vs avx2";
+    }
 }
 
 TEST(SimdDispatch, TrainerThreadGridInvariantPerTier)
