@@ -10,7 +10,7 @@
  * records the host, pool threads, dispatch tier and git revision it
  * was measured at.
  *
- * Usage: bench_compress [--elems 1048576] [--reps 5]
+ * Usage: bench_compress [--elems 1048576] [--reps 15]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
  */
 
@@ -55,7 +55,7 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     const int64_t n = args.getInt("elems", 1 << 20);
-    const int reps = static_cast<int>(args.getInt("reps", 5));
+    const int reps = static_cast<int>(args.getInt("reps", 15));
 
     const simd::Tier auto_tier = simd::tier();
     const std::vector<simd::Tier> tiers = bench::supportedTiers();

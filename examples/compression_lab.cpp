@@ -99,10 +99,9 @@ main(int argc, char **argv)
                     .count();
             err_sum += sub(grad, out).norm() / grad.norm();
 
-            Tensor fed, ef_out;
-            ef.fold(grad, fed);
-            lossy->compress(fed, ef_out);
-            ef.update(fed, ef_out);
+            Tensor ef_out;
+            lossy->compress(ef.fold(grad), ef_out);
+            ef.update(ef_out);
             input_total.add(grad);
             ef_total.add(ef_out);
         }

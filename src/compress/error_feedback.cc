@@ -6,26 +6,38 @@ namespace optimus
 {
 
 // optlint:hot — steady-state step path (zero-allocation contract).
-void
-ErrorFeedback::fold(const Tensor &input, Tensor &fed)
+const Tensor &
+ErrorFeedback::fold(const Tensor &input)
 {
-    fed = input;
-    if (residual_.shape() == input.shape()) {
-        fed.add(residual_);
-    } else if (residual_.size() != 0) {
-        warn("error feedback: residual %s dropped for input %s",
-             residual_.shapeString().c_str(),
-             input.shapeString().c_str());
-        clear();
+    OPTIMUS_ASSERT(state_ != State::Fed);
+    if (state_ == State::Carried &&
+        residual_.shape() == input.shape()) {
+        residual_.add(input);
+    } else {
+        if (state_ == State::Carried && residual_.size() != 0)
+            warn("error feedback: residual %s dropped for input %s",
+                 residual_.shapeString().c_str(),
+                 input.shapeString().c_str());
+        residual_ = input;
     }
+    state_ = State::Fed;
+    return residual_;
 }
 
 // optlint:hot — steady-state step path (zero-allocation contract).
 void
-ErrorFeedback::update(const Tensor &fed, const Tensor &delivered)
+ErrorFeedback::update(const Tensor &delivered)
 {
-    residual_ = fed;
+    OPTIMUS_ASSERT(state_ == State::Fed);
     residual_.sub(delivered);
+    state_ = State::Carried;
+}
+
+const Tensor &
+ErrorFeedback::residual() const
+{
+    static const Tensor kNone;
+    return state_ == State::Carried ? residual_ : kNone;
 }
 
 } // namespace optimus

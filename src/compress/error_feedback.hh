@@ -21,6 +21,14 @@
  * Either way a stream runs fold -> compress -> update, so that
  * sum(delivered) + residual() == sum(inputs) (the telescoping
  * identity, DESIGN.md section 4, invariant 5).
+ *
+ * The fold works in place: fold() adds the input into the residual's
+ * own storage and hands that storage out as the fed message, and
+ * update() subtracts the delivery from it, leaving the new residual.
+ * No fed copy exists; between fold and update the storage holds the
+ * fed values, so residual() reads empty until update() has run.
+ * Float addition is commutative, so residual + input has the bits
+ * of the copy-based input + residual.
  */
 
 #ifndef OPTIMUS_COMPRESS_ERROR_FEEDBACK_HH
@@ -39,29 +47,47 @@ class ErrorFeedback
     ErrorFeedback() = default;
 
     /** All-zero residual of @p shape, sized before the first fold. */
-    explicit ErrorFeedback(const ShapeVec &shape) : residual_(shape) {}
+    explicit ErrorFeedback(const ShapeVec &shape)
+        : residual_(shape), state_(State::Carried)
+    {}
 
     /**
-     * fed = input + residual, into the caller-owned @p fed (its
-     * storage is reused when large enough). A residual whose shape
-     * differs from the input's is stale -- the caller rewired the
-     * stream, and folding it into an unrelated tensor (even one of
-     * coincidentally equal size) would silently corrupt the
-     * gradient -- so it is dropped with a warning and fed = input.
+     * residual += input, in the residual's storage, returned as the
+     * fed message (valid until update() or clear()). Without a
+     * carried residual the storage is overwritten with the input,
+     * reusing its capacity. A residual whose shape differs from the
+     * input's is stale -- the caller rewired the stream, and folding
+     * it into an unrelated tensor (even one of coincidentally equal
+     * size) would silently corrupt the gradient -- so it is dropped
+     * with a warning and fed = input.
      */
-    void fold(const Tensor &input, Tensor &fed);
+    const Tensor &fold(const Tensor &input);
 
-    /** residual = fed - delivered, the compression error of @p fed. */
-    void update(const Tensor &fed, const Tensor &delivered);
+    /**
+     * residual = fed - delivered, the compression error of the fed
+     * message, computed in place. @pre fold() ran since the last
+     * update() or clear()
+     */
+    void update(const Tensor &delivered);
 
-    /** Drop the residual (an exact delivery resolved it). */
-    void clear() { residual_ = Tensor(); }
+    /** Drop the residual (an exact delivery resolved it). The
+     *  storage is kept for the next fold. */
+    void clear() { state_ = State::Empty; }
 
-    /** Current residual (empty when none is carried). */
-    const Tensor &residual() const { return residual_; }
+    /** Carried residual (empty when none is carried, and between
+     *  fold() and update()). */
+    const Tensor &residual() const;
 
   private:
+    enum class State
+    {
+        Empty,   // nothing carried; storage is scratch
+        Fed,     // storage holds the fed message
+        Carried, // storage holds the residual
+    };
+
     Tensor residual_;
+    State state_ = State::Empty;
 };
 
 } // namespace optimus

@@ -50,37 +50,6 @@ MultiHeadAttention::MultiHeadAttention(const std::string &label,
     OPTIMUS_ASSERT(seq_len >= 1);
 }
 
-Tensor
-MultiHeadAttention::extractBlock(const Tensor &src, int64_t row0,
-                                 int64_t col0, int64_t rows,
-                                 int64_t cols)
-{
-    Tensor out({rows, cols});
-    const int64_t stride = src.cols();
-    const float *sd = src.data() + row0 * stride + col0;
-    float *od = out.data();
-    for (int64_t i = 0; i < rows; ++i) {
-        for (int64_t j = 0; j < cols; ++j)
-            od[i * cols + j] = sd[i * stride + j];
-    }
-    return out;
-}
-
-void
-MultiHeadAttention::accumulateBlock(Tensor &dst, const Tensor &block,
-                                    int64_t row0, int64_t col0)
-{
-    const int64_t stride = dst.cols();
-    const int64_t rows = block.rows();
-    const int64_t cols = block.cols();
-    float *dd = dst.data() + row0 * stride + col0;
-    const float *bd = block.data();
-    for (int64_t i = 0; i < rows; ++i) {
-        for (int64_t j = 0; j < cols; ++j)
-            dd[i * stride + j] += bd[i * cols + j];
-    }
-}
-
 void
 MultiHeadAttention::setMode(Mode mode)
 {
@@ -234,24 +203,25 @@ MultiHeadAttention::forward(const Tensor &x)
     // optlint:coldalloc — warmup capacity ratchet.
     st.probs.resize(batch * heads_);
 
-    // Each (batch, head) pair reads its own q/k/v slices and writes
-    // a disjoint ctx block and probs slot, so the flattened pairs
-    // run concurrently with bitwise-identical results.
+    // Each (batch, head) pair reads its own q/k/v slices in place
+    // (column views of the fused qkv rows, stride 3h) and
+    // accumulates into a disjoint, zeroed ctx block and its own
+    // probs slot, so the flattened pairs run concurrently with
+    // bitwise-identical results.
     Tensor ctx({n, hidden_});
+    const int64_t ld = 3 * hidden_;
     parallelFor(0, batch * heads_, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t t = lo; t < hi; ++t) {
             const int64_t b = t / heads_;
             const int64_t hd = t % heads_;
             const int64_t row0 = b * seqLen_;
-            Tensor q = extractBlock(st.qkv, row0, hd * dh, seqLen_,
-                                    dh);
-            Tensor k = extractBlock(st.qkv, row0, hidden_ + hd * dh,
-                                    seqLen_, dh);
-            Tensor v = extractBlock(st.qkv, row0,
-                                    2 * hidden_ + hd * dh, seqLen_,
-                                    dh);
+            const float *q = st.qkv.data() + row0 * ld + hd * dh;
+            const float *k = q + hidden_;
+            const float *v = q + 2 * hidden_;
 
-            Tensor scores = matmulNT(q, k); // [S x S]
+            Tensor scores({seqLen_, seqLen_}); // q k^T
+            gemmStrided(scores.data(), seqLen_, q, ld, false, k, ld,
+                        true, seqLen_, dh, seqLen_, true);
             scores.scale(scale);
 
             // Causal mask + row softmax (masked entries stay 0).
@@ -276,8 +246,10 @@ MultiHeadAttention::forward(const Tensor &x)
                     row[j] = 0.0f;
             }
 
-            Tensor head_ctx = matmul(scores, v); // [S x dh]
-            accumulateBlock(ctx, head_ctx, row0, hd * dh);
+            // ctx block += probs v.
+            gemmStrided(ctx.data() + row0 * hidden_ + hd * dh,
+                        hidden_, sd, seqLen_, false, v, ld, false,
+                        seqLen_, seqLen_, dh, true);
             st.probs[t] = std::move(scores);
         }
     });
@@ -299,31 +271,36 @@ MultiHeadAttention::backward(const Tensor &dy)
     Tensor dctx = proj_->backward(dy); // [N x h]
     OPTIMUS_ASSERT(dctx.rows() == n);
 
-    // Mirrors the forward pass: disjoint dqkv blocks per
-    // (batch, head) pair.
+    // Mirrors the forward pass: q/k/v and dhead are read in place,
+    // and each (batch, head) pair accumulates into its own disjoint,
+    // zeroed dq/dk/dv blocks of dqkv.
     Tensor dqkv({n, 3 * hidden_});
+    const int64_t ld = 3 * hidden_;
     parallelFor(0, batch * heads_, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t t = lo; t < hi; ++t) {
             const int64_t b = t / heads_;
             const int64_t hd = t % heads_;
             const int64_t row0 = b * seqLen_;
-            const Tensor &probs = st.probs[t];
-            Tensor q = extractBlock(st.qkv, row0, hd * dh, seqLen_, dh);
-            Tensor k = extractBlock(st.qkv, row0, hidden_ + hd * dh,
-                                    seqLen_, dh);
-            Tensor v = extractBlock(st.qkv, row0, 2 * hidden_ + hd * dh,
-                                    seqLen_, dh);
-            Tensor dhead = extractBlock(dctx, row0, hd * dh, seqLen_,
-                                        dh);
+            const float *pd = st.probs[t].data();
+            const float *q = st.qkv.data() + row0 * ld + hd * dh;
+            const float *k = q + hidden_;
+            const float *v = q + 2 * hidden_;
+            const float *dhead = dctx.data() + row0 * hidden_ + hd * dh;
+            float *dq = dqkv.data() + row0 * ld + hd * dh;
+            float *dk = dq + hidden_;
+            float *dv = dq + 2 * hidden_;
 
-            Tensor dv = matmulTN(probs, dhead);   // [S x dh]
-            Tensor dprobs = matmulNT(dhead, v);   // [S x S]
+            // dv += probs^T dhead; dprobs = dhead v^T.
+            gemmStrided(dv, ld, pd, seqLen_, true, dhead, hidden_,
+                        false, seqLen_, seqLen_, dh, true);
+            Tensor dprobs({seqLen_, seqLen_});
+            gemmStrided(dprobs.data(), seqLen_, dhead, hidden_, false,
+                        v, ld, true, seqLen_, dh, seqLen_, true);
 
             // Softmax backward per row:
             // dscore_ij = p_ij * (dprobs_ij - sum_k p_ik dprobs_ik);
             // masked entries have p == 0, so they contribute nothing.
             Tensor dscores({seqLen_, seqLen_});
-            const float *pd = probs.data();
             const float *dpd = dprobs.data();
             float *dsd = dscores.data();
             for (int64_t i = 0; i < seqLen_; ++i) {
@@ -339,12 +316,11 @@ MultiHeadAttention::backward(const Tensor &dy)
             }
             dscores.scale(scale);
 
-            Tensor dq = matmul(dscores, k);   // [S x dh]
-            Tensor dk = matmulTN(dscores, q); // [S x dh]
-
-            accumulateBlock(dqkv, dq, row0, hd * dh);
-            accumulateBlock(dqkv, dk, row0, hidden_ + hd * dh);
-            accumulateBlock(dqkv, dv, row0, 2 * hidden_ + hd * dh);
+            // dq += dscores k; dk += dscores^T q.
+            gemmStrided(dq, ld, dsd, seqLen_, false, k, ld, false,
+                        seqLen_, seqLen_, dh, true);
+            gemmStrided(dk, ld, dsd, seqLen_, true, q, ld, false,
+                        seqLen_, seqLen_, dh, true);
         }
     });
     Tensor dx = qkv_->backward(dqkv);

@@ -4,6 +4,14 @@
  * Operates on [batch*seq x hidden] activations; the sequence length
  * is fixed at construction, and the batch size is derived per call.
  *
+ * Mode::Train runs each (batch, head) pair as strided GEMMs
+ * (gemmStrided, matmul.hh) on views: q, k and v are read in place
+ * from the fused qkv activation (rows 3*hidden apart), the upstream
+ * gradient of a head from the context gradient, and the head's
+ * context and dq/dk/dv accumulate straight into their zeroed
+ * column blocks of the [N x hidden] / [N x 3*hidden] outputs. No
+ * per-head block is copied out or added back.
+ *
  * Mode::Infer adds per-sequence KV caches: forwardSegments() takes
  * a stacked input holding consecutive rows of several sequences,
  * runs the qkv and output projections once over all of them (the
@@ -130,15 +138,6 @@ class MultiHeadAttention : public Layer
         std::vector<Tensor> probs;  // per (batch, head): [S x S]
         int64_t batch;
     };
-
-    /** Copy an [S x d] block out of a wide row-major matrix. */
-    static Tensor extractBlock(const Tensor &src, int64_t row0,
-                               int64_t col0, int64_t rows,
-                               int64_t cols);
-
-    /** Accumulate an [S x d] block into a wide row-major matrix. */
-    static void accumulateBlock(Tensor &dst, const Tensor &block,
-                                int64_t row0, int64_t col0);
 
     int64_t hidden_;
     int64_t heads_;

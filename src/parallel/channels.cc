@@ -55,9 +55,11 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
         isEpilogueBackward(stages_, micro_batches, stage_,
                            micro_batch);
 
-    // Fold the lazily propagated error into this message.
-    Tensor fed;
-    lep_.fold(grad, fed);
+    // Fold the lazily propagated error into this message, in the
+    // residual's storage; with LEP off nothing is carried and the
+    // gradient itself is the message.
+    const bool lep = config_.lazyErrorPropagation;
+    const Tensor &fed = lep ? lep_.fold(grad) : grad;
 
     Tensor delivered;
     if (compress_this) {
@@ -68,15 +70,16 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
                             seededSpec_);
         probe_.observe(fed.data(), delivered.data(),
                        static_cast<size_t>(fed.size()));
-        if (config_.lazyErrorPropagation)
-            lep_.update(fed, delivered);
+        if (lep)
+            lep_.update(delivered);
     } else {
         // Uncompressed message: delivered exactly; any folded-in
-        // error is thereby resolved losslessly.
+        // error is thereby resolved losslessly. clear() keeps the
+        // residual's storage for the next fold.
         transport_->p2pSend(CommPhase::InterStage, stage_, stage_ - 1,
                             replica_, exact_bytes, exact_bytes,
                             CompressorSpec{});
-        delivered = std::move(fed);
+        delivered = fed;
         lep_.clear();
     }
 
@@ -85,9 +88,10 @@ BackwardChannel::send(const Tensor &grad, int micro_batch,
         rec.microBatch = micro_batch;
         rec.compressed = true;
         Tensor err = grad;
-        if (config_.lazyErrorPropagation) {
-            // The residual currently holds fed - delivered == the
-            // full compression error; report it as the per-send error.
+        if (lep) {
+            // After update() the residual holds fed - delivered ==
+            // the full compression error; report it as the per-send
+            // error.
             err = lep_.residual();
         } else {
             err.sub(delivered);

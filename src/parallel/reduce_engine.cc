@@ -37,16 +37,16 @@ struct ReduceEngine::Bucket
 
     /** Compressed-bucket state (single compressible parameter). */
     std::unique_ptr<DistributedPowerSgd> dps;
-    /** Persistent error-fed inputs M_d = grad_d + e_d. */
-    std::vector<Tensor> fed;
     /**
-     * Per-worker residuals e_d: zeros from bind() with error
-     * feedback on, empty (so fold copies) with it off.
+     * Per-worker residuals e_d, zeros from bind(), with error
+     * feedback on; none with it off. Each fold turns e_d into the
+     * error-fed input M_d = grad_d + e_d in place.
      */
     std::vector<ErrorFeedback> feedback;
     /** Persistent mean reconstruction. */
     Tensor mean;
-    /** Pointer view over fed, rebuilt in place every reduce. */
+    /** PowerSGD inputs (the fed residuals, or the raw gradients
+     *  with error feedback off), rebuilt in place every reduce. */
     std::vector<const Tensor *> inputs;
 
     /**
@@ -133,10 +133,8 @@ ReduceEngine::bind(
             bucket->dps = std::make_unique<DistributedPowerSgd>(
                 config_.workers, config_.dp.spec.rank,
                 config_.seed + 0x1000 * (j + 1));
-            const auto &shape = worker_params[0][j]->value.shape();
-            for (int d = 0; d < config_.workers; ++d)
-                bucket->fed.emplace_back(shape);
-            bucket->mean = Tensor(shape);
+            bucket->mean =
+                Tensor(worker_params[0][j]->value.shape());
             resetFeedback(*bucket);
             bucket->inputs.resize(config_.workers);
             buckets_.push_back(std::move(bucket));
@@ -300,12 +298,14 @@ void
 ReduceEngine::reduceCompressed(Bucket &bucket)
 {
     const int workers = config_.workers;
+    const bool feedback = !bucket.feedback.empty();
     std::vector<const Tensor *> &inputs = bucket.inputs;
     for (int d = 0; d < workers; ++d) {
-        // Persistent scratch: the fold's copy reuses the fed
-        // tensor's storage, so the steady state allocates nothing.
-        bucket.feedback[d].fold(*bucket.grads[0][d], bucket.fed[d]);
-        inputs[d] = &bucket.fed[d];
+        // The fold adds the gradient into the persistent residual in
+        // place, so the steady state neither copies nor allocates.
+        inputs[d] = feedback
+                        ? &bucket.feedback[d].fold(*bucket.grads[0][d])
+                        : bucket.grads[0][d];
     }
 
     transport_->allReduceCompressed(CommPhase::DpReduce, *bucket.dps,
@@ -317,12 +317,11 @@ ReduceEngine::reduceCompressed(Bucket &bucket)
     // independent.
     const size_t n = static_cast<size_t>(bucket.mean.size());
     for (int d = 0; d < workers; ++d)
-        bucket.probe.observe(bucket.fed[d].data(), bucket.mean.data(),
-                             n);
+        bucket.probe.observe(inputs[d]->data(), bucket.mean.data(), n);
 
     for (int d = 0; d < workers; ++d) {
-        if (config_.dp.errorFeedback)
-            bucket.feedback[d].update(bucket.fed[d], bucket.mean);
+        if (feedback)
+            bucket.feedback[d].update(bucket.mean);
         *bucket.grads[0][d] = bucket.mean;
     }
 }
@@ -409,10 +408,10 @@ ReduceEngine::resetFeedback(Bucket &bucket) const
 {
     // Pre-sized zero residuals: the first fold adds zeros, exactly
     // as every later fold adds the carried residual.
-    const ErrorFeedback zero = config_.dp.errorFeedback
-                                   ? ErrorFeedback(bucket.mean.shape())
-                                   : ErrorFeedback();
-    bucket.feedback.assign(config_.workers, zero);
+    bucket.feedback.clear();
+    if (config_.dp.errorFeedback)
+        bucket.feedback.assign(config_.workers,
+                               ErrorFeedback(bucket.mean.shape()));
 }
 
 } // namespace optimus

@@ -35,9 +35,10 @@
  *    pins the engine bitwise to a per-parameter oracle at any
  *    OPTIMUS_THREADS.
  *
- *  - **No per-step churn.** Error-fed inputs, residuals, and the
- *    mean reconstruction live in per-bucket persistent scratch;
- *    the exact combine needs no scratch at all.
+ *  - **No per-step churn.** Residuals and the mean reconstruction
+ *    live in per-bucket persistent scratch, and each residual
+ *    doubles as its worker's error-fed input (the fold is in
+ *    place); the exact combine needs no scratch at all.
  */
 
 #ifndef OPTIMUS_PARALLEL_REDUCE_ENGINE_HH

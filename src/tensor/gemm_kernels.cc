@@ -45,14 +45,14 @@ packA(const GemmBlockCtx &ctx, int64_t i, float *apack)
 {
     if (!ctx.transA) {
         for (int r = 0; r < MR; ++r) {
-            const float *src = ctx.a + (i + r) * ctx.k + ctx.pc;
+            const float *src = ctx.a + (i + r) * ctx.lda + ctx.pc;
             for (int64_t p = 0; p < ctx.kc; ++p)
                 apack[p * MR + r] = src[p];
         }
     } else {
         for (int64_t p = 0; p < ctx.kc; ++p)
             std::memcpy(apack + p * MR,
-                        ctx.a + (ctx.pc + p) * ctx.m + i,
+                        ctx.a + (ctx.pc + p) * ctx.lda + i,
                         sizeof(float) * MR);
     }
 }
@@ -119,8 +119,8 @@ rowGroup512(const GemmBlockCtx &ctx, int64_t i, float *apack)
     for (int64_t j0 = 0; j0 < ctx.nc; j0 += kJw512) {
         const int64_t cols =
             std::min<int64_t>(kJw512, ctx.nc - j0);
-        micro512<MR>(ctx.c + i * ctx.n + ctx.jc + j0, ctx.n, apack,
-                     ctx.bpack + j0, ctx.kc, ctx.ncPad, cols);
+        micro512<MR>(ctx.c + i * ctx.ldc + ctx.jc + j0, ctx.ldc,
+                     apack, ctx.bpack + j0, ctx.kc, ctx.ncPad, cols);
     }
 }
 
@@ -201,8 +201,8 @@ rowGroup256(const GemmBlockCtx &ctx, int64_t i, float *apack)
     for (int64_t j0 = 0; j0 < ctx.nc; j0 += kJw256) {
         const int64_t cols =
             std::min<int64_t>(kJw256, ctx.nc - j0);
-        micro256<MR>(ctx.c + i * ctx.n + ctx.jc + j0, ctx.n, apack,
-                     ctx.bpack + j0, ctx.kc, ctx.ncPad, cols);
+        micro256<MR>(ctx.c + i * ctx.ldc + ctx.jc + j0, ctx.ldc,
+                     apack, ctx.bpack + j0, ctx.kc, ctx.ncPad, cols);
     }
 }
 

@@ -33,12 +33,18 @@ namespace optimus
  */
 constexpr int64_t kGemmMaxKc = 256;
 
-/** Per-(jc, pc) state shared by every row-panel task. */
+/**
+ * Per-(jc, pc) state shared by every row-panel task. A and C are
+ * row-major views: op(A) row i, depth p lives at a[i * lda + p]
+ * (a[p * lda + i] when transA), and C element (i, j) at
+ * c[i * ldc + j]. The packed B block carries its own stride, ncPad.
+ */
 struct GemmBlockCtx
 {
     float *c;
+    int64_t ldc;
     const float *a;
-    int64_t m, k, n;
+    int64_t lda;
     bool transA;
     int64_t pc, kc, jc, nc;
     const float *bpack;

@@ -99,9 +99,9 @@ microKernel(float *const *crows, const float *const *arows,
 
 /**
  * Run the micro-kernel on rows [i, i+ROWS) across the full jc block.
- * When A is logically transposed its elements are strided by m in
- * memory, so the rows are first packed into the caller's contiguous
- * scratch buffer.
+ * When A is logically transposed its elements are strided by lda
+ * in memory, so the rows are first packed into the caller's
+ * contiguous scratch buffer.
  */
 template <int ROWS>
 inline void
@@ -111,10 +111,10 @@ processRowGroup(const GemmBlockCtx &ctx, int64_t i, float *apack)
     float *crows[ROWS];
     if (!ctx.transA) {
         for (int r = 0; r < ROWS; ++r)
-            arows[r] = ctx.a + (i + r) * ctx.k + ctx.pc;
+            arows[r] = ctx.a + (i + r) * ctx.lda + ctx.pc;
     } else {
         for (int64_t p = 0; p < ctx.kc; ++p) {
-            const float *src = ctx.a + (ctx.pc + p) * ctx.m + i;
+            const float *src = ctx.a + (ctx.pc + p) * ctx.lda + i;
             for (int r = 0; r < ROWS; ++r)
                 apack[r * ctx.kc + p] = src[r];
         }
@@ -124,7 +124,7 @@ processRowGroup(const GemmBlockCtx &ctx, int64_t i, float *apack)
     for (int64_t j0 = 0; j0 < ctx.nc; j0 += JW) {
         const int64_t cols = std::min<int64_t>(JW, ctx.nc - j0);
         for (int r = 0; r < ROWS; ++r)
-            crows[r] = ctx.c + (i + r) * ctx.n + ctx.jc + j0;
+            crows[r] = ctx.c + (i + r) * ctx.ldc + ctx.jc + j0;
         microKernel<ROWS>(crows, arows, ctx.bpack + j0, ctx.kc,
                           ctx.ncPad, cols);
     }
@@ -171,7 +171,9 @@ packTransposedB(float *bp, int64_t ldp, const float *src, int64_t lds,
  * Blocked GEMM core: C[m x n] (+)= op(A) * op(B) with op in
  * {identity, transpose}, never materializing a transposed copy.
  * Physical layouts: A is [m x k] ([k x m] when trans_a), B is
- * [k x n] ([n x k] when trans_b), C is [m x n], all row-major.
+ * [k x n] ([n x k] when trans_b), C is [m x n], all row-major
+ * views whose rows start lda / ldb / ldc floats apart (see
+ * gemmStrided() in matmul.hh).
  *
  * The active simd::Tier is read once per call: it selects the panel
  * kernel run inside each row task and the width the packed-B rows
@@ -180,12 +182,13 @@ packTransposedB(float *bp, int64_t ldp, const float *src, int64_t lds,
  */
 // optlint:hot — steady-state step path (zero-allocation contract).
 void
-gemmBlocked(float *c, const float *a, const float *b, int64_t m,
-            int64_t k, int64_t n, bool trans_a, bool trans_b,
-            bool accumulate)
+gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
+            const float *b, int64_t ldb, int64_t m, int64_t k,
+            int64_t n, bool trans_a, bool trans_b, bool accumulate)
 {
-    if (!accumulate)
-        std::memset(c, 0, sizeof(float) * m * n);
+    if (!accumulate && n > 0)
+        for (int64_t i = 0; i < m; ++i)
+            std::memset(c + i * ldc, 0, sizeof(float) * n);
     if (m <= 0 || n <= 0 || k <= 0)
         return;
 
@@ -239,19 +242,19 @@ gemmBlocked(float *c, const float *a, const float *b, int64_t m,
             if (!trans_b) {
                 for (int64_t p = 0; p < kc; ++p)
                     std::memcpy(bp + p * nc_pad,
-                                b + (pc + p) * n + jc,
+                                b + (pc + p) * ldb + jc,
                                 sizeof(float) * nc);
             } else {
-                packTransposedB(bp, nc_pad, b + jc * k + pc, k, kc,
-                                nc);
+                packTransposedB(bp, nc_pad, b + jc * ldb + pc, ldb,
+                                kc, nc);
             }
             if (nc_pad != nc)
                 for (int64_t p = 0; p < kc; ++p)
                     std::memset(bp + p * nc_pad + nc, 0,
                                 sizeof(float) * (nc_pad - nc));
 
-            GemmBlockCtx ctx{c,  a,  m,  k,     n,  trans_a,
-                             pc, kc, jc, nc,    bp, nc_pad};
+            GemmBlockCtx ctx{c,  ldc, a,  lda, trans_a, pc,
+                             kc, jc,  nc, bp,  nc_pad};
             parallelFor(0, m, mc,
                         [&ctx, mk](int64_t i0, int64_t i1) {
                 if (mk != nullptr) {
@@ -278,10 +281,23 @@ gemmBlocked(float *c, const float *a, const float *b, int64_t m,
 } // namespace
 
 void
+gemmStrided(float *c, int64_t ldc, const float *a, int64_t lda,
+            bool trans_a, const float *b, int64_t ldb, bool trans_b,
+            int64_t m, int64_t k, int64_t n, bool accumulate)
+{
+    OPTIMUS_ASSERT(m >= 0 && k >= 0 && n >= 0);
+    OPTIMUS_ASSERT(ldc >= n);
+    OPTIMUS_ASSERT(lda >= (trans_a ? m : k));
+    OPTIMUS_ASSERT(ldb >= (trans_b ? k : n));
+    gemmBlocked(c, ldc, a, lda, b, ldb, m, k, n, trans_a, trans_b,
+                accumulate);
+}
+
+void
 gemm(float *c, const float *a, const float *b, int64_t m, int64_t k,
      int64_t n, bool accumulate)
 {
-    gemmBlocked(c, a, b, m, k, n, false, false, accumulate);
+    gemmBlocked(c, n, a, k, b, n, m, k, n, false, false, accumulate);
 }
 
 Tensor
@@ -290,8 +306,7 @@ matmul(const Tensor &a, const Tensor &b)
     OPTIMUS_ASSERT(a.rank() == 2 && b.rank() == 2);
     OPTIMUS_ASSERT(a.cols() == b.rows());
     Tensor c({a.rows(), b.cols()});
-    gemmBlocked(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                b.cols(), false, false, true);
+    matmulAcc(c, a, b);
     return c;
 }
 
@@ -301,8 +316,7 @@ matmulTN(const Tensor &a, const Tensor &b)
     OPTIMUS_ASSERT(a.rank() == 2 && b.rank() == 2);
     OPTIMUS_ASSERT(a.rows() == b.rows());
     Tensor c({a.cols(), b.cols()});
-    gemmBlocked(c.data(), a.data(), b.data(), a.cols(), a.rows(),
-                b.cols(), true, false, true);
+    matmulAccTN(c, a, b);
     return c;
 }
 
@@ -312,8 +326,7 @@ matmulNT(const Tensor &a, const Tensor &b)
     OPTIMUS_ASSERT(a.rank() == 2 && b.rank() == 2);
     OPTIMUS_ASSERT(a.cols() == b.cols());
     Tensor c({a.rows(), b.rows()});
-    gemmBlocked(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                b.rows(), false, true, true);
+    matmulAccNT(c, a, b);
     return c;
 }
 
@@ -323,8 +336,9 @@ matmulAcc(Tensor &c, const Tensor &a, const Tensor &b)
     OPTIMUS_ASSERT(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
     OPTIMUS_ASSERT(a.cols() == b.rows());
     OPTIMUS_ASSERT(c.rows() == a.rows() && c.cols() == b.cols());
-    gemmBlocked(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                b.cols(), false, false, true);
+    gemmBlocked(c.data(), c.cols(), a.data(), a.cols(), b.data(),
+                b.cols(), a.rows(), a.cols(), b.cols(), false, false,
+                true);
 }
 
 void
@@ -333,8 +347,9 @@ matmulAccTN(Tensor &c, const Tensor &a, const Tensor &b)
     OPTIMUS_ASSERT(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
     OPTIMUS_ASSERT(a.rows() == b.rows());
     OPTIMUS_ASSERT(c.rows() == a.cols() && c.cols() == b.cols());
-    gemmBlocked(c.data(), a.data(), b.data(), a.cols(), a.rows(),
-                b.cols(), true, false, true);
+    gemmBlocked(c.data(), c.cols(), a.data(), a.cols(), b.data(),
+                b.cols(), a.cols(), a.rows(), b.cols(), true, false,
+                true);
 }
 
 void
@@ -343,8 +358,9 @@ matmulAccNT(Tensor &c, const Tensor &a, const Tensor &b)
     OPTIMUS_ASSERT(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
     OPTIMUS_ASSERT(a.cols() == b.cols());
     OPTIMUS_ASSERT(c.rows() == a.rows() && c.cols() == b.rows());
-    gemmBlocked(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                b.rows(), false, true, true);
+    gemmBlocked(c.data(), c.cols(), a.data(), a.cols(), b.data(),
+                b.cols(), a.rows(), a.cols(), b.rows(), false, true,
+                true);
 }
 
 } // namespace optimus

@@ -13,6 +13,17 @@
  * ever made. Results are bitwise reproducible for any
  * OPTIMUS_THREADS setting because the panel decomposition depends
  * only on the problem shape.
+ *
+ * Leading dimensions: the core reads A and B and writes C through
+ * row-major views, each row `ld` floats after the previous one, so a
+ * caller can multiply column slices of a wider matrix (one head's
+ * q/k/v inside a fused qkv activation) and accumulate into a block
+ * of a wider output without copying. gemmStrided() exposes that
+ * core; the matmul* entries and gemm() are thin wrappers passing the
+ * natural strides (ld == row width). An element's arithmetic never
+ * depends on the strides: a view and a packed copy of the same
+ * values give the same bits, and only elements inside C's view are
+ * read or written.
  */
 
 #ifndef OPTIMUS_TENSOR_MATMUL_HH
@@ -50,6 +61,20 @@ void matmulAccNT(Tensor &c, const Tensor &a, const Tensor &b);
  */
 void gemm(float *c, const float *a, const float *b, int64_t m,
           int64_t k, int64_t n, bool accumulate);
+
+/**
+ * Strided kernel: C[m x n] (+)= op(A) * op(B) on row-major views.
+ * Element (i, j) of C is c[i * ldc + j]; A is stored [m x k]
+ * ([k x m] when @p trans_a) with rows @p lda apart, B is stored
+ * [k x n] ([n x k] when @p trans_b) with rows @p ldb apart. When
+ * @p accumulate is false the C view is overwritten. Bits equal the
+ * same product on packed copies of the views.
+ * @pre every ld is at least its view's stored row width
+ */
+void gemmStrided(float *c, int64_t ldc, const float *a, int64_t lda,
+                 bool trans_a, const float *b, int64_t ldb,
+                 bool trans_b, int64_t m, int64_t k, int64_t n,
+                 bool accumulate);
 
 /**
  * Naive single-threaded i-k-j triple loop kept as the testing and

@@ -195,11 +195,20 @@ disarm(int64_t heap_before)
 struct GridPoint
 {
     int d, p, m;
+    /** Error feedback on both compressed paths (DP residuals and
+     *  lazy error propagation). */
+    bool feedback = true;
+    /** Compress only epilogue backward messages, so the rest go
+     *  exact and clear the lazily propagated error. */
+    bool epilogueOnly = false;
 };
 
 /**
  * The gated (D,P,M) points: the P=1 and D=1 corners, a 4-stage
- * pipeline, and 4 replicas, around the D=2 P=2 M=2 centre.
+ * pipeline, and 4 replicas, around the D=2 P=2 M=2 centre; the
+ * centre again with error feedback off on both paths (PowerSGD
+ * reads the raw messages), and a 4-stage point with the epilogue
+ * policy (exact sends resolve the stored error).
  */
 constexpr GridPoint kGrid[] = {
     {1, 1, 2},
@@ -207,6 +216,8 @@ constexpr GridPoint kGrid[] = {
     {2, 2, 2},
     {2, 4, 4},
     {4, 2, 2},
+    {2, 2, 2, false},
+    {2, 4, 4, true, true},
 };
 
 /**
@@ -233,9 +244,11 @@ gateConfig(const GridPoint &point)
     config.microBatchSize = 2;
     config.useAdam = true;
     config.cb.enabled = true;
-    config.cb.epilogueOnly = false;
+    config.cb.lazyErrorPropagation = point.feedback;
+    config.cb.epilogueOnly = point.epilogueOnly;
     config.cb.spec.rank = 2;
     config.dp.enabled = true;
+    config.dp.errorFeedback = point.feedback;
     config.dp.stageFraction = 1.0;
     config.dp.spec.rank = 2;
     return config;
@@ -269,18 +282,21 @@ runGrid(const LmDataset &data, const char *mode)
     bool ok = true;
     for (const GridPoint &point : kGrid) {
         const Armed armed = runGate(data, point);
-        std::printf("alloc_gate: mode=%-9s D=%d P=%d M=%d  armed "
-                    "allocs=%lld  tensor heapAllocs=%lld\n",
-                    mode, point.d, point.p, point.m, armed.news,
-                    armed.tensors);
+        std::printf("alloc_gate: mode=%-9s D=%d P=%d M=%d ef=%d "
+                    "epilogue=%d  armed allocs=%lld  tensor "
+                    "heapAllocs=%lld\n",
+                    mode, point.d, point.p, point.m, point.feedback,
+                    point.epilogueOnly, armed.news, armed.tensors);
         if (!armed.clean()) {
             ok = false;
             std::fprintf(stderr,
-                         "alloc_gate: FAIL mode=%s D=%d P=%d M=%d: "
-                         "%lld operator new + %lld tensor heap "
-                         "allocation(s) in a steady-state step\n",
-                         mode, point.d, point.p, point.m, armed.news,
-                         armed.tensors);
+                         "alloc_gate: FAIL mode=%s D=%d P=%d M=%d "
+                         "ef=%d epilogue=%d: %lld operator new + "
+                         "%lld tensor heap allocation(s) in a "
+                         "steady-state step\n",
+                         mode, point.d, point.p, point.m,
+                         point.feedback, point.epilogueOnly,
+                         armed.news, armed.tensors);
         }
     }
     return ok;

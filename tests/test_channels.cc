@@ -15,7 +15,9 @@
 #include "parallel/channels.hh"
 #include "parallel/reduce_engine.hh"
 #include "parallel/trainer3d.hh"
+#include "test_util.hh"
 #include "util/random.hh"
+#include "util/stats.hh"
 
 namespace optimus
 {
@@ -242,6 +244,115 @@ TEST(BackwardChannel, ResetClearsEverything)
     EXPECT_EQ(channel.health().residualNormSq, 0.0);
     EXPECT_EQ(channel.storedError().size(), 0);
     EXPECT_EQ(channel.errorBufferBytes(), 0);
+}
+
+/**
+ * BackwardChannel::send with copy-based error feedback: the fed
+ * message is a fresh copy of the gradient plus the stored error, the
+ * new error a copy of the fed message minus the delivery, and an
+ * exact send frees the error. Also reports each compressed send's
+ * instrumentation error mean.
+ */
+class CopyFoldChannelOracle
+{
+  public:
+    CopyFoldChannelOracle(const CbConfig &config, int stages, int stage,
+                          uint64_t seed)
+        : config_(config), stages_(stages), stage_(stage)
+    {
+        CompressorSpec spec = config.spec;
+        spec.seed = seed;
+        compressor_ = makeCompressor(spec);
+    }
+
+    Tensor
+    copyingSend(const Tensor &grad, int micro_batch, int micro_batches)
+    {
+        const bool compress_this =
+            !config_.epilogueOnly ||
+            isEpilogueBackward(stages_, micro_batches, stage_,
+                               micro_batch);
+        Tensor fed = grad;
+        if (error_.shape() == grad.shape())
+            fed.add(error_);
+        else
+            error_ = Tensor();
+        Tensor delivered;
+        if (compress_this) {
+            compressor_->compress(fed, delivered);
+            Tensor err = grad;
+            if (config_.lazyErrorPropagation) {
+                error_ = fed;
+                error_.sub(delivered);
+                err = error_;
+            } else {
+                err.sub(delivered);
+            }
+            errorMeans_.push_back(mean(err.data(), err.size()));
+        } else {
+            delivered = std::move(fed);
+            error_ = Tensor();
+        }
+        return delivered;
+    }
+
+    const Tensor &error() const { return error_; }
+    const std::vector<double> &errorMeans() const { return errorMeans_; }
+
+  private:
+    CbConfig config_;
+    int stages_, stage_;
+    std::unique_ptr<Compressor> compressor_;
+    Tensor error_;
+    std::vector<double> errorMeans_;
+};
+
+using test::sameBits;
+
+TEST(BackwardChannel, InPlaceFoldBitwiseMatchesCopyingFold)
+{
+    // Folding into the stored error's own storage keeps the bits of
+    // the copy-based fold: every delivery, the stored error after
+    // every send, the instrumentation error means and the health
+    // residual, with LEP on and off, and with the epilogue policy
+    // sending the first 3 of 8 messages exactly (P=4, channel 1->0).
+    // The third mini-batch changes the message shape.
+    for (bool lep : {true, false}) {
+        for (bool epilogue_only : {false, true}) {
+            const std::string where =
+                std::string(lep ? "lep" : "no-lep") +
+                (epilogue_only ? " epilogueOnly" : " every send");
+            const CbConfig config = powerSgdCb(lep, epilogue_only);
+            BackwardChannel channel(config, 4, 1, 9);
+            channel.enableInstrumentation(true);
+            CopyFoldChannelOracle oracle(config, 4, 1, 9);
+            Rng rng(31);
+            for (int step = 0; step < 3; ++step) {
+                const ShapeVec shape =
+                    step < 2 ? ShapeVec{14, 10} : ShapeVec{10, 14};
+                for (int m = 0; m < 8; ++m) {
+                    const Tensor g = Tensor::randn(shape, rng);
+                    const Tensor out = channel.send(g, m, 8);
+                    const Tensor ref = oracle.copyingSend(g, m, 8);
+                    ASSERT_TRUE(sameBits(out, ref))
+                        << where << " step=" << step << " m=" << m;
+                    ASSERT_TRUE(
+                        sameBits(channel.storedError(), oracle.error()))
+                        << where << " step=" << step << " m=" << m;
+                }
+            }
+            const auto &stats = channel.sendStats();
+            ASSERT_EQ(stats.size(), oracle.errorMeans().size()) << where;
+            for (size_t i = 0; i < stats.size(); ++i)
+                EXPECT_EQ(stats[i].errorMean, oracle.errorMeans()[i])
+                    << where << " send " << i;
+            EXPECT_EQ(channel.health().residualNormSq,
+                      obs::l2NormSq(oracle.error().data(),
+                                    static_cast<size_t>(
+                                        oracle.error().size())))
+                << where;
+        }
+    }
 }
 
 TEST(ReduceEngine, CompressibleRequiresRealMatrix)

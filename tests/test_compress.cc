@@ -42,10 +42,8 @@ void
 sendWithFeedback(ErrorFeedback &ef, Compressor &comp, const Tensor &m,
                  Tensor &out)
 {
-    Tensor fed;
-    ef.fold(m, fed);
-    comp.compress(fed, out);
-    ef.update(fed, out);
+    comp.compress(ef.fold(m), out);
+    ef.update(out);
 }
 
 /** Orthonormalize the columns of @p m through orthonormalizeRows on
@@ -304,16 +302,30 @@ TEST(ErrorFeedback, PresizedResidualFoldsZerosAndClearDropsIt)
     ASSERT_EQ(ef.residual().size(), 24);
     EXPECT_EQ(ef.residual().norm(), 0.0);
     Tensor m = Tensor::randn({6, 4}, rng);
-    Tensor fed;
-    ef.fold(m, fed);
-    EXPECT_TRUE(fed.allClose(m, 0.0f));
+    EXPECT_TRUE(ef.fold(m).allClose(m, 0.0f));
 
-    ef.update(fed, Tensor({6, 4}));
+    ef.update(Tensor({6, 4}));
     EXPECT_TRUE(ef.residual().allClose(m, 0.0f));
     ef.clear();
     EXPECT_EQ(ef.residual().size(), 0);
-    ef.fold(m, fed);
-    EXPECT_TRUE(fed.allClose(m, 0.0f));
+    EXPECT_TRUE(ef.fold(m).allClose(m, 0.0f));
+}
+
+TEST(ErrorFeedback, FoldsInPlaceAndClearKeepsStorage)
+{
+    // The fed message is the residual's own storage, and an exact
+    // delivery's clear() keeps that storage for the next fold, so a
+    // stream's steady state never reallocates.
+    Rng rng(13);
+    ErrorFeedback ef({5, 3});
+    const float *storage = ef.residual().data();
+    const Tensor m = Tensor::randn({5, 3}, rng);
+    const Tensor &fed = ef.fold(m);
+    EXPECT_EQ(fed.data(), storage);
+    ef.update(Tensor({5, 3}));
+    EXPECT_EQ(ef.residual().data(), storage);
+    ef.clear();
+    EXPECT_EQ(ef.fold(m).data(), storage);
 }
 
 TEST(CompressorFactory, BuildsEveryKind)
@@ -501,12 +513,11 @@ TEST(ErrorFeedbackEdge, ShapeChangeDropsStaleResidual)
     // Same element count, different shape: the stale residual must
     // not be folded into the new stream.
     Tensor g2 = Tensor::randn({4, 16}, rng);
-    Tensor fed;
-    ef.fold(g2, fed);
+    const Tensor &fed = ef.fold(g2);
     EXPECT_TRUE(fed.allClose(g2, 0.0f));
     EXPECT_EQ(ef.residual().size(), 0);
     comp.compress(fed, out);
-    ef.update(fed, out);
+    ef.update(out);
     Tensor fresh = g2;
     fresh.sub(out);
     EXPECT_EQ(ef.residual().rows(), 4);
@@ -831,14 +842,7 @@ class ColumnPowerSgdOracle
     Tensor q_;
 };
 
-bool
-sameBits(const Tensor &a, const Tensor &b)
-{
-    return a.shape() == b.shape() &&
-           (a.size() == 0 ||
-            std::memcmp(a.data(), b.data(),
-                        sizeof(float) * a.size()) == 0);
-}
+using test::sameBits;
 
 TEST(PowerSgdLayout, RowMajorFactorsBitwiseMatchColumnLayout)
 {

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -348,14 +349,7 @@ TEST(MatmulTiers, RowsAreBatchInvariantEveryTier)
     simd::setTier(initial);
 }
 
-/** True when @p x and @p y hold the same bytes. */
-bool
-sameBits(const Tensor &x, const Tensor &y)
-{
-    return x.shape() == y.shape() &&
-           std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) ==
-               0;
-}
+using test::sameBits;
 
 TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
 {
@@ -401,6 +395,131 @@ TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
                             << "matmulAccNT " << where;
                         ASSERT_TRUE(sameBits(tn, tn_ref))
                             << "matmulTN " << where;
+                    }
+                }
+            }
+        }
+    }
+    simd::setTier(initial);
+}
+
+/**
+ * A [rows x cols] view inside a wider row-major buffer: rows are ld
+ * floats apart and start at column off. Every float of the buffer
+ * outside the view holds @p pad.
+ */
+struct View
+{
+    std::vector<float> buf;
+    int64_t rows, cols, ld, off;
+
+    View(int64_t r, int64_t c, int64_t pad_cols, int64_t offset,
+         float pad)
+        : buf(static_cast<size_t>(r * (c + pad_cols)), pad), rows(r),
+          cols(c), ld(c + pad_cols), off(offset)
+    {}
+
+    float *data() { return buf.data() + off; }
+
+    void
+    fill(const Tensor &src)
+    {
+        for (int64_t i = 0; i < rows; ++i)
+            for (int64_t j = 0; j < cols; ++j)
+                data()[i * ld + j] = src[i * cols + j];
+    }
+
+    Tensor
+    packed()
+    {
+        Tensor out({rows, cols});
+        for (int64_t i = 0; i < rows; ++i)
+            for (int64_t j = 0; j < cols; ++j)
+                out[i * cols + j] = data()[i * ld + j];
+        return out;
+    }
+};
+
+TEST(MatmulTiers, LeadingDimensionViewsBitwiseEqualCopies)
+{
+    // The strided core on views must give the bits of the same GEMM
+    // on packed copies, read nothing outside the A and B views (their
+    // pad columns hold NaN, which would poison any product it
+    // reached) and write nothing outside the C view. k = 257/300
+    // crosses the KC = 256 block, n = 600 crosses the widest column
+    // block (512), and the odd widths leave ragged pack and register
+    // tiles; every tier, pooled and serial.
+    ASSERT_TRUE(kForceThreads);
+    const simd::Tier initial = simd::tier();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float sentinel = -1234.5f;
+    const Shape shapes[] = {{1, 1, 1},     {7, 300, 17}, {13, 17, 600},
+                            {57, 257, 33}, {5, 9, 513},  {33, 65, 7}};
+    Rng rng(36);
+    for (simd::Tier t : supportedTiers()) {
+        simd::setTier(t);
+        for (bool serial : {true, false}) {
+            std::optional<SerialRegion> region;
+            if (serial)
+                region.emplace();
+            for (const Shape &s : shapes) {
+                for (int form = 0; form < 3; ++form) {
+                    // NN, TN, NT.
+                    const bool ta = form == 1;
+                    const bool tb = form == 2;
+                    const int64_t ar = ta ? s.k : s.m;
+                    const int64_t ac = ta ? s.m : s.k;
+                    const int64_t br = tb ? s.n : s.k;
+                    const int64_t bc = tb ? s.k : s.n;
+                    const Tensor a = Tensor::randn({ar, ac}, rng);
+                    const Tensor b = Tensor::randn({br, bc}, rng);
+                    const Tensor init =
+                        Tensor::randn({s.m, s.n}, rng);
+                    for (bool acc : {true, false}) {
+                        View av(ar, ac, 5, 2, nan);
+                        View bv(br, bc, 3, 1, nan);
+                        View cv(s.m, s.n, 4, 3, sentinel);
+                        av.fill(a);
+                        bv.fill(b);
+                        cv.fill(init);
+                        gemmStrided(cv.data(), cv.ld, av.data(), av.ld,
+                                    ta, bv.data(), bv.ld, tb, s.m, s.k,
+                                    s.n, acc);
+
+                        Tensor ref = init;
+                        if (!acc)
+                            gemmStrided(ref.data(), s.n, a.data(), ac,
+                                        ta, b.data(), bc, tb, s.m, s.k,
+                                        s.n, false);
+                        else if (form == 0)
+                            matmulAcc(ref, a, b);
+                        else if (form == 1)
+                            matmulAccTN(ref, a, b);
+                        else
+                            matmulAccNT(ref, a, b);
+
+                        const std::string where =
+                            std::string(simd::tierName(t)) +
+                            (serial ? " 1 thread" : " pool") +
+                            " form=" + std::to_string(form) +
+                            " acc=" + std::to_string(acc) +
+                            " m=" + std::to_string(s.m) +
+                            " k=" + std::to_string(s.k) +
+                            " n=" + std::to_string(s.n);
+                        ASSERT_TRUE(sameBits(cv.packed(), ref))
+                            << where;
+                        // C's pad columns are untouched.
+                        int64_t touched = 0;
+                        for (int64_t i = 0; i < cv.rows; ++i)
+                            for (int64_t j = 0; j < cv.ld; ++j) {
+                                const int64_t col = j - cv.off;
+                                if (col >= 0 && col < cv.cols)
+                                    continue;
+                                float got = cv.buf[i * cv.ld + j];
+                                touched += std::memcmp(&got, &sentinel,
+                                                       sizeof got) != 0;
+                            }
+                        ASSERT_EQ(touched, 0) << where;
                     }
                 }
             }

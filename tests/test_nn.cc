@@ -5,6 +5,11 @@
  * loss, optimizers, and the monolithic GPT.
  */
 
+#include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "nn/activation.hh"
@@ -16,6 +21,8 @@
 #include "nn/linear.hh"
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
+#include "runtime/runtime.hh"
+#include "tensor/matmul.hh"
 #include "test_util.hh"
 
 namespace optimus
@@ -24,6 +31,14 @@ namespace
 {
 
 constexpr double kGradTol = 3e-2;
+
+// A multi-threaded pool unless the environment pins one, so the
+// pooled legs of the bitwise tests run concurrent pairs. Runs at
+// static-init time, ahead of any parallelFor call.
+const bool kForceThreads = [] {
+    ::setenv("OPTIMUS_THREADS", "4", 0);
+    return true;
+}();
 
 TEST(GradCheck, Linear)
 {
@@ -327,6 +342,200 @@ TEST(Attention, BatchRowsAreIndependent)
     // First sequence's outputs (rows 0..3) are untouched.
     EXPECT_TRUE(y1.sliceRows(0, 4).allClose(y2.sliceRows(0, 4),
                                             0.0f));
+}
+
+/**
+ * Training attention with a copying core: every (batch, head) pair
+ * copies q, k, v (and dhead) out of the wide activations into
+ * [S x dh] blocks, runs allocating matmuls on them and adds the
+ * per-head results back into zeroed wide outputs. It shares the
+ * layer's projection parameters, so weight gradients land in the
+ * same Param objects.
+ */
+class CopyingAttentionOracle
+{
+  public:
+    CopyingAttentionOracle(const MultiHeadAttention &layer)
+        : hidden_(layer.hidden()), heads_(layer.heads()),
+          seqLen_(layer.seqLen()),
+          qkv_(layer.params()[0], layer.params()[1]),
+          proj_(layer.params()[2], layer.params()[3])
+    {}
+
+    Tensor
+    forward(const Tensor &x)
+    {
+        const int64_t n = x.rows();
+        batch_ = n / seqLen_;
+        const int64_t dh = hidden_ / heads_;
+        const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+        qkv_out_ = qkv_.forward(x);
+        probs_.assign(batch_ * heads_, Tensor());
+        Tensor ctx({n, hidden_});
+        for (int64_t t = 0; t < batch_ * heads_; ++t) {
+            const int64_t row0 = (t / heads_) * seqLen_;
+            const int64_t hd = t % heads_;
+            Tensor q = block(qkv_out_, row0, hd * dh, dh);
+            Tensor k = block(qkv_out_, row0, hidden_ + hd * dh, dh);
+            Tensor v = block(qkv_out_, row0, 2 * hidden_ + hd * dh, dh);
+            Tensor scores = matmulNT(q, k);
+            scores.scale(scale);
+            float *sd = scores.data();
+            for (int64_t i = 0; i < seqLen_; ++i) {
+                float *row = sd + i * seqLen_;
+                float max_val = row[0];
+                for (int64_t j = 1; j <= i; ++j)
+                    if (row[j] > max_val)
+                        max_val = row[j];
+                double denom = 0.0;
+                for (int64_t j = 0; j <= i; ++j) {
+                    row[j] = std::exp(row[j] - max_val);
+                    denom += row[j];
+                }
+                const float inv = static_cast<float>(1.0 / denom);
+                for (int64_t j = 0; j <= i; ++j)
+                    row[j] *= inv;
+                for (int64_t j = i + 1; j < seqLen_; ++j)
+                    row[j] = 0.0f;
+            }
+            addBlock(ctx, matmul(scores, v), row0, hd * dh);
+            probs_[t] = std::move(scores);
+        }
+        return proj_.forward(ctx);
+    }
+
+    Tensor
+    backward(const Tensor &dy)
+    {
+        const int64_t dh = hidden_ / heads_;
+        const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+        Tensor dctx = proj_.backward(dy);
+        Tensor dqkv({batch_ * seqLen_, 3 * hidden_});
+        for (int64_t t = 0; t < batch_ * heads_; ++t) {
+            const int64_t row0 = (t / heads_) * seqLen_;
+            const int64_t hd = t % heads_;
+            const Tensor &probs = probs_[t];
+            Tensor q = block(qkv_out_, row0, hd * dh, dh);
+            Tensor k = block(qkv_out_, row0, hidden_ + hd * dh, dh);
+            Tensor v = block(qkv_out_, row0, 2 * hidden_ + hd * dh, dh);
+            Tensor dhead = block(dctx, row0, hd * dh, dh);
+            Tensor dv = matmulTN(probs, dhead);
+            Tensor dprobs = matmulNT(dhead, v);
+            Tensor dscores({seqLen_, seqLen_});
+            const float *pd = probs.data();
+            const float *dpd = dprobs.data();
+            float *dsd = dscores.data();
+            for (int64_t i = 0; i < seqLen_; ++i) {
+                double dot_val = 0.0;
+                for (int64_t j = 0; j <= i; ++j)
+                    dot_val += static_cast<double>(pd[i * seqLen_ + j]) *
+                               dpd[i * seqLen_ + j];
+                for (int64_t j = 0; j <= i; ++j)
+                    dsd[i * seqLen_ + j] = pd[i * seqLen_ + j] *
+                        (dpd[i * seqLen_ + j] -
+                         static_cast<float>(dot_val));
+            }
+            dscores.scale(scale);
+            addBlock(dqkv, matmul(dscores, k), row0, hd * dh);
+            addBlock(dqkv, matmulTN(dscores, q), row0,
+                     hidden_ + hd * dh);
+            addBlock(dqkv, dv, row0, 2 * hidden_ + hd * dh);
+        }
+        return qkv_.backward(dqkv);
+    }
+
+  private:
+    /** Copy the [S x cols] block at (row0, col0) out of @p src. */
+    Tensor
+    block(const Tensor &src, int64_t row0, int64_t col0,
+          int64_t cols) const
+    {
+        Tensor out({seqLen_, cols});
+        for (int64_t i = 0; i < seqLen_; ++i)
+            for (int64_t j = 0; j < cols; ++j)
+                out[i * cols + j] = src.at(row0 + i, col0 + j);
+        return out;
+    }
+
+    /** dst block at (row0, col0) += @p blk. */
+    static void
+    addBlock(Tensor &dst, const Tensor &blk, int64_t row0, int64_t col0)
+    {
+        for (int64_t i = 0; i < blk.rows(); ++i)
+            for (int64_t j = 0; j < blk.cols(); ++j)
+                dst.at(row0 + i, col0 + j) += blk.at(i, j);
+    }
+
+    int64_t hidden_, heads_, seqLen_;
+    int64_t batch_ = 0;
+    Linear qkv_;
+    Linear proj_;
+    Tensor qkv_out_;
+    std::vector<Tensor> probs_;
+};
+
+using test::sameBits;
+
+TEST(Attention, StridedCoreBitwiseMatchesCopyingOracle)
+{
+    // Reading q/k/v in place and accumulating into the zeroed wide
+    // outputs must keep the bits of the copy-out / add-back core:
+    // forward output, input gradient and every projection gradient,
+    // at every tier, pooled and serial. S = 300 crosses the KC = 256
+    // depth block in probs v and probs^T dhead.
+    ASSERT_TRUE(kForceThreads);
+    struct Case
+    {
+        int64_t seq, dh, batch;
+    };
+    const Case cases[] = {{1, 4, 3}, {8, 16, 2}, {64, 32, 4}, {300, 8, 1}};
+    const simd::Tier initial = simd::tier();
+    for (simd::Tier tier : test::supportedTiers()) {
+        simd::setTier(tier);
+        for (bool serial : {true, false}) {
+            std::optional<SerialRegion> region;
+            if (serial)
+                region.emplace();
+            for (const Case &c : cases) {
+                const std::string where =
+                    std::string(simd::tierName(tier)) +
+                    (serial ? " 1 thread" : " pool") +
+                    " S=" + std::to_string(c.seq) +
+                    " dh=" + std::to_string(c.dh) +
+                    " batch=" + std::to_string(c.batch);
+                const int64_t heads = 2;
+                const int64_t hidden = heads * c.dh;
+                Rng rng(41 + c.seq);
+                MultiHeadAttention layer("t", hidden, heads, c.seq, rng,
+                                         0.3f);
+                const Tensor x =
+                    Tensor::randn({c.batch * c.seq, hidden}, rng);
+                const Tensor dy =
+                    Tensor::randn({c.batch * c.seq, hidden}, rng);
+
+                for (const auto &p : layer.params())
+                    p->zeroGrad();
+                const Tensor y = layer.forward(x);
+                const Tensor dx = layer.backward(dy);
+                std::vector<Tensor> grads;
+                for (const auto &p : layer.params()) {
+                    grads.push_back(p->grad);
+                    p->zeroGrad();
+                }
+
+                CopyingAttentionOracle oracle(layer);
+                const Tensor y_ref = oracle.forward(x);
+                const Tensor dx_ref = oracle.backward(dy);
+                EXPECT_TRUE(sameBits(y, y_ref)) << "forward " << where;
+                EXPECT_TRUE(sameBits(dx, dx_ref)) << "dx " << where;
+                const auto params = layer.params();
+                for (size_t i = 0; i < params.size(); ++i)
+                    EXPECT_TRUE(sameBits(grads[i], params[i]->grad))
+                        << params[i]->name << " grad " << where;
+            }
+        }
+    }
+    simd::setTier(initial);
 }
 
 TEST(Gpt, LogitsAreCausal)

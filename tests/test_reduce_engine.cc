@@ -221,7 +221,8 @@ TEST(ReduceEngineCompressed, DedicatedBucketsAndState)
  * of its bucketing: an exact parameter takes one mean all-reduce of
  * its own; a compressible parameter of a compressed stage runs the
  * distributed-PowerSGD protocol with explicit error-feedback
- * residuals e_d <- (g_d + e_d) - mean.
+ * residuals e_d <- (g_d + e_d) - mean, or on the raw gradients when
+ * error feedback is off.
  */
 class ReduceOracle
 {
@@ -257,16 +258,19 @@ class ReduceOracle
             std::vector<Tensor> &residual = residuals_[j];
             if (fresh)
                 residual.assign(workers, Tensor(value.shape()));
+            const bool feedback = config_.dp.errorFeedback;
             std::vector<Tensor> fed(workers);
             std::vector<const Tensor *> inputs;
             for (int d = 0; d < workers; ++d) {
-                fed[d] = add(*grads[d], residual[d]);
-                inputs.push_back(&fed[d]);
+                if (feedback)
+                    fed[d] = add(*grads[d], residual[d]);
+                inputs.push_back(feedback ? &fed[d] : grads[d]);
             }
             Tensor mean;
             dps->second.reduce(inputs, mean);
             for (int d = 0; d < workers; ++d) {
-                residual[d] = sub(fed[d], mean);
+                if (feedback)
+                    residual[d] = sub(fed[d], mean);
                 *grads[d] = mean;
             }
         }
@@ -285,7 +289,7 @@ class ReduceOracle
  * excluded parameter must come back untouched.
  */
 void
-runOracle(int workers, bool compressed)
+runOracle(int workers, bool compressed, bool error_feedback = true)
 {
     // Matrices (compressible), vectors and a 1-row matrix (exact),
     // with 128-byte buckets so exact params pack and split across
@@ -298,6 +302,7 @@ runOracle(int workers, bool compressed)
     if (compressed) {
         config.dp.enabled = true;
         config.dp.spec.rank = 2;
+        config.dp.errorFeedback = error_feedback;
         config.compressStage = true;
     }
     auto engine_lists = makeWorkerParams(workers, shapes);
@@ -344,6 +349,10 @@ runOracle(int workers, bool compressed)
                               sizeof(float) * untouched.size()),
                   0);
     }
+    if (!error_feedback) {
+        for (const double norm : engine.residualNorms())
+            EXPECT_EQ(norm, 0.0);
+    }
 }
 
 TEST(ReduceEngineOracle, ExactMatchesPerParameterReduce)
@@ -356,6 +365,14 @@ TEST(ReduceEngineOracle, CompressedMatchesPerParameterReduce)
 {
     for (const int workers : {1, 2, 3})
         runOracle(workers, true);
+}
+
+TEST(ReduceEngineOracle, CompressedNoFeedbackMatchesPerParameterReduce)
+{
+    // With error feedback off PowerSGD reduces the raw gradients and
+    // no residual is carried.
+    for (const int workers : {1, 2, 3})
+        runOracle(workers, true, false);
 }
 
 GptConfig

@@ -9,6 +9,7 @@
 #define OPTIMUS_TESTS_TEST_UTIL_HH
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -19,6 +20,16 @@
 
 namespace optimus::test
 {
+
+/** True when @p x and @p y have one shape and hold the same bytes. */
+inline bool
+sameBits(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+           (x.size() == 0 ||
+            std::memcmp(x.data(), y.data(),
+                        sizeof(float) * x.size()) == 0);
+}
 
 /** Every SIMD tier this CPU runs, narrowest first. */
 inline std::vector<simd::Tier>
