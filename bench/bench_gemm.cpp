@@ -11,19 +11,25 @@
  * breakdown rides alongside. The file records the host, pool
  * threads, dispatch tier and git revision it was measured at.
  *
- * A second table times the NN, NT and TN forms at the perfbench
- * training workloads' MLP shapes, per tier. A Linear layer's forward
- * is NN, its dX = dY * W^T is NT and its dW = X^T * dY is TN; only
- * the packing differs between them, so at one shape the three
- * should cost about the same.
+ * A second table times the NN, NT and TN forms at layer shapes on
+ * both sides of the runtime's kMinChunkWork, per tier: below it the
+ * dispatch rule runs the GEMM inline, so "pool" should equal
+ * "1thread"; above it the GEMM is split over the pool, which should
+ * be no slower than inline. A Linear layer's forward is NN, its
+ * dX = dY * W^T is NT and its dW = X^T * dY is TN; only the packing
+ * differs between them, so at one shape the three should cost about
+ * the same. The host's spare cores come and go, so the two legs
+ * alternate rep by rep and each reports its median and range. The
+ * `dispatch_us` field is the median round trip of an empty pooled
+ * region, the cost a chunk of kMinChunkWork has to repay.
  *
  * Usage: bench_gemm [--max-size 1024] [--reps 3]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,7 +109,7 @@ struct Row
     }
 };
 
-/** One training-layer GEMM shape: C[m x n] = op(A) * op(B), depth k. */
+/** One layer GEMM shape: C[m x n] = op(A) * op(B), depth k. */
 struct LayerShape
 {
     const char *layer;
@@ -111,14 +117,58 @@ struct LayerShape
 };
 
 /**
- * tokens x hidden x 4*hidden of perfbench's train_cc (16 tokens per
- * micro-batch, hidden 64) and train_dense (256 tokens, hidden 128):
- * the shape of fc1's forward (NN) and of fc2's dX = dY * W^T (NT).
+ * Shapes on both sides of kMinChunkWork (2^20 multiply-adds). The
+ * workload rows are tokens x hidden x 4*hidden, the shape of fc1's
+ * forward (NN) and of fc2's dX = dY * W^T (NT): perfbench's serve
+ * decode (~8 rows, hidden 64), train_cc (16 tokens per micro-batch,
+ * hidden 64) and train_dense (256 tokens, hidden 128). With the
+ * AVX-512 row tile of 56 rows, 112x128x128 is two tiles of 0.9M
+ * multiply-adds (one chunk, inline) and 112x128x512 two tiles of
+ * 3.7M (two chunks, pooled).
  */
 const LayerShape kLayerShapes[] = {
+    {"64^3", 64, 64, 64},
+    {"serve decode mlp", 8, 64, 256},
     {"train_cc mlp", 16, 64, 256},
+    {"two tiles 0.9M", 112, 128, 128},
+    {"two tiles 3.7M", 112, 128, 512},
     {"train_dense mlp", 256, 128, 512},
 };
+
+/**
+ * Alternating reps per layer-shape leg: enough for a median that a
+ * host with a shifting number of spare cores does not swing.
+ */
+constexpr int kLayerReps = 11;
+
+/** Median and range of a set of timings, microseconds. */
+struct Spread
+{
+    double median = 0.0, lo = 0.0, hi = 0.0;
+};
+
+Spread
+spreadOf(std::vector<double> us)
+{
+    std::sort(us.begin(), us.end());
+    return {us[us.size() / 2], us.front(), us.back()};
+}
+
+/** Median microseconds of one empty region over the whole pool. */
+double
+dispatchMicros()
+{
+    const int64_t chunks = runtimeThreads();
+    const auto empty = [](int64_t, int64_t) {};
+    std::vector<double> us;
+    for (int rep = 0; rep < 11; ++rep) {
+        const double t0 = seconds();
+        for (int i = 0; i < 1000; ++i)
+            parallelFor(0, chunks, 1, empty);
+        us.push_back((seconds() - t0) * 1e3);
+    }
+    return spreadOf(us).median;
+}
 
 enum class Form { NN, NT, TN };
 
@@ -129,13 +179,13 @@ formName(Form f)
 }
 
 /**
- * Best-of-@p reps microseconds per call of one matmulAcc form. Each
- * rep times a batch of calls long enough (about 2 ms) that the clock
- * resolution does not matter at the small shapes.
+ * Microseconds per call of one matmulAcc form, inline and on the
+ * pool, alternating the two legs rep by rep. Each rep times a batch
+ * of calls long enough (about 2 ms) that the clock resolution does
+ * not matter at the small shapes.
  */
-double
-measureLayer(Form form, const LayerShape &s, bool serial, int reps,
-             Rng &rng)
+std::pair<Spread, Spread>
+measureLayer(Form form, const LayerShape &s, int reps, Rng &rng)
 {
     const Tensor a = form == Form::TN ? Tensor::randn({s.k, s.m}, rng)
                                       : Tensor::randn({s.m, s.k}, rng);
@@ -156,20 +206,19 @@ measureLayer(Form form, const LayerShape &s, bool serial, int reps,
             call();
         return seconds() - t0;
     };
-    std::optional<SerialRegion> region;
-    if (serial)
-        region.emplace();
     call();
     int64_t calls = 1;
     while (timeBatch(calls) < 2e-3)
         calls *= 2;
-    double best = 1e300;
+    std::vector<double> inline_us, pool_us;
     for (int r = 0; r < reps; ++r) {
-        const double dt = timeBatch(calls) / calls;
-        if (dt < best)
-            best = dt;
+        {
+            SerialRegion serial;
+            inline_us.push_back(timeBatch(calls) / calls * 1e6);
+        }
+        pool_us.push_back(timeBatch(calls) / calls * 1e6);
     }
-    return best * 1e6;
+    return {spreadOf(inline_us), spreadOf(pool_us)};
 }
 
 } // namespace
@@ -220,32 +269,41 @@ main(int argc, char **argv)
         rows.push_back(row);
     }
 
+    const double dispatch_us = dispatchMicros();
+    std::printf("\nempty pooled region: %.2f us\n", dispatch_us);
+
     // Layer shapes: microseconds per call, 1 thread and pool.
+    struct LayerTier
+    {
+        simd::Tier tier;
+        Spread serial, pool;
+    };
     struct LayerRow
     {
         const LayerShape *shape;
         Form form;
-        std::vector<TierNumbers> tiers;
+        std::vector<LayerTier> tiers;
     };
     std::vector<LayerRow> layer_rows;
-    std::printf("\nlayer shapes (us per call, m x k x n):\n");
+    std::printf("\nlayer shapes (median us per call [range], "
+                "m x k x n):\n");
     for (const LayerShape &s : kLayerShapes) {
         for (Form form : {Form::NN, Form::NT, Form::TN}) {
             LayerRow lr{&s, form, {}};
             for (simd::Tier t : tiers) {
                 simd::setTier(t);
-                TierNumbers tn;
-                tn.tier = t;
-                tn.serial = measureLayer(form, s, true, reps, rng);
-                tn.threaded = measureLayer(form, s, false, reps, rng);
-                lr.tiers.push_back(tn);
-                std::printf("  %-16s %lldx%lldx%lld %s %-6s 1t %8.2f  "
-                            "%dt %8.2f\n",
+                const auto [serial, pool] =
+                    measureLayer(form, s, kLayerReps, rng);
+                lr.tiers.push_back({t, serial, pool});
+                std::printf("  %-16s %lldx%lldx%lld %s %-6s "
+                            "1t %8.2f [%.2f, %.2f]  "
+                            "%dt %8.2f [%.2f, %.2f]\n",
                             s.layer, static_cast<long long>(s.m),
                             static_cast<long long>(s.k),
                             static_cast<long long>(s.n), formName(form),
-                            simd::tierName(t), tn.serial,
-                            runtimeThreads(), tn.threaded);
+                            simd::tierName(t), serial.median, serial.lo,
+                            serial.hi, runtimeThreads(), pool.median,
+                            pool.lo, pool.hi);
             }
             simd::setTier(auto_tier);
             layer_rows.push_back(lr);
@@ -289,25 +347,35 @@ main(int argc, char **argv)
         }
         std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"layer_unit\": \"us per call\",\n"
+    std::fprintf(f, "  ],\n  \"min_chunk_work\": %lld,\n",
+                 static_cast<long long>(kMinChunkWork));
+    std::fprintf(f, "  \"dispatch_us\": %.2f,\n", dispatch_us);
+    std::fprintf(f, "  \"layer_reps\": %d,\n", kLayerReps);
+    std::fprintf(f, "  \"layer_unit\": \"median us per call, "
+                    "[min, max] over the reps\",\n"
                     "  \"layer_shapes\": [\n");
     for (size_t i = 0; i < layer_rows.size(); ++i) {
         const LayerRow &lr = layer_rows[i];
         std::fprintf(f,
                      "    {\"layer\": \"%s\", \"m\": %lld, "
-                     "\"k\": %lld, \"n\": %lld, \"form\": \"%s\",\n"
-                     "     \"tiers\": {",
+                     "\"k\": %lld, \"n\": %lld, \"work\": %lld, "
+                     "\"form\": \"%s\",\n     \"tiers\": {",
                      lr.shape->layer, static_cast<long long>(lr.shape->m),
                      static_cast<long long>(lr.shape->k),
                      static_cast<long long>(lr.shape->n),
+                     static_cast<long long>(lr.shape->m * lr.shape->k *
+                                            lr.shape->n),
                      formName(lr.form));
         for (size_t j = 0; j < lr.tiers.size(); ++j) {
-            const TierNumbers &tn = lr.tiers[j];
+            const LayerTier &lt = lr.tiers[j];
             std::fprintf(f,
                          "\"%s\": {\"us_1thread\": %.2f, "
-                         "\"us_pool\": %.2f}%s",
-                         simd::tierName(tn.tier), tn.serial,
-                         tn.threaded,
+                         "\"us_1thread_range\": [%.2f, %.2f], "
+                         "\"us_pool\": %.2f, "
+                         "\"us_pool_range\": [%.2f, %.2f]}%s",
+                         simd::tierName(lt.tier), lt.serial.median,
+                         lt.serial.lo, lt.serial.hi, lt.pool.median,
+                         lt.pool.lo, lt.pool.hi,
                          j + 1 < lr.tiers.size() ? ", " : "");
         }
         std::fprintf(f, "}}%s\n",

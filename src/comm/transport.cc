@@ -16,14 +16,6 @@ namespace optimus
 namespace
 {
 
-/**
- * Element grain of the collective combine kernel. Fixed (never
- * derived from the thread count) so the chunk grid is a pure
- * function of the group layout, per the runtime's determinism
- * contract; same value the parallel/ kernels historically used.
- */
-constexpr int64_t kCombineGrain = 4096;
-
 /** Comparable projection of a CompressorSpec for commEventLess. */
 std::tuple<int, int, double, uint64_t>
 specKey(const CompressorSpec &spec)
@@ -57,6 +49,36 @@ eventSelected(const CommEvent &e, CommPhase phase, int64_t iteration)
 }
 
 /**
+ * Run fn(ptrs, k0, k1) over the group's flat element range in
+ * parallel, one call per piece of a segment a chunk covers: ptrs
+ * are the segment's per-rank pointers and [k0, k1) the piece's
+ * offsets inside it. An element costs @p work_per_elem.
+ */
+template <typename F>
+void
+forEachSegmentRange(const CommGroup &group, int64_t work_per_elem,
+                    const F &fn)
+{
+    const auto &offsets = group.segOffsets;
+    parallelFor(0, group.totalElems, grainForWork(work_per_elem),
+                [&](int64_t lo, int64_t hi) {
+        size_t e = static_cast<size_t>(
+                       std::upper_bound(offsets.begin(), offsets.end(),
+                                        lo) -
+                       offsets.begin()) -
+                   1;
+        for (int64_t pos = lo; pos < hi; ++e) {
+            const int64_t seg_end = e + 1 < offsets.size()
+                                        ? offsets[e + 1]
+                                        : group.totalElems;
+            const int64_t stop = std::min(seg_end, hi);
+            fn(group.segPtrs[e], pos - offsets[e], stop - offsets[e]);
+            pos = stop;
+        }
+    });
+}
+
+/**
  * Mean/sum all-reduce over one segmented group. Chunks are cut from
  * flat coordinates (grain-fixed, segment-agnostic); each element
  * accumulates its per-rank values in rank order in double and the
@@ -76,40 +98,18 @@ combineGroup(const CommGroup &group, ReduceOp op)
     const int ranks = group.ranks;
     const double scale =
         op == ReduceOp::Mean ? 1.0 / static_cast<double>(ranks) : 1.0;
-    const auto &offsets = group.segOffsets;
-    const size_t segments = offsets.size();
-
-    parallelFor(0, group.totalElems, kCombineGrain,
-                [&](int64_t lo, int64_t hi) {
-                    size_t e = static_cast<size_t>(
-                                   std::upper_bound(offsets.begin(),
-                                                    offsets.end(),
-                                                    lo) -
-                                   offsets.begin()) -
-                               1;
-                    int64_t pos = lo;
-                    while (pos < hi) {
-                        const int64_t seg_end =
-                            e + 1 < segments ? offsets[e + 1]
-                                             : group.totalElems;
-                        const int64_t stop =
-                            seg_end < hi ? seg_end : hi;
-                        const int64_t base = pos - offsets[e];
-                        const auto &ptrs = group.segPtrs[e];
-                        for (int64_t i = pos; i < stop; ++i) {
-                            const int64_t k = base + (i - pos);
-                            double acc = 0.0;
-                            for (int d = 0; d < ranks; ++d)
-                                acc += ptrs[d][k];
-                            const float v =
-                                static_cast<float>(acc * scale);
-                            for (int d = 0; d < ranks; ++d)
-                                ptrs[d][k] = v;
-                        }
-                        pos = stop;
-                        ++e;
-                    }
-                });
+    forEachSegmentRange(group, 8 * ranks,
+                        [&](const std::vector<float *> &ptrs,
+                            int64_t k0, int64_t k1) {
+        for (int64_t k = k0; k < k1; ++k) {
+            double acc = 0.0;
+            for (int d = 0; d < ranks; ++d)
+                acc += ptrs[d][k];
+            const float v = static_cast<float>(acc * scale);
+            for (int d = 0; d < ranks; ++d)
+                ptrs[d][k] = v;
+        }
+    });
 }
 
 } // namespace
@@ -334,35 +334,15 @@ CommEvent
 InProcessTransport::broadcast(CommPhase phase, CommGroup &group)
 {
     OPTIMUS_ASSERT(group.ranks >= 1);
-    parallelFor(0, group.totalElems, kCombineGrain,
-                [&](int64_t lo, int64_t hi) {
-                    const auto &offsets = group.segOffsets;
-                    size_t e = static_cast<size_t>(
-                                   std::upper_bound(offsets.begin(),
-                                                    offsets.end(),
-                                                    lo) -
-                                   offsets.begin()) -
-                               1;
-                    int64_t pos = lo;
-                    while (pos < hi) {
-                        const int64_t seg_end =
-                            e + 1 < offsets.size()
-                                ? offsets[e + 1]
-                                : group.totalElems;
-                        const int64_t stop =
-                            seg_end < hi ? seg_end : hi;
-                        const int64_t base = pos - offsets[e];
-                        const auto &ptrs = group.segPtrs[e];
-                        for (int64_t i = pos; i < stop; ++i) {
-                            const int64_t k = base + (i - pos);
-                            const float v = ptrs[0][k];
-                            for (int d = 1; d < group.ranks; ++d)
-                                ptrs[d][k] = v;
-                        }
-                        pos = stop;
-                        ++e;
-                    }
-                });
+    forEachSegmentRange(group, 8 * group.ranks,
+                        [&](const std::vector<float *> &ptrs,
+                            int64_t k0, int64_t k1) {
+        for (int64_t k = k0; k < k1; ++k) {
+            const float v = ptrs[0][k];
+            for (int d = 1; d < group.ranks; ++d)
+                ptrs[d][k] = v;
+        }
+    });
     CommEvent event;
     event.iteration = iteration();
     event.phase = phase;

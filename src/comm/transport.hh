@@ -273,10 +273,10 @@ class Transport
  * The in-process transport: reproduces the trainer's historical
  * behavior bitwise. The collective kernel combines each element's
  * per-rank values in rank order in double and writes the scaled
- * result back to every rank, over a fixed element grain
- * (kCombineGrain) so the chunk grid is a pure function of the group
- * layout — the exact arithmetic of the former parallel/ combine()
- * and bucket kernels.
+ * result back to every rank. Each element is combined on its own,
+ * so the chunk grid (the runtime's grainForWork rule) cannot move a
+ * bit — the exact arithmetic of the former parallel/ combine() and
+ * bucket kernels.
  */
 class InProcessTransport : public Transport
 {

@@ -18,9 +18,9 @@ namespace
 {
 
 /**
- * Row-reduction grain for the Gram-Schmidt dot products. Fixed so
- * the chunked double-precision partial sums — combined in chunk
- * order — are reproducible at any thread count.
+ * Partial grid of the Gram-Schmidt dot products. Fixed so the
+ * double-precision partial sums — combined in partial order — are
+ * reproducible at any thread count.
  */
 constexpr int64_t kOrthoGrain = 2048;
 
@@ -37,10 +37,11 @@ orthonormalizeRows(Tensor &m)
     const simd::Tier tier = simd::tier();
 
     // Each vector is a contiguous row, so the Gram-Schmidt runs the
-    // contiguous simd:: kernels in place over fixed-grain chunks.
+    // contiguous simd:: kernels in place; a streaming element update
+    // costs ~8 multiply-adds.
     auto rowDot = [&](const float *x, const float *y) {
         return parallelReduceSum(
-            0, len, kOrthoGrain, [&](int64_t lo, int64_t hi) {
+            0, len, kOrthoGrain, 8, [&](int64_t lo, int64_t hi) {
                 return simd::dotDouble(tier, x + lo, y + lo, hi - lo);
             });
     };
@@ -53,7 +54,7 @@ orthonormalizeRows(Tensor &m)
         for (int64_t p = 0; p < j; ++p) {
             const float *vp = data + p * len;
             const double proj = rowDot(vj, vp);
-            parallelFor(0, len, kOrthoGrain,
+            parallelFor(0, len, grainForWork(8),
                         [&](int64_t lo, int64_t hi) {
                             simd::subScaled(tier, vj + lo, vp + lo,
                                             static_cast<float>(proj),
@@ -70,7 +71,7 @@ orthonormalizeRows(Tensor &m)
             std::fill(vj, vj + len, 0.0f);
         } else {
             const float inv = static_cast<float>(1.0 / norm);
-            parallelFor(0, len, kOrthoGrain,
+            parallelFor(0, len, grainForWork(8),
                         [&](int64_t lo, int64_t hi) {
                             simd::scaleInPlace(tier, vj + lo, inv,
                                                hi - lo);

@@ -7,14 +7,6 @@
 namespace optimus
 {
 
-namespace
-{
-
-/** parallelFor grain for element-wise maps (disjoint writes). */
-constexpr int64_t kElemGrain = 4096;
-
-} // namespace
-
 float
 Gelu::value(float x)
 {
@@ -41,7 +33,8 @@ Gelu::forward(const Tensor &x)
     float *yd = y.data();
     const int64_t n = x.size();
     const simd::Tier tier = simd::tier();
-    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+    // A vector tanh costs ~64 multiply-adds an element.
+    parallelFor(0, n, grainForWork(64), [&](int64_t lo, int64_t hi) {
         simd::geluForward(tier, yd + lo, xd + lo, hi - lo);
     });
     if (mode() == Mode::Train)
@@ -63,7 +56,7 @@ Gelu::backward(const Tensor &dy)
     float *dxd = dx.data();
     const int64_t n = dy.size();
     const simd::Tier tier = simd::tier();
-    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+    parallelFor(0, n, grainForWork(64), [&](int64_t lo, int64_t hi) {
         simd::geluBackward(tier, dxd + lo, dyd + lo, xd + lo, hi - lo);
     });
     stash_.popFront();
@@ -77,7 +70,8 @@ Relu::forward(const Tensor &x)
     const float *xd = x.data();
     float *yd = y.data();
     const int64_t n = x.size();
-    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+    // A streaming element update costs ~8 multiply-adds.
+    parallelFor(0, n, grainForWork(8), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             yd[i] = xd[i] > 0.0f ? xd[i] : 0.0f;
     });
@@ -98,7 +92,7 @@ Relu::backward(const Tensor &dy)
     const float *dyd = dy.data();
     float *dxd = dx.data();
     const int64_t n = dy.size();
-    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+    parallelFor(0, n, grainForWork(8), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             dxd[i] = xd[i] > 0.0f ? dyd[i] : 0.0f;
     });

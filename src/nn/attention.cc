@@ -11,21 +11,6 @@
 namespace optimus
 {
 
-namespace
-{
-
-/**
- * Minimum multiply-adds per chunk of the serving attention core. A
- * (row, head) pair's work is at most scores plus context over the
- * longest cache in the pass, 2 * width * dh, so a decode pass of a
- * small model runs inline instead of paying a pool dispatch per
- * layer for a few microseconds of work. Chunking never changes the
- * bits: every pair writes only its own score row and context slice.
- */
-constexpr int64_t kPairWorkGrain = 32768;
-
-} // namespace
-
 void
 KvCache::ensure(int64_t capacity, int64_t hidden)
 {
@@ -120,9 +105,11 @@ MultiHeadAttention::forwardSegments(const Tensor &x,
     const simd::Tier tier = simd::tier();
     float *pd = probs.data();
     float *cd = ctx.data();
-    const int64_t pair_grain = std::max<int64_t>(
-        1, kPairWorkGrain / (2 * width * dh));
-    parallelFor(0, r_count * heads_, pair_grain,
+    // A pair's work is at most scores, exps (~256 multiply-adds
+    // each) and context over the longest cache in the pass. Chunking
+    // never changes the bits: every pair writes only its own score
+    // row and context slice.
+    parallelFor(0, r_count * heads_, grainForWork(width * (2 * dh + 256)),
                 [&](int64_t lo, int64_t hi) {
         size_t seg = 0;
         int64_t seg_row0 = 0;
@@ -207,10 +194,13 @@ MultiHeadAttention::forward(const Tensor &x)
     // (column views of the fused qkv rows, stride 3h) and
     // accumulates into a disjoint, zeroed ctx block and its own
     // probs slot, so the flattened pairs run concurrently with
-    // bitwise-identical results.
+    // bitwise-identical results. A pair is two S x S x dh GEMMs and
+    // S^2 / 2 exps of ~256 multiply-adds each.
     Tensor ctx({n, hidden_});
     const int64_t ld = 3 * hidden_;
-    parallelFor(0, batch * heads_, 1, [&](int64_t lo, int64_t hi) {
+    const int64_t pair_work = seqLen_ * seqLen_ * (2 * dh + 128);
+    parallelFor(0, batch * heads_, grainForWork(pair_work),
+                [&](int64_t lo, int64_t hi) {
         for (int64_t t = lo; t < hi; ++t) {
             const int64_t b = t / heads_;
             const int64_t hd = t % heads_;
@@ -273,10 +263,13 @@ MultiHeadAttention::backward(const Tensor &dy)
 
     // Mirrors the forward pass: q/k/v and dhead are read in place,
     // and each (batch, head) pair accumulates into its own disjoint,
-    // zeroed dq/dk/dv blocks of dqkv.
+    // zeroed dq/dk/dv blocks of dqkv. A pair is four S x S x dh
+    // GEMMs and a softmax backward.
     Tensor dqkv({n, 3 * hidden_});
     const int64_t ld = 3 * hidden_;
-    parallelFor(0, batch * heads_, 1, [&](int64_t lo, int64_t hi) {
+    const int64_t pair_work = seqLen_ * seqLen_ * (4 * dh + 8);
+    parallelFor(0, batch * heads_, grainForWork(pair_work),
+                [&](int64_t lo, int64_t hi) {
         for (int64_t t = lo; t < hi; ++t) {
             const int64_t b = t / heads_;
             const int64_t hd = t % heads_;

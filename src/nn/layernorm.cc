@@ -1,6 +1,5 @@
 #include "nn/layernorm.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "runtime/runtime.hh"
@@ -8,14 +7,6 @@
 
 namespace optimus
 {
-
-namespace
-{
-
-/** Minimum elements per forward parallelFor chunk. */
-constexpr int64_t kRowElemGrain = 4096;
-
-} // namespace
 
 LayerNorm::LayerNorm(const std::string &label, int64_t features,
                      float eps)
@@ -64,11 +55,9 @@ LayerNorm::forward(const Tensor &x)
     // Rows are independent (each owns its statistics and output
     // slice), so normalization parallelizes with bitwise-identical
     // results at any thread count, chunking and batch composition.
-    // A chunk covers at least kRowElemGrain elements: a serving
-    // decode pass normalizes a handful of rows, too few to pay for
-    // a pool dispatch.
-    const int64_t grain = std::max<int64_t>(1, kRowElemGrain / f);
-    parallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
+    // Its serial double sums make an element cost ~128 multiply-adds.
+    parallelFor(0, rows, grainForWork(128 * f),
+                [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const float *row = xd + i * f;
             double sum = 0.0;
@@ -124,8 +113,10 @@ LayerNorm::backward(const Tensor &dy)
     // dx rows are independent and parallelize; the dgamma/dbeta
     // accumulation sums over rows into shared vectors, so it stays a
     // serial sweep in row order — any parallel split would change
-    // the float addition order with the thread count.
-    parallelFor(0, rows, 1, [&](int64_t lo, int64_t hi) {
+    // the float addition order with the thread count. An element
+    // costs ~128 multiply-adds, as in the forward.
+    parallelFor(0, rows, grainForWork(128 * f),
+                [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const float *dyr = dyd + i * f;
             const float *nr = nd + i * f;

@@ -26,10 +26,11 @@ softmaxAndNll(const Tensor &logits, const std::vector<int32_t> &targets,
     const float *ld = logits.data();
     float *pd = probs.data();
     // Rows softmax independently; per-row NLL terms are combined in
-    // row order (grain 1 makes each chunk one row), matching the
-    // serial accumulation bit for bit.
+    // row order (grain 1 makes each partial one row), matching the
+    // serial accumulation bit for bit. An exp costs ~256
+    // multiply-adds.
     const double total_nll = parallelReduceSum(
-        0, n, 1, [&](int64_t lo, int64_t hi) {
+        0, n, 1, 256 * v, [&](int64_t lo, int64_t hi) {
             double nll = 0.0;
             for (int64_t i = lo; i < hi; ++i) {
                 const float *lrow = ld + i * v;
@@ -84,7 +85,8 @@ SoftmaxCrossEntropy::backward()
     const int64_t v = dlogits.cols();
     const float inv_n = 1.0f / static_cast<float>(n);
     float *dd = dlogits.data();
-    parallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+    // ~32 multiply-adds an element (a strided scale pass).
+    parallelFor(0, n, grainForWork(32 * v), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             dd[i * v + st.targets[i]] -= 1.0f;
             for (int64_t j = 0; j < v; ++j)

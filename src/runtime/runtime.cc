@@ -35,7 +35,7 @@ int64_t
 chunkCount(int64_t begin, int64_t end, int64_t grain)
 {
     const int64_t range = end - begin;
-    return (range + grain - 1) / grain;
+    return range / grain + (range % grain != 0 ? 1 : 0);
 }
 
 } // namespace
@@ -348,6 +348,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
 
 double
 ThreadPool::parallelReduceSum(int64_t begin, int64_t end, int64_t grain,
+                              int64_t work_per_index,
                               const RangeSumFn &fn)
 {
     OPTIMUS_ASSERT(grain >= 1);
@@ -381,9 +382,13 @@ ThreadPool::parallelReduceSum(int64_t begin, int64_t end, int64_t grain,
             partial = nested_partial.data();
         }
     }
-    // Same chunking whether this runs inline or on the pool, so the
-    // final left-to-right combine is thread-count-invariant.
-    parallelFor(0, num_chunks, 1, [&](int64_t c0, int64_t c1) {
+    // Same partials whether this runs inline or on the pool, so the
+    // final left-to-right combine is thread-count-invariant. A chunk
+    // takes ceil(grainForWork(w) / grain) partials, which is
+    // ceil(kMinChunkWork / (w * grain)) without forming the product.
+    parallelFor(0, num_chunks,
+                chunkCount(0, grainForWork(work_per_index), grain),
+                [&](int64_t c0, int64_t c1) {
         for (int64_t c = c0; c < c1; ++c) {
             const int64_t lo = begin + c * grain;
             const int64_t hi = lo + grain < end ? lo + grain : end;
@@ -417,10 +422,10 @@ parallelFor(int64_t begin, int64_t end, int64_t grain,
 
 double
 parallelReduceSum(int64_t begin, int64_t end, int64_t grain,
-                  const RangeSumFn &fn)
+                  int64_t work_per_index, const RangeSumFn &fn)
 {
-    return ThreadPool::instance().parallelReduceSum(begin, end, grain,
-                                                    fn);
+    return ThreadPool::instance().parallelReduceSum(
+        begin, end, grain, work_per_index, fn);
 }
 
 int

@@ -16,8 +16,20 @@
  * runs it, any kernel whose chunks write disjoint outputs produces
  * bitwise-identical results for OPTIMUS_THREADS=1 and
  * OPTIMUS_THREADS=N. Reductions use `parallelReduceSum`, which sums
- * per-chunk partials in chunk-index order — again a function of the
- * chunking only, so equally thread-count-invariant.
+ * one partial per caller-named grain in partial order — again
+ * thread-count-invariant.
+ *
+ * Dispatch rule: call sites do not pick grains. Each states its work
+ * per index in approximate multiply-adds (the time of one inline
+ * GEMM multiply-add, ~0.02 ns on a 4-vCPU AVX-512 VM; a scalar exp
+ * counts ~256) and passes `grainForWork(work)`, the fewest indices
+ * whose work reaches kMinChunkWork. A range that cannot fill two
+ * chunks is one chunk and runs inline. On that VM an empty pooled
+ * region costs 7-20 us (bench_gemm `dispatch_us`), 0.35-1M
+ * multiply-adds of inline GEMM time. At 4 threads perfbench `serve`
+ * ran 9% faster with 2^20 than with 2^19, and `train_dense` lost a
+ * quarter of its tokens/s with 2^22, whose chunks are too coarse to
+ * spread its layers over the pool.
  *
  * Nested parallelism: a `parallelFor` issued from inside a pool
  * worker (e.g. a GEMM called from a replica task) runs inline on the
@@ -123,10 +135,12 @@ class ThreadPool
                      const RangeFn &fn);
 
     /**
-     * Chunked deterministic reduction: partial sums are computed per
-     * chunk (in parallel) and combined in chunk-index order.
+     * Deterministic reduction: one partial per `grain` indices (the
+     * caller-named grid that fixes the combine order), summed in
+     * order; the dispatch rule groups partials onto chunks.
      */
     double parallelReduceSum(int64_t begin, int64_t end, int64_t grain,
+                             int64_t work_per_index,
                              const RangeSumFn &fn);
 
     /** True when called from inside a pool worker task. */
@@ -282,13 +296,24 @@ class SerialRegion
     bool saved_;
 };
 
+/** Minimum work per pool chunk (see the file comment). */
+constexpr int64_t kMinChunkWork = int64_t{1} << 20;
+
+/** max(1, ceil(kMinChunkWork / work)); work below 1 counts as 1. */
+constexpr int64_t
+grainForWork(int64_t work)
+{
+    return work < 1 ? kMinChunkWork
+                    : kMinChunkWork / work + (kMinChunkWork % work != 0);
+}
+
 /** Convenience wrapper over ThreadPool::instance().parallelFor. */
 void parallelFor(int64_t begin, int64_t end, int64_t grain,
                  const RangeFn &fn);
 
 /** Convenience wrapper over ThreadPool::instance().parallelReduceSum. */
 double parallelReduceSum(int64_t begin, int64_t end, int64_t grain,
-                         const RangeSumFn &fn);
+                         int64_t work_per_index, const RangeSumFn &fn);
 
 /** Pool width (1 means fully serial execution). */
 int runtimeThreads();

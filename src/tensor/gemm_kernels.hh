@@ -64,10 +64,11 @@ struct GemmKernel
      * a multiple of this (pad columns are zero and never stored). */
     int64_t panelWidth;
     /**
-     * Row grain for the driver's parallelFor — a multiple of the
+     * Row tile of the driver's parallelFor — a multiple of the
      * micro-kernel row count MR, so interior chunks never hit the
-     * short-row tail path. Also the unit of the thread
-     * decomposition, which stays a pure shape function.
+     * short-row tail path. The driver states its work per tile and
+     * the runtime's dispatch rule picks how many tiles a chunk
+     * takes, so the decomposition stays a pure shape function.
      */
     int64_t rowGrain;
     /**

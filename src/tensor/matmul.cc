@@ -20,10 +20,8 @@ namespace
  * Cache-blocking parameters (in floats). The packed B block
  * (KC x NC) is shared read-only by every row-panel task and stays
  * cache-resident across the whole M sweep; each task's A rows and C
- * tile live in L1. MC is also the parallelFor grain, so the parallel
- * decomposition is a pure function of the problem shape.
+ * tile live in L1.
  */
-constexpr int64_t MC = 64;
 constexpr int64_t KC = 256;
 constexpr int64_t NC = 128;
 // The SIMD panel kernels size their packed-A scratch from the
@@ -31,6 +29,8 @@ constexpr int64_t NC = 128;
 static_assert(KC == kGemmMaxKc, "k blocking out of sync");
 /** Column width of the register accumulator tile. */
 constexpr int64_t JW = 32;
+/** Row count of the widest scalar micro-kernel: the scalar row tile. */
+constexpr int MR = 8;
 
 /**
  * GCC/Clang vector extension: 16 floats. Lowered to one zmm with
@@ -199,7 +199,7 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
     else if (tier == simd::Tier::Avx2)
         mk = &gemmKernelAvx2();
     const int64_t jw = mk ? mk->panelWidth : JW;
-    const int64_t mc = mk ? mk->rowGrain : MC;
+    const int64_t row_tile = mk ? mk->rowGrain : MR;
     const int64_t ncb = mk ? mk->colBlock : NC;
 
     const int64_t kc_max = std::min(k, KC);
@@ -253,18 +253,22 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
                     std::memset(bp + p * nc_pad + nc, 0,
                                 sizeof(float) * (nc_pad - nc));
 
+            // Chunks are whole row tiles, each kc * nc multiply-adds
+            // a row; a row's bits do not depend on its chunk.
             GemmBlockCtx ctx{c,  ldc, a,  lda, trans_a, pc,
                              kc, jc,  nc, bp,  nc_pad};
-            parallelFor(0, m, mc,
+            const int64_t grain =
+                row_tile * grainForWork(row_tile * kc * nc);
+            parallelFor(0, m, grain,
                         [&ctx, mk](int64_t i0, int64_t i1) {
                 if (mk != nullptr) {
                     mk->panel(ctx, i0, i1);
                     return;
                 }
-                float apack[8 * KC];
+                float apack[MR * KC];
                 int64_t i = i0;
-                for (; i + 8 <= i1; i += 8)
-                    processRowGroup<8>(ctx, i, apack);
+                for (; i + MR <= i1; i += MR)
+                    processRowGroup<MR>(ctx, i, apack);
                 for (; i + 4 <= i1; i += 4)
                     processRowGroup<4>(ctx, i, apack);
                 for (; i + 2 <= i1; i += 2)

@@ -6,11 +6,12 @@
  * (overwrite vs. accumulate).
  *
  * All entry points route through a shared cache-blocked kernel
- * (MC/KC/NC tiling with packed B panels and a register-tile
- * micro-kernel) whose row panels run on the execution runtime's
- * thread pool (see runtime/runtime.hh). Transposed operands are
- * handled by packing strided panels — no full transposed() copy is
- * ever made. Results are bitwise reproducible for any
+ * (KC/NC tiling with packed B panels and a register-tile
+ * micro-kernel) whose row tiles run on the execution runtime's
+ * thread pool (see runtime/runtime.hh); a GEMM too small to fill two
+ * chunks by the runtime's dispatch rule runs inline. Transposed
+ * operands are handled by packing strided panels — no full
+ * transposed() copy is ever made. Results are bitwise reproducible for any
  * OPTIMUS_THREADS setting because the panel decomposition depends
  * only on the problem shape.
  *

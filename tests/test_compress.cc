@@ -559,7 +559,7 @@ referenceOrthonormalize(Tensor &m)
 
     auto colDot = [&](int64_t ja, int64_t jb) {
         return parallelReduceSum(
-            0, rows, kGrain, [&](int64_t lo, int64_t hi) {
+            0, rows, kGrain, 1, [&](int64_t lo, int64_t hi) {
                 double s = 0.0;
                 for (int64_t i = lo; i < hi; ++i)
                     s += static_cast<double>(data[i * cols + ja]) *
@@ -762,7 +762,7 @@ gatheredOrthonormalizeColumns(Tensor &m)
 
     auto dot = [&](const float *x, const float *y) {
         return parallelReduceSum(
-            0, rows, kGrain, [&](int64_t lo, int64_t hi) {
+            0, rows, kGrain, 1, [&](int64_t lo, int64_t hi) {
                 return simd::dotDouble(tier, x + lo, y + lo, hi - lo);
             });
     };

@@ -496,6 +496,7 @@ TEST(Attention, StridedCoreBitwiseMatchesCopyingOracle)
             std::optional<SerialRegion> region;
             if (serial)
                 region.emplace();
+            int pooled = 0;
             for (const Case &c : cases) {
                 const std::string where =
                     std::string(simd::tierName(tier)) +
@@ -515,8 +516,11 @@ TEST(Attention, StridedCoreBitwiseMatchesCopyingOracle)
 
                 for (const auto &p : layer.params())
                     p->zeroGrad();
-                const Tensor y = layer.forward(x);
-                const Tensor dx = layer.backward(dy);
+                Tensor y, dx;
+                pooled += test::pooledRegions([&] {
+                    y = layer.forward(x);
+                    dx = layer.backward(dy);
+                });
                 std::vector<Tensor> grads;
                 for (const auto &p : layer.params()) {
                     grads.push_back(p->grad);
@@ -532,6 +536,11 @@ TEST(Attention, StridedCoreBitwiseMatchesCopyingOracle)
                 for (size_t i = 0; i < params.size(); ++i)
                     EXPECT_TRUE(sameBits(grads[i], params[i]->grad))
                         << params[i]->name << " grad " << where;
+            }
+            // The pool leg must reach the pool (the larger cases
+            // do), or it compares serial with serial.
+            if (!serial && runtimeThreads() > 1) {
+                EXPECT_GT(pooled, 0) << simd::tierName(tier);
             }
         }
     }

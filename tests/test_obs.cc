@@ -36,6 +36,8 @@
 #include "core/quality_experiment.hh"
 #include "data/corpus.hh"
 #include "data/dataset.hh"
+#include "nn/activation.hh"
+#include "nn/layernorm.hh"
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/probes.hh"
@@ -46,6 +48,8 @@
 #include "parallel/trainer3d.hh"
 #include "runtime/runtime.hh"
 #include "serve/engine.hh"
+#include "tensor/matmul.hh"
+#include "test_util.hh"
 #include "util/stats.hh"
 
 namespace optimus
@@ -183,6 +187,40 @@ TEST(Tracer, PooledParallelForRecordsRuntimeSpans)
         // nothing concurrent to visualise).
         EXPECT_EQ(parallel_for_spans, 0);
         EXPECT_EQ(worker_chunk_spans, 0);
+    }
+}
+
+TEST(Tracer, SmallWorkRunsInline)
+{
+    // The dispatch rule runs a region inline unless it fills two
+    // chunks of kMinChunkWork, so small operators never reach the
+    // pool (no runtime/parallelFor span) while a large GEMM still
+    // does. At one thread every region runs inline.
+    Rng rng(5);
+    const auto gemmRegions = [&](int64_t n) {
+        const Tensor a = Tensor::randn({n, n}, rng);
+        const Tensor b = Tensor::randn({n, n}, rng);
+        Tensor c({n, n});
+        return test::pooledRegions([&] {
+            gemm(c.data(), a.data(), b.data(), n, n, n, false);
+        });
+    };
+    EXPECT_EQ(gemmRegions(64), 0);
+
+    LayerNorm norm("ln", 64);
+    const Tensor x = Tensor::randn({16, 64}, rng);
+    (void)norm.forward(x);
+    EXPECT_EQ(test::pooledRegions([&] { (void)norm.backward(x); }), 0);
+
+    Gelu gelu;
+    gelu.setMode(Mode::Infer);
+    const Tensor g = Tensor::randn({1024}, rng);
+    EXPECT_EQ(test::pooledRegions([&] { (void)gelu.forward(g); }), 0);
+
+    if (runtimeThreads() > 1) {
+        EXPECT_GE(gemmRegions(512), 1);
+    } else {
+        EXPECT_EQ(gemmRegions(512), 0);
     }
 }
 

@@ -7,8 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <cstdlib>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,9 +78,9 @@ TEST(Runtime, ReduceChunkBoundariesDependOnlyOnGrain)
         };
         if (serial) {
             SerialRegion guard;
-            parallelReduceSum(0, 1000, 17, body);
+            parallelReduceSum(0, 1000, 17, kMinChunkWork, body);
         } else {
-            parallelReduceSum(0, 1000, 17, body);
+            parallelReduceSum(0, 1000, 17, kMinChunkWork, body);
         }
         std::sort(out.begin(), out.end());
         return out;
@@ -88,6 +92,79 @@ TEST(Runtime, ReduceChunkBoundariesDependOnlyOnGrain)
         EXPECT_EQ(static_cast<int64_t>(c) * 17, pooled[c].first);
         EXPECT_EQ(std::min<int64_t>(1000, (c + 1) * 17),
                   pooled[c].second);
+    }
+}
+
+TEST(Runtime, GrainForWorkDegenerateInput)
+{
+    // The rule is a pure function, and no region below reaches the
+    // pool: each runs as one inline call on the caller.
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    static_assert(grainForWork(1) == kMinChunkWork);
+    EXPECT_EQ(grainForWork(0), kMinChunkWork);
+    EXPECT_EQ(grainForWork(-7), kMinChunkWork);
+    EXPECT_EQ(grainForWork(std::numeric_limits<int64_t>::min()),
+              kMinChunkWork);
+    EXPECT_EQ(grainForWork(kMinChunkWork - 1), 2);
+    EXPECT_EQ(grainForWork(kMinChunkWork), 1);
+    EXPECT_EQ(grainForWork(kMinChunkWork + 1), 1);
+    EXPECT_EQ(grainForWork(kMax - 1), 1);
+    EXPECT_EQ(grainForWork(kMax), 1);
+    EXPECT_EQ(grainForWork(kMinChunkWork / 3), 4); // ceil, not floor
+
+    // A range the rule makes one chunk runs inline on the caller,
+    // and a grain near INT64_MAX must not overflow the chunk count.
+    const auto calls = [](int64_t end, int64_t grain) {
+        std::vector<std::pair<int64_t, int64_t>> seen;
+        const std::thread::id caller = std::this_thread::get_id();
+        bool on_caller = true;
+        parallelFor(0, end, grain, [&](int64_t lo, int64_t hi) {
+            on_caller = on_caller && std::this_thread::get_id() == caller;
+            seen.emplace_back(lo, hi);
+        });
+        EXPECT_TRUE(on_caller);
+        return seen;
+    };
+    using Calls = std::vector<std::pair<int64_t, int64_t>>;
+    EXPECT_EQ(calls(1000, grainForWork(0)), (Calls{{0, 1000}}));
+    EXPECT_EQ(calls(1000, grainForWork(kMinChunkWork / 1000)),
+              (Calls{{0, 1000}}));
+    EXPECT_EQ(calls(10, kMax), (Calls{{0, 10}}));
+    EXPECT_EQ(parallelReduceSum(0, 10, kMax, kMax,
+                                [](int64_t lo, int64_t hi) {
+                                    return static_cast<double>(hi - lo);
+                                }),
+              10.0);
+}
+
+TEST(Runtime, ReduceGroupsPartialsByWork)
+{
+    // The partial grid is the caller's grain whatever the work; the
+    // work only decides how many partials share a chunk. Cheap
+    // partials all run inline on the caller; partials that each
+    // fill a chunk spread over the workers.
+    const auto run = [](int64_t work) {
+        std::vector<std::pair<int64_t, int64_t>> bounds;
+        std::set<std::thread::id> threads;
+        std::mutex m;
+        const double total = parallelReduceSum(
+            0, 1000, 17, work, [&](int64_t lo, int64_t hi) {
+                std::lock_guard<std::mutex> lock(m);
+                bounds.emplace_back(lo, hi);
+                threads.insert(std::this_thread::get_id());
+                return static_cast<double>(hi - lo);
+            });
+        EXPECT_EQ(total, 1000.0);
+        std::sort(bounds.begin(), bounds.end());
+        return std::make_pair(bounds, threads.size());
+    };
+    const auto cheap = run(1);
+    const auto heavy = run(kMinChunkWork);
+    EXPECT_EQ(cheap.first.size(), 59u); // ceil(1000 / 17)
+    EXPECT_EQ(cheap.first, heavy.first);
+    EXPECT_EQ(cheap.second, 1u);
+    if (runtimeThreads() > 1) {
+        EXPECT_GT(heavy.second, 1u);
     }
 }
 
@@ -104,12 +181,12 @@ TEST(Runtime, ReduceSumMatchesSerialAndIsDeterministic)
             s += values[i];
         return s;
     };
-    const double pooled = parallelReduceSum(0, n, 64, body);
-    const double again = parallelReduceSum(0, n, 64, body);
+    const double pooled = parallelReduceSum(0, n, 64, kMinChunkWork, body);
+    const double again = parallelReduceSum(0, n, 64, kMinChunkWork, body);
     EXPECT_EQ(pooled, again);
 
     SerialRegion guard;
-    const double serial = parallelReduceSum(0, n, 64, body);
+    const double serial = parallelReduceSum(0, n, 64, kMinChunkWork, body);
     EXPECT_EQ(pooled, serial);
 }
 

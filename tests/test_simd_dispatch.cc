@@ -510,7 +510,14 @@ TEST(SimdDispatch, TrainerThreadGridInvariantPerTier)
         Trainer3d pooled(tinyConfig());
         Rng rng_pooled(11);
         double pooled_losses[5];
-        trainLosses(pooled, data, rng_pooled, pooled_losses);
+        const int regions = test::pooledRegions([&] {
+            trainLosses(pooled, data, rng_pooled, pooled_losses);
+        });
+        // The pooled leg must reach the pool, or this compares
+        // serial with serial.
+        if (runtimeThreads() > 1) {
+            EXPECT_GT(regions, 0) << simd::tierName(t);
+        }
 
         SerialRegion serial;
         Trainer3d inline_run(tinyConfig());

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the test suite: finite-difference gradient
- * checking against the hand-written backward passes, and the list
- * of SIMD tiers the per-tier tests iterate.
+ * checking against the hand-written backward passes, the list of
+ * SIMD tiers the per-tier tests iterate, and a count of the pooled
+ * parallel regions a piece of code issues.
  */
 
 #ifndef OPTIMUS_TESTS_TEST_UTIL_HH
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "nn/layer.hh"
+#include "obs/trace.hh"
 #include "tensor/simd.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
@@ -41,6 +43,30 @@ supportedTiers()
         if (simd::supported(t))
             tiers.push_back(t);
     return tiers;
+}
+
+/**
+ * Run @p fn with span tracing on and count the `runtime/parallelFor`
+ * spans it emitted: one per top-level region the pool ran, none for
+ * a region that ran inline. Lets a pooled-vs-serial bitwise test
+ * assert that its pooled leg really reached the pool. Clears the
+ * trace before and after.
+ */
+inline int
+pooledRegions(const std::function<void()> &fn)
+{
+    obs::stopTracing();
+    obs::clearTrace();
+    obs::startTracing();
+    fn();
+    obs::stopTracing();
+    int regions = 0;
+    for (const obs::TraceEvent &e : obs::traceEvents())
+        if (e.phase == 'X' && std::strcmp(e.category, "runtime") == 0 &&
+            std::strcmp(e.name, "parallelFor") == 0)
+            ++regions;
+    obs::clearTrace();
+    return regions;
 }
 
 /**
