@@ -14,10 +14,41 @@
  * complementary.
  */
 
+#include <algorithm>
+
 #include "bench_util.hh"
 
 using namespace optimus;
 using namespace optimus::bench;
+
+namespace
+{
+
+/**
+ * Peak in-flight activation stashes on stage 0, in stage-sized
+ * stashes: the peak of its forwards minus its backwards, divided by
+ * the chunk count (one chunk stashes 1/v of a stage's activations).
+ */
+double
+peakStashes(const PipelineSchedule &sched)
+{
+    int live = 0;
+    int peak = 0;
+    for (const PipeOp &op : sched.stageOps(0)) {
+        live += op.kind == PipeOpKind::Forward ? 1 : -1;
+        peak = std::max(peak, live);
+    }
+    return static_cast<double>(peak) / sched.chunks();
+}
+
+struct ScheduleRow
+{
+    const char *label;
+    ScheduleKind kind;
+    int chunks;
+};
+
+} // namespace
 
 int
 main()
@@ -36,52 +67,38 @@ main()
         const double to_days =
             static_cast<double>(TrainingPlan{}.iterations) / 86400.0;
 
-        // Plain schedules through the generic simulator.
-        for (auto kind :
-             {ScheduleKind::GPipe, ScheduleKind::OneFOneB}) {
-            auto base_spec =
-                buildCostSpec(w, OptimusCcPolicy::baseline());
-            base_spec.schedule = kind;
-            auto cb_spec = buildCostSpec(w, OptimusCcPolicy::cbOnly());
-            cb_spec.schedule = kind;
-            const double base =
-                simulatePipeline(base_spec).iterationTime * to_days;
-            const double cb =
-                simulatePipeline(cb_spec).iterationTime * to_days;
-            // Peak in-flight micro-batch stashes on stage 0: the
-            // whole mini-batch for GPipe, the pipeline depth for
-            // 1F1B -- the memory reason GPipe is not usable here
-            // even where its raw timing looks competitive.
-            const int stash = kind == ScheduleKind::GPipe
-                                  ? base_spec.microBatches
-                                  : base_spec.stages;
-            table.addRow({kind == ScheduleKind::GPipe ? "GPipe"
-                                                      : "1F1B",
-                          TablePrinter::fmt(base),
-                          TablePrinter::fmt(cb),
-                          TablePrinter::fmtPercent(base / cb - 1.0),
-                          std::to_string(stash)});
-        }
-
-        // Interleaved with 2 and 4 chunks.
-        for (int chunks : {2, 4}) {
-            if (model.layers % (4 * chunks) != 0)
+        // GPipe stashes the whole mini-batch, 1F1B the pipeline
+        // depth -- the memory reason GPipe is not usable here even
+        // where its raw timing looks competitive. Interleaving needs
+        // layers divisible into P * v chunks.
+        for (const ScheduleRow &row :
+             {ScheduleRow{"GPipe", ScheduleKind::GPipe, 1},
+              ScheduleRow{"1F1B", ScheduleKind::OneFOneB, 1},
+              ScheduleRow{"interleaved (v=2)", ScheduleKind::OneFOneB,
+                          2},
+              ScheduleRow{"interleaved (v=4)", ScheduleKind::OneFOneB,
+                          4}}) {
+            const int stages = w.parallel().pipeline;
+            if (model.layers % (stages * row.chunks) != 0)
                 continue;
-            const double base =
-                simulateInterleaved(buildInterleavedCostSpec(
-                    w, OptimusCcPolicy::baseline(), chunks)) *
-                to_days;
-            const double cb =
-                simulateInterleaved(buildInterleavedCostSpec(
-                    w, OptimusCcPolicy::cbOnly(), chunks)) *
-                to_days;
-            char label[32];
-            std::snprintf(label, sizeof(label),
-                          "interleaved (v=%d)", chunks);
-            table.addRow({label, TablePrinter::fmt(base),
+            auto days = [&](const OptimusCcPolicy &policy) {
+                PipeCostSpec spec =
+                    buildCostSpec(w, policy, {}, row.chunks);
+                spec.schedule = row.kind;
+                return simulatePipeline(spec).iterationTime * to_days;
+            };
+            const double base = days(OptimusCcPolicy::baseline());
+            const double cb = days(OptimusCcPolicy::cbOnly());
+            char stash[32];
+            std::snprintf(
+                stash, sizeof(stash), "%g",
+                peakStashes(PipelineSchedule::make(
+                    row.kind, stages,
+                    w.plan().microBatches(w.parallel()), row.chunks)));
+            table.addRow({row.label, TablePrinter::fmt(base),
                           TablePrinter::fmt(cb),
                           TablePrinter::fmtPercent(base / cb - 1.0),
-                          std::to_string(4 + chunks)});
+                          stash});
         }
 
         std::printf("%s (230K iterations):\n", model.name.c_str());

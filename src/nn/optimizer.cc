@@ -7,54 +7,9 @@
 namespace optimus
 {
 
-Optimizer::Optimizer(std::vector<ParamPtr> params)
-    : params_(dedupParams(params))
-{
-}
-
-void
-Optimizer::zeroGrad()
-{
-    zeroGrads(params_);
-}
-
-void
-Optimizer::scaleGrad(float factor)
-{
-    if (factor == 1.0f)
-        return;
-    for (const auto &p : params_)
-        p->grad.scale(factor);
-}
-
-SgdOptimizer::SgdOptimizer(std::vector<ParamPtr> params, float lr,
-                           float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    velocity_.reserve(params_.size());
-    for (const auto &p : params_)
-        velocity_.emplace_back(p->value.shape());
-}
-
-void
-SgdOptimizer::step()
-{
-    for (size_t i = 0; i < params_.size(); ++i) {
-        Param &p = *params_[i];
-        Tensor &v = velocity_[i];
-        if (momentum_ != 0.0f) {
-            v.scale(momentum_);
-            v.add(p.grad);
-            p.value.addScaled(v, -lr_);
-        } else {
-            p.value.addScaled(p.grad, -lr_);
-        }
-    }
-}
-
 AdamOptimizer::AdamOptimizer(std::vector<ParamPtr> params, float lr,
                              float beta1, float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1),
+    : params_(dedupParams(params)), lr_(lr), beta1_(beta1),
       beta2_(beta2), eps_(eps), t_(0)
 {
     m_.reserve(params_.size());
@@ -63,6 +18,21 @@ AdamOptimizer::AdamOptimizer(std::vector<ParamPtr> params, float lr,
         m_.emplace_back(p->value.shape());
         v_.emplace_back(p->value.shape());
     }
+}
+
+void
+AdamOptimizer::zeroGrad()
+{
+    zeroGrads(params_);
+}
+
+void
+AdamOptimizer::scaleGrad(float factor)
+{
+    if (factor == 1.0f)
+        return;
+    for (const auto &p : params_)
+        p->grad.scale(factor);
 }
 
 void

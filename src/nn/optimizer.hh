@@ -1,7 +1,7 @@
 /**
  * @file
- * Optimizers over Param sets: SGD with momentum and Adam. Parameter
- * lists are deduplicated by pointer so tied weights update once.
+ * The Adam optimizer over a Param set. Parameter lists are
+ * deduplicated by pointer so tied weights update once.
  */
 
 #ifndef OPTIMUS_NN_OPTIMIZER_HH
@@ -14,15 +14,19 @@
 namespace optimus
 {
 
-/** Base optimizer interface. */
-class Optimizer
+/**
+ * Adam (Kingma & Ba) with bias correction, the paper's optimizer
+ * and the only one the trainer runs.
+ */
+class AdamOptimizer
 {
   public:
-    explicit Optimizer(std::vector<ParamPtr> params);
-    virtual ~Optimizer() = default;
+    AdamOptimizer(std::vector<ParamPtr> params, float lr,
+                  float beta1 = 0.9f, float beta2 = 0.999f,
+                  float eps = 1e-8f);
 
     /** Apply one update from the accumulated gradients. */
-    virtual void step() = 0;
+    void step();
 
     /** Zero all gradient accumulators. */
     void zeroGrad();
@@ -34,42 +38,8 @@ class Optimizer
     /** Managed (deduplicated) parameters. */
     const std::vector<ParamPtr> &params() const { return params_; }
 
-  protected:
+  private:
     std::vector<ParamPtr> params_;
-};
-
-/** SGD with classical momentum: v = m*v + g; w -= lr * v. */
-class SgdOptimizer : public Optimizer
-{
-  public:
-    SgdOptimizer(std::vector<ParamPtr> params, float lr,
-                 float momentum = 0.0f);
-
-    void step() override;
-
-    float learningRate() const { return lr_; }
-    void setLearningRate(float lr) { lr_ = lr; }
-
-  private:
-    float lr_;
-    float momentum_;
-    std::vector<Tensor> velocity_;
-};
-
-/** Adam (Kingma & Ba) with bias correction. */
-class AdamOptimizer : public Optimizer
-{
-  public:
-    AdamOptimizer(std::vector<ParamPtr> params, float lr,
-                  float beta1 = 0.9f, float beta2 = 0.999f,
-                  float eps = 1e-8f);
-
-    void step() override;
-
-    float learningRate() const { return lr_; }
-    void setLearningRate(float lr) { lr_ = lr; }
-
-  private:
     float lr_;
     float beta1_;
     float beta2_;

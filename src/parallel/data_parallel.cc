@@ -1,7 +1,6 @@
 #include "parallel/data_parallel.hh"
 
-#include <cmath>
-
+#include "schedule/schedule.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -59,13 +58,8 @@ stageSelectedForCompression(const DpCompressionConfig &config,
                             int stage, int stages)
 {
     OPTIMUS_ASSERT(stage >= 0 && stage < stages);
-    if (!config.enabled)
-        return false;
-    // Compress the earliest ceil(fraction * P) stages: they finish
-    // backward last, so their DP traffic sits on the critical path.
-    const int selected = static_cast<int>(
-        std::ceil(config.stageFraction * stages));
-    return stage < selected;
+    return config.enabled &&
+           isCompressedStage(config.stageFraction, stage, stages);
 }
 
 // optlint:hot — steady-state step path (zero-allocation contract).

@@ -39,7 +39,11 @@ struct DpCompressionConfig
     CompressorSpec spec{CompressorKind::PowerSgd, 8, 0.01, 1};
 };
 
-/** Whether @p stage (of @p stages) is selected for compression. */
+/**
+ * Whether @p stage (of @p stages) is selected for compression: DP
+ * compression is on and the stage is one of the earliest
+ * ceil(stageFraction * P) (isCompressedStage, shared with pipesim).
+ */
 bool stageSelectedForCompression(const DpCompressionConfig &config,
                                  int stage, int stages);
 

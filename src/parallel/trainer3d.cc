@@ -107,16 +107,8 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
             stages_[d].push_back(std::make_unique<StageModule>(
                 config.model, p, p_ways));
             auto params = stages_[d].back()->params();
-            if (config.useAdam) {
-                optimizers_[d].push_back(
-                    std::make_unique<AdamOptimizer>(
-                        std::move(params), config.learningRate));
-            } else {
-                optimizers_[d].push_back(
-                    std::make_unique<SgdOptimizer>(
-                        std::move(params), config.learningRate,
-                        config.momentum));
-            }
+            optimizers_[d].push_back(std::make_unique<AdamOptimizer>(
+                std::move(params), config.learningRate));
         }
         for (int s = 1; s < p_ways; ++s) {
             // Identical compressor seed across replicas: replicas

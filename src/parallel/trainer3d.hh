@@ -51,10 +51,8 @@ struct Trainer3dConfig
     int microBatches = 4;
     /** Sequences per micro-batch. */
     int microBatchSize = 2;
+    /** Adam learning rate (Adam is the paper's optimizer). */
     float learningRate = 1e-3f;
-    /** Adam (paper setting) vs SGD+momentum. */
-    bool useAdam = true;
-    float momentum = 0.9f;
     CbConfig cb;
     DpCompressionConfig dp;
     /** Fused embedding synchronization (Section 6). */
@@ -252,7 +250,8 @@ class Trainer3d
     /** losses_[d]: last-stage loss module per replica. */
     std::vector<SoftmaxCrossEntropy> losses_;
     /** optimizers_[d][p]. */
-    std::vector<std::vector<std::unique_ptr<Optimizer>>> optimizers_;
+    std::vector<std::vector<std::unique_ptr<AdamOptimizer>>>
+        optimizers_;
     /** engines_[p]: bucketed reduce engine, one per stage. */
     std::vector<std::unique_ptr<ReduceEngine>> engines_;
     /** Completion handle for in-flight bucket reductions. */

@@ -43,47 +43,49 @@ PipeSimResult
 simulatePipeline(const PipeCostSpec &spec)
 {
     const int p = spec.stages;
+    const int k_total = p * spec.chunks;
     const int m_count = spec.microBatches;
-    OPTIMUS_ASSERT(p >= 1 && m_count >= 1);
+    OPTIMUS_ASSERT(p >= 1 && spec.chunks >= 1 && m_count >= 1);
     OPTIMUS_ASSERT(static_cast<int>(spec.dpTime.size()) == p);
     OPTIMUS_ASSERT(static_cast<int>(spec.bwdMsgTime.size()) ==
-                   std::max(0, p - 1));
+                   k_total - 1);
 
-    const auto sched =
-        PipelineSchedule::make(spec.schedule, p, m_count);
+    const auto sched = PipelineSchedule::make(spec.schedule, p,
+                                              m_count, spec.chunks);
     const auto order = sched.globalOrder();
 
     std::vector<double> stage_free(p, 0.0);
     std::vector<std::vector<double>> fwd_done(
-        p, std::vector<double>(m_count, 0.0));
+        k_total, std::vector<double>(m_count, 0.0));
     std::vector<std::vector<double>> bwd_done(
-        p, std::vector<double>(m_count, 0.0));
+        k_total, std::vector<double>(m_count, 0.0));
 
     for (const PipeOp &op : order) {
         const int s = op.stage;
+        const int k = op.virtualStage(p);
         const int mb = op.microBatch;
         if (op.kind == PipeOpKind::Forward) {
             const double arrival =
-                s == 0 ? 0.0
-                       : fwd_done[s - 1][mb] + spec.fwdMsgTime;
+                k == 0 ? 0.0
+                       : fwd_done[k - 1][mb] + spec.fwdMsgTime;
             const double start = std::max(stage_free[s], arrival);
             const double done = start + spec.fwdCompute;
-            fwd_done[s][mb] = done;
+            fwd_done[k][mb] = done;
             stage_free[s] = done;
         } else {
             double arrival;
-            if (s == p - 1) {
+            if (k == k_total - 1) {
                 // Loss gradient is available as soon as the local
                 // forward finished.
-                arrival = fwd_done[s][mb];
+                arrival = fwd_done[k][mb];
             } else {
-                arrival = bwd_done[s + 1][mb] +
-                          spec.bwdMsgTime[s][mb];
+                arrival = bwd_done[k + 1][mb] +
+                          spec.bwdMsgTime[k][mb];
             }
             const double start = std::max(
-                {stage_free[s], arrival, fwd_done[s][mb]});
+                {stage_free[s], arrival, fwd_done[k][mb]});
             const double done = start + spec.bwdCompute;
-            bwd_done[s][mb] = done;
+            bwd_done[k][mb] = done;
             stage_free[s] = done;
         }
     }
@@ -92,6 +94,7 @@ simulatePipeline(const PipeCostSpec &spec)
     result.computeEnd.resize(p);
     result.dpEnd.resize(p);
     for (int s = 0; s < p; ++s) {
+        // Stage s's last backward is its chunk 0's (virtual stage s).
         result.computeEnd[s] = bwd_done[s][m_count - 1];
         result.dpEnd[s] = result.computeEnd[s] + spec.dpTime[s];
     }
@@ -101,11 +104,11 @@ simulatePipeline(const PipeCostSpec &spec)
 
     // Iteration period: "the next iteration starts from the forward
     // pass of the first stage" (Section 4). Stage s is not needed by
-    // the next iteration until its first forward arrives, s forward
-    // hops after the iteration starts, so its gradient reduction may
-    // overlap that ramp. The steady-state period is therefore the
-    // largest ramp-adjusted readiness time. The embedding
-    // synchronization gates stages 0 and P-1.
+    // the next iteration until its first (chunk-0) forward arrives,
+    // s forward hops after the iteration starts, so its gradient
+    // reduction may overlap that ramp. The steady-state period is
+    // therefore the largest ramp-adjusted readiness time. The
+    // embedding synchronization gates stages 0 and P-1.
     const double ramp = spec.fwdCompute + spec.fwdMsgTime;
     double period = 0.0;
     for (int s = 0; s < p; ++s) {
@@ -143,7 +146,8 @@ computeBreakdown(const PipeCostSpec &spec)
     const double t_compute = simulatePipeline(no_comm).iterationTime;
     breakdown.interStage = t_no_dp - t_compute;
 
-    breakdown.fwdCompute = spec.microBatches * spec.fwdCompute;
+    breakdown.fwdCompute =
+        spec.chunks * spec.microBatches * spec.fwdCompute;
     breakdown.bwdCompute = t_compute - breakdown.fwdCompute;
     return breakdown;
 }
@@ -152,8 +156,9 @@ computeBreakdown(const PipeCostSpec &spec)
 PipeCostSpec
 buildCostSpec(const MappedWorkload &workload,
               const OptimusCcPolicy &policy,
-              const CompressionKernelModel &kernel)
+              const CompressionKernelModel &kernel, int chunks)
 {
+    OPTIMUS_ASSERT(chunks >= 1);
     const auto &parallel = workload.parallel();
     const auto &plan = workload.plan();
     const double knee =
@@ -167,9 +172,10 @@ buildCostSpec(const MappedWorkload &workload,
 
     PipeCostSpec spec;
     spec.stages = p;
+    spec.chunks = chunks;
     spec.microBatches = m_count;
-    spec.fwdCompute = workload.stageForwardTime();
-    spec.bwdCompute = workload.stageBackwardTime();
+    spec.fwdCompute = workload.stageForwardTime() / chunks;
+    spec.bwdCompute = workload.stageBackwardTime() / chunks;
 
     const double msg_bytes = workload.interStageMessageBytes();
     spec.fwdMsgTime = p > 1 ? p2pTime(msg_bytes, p2p) : 0.0;
@@ -186,17 +192,19 @@ buildCostSpec(const MappedWorkload &workload,
         kernel.compressTime(rows, cols, policy.cbRank) +
         kernel.decompressTime(rows, cols, policy.cbRank);
 
-    spec.bwdMsgTime.assign(std::max(0, p - 1), {});
-    for (int s = 1; s < p; ++s) {
-        auto &channel = spec.bwdMsgTime[s - 1];
-        channel.resize(m_count);
+    // Interleaved steady state exposes every backward hop, so with
+    // chunks epilogue-only and full compression coincide. On one
+    // stage every hop is local and free.
+    spec.bwdMsgTime.assign(p * chunks - 1,
+                           std::vector<double>(m_count, 0.0));
+    for (int k = 1; p > 1 && k < p * chunks; ++k) {
         for (int mb = 0; mb < m_count; ++mb) {
-            bool compress = policy.cb;
-            if (policy.cb && policy.cbEpilogueOnly) {
-                compress =
-                    isEpilogueBackward(p, m_count, s, mb);
-            }
-            channel[mb] = compress ? compressed_bwd : exact_bwd;
+            const bool compress =
+                policy.cb &&
+                (chunks > 1 || !policy.cbEpilogueOnly ||
+                 isEpilogueBackward(p, m_count, k, mb));
+            spec.bwdMsgTime[k - 1][mb] =
+                compress ? compressed_bwd : exact_bwd;
         }
     }
 
@@ -215,8 +223,7 @@ buildCostSpec(const MappedWorkload &workload,
         const double grad_bytes = workload.dpGradBytesPerStage(s);
         const bool compressed =
             policy.sc &&
-            s < static_cast<int>(
-                    std::ceil(policy.scStageFraction * p));
+            isCompressedStage(policy.scStageFraction, s, p);
         if (!compressed) {
             dp_traffic[s] =
                 ringAllReduceTraffic(grad_bytes, parallel.data);
@@ -265,101 +272,6 @@ buildCostSpec(const MappedWorkload &workload,
             emb_traffic / coll.bandwidth * contention +
             coll.latency * (policy.fusedEmbedding ? 1.0 : 2.0);
     }
-    return spec;
-}
-
-double
-simulateInterleaved(const InterleavedCostSpec &spec)
-{
-    const int p = spec.ranks;
-    const int v = spec.chunks;
-    const int m_count = spec.microBatches;
-    OPTIMUS_ASSERT(static_cast<int>(spec.dpTime.size()) == p);
-
-    const auto sched = InterleavedSchedule::build(p, v, m_count);
-    const auto order = sched.globalOrder();
-    const int k_total = p * v;
-
-    std::vector<double> rank_free(p, 0.0);
-    std::vector<std::vector<double>> fwd_done(
-        k_total, std::vector<double>(m_count, 0.0));
-    std::vector<std::vector<double>> bwd_done(
-        k_total, std::vector<double>(m_count, 0.0));
-
-    for (const VPipeOp &op : order) {
-        const int r = op.rank;
-        const int k = op.virtualStage(p);
-        const int mb = op.microBatch;
-        if (op.kind == PipeOpKind::Forward) {
-            const double arrival =
-                k == 0 ? 0.0
-                       : fwd_done[k - 1][mb] + spec.fwdMsgTime;
-            const double start = std::max(rank_free[r], arrival);
-            const double done = start + spec.fwdComputePerChunk;
-            fwd_done[k][mb] = done;
-            rank_free[r] = done;
-        } else {
-            const double arrival =
-                k == k_total - 1
-                    ? fwd_done[k][mb]
-                    : bwd_done[k + 1][mb] + spec.bwdMsgTime;
-            const double start = std::max(
-                {rank_free[r], arrival, fwd_done[k][mb]});
-            const double done = start + spec.bwdComputePerChunk;
-            bwd_done[k][mb] = done;
-            rank_free[r] = done;
-        }
-    }
-
-    // Readiness gating as in simulatePipeline: rank r's first work
-    // of the next iteration (its chunk-0 forward) starts r forward
-    // hops into the iteration.
-    std::vector<double> compute_end(p, 0.0);
-    for (int r = 0; r < p; ++r) {
-        // Rank r's last backward is chunk 0's (virtual stage r).
-        compute_end[r] = bwd_done[r][m_count - 1];
-    }
-    const double ramp =
-        spec.fwdComputePerChunk + spec.fwdMsgTime;
-    double emb_end =
-        std::max(compute_end[0] + spec.dpTime[0],
-                 compute_end[p - 1] + spec.dpTime[p - 1]) +
-        spec.embSyncTime;
-    double period = 0.0;
-    for (int r = 0; r < p; ++r) {
-        double ready = compute_end[r] + spec.dpTime[r];
-        if (r == 0 || r == p - 1)
-            ready = std::max(ready, emb_end);
-        period = std::max(period, ready - r * ramp);
-    }
-    return std::max(period, compute_end[0]);
-}
-
-InterleavedCostSpec
-buildInterleavedCostSpec(const MappedWorkload &workload,
-                         const OptimusCcPolicy &policy, int chunks,
-                         const CompressionKernelModel &kernel)
-{
-    // Reuse the plain-1F1B builder for compute, message, DP, and
-    // embedding costs, then re-shape for chunked execution.
-    const PipeCostSpec base = buildCostSpec(workload, policy, kernel);
-    InterleavedCostSpec spec;
-    spec.ranks = base.stages;
-    spec.chunks = chunks;
-    spec.microBatches = base.microBatches;
-    spec.fwdComputePerChunk = base.fwdCompute / chunks;
-    spec.bwdComputePerChunk = base.bwdCompute / chunks;
-    spec.fwdMsgTime = base.fwdMsgTime;
-    // Uniform backward hop: with interleaving the steady state
-    // exposes every backward hop, so use the compressed cost when
-    // CB is on (epilogue-only coincides with full compression).
-    spec.bwdMsgTime =
-        base.stages > 1
-            ? (policy.cb ? base.bwdMsgTime[0].back()
-                         : base.bwdMsgTime[0].front())
-            : 0.0;
-    spec.dpTime = base.dpTime;
-    spec.embSyncTime = base.embSyncTime;
     return spec;
 }
 

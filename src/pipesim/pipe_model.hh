@@ -1,12 +1,13 @@
 /**
  * @file
- * Deterministic pipeline-timing simulator. Given per-stage compute
- * times, per-message communication times, and per-stage
+ * Deterministic pipeline-timing simulator. Given per-virtual-stage
+ * compute times, per-message communication times, and per-stage
  * data-parallel reduction times, it propagates completion times
- * through the 1F1B (or GPipe) dependency graph and reports the
- * iteration time plus a CPI-stack-style breakdown obtained exactly
- * the way the paper measures it (Section 3): re-run with a
- * communication component disabled and report the difference.
+ * through the dependency graph of a 1F1B (plain or interleaved) or
+ * GPipe schedule and reports the iteration time plus a
+ * CPI-stack-style breakdown obtained exactly the way the paper
+ * measures it (Section 3): re-run with a communication component
+ * disabled and report the difference.
  */
 
 #ifndef OPTIMUS_PIPESIM_PIPE_MODEL_HH
@@ -16,7 +17,6 @@
 
 #include "cluster/mapping.hh"
 #include "pipesim/throughput_model.hh"
-#include "schedule/interleaved.hh"
 #include "schedule/schedule.hh"
 
 namespace optimus
@@ -51,19 +51,22 @@ struct OptimusCcPolicy
 struct PipeCostSpec
 {
     int stages = 4;
+    /** Model chunks per stage v (interleaved 1F1B when >= 2). */
+    int chunks = 1;
     int microBatches = 16;
     ScheduleKind schedule = ScheduleKind::OneFOneB;
-    /** Compute time of one micro-batch forward on one stage. */
+    /** Compute time of one micro-batch forward on one virtual
+     *  stage (a stage's share when chunks == 1). */
     double fwdCompute = 0.0;
     /** Compute time of one micro-batch backward (+recompute). */
     double bwdCompute = 0.0;
-    /** Forward activation message time (uncompressed). */
+    /** Forward activation message time per hop (uncompressed). */
     double fwdMsgTime = 0.0;
     /**
-     * Backward message time from stage s (sender, s in [1, P)) for
-     * micro-batch m, compression policy already applied; indexed
-     * [s-1][m]. Includes compress/decompress kernel time for
-     * compressed messages.
+     * Backward message time from virtual stage k (sender, k in
+     * [1, P * chunks)) for micro-batch m, compression policy
+     * already applied; indexed [k-1][m]. Includes
+     * compress/decompress kernel time for compressed messages.
      */
     std::vector<std::vector<double>> bwdMsgTime;
     /** Data-parallel reduction time per stage (policy applied). */
@@ -95,7 +98,7 @@ PipeSimResult simulatePipeline(const PipeCostSpec &spec);
 struct IterationBreakdown
 {
     double total = 0.0;
-    double fwdCompute = 0.0;    ///< M x per-stage forward compute
+    double fwdCompute = 0.0;    ///< M x one stage's forward compute
     double bwdCompute = 0.0;    ///< compute remainder incl. bubble
     double interStage = 0.0;    ///< exposed inter-stage comm
     double dpComm = 0.0;        ///< exposed DP gradient comm
@@ -113,54 +116,22 @@ IterationBreakdown computeBreakdown(const PipeCostSpec &spec);
  * combination: compute times from the FLOPs model, message times
  * from the alpha-beta link model with the NIC-sharing rule,
  * compression effects from the policy and kernel model.
+ *
+ * With @p chunks >= 2 (interleaved 1F1B) each chunk's compute is
+ * 1/chunks of the stage's, and every virtual-stage hop pays the same
+ * backward message time, compressed when the policy enables CB:
+ * interleaved steady state exposes every backward hop, so
+ * epilogue-only and full compression coincide for timing.
  */
 PipeCostSpec buildCostSpec(const MappedWorkload &workload,
                            const OptimusCcPolicy &policy,
-                           const CompressionKernelModel &kernel = {});
+                           const CompressionKernelModel &kernel = {},
+                           int chunks = 1);
 
 /** Convenience: simulated days to run `plan.iterations`. */
 double trainingDays(const MappedWorkload &workload,
                     const OptimusCcPolicy &policy,
                     const CompressionKernelModel &kernel = {});
-
-/** Timing inputs for the interleaved (multi-chunk) schedule. */
-struct InterleavedCostSpec
-{
-    int ranks = 4;
-    int chunks = 2;
-    int microBatches = 16;
-    /** Compute time of one chunk's forward of one micro-batch. */
-    double fwdComputePerChunk = 0.0;
-    /** Compute time of one chunk's backward (+recompute). */
-    double bwdComputePerChunk = 0.0;
-    /** Message time per virtual-stage hop (uniform; interleaving
-     *  sends between every consecutive virtual stage). */
-    double fwdMsgTime = 0.0;
-    double bwdMsgTime = 0.0;
-    /** Per-rank data-parallel reduction time. */
-    std::vector<double> dpTime;
-    /** Embedding-sync tail (gates ranks 0 and P-1). */
-    double embSyncTime = 0.0;
-};
-
-/**
- * Propagate the interleaved schedule's dependency graph and return
- * the iteration time (same next-iteration gating rule as
- * simulatePipeline).
- */
-double simulateInterleaved(const InterleavedCostSpec &spec);
-
-/**
- * Assemble an interleaved cost spec from the workload: per-chunk
- * compute is 1/chunks of the stage compute; every hop pays the same
- * message cost (compressed when the policy enables CB -- interleaved
- * steady state exposes every backward hop, so epilogue-only and full
- * compression coincide for timing purposes).
- */
-InterleavedCostSpec
-buildInterleavedCostSpec(const MappedWorkload &workload,
-                         const OptimusCcPolicy &policy, int chunks,
-                         const CompressionKernelModel &kernel = {});
 
 } // namespace optimus
 

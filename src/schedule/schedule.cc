@@ -1,39 +1,68 @@
 #include "schedule/schedule.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
 namespace optimus
 {
 
-PipelineSchedule::PipelineSchedule(int stages, int micro_batches)
-    : stages_(stages), microBatches_(micro_batches),
+namespace
+{
+
+/**
+ * The @p vid-th forward (or backward) of @p stage in 1F1B order.
+ * Virtual micro-batch ids run in rounds of P * chunks: each round
+ * takes P micro-batches through every chunk in turn (forwards from
+ * chunk 0 up, backwards from the last chunk down). With one chunk
+ * the id is the micro-batch itself.
+ */
+PipeOp
+virtualOp(PipeOpKind kind, int stage, int stages, int chunks, int vid)
+{
+    const int group = stages * chunks;
+    int chunk = vid % group / stages;
+    if (kind == PipeOpKind::Backward)
+        chunk = chunks - 1 - chunk;
+    return {kind, stage, stages * (vid / group) + vid % stages, chunk};
+}
+
+} // namespace
+
+PipelineSchedule::PipelineSchedule(int stages, int micro_batches,
+                                   int chunks)
+    : stages_(stages), chunks_(chunks), microBatches_(micro_batches),
       perStage_(stages)
 {
     OPTIMUS_ASSERT(stages >= 1);
     OPTIMUS_ASSERT(micro_batches >= 1);
+    OPTIMUS_ASSERT(chunks >= 1);
 }
 
 PipelineSchedule
-PipelineSchedule::oneFOneB(int stages, int micro_batches)
+PipelineSchedule::oneFOneB(int stages, int micro_batches, int chunks)
 {
-    PipelineSchedule sched(stages, micro_batches);
+    PipelineSchedule sched(stages, micro_batches, chunks);
+    OPTIMUS_ASSERT(chunks == 1 || micro_batches % stages == 0);
+    const int total = micro_batches * chunks;
     for (int s = 0; s < stages; ++s) {
         auto &ops = sched.perStage_[s];
-        const int warmup = warmupDepth(stages, micro_batches, s);
-        int next_fwd = 0;
-        int next_bwd = 0;
-        for (int i = 0; i < warmup; ++i)
-            ops.push_back({PipeOpKind::Forward, s, next_fwd++});
+        const int warmup =
+            warmupDepth(stages, micro_batches, s, chunks);
+        auto op = [&](PipeOpKind kind, int vid) {
+            return virtualOp(kind, s, stages, chunks, vid);
+        };
+        for (int vid = 0; vid < warmup; ++vid)
+            ops.push_back(op(PipeOpKind::Forward, vid));
         // Steady state: alternate F then B while forwards remain.
-        while (next_fwd < micro_batches) {
-            ops.push_back({PipeOpKind::Forward, s, next_fwd++});
-            ops.push_back({PipeOpKind::Backward, s, next_bwd++});
+        for (int i = 0; warmup + i < total; ++i) {
+            ops.push_back(op(PipeOpKind::Forward, warmup + i));
+            ops.push_back(op(PipeOpKind::Backward, i));
         }
         // Cool-down: remaining backwards.
-        while (next_bwd < micro_batches)
-            ops.push_back({PipeOpKind::Backward, s, next_bwd++});
+        for (int vid = total - warmup; vid < total; ++vid)
+            ops.push_back(op(PipeOpKind::Backward, vid));
     }
     return sched;
 }
@@ -41,7 +70,7 @@ PipelineSchedule::oneFOneB(int stages, int micro_batches)
 PipelineSchedule
 PipelineSchedule::gpipe(int stages, int micro_batches)
 {
-    PipelineSchedule sched(stages, micro_batches);
+    PipelineSchedule sched(stages, micro_batches, 1);
     for (int s = 0; s < stages; ++s) {
         auto &ops = sched.perStage_[s];
         for (int m = 0; m < micro_batches; ++m)
@@ -53,12 +82,14 @@ PipelineSchedule::gpipe(int stages, int micro_batches)
 }
 
 PipelineSchedule
-PipelineSchedule::make(ScheduleKind kind, int stages, int micro_batches)
+PipelineSchedule::make(ScheduleKind kind, int stages, int micro_batches,
+                       int chunks)
 {
     switch (kind) {
       case ScheduleKind::OneFOneB:
-        return oneFOneB(stages, micro_batches);
+        return oneFOneB(stages, micro_batches, chunks);
       case ScheduleKind::GPipe:
+        OPTIMUS_ASSERT(chunks == 1);
         return gpipe(stages, micro_batches);
     }
     panic("unknown schedule kind %d", static_cast<int>(kind));
@@ -74,7 +105,7 @@ PipelineSchedule::stageOps(int stage) const
 int64_t
 PipelineSchedule::opCount() const
 {
-    return static_cast<int64_t>(2) * stages_ * microBatches_;
+    return static_cast<int64_t>(2) * stages_ * chunks_ * microBatches_;
 }
 
 namespace
@@ -88,13 +119,14 @@ std::vector<PipeOp>
 tryGlobalOrder(const PipelineSchedule &sched)
 {
     const int p = sched.stages();
+    const int k_total = sched.virtualStages();
     const int m = sched.microBatches();
     std::vector<size_t> cursor(p, 0);
-    // fwdDone[s][mb] / bwdDone[s][mb]
+    // fwd_done[k][mb] / bwd_done[k][mb] over virtual stages k.
     std::vector<std::vector<bool>> fwd_done(
-        p, std::vector<bool>(m, false));
+        k_total, std::vector<bool>(m, false));
     std::vector<std::vector<bool>> bwd_done(
-        p, std::vector<bool>(m, false));
+        k_total, std::vector<bool>(m, false));
 
     std::vector<PipeOp> order;
     order.reserve(sched.opCount());
@@ -107,19 +139,21 @@ tryGlobalOrder(const PipelineSchedule &sched)
             if (cursor[s] >= ops.size())
                 continue;
             const PipeOp &op = ops[cursor[s]];
+            const int k = op.virtualStage(p);
             bool ready;
             if (op.kind == PipeOpKind::Forward) {
-                ready = s == 0 || fwd_done[s - 1][op.microBatch];
+                ready = k == 0 || fwd_done[k - 1][op.microBatch];
             } else {
-                ready = fwd_done[s][op.microBatch] &&
-                        (s == p - 1 || bwd_done[s + 1][op.microBatch]);
+                ready = fwd_done[k][op.microBatch] &&
+                        (k == k_total - 1 ||
+                         bwd_done[k + 1][op.microBatch]);
             }
             if (!ready)
                 continue;
             if (op.kind == PipeOpKind::Forward)
-                fwd_done[s][op.microBatch] = true;
+                fwd_done[k][op.microBatch] = true;
             else
-                bwd_done[s][op.microBatch] = true;
+                bwd_done[k][op.microBatch] = true;
             order.push_back(op);
             ++cursor[s];
             progressed = true;
@@ -143,16 +177,23 @@ PipelineSchedule::globalOrder() const
 {
     auto order = tryGlobalOrder(*this);
     if (order.empty())
-        panic("schedule deadlocks (stages=%d, microBatches=%d)",
-              stages_, microBatches_);
+        panic("schedule deadlocks (stages=%d, chunks=%d, "
+              "microBatches=%d)",
+              stages_, chunks_, microBatches_);
     return order;
 }
 
 int
-warmupDepth(int stages, int micro_batches, int stage)
+warmupDepth(int stages, int micro_batches, int stage, int chunks)
 {
     OPTIMUS_ASSERT(stage >= 0 && stage < stages);
-    return std::min(stages - 1 - stage, micro_batches);
+    OPTIMUS_ASSERT(chunks >= 1);
+    // Megatron interleaves only from two chunks up; deeper for
+    // earlier stages, plus a full round per extra chunk.
+    if (chunks == 1)
+        return std::min(stages - 1 - stage, micro_batches);
+    return std::min(2 * (stages - 1 - stage) + (chunks - 1) * stages,
+                    chunks * micro_batches);
 }
 
 bool
@@ -175,14 +216,11 @@ epilogueBackwardCount(int stages, int micro_batches, int stage)
                     micro_batches);
 }
 
-ScheduleKind
-parseScheduleKind(const std::string &text)
+bool
+isCompressedStage(double fraction, int stage, int stages)
 {
-    if (text == "1f1b")
-        return ScheduleKind::OneFOneB;
-    if (text == "gpipe")
-        return ScheduleKind::GPipe;
-    fatal("unknown schedule kind '%s'", text.c_str());
+    OPTIMUS_ASSERT(stage >= 0 && stage < stages);
+    return stage < static_cast<int>(std::ceil(fraction * stages));
 }
 
 } // namespace optimus

@@ -242,7 +242,6 @@ gateConfig(const GridPoint &point)
     config.pipelineStages = point.p;
     config.microBatches = point.m;
     config.microBatchSize = 2;
-    config.useAdam = true;
     config.cb.enabled = true;
     config.cb.lazyErrorPropagation = point.feedback;
     config.cb.epilogueOnly = point.epilogueOnly;

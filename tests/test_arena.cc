@@ -75,7 +75,6 @@ fullConfig()
     config.pipelineStages = 2;
     config.microBatches = 2;
     config.microBatchSize = 2;
-    config.useAdam = true;
     config.cb.enabled = true;
     config.cb.epilogueOnly = false;
     config.cb.spec.rank = 2;

@@ -348,7 +348,6 @@ tracedConfig(bool trace, bool fused)
     config.microBatches = 2;
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
-    config.useAdam = true;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;

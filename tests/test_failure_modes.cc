@@ -118,10 +118,15 @@ TEST(FailureDeathTest, CompressorParseRejectsUnknownName)
                 ::testing::ExitedWithCode(1), "unknown compressor");
 }
 
-TEST(FailureDeathTest, ScheduleParseRejectsUnknownName)
+TEST(FailureDeathTest, ScheduleRejectsInvalidChunking)
 {
-    EXPECT_EXIT(parseScheduleKind("dapple"),
-                ::testing::ExitedWithCode(1), "unknown schedule");
+    // Interleaving runs in rounds of P micro-batches (Megatron's
+    // M % P == 0), and GPipe has no interleaved form.
+    EXPECT_DEATH(PipelineSchedule::oneFOneB(4, 6, 2), "assertion");
+    EXPECT_DEATH(PipelineSchedule::oneFOneB(4, 8, 0), "assertion");
+    EXPECT_DEATH(
+        PipelineSchedule::make(ScheduleKind::GPipe, 4, 8, 2),
+        "assertion");
 }
 
 TEST(FailureDeathTest, TopKRejectsInvalidFraction)

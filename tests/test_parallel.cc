@@ -56,7 +56,6 @@ baseTrainerConfig()
     config.microBatches = 4;
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
-    config.useAdam = true;
     return config;
 }
 

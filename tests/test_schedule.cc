@@ -177,12 +177,6 @@ TEST(Epilogue, FractionGrowsWithMoreMicroBatches)
     EXPECT_NEAR(prev_fraction, 61.0 / 64.0, 1e-12);
 }
 
-TEST(Schedule, ParseKinds)
-{
-    EXPECT_EQ(parseScheduleKind("1f1b"), ScheduleKind::OneFOneB);
-    EXPECT_EQ(parseScheduleKind("gpipe"), ScheduleKind::GPipe);
-}
-
 TEST(Schedule, SingleStageDegeneratesToSequential)
 {
     const auto sched = PipelineSchedule::oneFOneB(1, 4);

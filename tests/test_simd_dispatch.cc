@@ -85,7 +85,6 @@ tinyConfig()
     config.microBatches = 2;
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
-    config.useAdam = true;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;
