@@ -70,10 +70,4 @@ GptModelSpec::gpt175b()
     return {"GPT-175B", 96, 12288, 96, 1024, 51200};
 }
 
-std::vector<GptModelSpec>
-GptModelSpec::scalabilityLadder()
-{
-    return {gpt2_5b(), gpt8_3b(), gpt39b(), gpt175b()};
-}
-
 } // namespace optimus

@@ -60,9 +60,6 @@ struct GptModelSpec
     static GptModelSpec gpt39b();
     /** GPT-175B: 96 layers, hidden 12288 (GPT-3, Fig 16). */
     static GptModelSpec gpt175b();
-
-    /** The Fig 16 scalability ladder. */
-    static std::vector<GptModelSpec> scalabilityLadder();
 };
 
 } // namespace optimus

@@ -189,8 +189,8 @@ CommGroup::finalize()
     }
 }
 
-// optlint:coldfn — layout build; hot callers (ensureGroup, the
-// engines' bind) cache the result and rebuild only on rewiring.
+// optlint:coldfn — layout build; the step's collectives run on
+// groups their owners built once at construction.
 CommGroup
 CommGroup::fromTensors(const std::vector<Tensor *> &tensors)
 {

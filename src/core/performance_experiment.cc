@@ -43,14 +43,4 @@ runPerformanceAblation(const HardwareConfig &hw,
     return rows;
 }
 
-ReplayResult
-replayRecordedTrace(const CommTrace &trace, const HardwareConfig &hw,
-                    const GptModelSpec &model,
-                    const ParallelConfig &parallel,
-                    const TrainingPlan &plan)
-{
-    MappedWorkload workload(hw, model, parallel, plan);
-    return TraceReplayer(workload).replay(trace);
-}
-
 } // namespace optimus

@@ -47,18 +47,6 @@ runPerformanceRow(const HardwareConfig &hw, const GptModelSpec &model,
                   const TrainingPlan &plan,
                   const TechniquePreset &preset);
 
-/**
- * Replay a trace recorded from the real trainer (see
- * Trainer3dConfig::traceCommunication) through the cluster's link
- * classes and alpha-beta cost model — the bridge from the quality
- * pillar's real traffic to the performance pillar's timing.
- */
-ReplayResult replayRecordedTrace(const CommTrace &trace,
-                                 const HardwareConfig &hw,
-                                 const GptModelSpec &model,
-                                 const ParallelConfig &parallel,
-                                 const TrainingPlan &plan);
-
 } // namespace optimus
 
 #endif // OPTIMUS_CORE_PERFORMANCE_EXPERIMENT_HH

@@ -107,14 +107,6 @@ setThreadTrack(int track, const char *name)
     buffer.name = name;
 }
 
-int64_t
-traceEpochNs()
-{
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.epochNs;
-}
-
 void
 emitSpan(const char *category, const char *name, int64_t begin_ns,
          int64_t end_ns, int64_t id, const char *arg_name0,

@@ -89,10 +89,6 @@ void clearTrace();
  */
 void setThreadTrack(int track, const char *name);
 
-/** nowNs() at the last startTracing(); trace timestamps are
- * exported relative to it. */
-int64_t traceEpochNs();
-
 /** Emit a complete span with explicit clock readings and up to two
  * integer args. No-op while tracing is disabled. */
 void emitSpan(const char *category, const char *name, int64_t begin_ns,

@@ -154,9 +154,6 @@ summarizeTrace(const std::string &json_text)
         summary.optimizer += agg.optimizer;
         summary.total += agg.total;
         summary.dpReduceBusy += agg.busy;
-        const double hidden = agg.busy - agg.dpReduce;
-        if (hidden > 0.0)
-            summary.overlapHidden += hidden;
     }
     const double named = summary.forwardBackward + summary.dpReduce +
                          summary.embSync + summary.optimizer;
@@ -213,8 +210,6 @@ renderTraceSummary(const TraceSummary &summary)
                   summary.total);
         appendRow(out, "dpReduce", summary.dpReduce, summary.total);
         appendRow(out, "dpReduceBusy", summary.dpReduceBusy,
-                  summary.total);
-        appendRow(out, "overlapHidden", summary.overlapHidden,
                   summary.total);
         appendRow(out, "embSync", summary.embSync, summary.total);
         appendRow(out, "optimizer", summary.optimizer,

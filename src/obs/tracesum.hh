@@ -3,7 +3,7 @@
  * Trace summarizer behind the tools/tracesum CLI: loads a Chrome
  * trace-event JSON produced by obs::writeTrace and folds the span
  * stream back into the paper's per-category step breakdown
- * (compute / dpReduce / embSync / optimizer / overlap-hidden).
+ * (compute / dpReduce / dpReduceBusy / embSync / optimizer).
  *
  * The trainer emits its phase spans from the same nowNs() readings
  * that feed StepPhaseTimes, and the reduce engine emits bucket spans
@@ -63,7 +63,6 @@ struct TraceSummary
 
     // ...and from cat="reduce" bucket spans:
     double dpReduceBusy = 0.0;    // summed bucket work
-    double overlapHidden = 0.0;   // sum_i max(0, busy_i - exposed_i)
 
     double other = 0.0;           // total minus the named phases
 

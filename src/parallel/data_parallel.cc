@@ -6,53 +6,6 @@
 namespace optimus
 {
 
-namespace
-{
-
-/**
- * Whether cached single-segment group @p group still describes the
- * per-rank tensors @p tensors (same ranks, same storage). False
- * forces a rebuild — which only happens when a caller rewires the
- * parameter lists, never in the trainer's steady state.
- */
-bool
-groupMatches(const CommGroup &group,
-             const std::vector<Tensor *> &tensors)
-{
-    if (group.segPtrs.size() != 1 ||
-        group.ranks != static_cast<int>(tensors.size()))
-        return false;
-    if (group.segLens[0] != tensors[0]->size())
-        return false;
-    for (size_t d = 0; d < tensors.size(); ++d) {
-        if (group.segPtrs[0][d] != tensors[d]->data())
-            return false;
-    }
-    return true;
-}
-
-/** groupMatches() for a 2-rank pair, without building a list. */
-bool
-pairMatches(const CommGroup &group, const Tensor *a, const Tensor *b)
-{
-    return group.segPtrs.size() == 1 && group.ranks == 2 &&
-           group.segLens[0] == a->size() &&
-           group.segPtrs[0][0] == a->data() &&
-           group.segPtrs[0][1] == b->data();
-}
-
-/** Rebuild @p group from @p tensors unless it already matches. */
-void
-ensureGroup(CommGroup &group, const std::vector<Tensor *> &tensors)
-{
-    if (groupMatches(group, tensors))
-        return;
-    // optlint:coldalloc — group layouts build once per wiring.
-    group = CommGroup::fromTensors(tensors);
-}
-
-} // namespace
-
 bool
 stageSelectedForCompression(const DpCompressionConfig &config,
                             int stage, int stages)
@@ -62,38 +15,53 @@ stageSelectedForCompression(const DpCompressionConfig &config,
            isCompressedStage(config.stageFraction, stage, stages);
 }
 
+EmbeddingSynchronizer::EmbeddingSynchronizer(
+    bool fused, const std::vector<ParamPtr> &first_copies,
+    const std::vector<ParamPtr> &last_copies, Transport *transport)
+    : workers_(static_cast<int>(first_copies.size())),
+      fused_(fused),
+      transport_(transport ? transport : &defaultTransport())
+{
+    OPTIMUS_ASSERT(workers_ >= 1);
+    OPTIMUS_ASSERT(first_copies.size() == last_copies.size());
+    tied_ = first_copies[0].get() == last_copies[0].get();
+    tables_ = first_copies;
+    tables_.insert(tables_.end(), last_copies.begin(),
+                   last_copies.end());
+    std::vector<Tensor *> first, last;
+    for (int d = 0; d < workers_; ++d) {
+        first.push_back(&first_copies[d]->grad);
+        last.push_back(&last_copies[d]->grad);
+    }
+    if (tied_) {
+        groups_.push_back(CommGroup::fromTensors(first));
+    } else if (fused_) {
+        std::vector<Tensor *> all(first);
+        all.insert(all.end(), last.begin(), last.end());
+        groups_.push_back(CommGroup::fromTensors(all));
+    } else {
+        groups_.push_back(CommGroup::fromTensors(first));
+        groups_.push_back(CommGroup::fromTensors(last));
+        for (int d = 0; d < workers_; ++d)
+            pairGroups_.push_back(
+                CommGroup::fromTensors({first[d], last[d]}));
+    }
+}
+
 // optlint:hot — steady-state step path (zero-allocation contract).
 EmbSyncVolume
-EmbeddingSynchronizer::synchronize(
-    const std::vector<ParamPtr> &first_copies,
-    const std::vector<ParamPtr> &last_copies)
+EmbeddingSynchronizer::synchronize()
 {
-    OPTIMUS_ASSERT(!first_copies.empty());
-    OPTIMUS_ASSERT(first_copies.size() == last_copies.size());
-    const int workers = static_cast<int>(first_copies.size());
-
     EmbSyncVolume volume;
     volume.tableBytes = static_cast<int64_t>(sizeof(float)) *
-                        first_copies[0]->size();
-
-    // Gradient-pointer lists live in member scratch and the
-    // collective layouts are cached (rebuilt only if the tables'
-    // storage moves), so the steady-state synchronize() allocates
-    // nothing on any of the three variants below.
-    firstGrads_.clear();
-    lastGrads_.clear();
-    for (const auto &p : first_copies)
-        firstGrads_.push_back(&p->grad); // optlint:coldalloc
-    for (const auto &p : last_copies)
-        lastGrads_.push_back(&p->grad); // optlint:coldalloc
+                        tables_[0]->size();
 
     // Pipeline depth 1: both lists alias the same Params; the tied
     // gradient already contains both contributions, so only the
     // D-way average is needed.
-    if (first_copies[0].get() == last_copies[0].get()) {
-        ensureGroup(tiedGroup_, firstGrads_);
+    if (tied_) {
         const CommEvent ev = transport_->allReduce(
-            CommPhase::EmbSync, tiedGroup_, ReduceOp::Mean);
+            CommPhase::EmbSync, groups_[0], ReduceOp::Mean);
         volume.trafficBytes = commEventTraffic(ev);
         return volume;
     }
@@ -105,16 +73,10 @@ EmbeddingSynchronizer::synchronize(
         // over the two tied tables of their D-way-averaged
         // gradients. A real collective folds the 1/D scale into the
         // reduction for free; here it is an explicit second pass.
-        fusedGrads_.clear();
-        for (Tensor *g : firstGrads_)
-            fusedGrads_.push_back(g); // optlint:coldalloc
-        for (Tensor *g : lastGrads_)
-            fusedGrads_.push_back(g); // optlint:coldalloc
-        ensureGroup(fusedGroup_, fusedGrads_);
         const CommEvent ev = transport_->allReduce(
-            CommPhase::EmbSync, fusedGroup_, ReduceOp::Sum);
-        for (Tensor *g : fusedGrads_)
-            g->scale(1.0f / static_cast<float>(workers));
+            CommPhase::EmbSync, groups_[0], ReduceOp::Sum);
+        for (const ParamPtr &table : tables_)
+            table->grad.scale(1.0f / static_cast<float>(workers_));
         // One 2D-rank ring: Eq 16 exactly.
         volume.trafficBytes = commEventTraffic(ev);
         return volume;
@@ -127,21 +89,8 @@ EmbeddingSynchronizer::synchronize(
     // the two stage groups average concurrently (ranks = D,
     // groups = 2) and the D pairs sum concurrently (ranks = 2,
     // groups = D).
-    // optlint:coldalloc — cached layouts, built once per wiring.
-    stageGroups_.resize(2);
-    ensureGroup(stageGroups_[0], firstGrads_);
-    ensureGroup(stageGroups_[1], lastGrads_);
     const CommEvent avg_ev = transport_->allReduceGrouped(
-        CommPhase::EmbSync, stageGroups_, ReduceOp::Mean);
-    // optlint:coldalloc — cached layouts, built once per wiring.
-    pairGroups_.resize(workers);
-    for (int d = 0; d < workers; ++d) {
-        if (!pairMatches(pairGroups_[d], firstGrads_[d],
-                         lastGrads_[d])) {
-            pairGroups_[d] = CommGroup::fromTensors(
-                {firstGrads_[d], lastGrads_[d]});
-        }
-    }
+        CommPhase::EmbSync, groups_, ReduceOp::Mean);
     const CommEvent sum_ev = transport_->allReduceGrouped(
         CommPhase::EmbSync, pairGroups_, ReduceOp::Sum);
     // Cost: the DP all-reduce over D ranks (counted once; it is the

@@ -3,7 +3,8 @@
  * Data-parallel policy shared by the gradient reduction
  * (reduce_engine.hh): selective stage compression (Section 7) and
  * the reduction's volume record; plus embedding synchronization with
- * the fused single-all-reduce optimization (Section 6).
+ * the fused single-all-reduce optimization (Section 6), bound to its
+ * tables and wired once at construction like the reduce engine.
  *
  * Replicas are simulated in-process: each data-parallel worker owns
  * private Param objects, and the collectives combine their gradient
@@ -78,46 +79,45 @@ struct EmbSyncVolume
  * second 2-rank all-reduce. Fused (Fig 7b): one all-reduce over all
  * 2D copies computing sum/D. The results are mathematically
  * identical; only the communication cost differs (Eq 15 vs 16).
+ *
+ * The tables are bound at construction and the variant's collective
+ * groups are built once there, so synchronize() only runs them.
  */
 class EmbeddingSynchronizer
 {
   public:
     /**
      * @param fused Use the fused single all-reduce (Fig 7b).
-     * @param transport Transport the collectives go through
-     *        (defaultTransport() when null).
-     */
-    explicit EmbeddingSynchronizer(bool fused,
-                                   Transport *transport = nullptr)
-        : fused_(fused),
-          transport_(transport ? transport : &defaultTransport())
-    {}
-
-    /**
      * @param first_copies Token tables of stage 0, one per worker.
      * @param last_copies Token tables of the last stage, one per
      *        worker. When pipeline depth is 1 these are the same
      *        Param objects as @p first_copies (true tying); then
      *        only the D-way average is performed.
+     * @param transport Transport the collectives go through
+     *        (defaultTransport() when null).
      */
-    EmbSyncVolume synchronize(
-        const std::vector<ParamPtr> &first_copies,
-        const std::vector<ParamPtr> &last_copies);
+    EmbeddingSynchronizer(bool fused,
+                          const std::vector<ParamPtr> &first_copies,
+                          const std::vector<ParamPtr> &last_copies,
+                          Transport *transport = nullptr);
 
-    bool fused() const { return fused_; }
+    /** Synchronize the bound tables' gradients. */
+    EmbSyncVolume synchronize();
 
   private:
+    /** The bound tables, first-stage copies then last-stage ones. */
+    std::vector<ParamPtr> tables_;
+    int workers_;
+    /** Pipeline depth 1: first and last copies are one table. */
+    bool tied_ = false;
     bool fused_;
     Transport *transport_;
     /**
-     * Cached collective layouts + gradient-pointer scratch, rebuilt
-     * only if the tables' gradient storage moves (it never does in
-     * the steady state, so synchronize() allocates nothing).
+     * Tied: the D tables (Mean). Fused: all 2D copies (Sum).
+     * Baseline: the two D-rank stage groups (Mean), then the D
+     * first/last pairs (Sum) in pairGroups_.
      */
-    std::vector<Tensor *> firstGrads_, lastGrads_, fusedGrads_;
-    CommGroup tiedGroup_;
-    CommGroup fusedGroup_;
-    std::vector<CommGroup> stageGroups_;
+    std::vector<CommGroup> groups_;
     std::vector<CommGroup> pairGroups_;
 };
 

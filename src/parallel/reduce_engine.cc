@@ -38,7 +38,7 @@ struct ReduceEngine::Bucket
     /** Compressed-bucket state (single compressible parameter). */
     std::unique_ptr<DistributedPowerSgd> dps;
     /**
-     * Per-worker residuals e_d, zeros from bind(), with error
+     * Per-worker residuals e_d, zeros from construction, with error
      * feedback on; none with it off. Each fold turns e_d into the
      * error-fed input M_d = grad_d + e_d in place.
      */
@@ -52,7 +52,7 @@ struct ReduceEngine::Bucket
     /**
      * The bucket's collective group (exact buckets only): one
      * segment per packed parameter, one pointer column per worker.
-     * Built once at bind(); gradient storage is stable afterwards.
+     * Built once at construction; gradient storage is stable.
      */
     CommGroup group;
 
@@ -64,37 +64,31 @@ struct ReduceEngine::Bucket
     obs::CompressionHealth probe;
 };
 
-ReduceEngine::ReduceEngine(const ReduceEngineConfig &config)
+ReduceEngine::ReduceEngine(
+    const ReduceEngineConfig &config,
+    const std::vector<std::vector<ParamPtr>> &worker_params,
+    const std::vector<const Param *> &excluded)
     : config_(config),
+      workers_(static_cast<int>(worker_params.size())),
       transport_(config.transport ? config.transport
                                   : &defaultTransport())
 {
-    OPTIMUS_ASSERT(config.workers >= 1);
+    OPTIMUS_ASSERT(workers_ >= 1);
     OPTIMUS_ASSERT(config.bucketBytes >= 1);
-}
-
-ReduceEngine::~ReduceEngine() = default;
-
-// optlint:coldfn — once-per-wiring setup (bound_-guarded); bucket
-// layouts and persistent tensors are built here, never per step.
-void
-ReduceEngine::bind(
-    const std::vector<std::vector<ParamPtr>> &worker_params,
-    const std::vector<const Param *> &excluded)
-{
-    if (bound_)
-        return;
-    OPTIMUS_ASSERT(static_cast<int>(worker_params.size()) ==
-                   config_.workers);
     const size_t param_count = worker_params[0].size();
     for (const auto &list : worker_params)
         OPTIMUS_ASSERT(list.size() == param_count);
 
+    // The buckets' persistent tensors (mean reconstructions,
+    // residuals) live in the engine's arena, like the temporaries
+    // of the bucket tasks.
+    WorkspaceScope ws(&arena_);
+
     // Sorted-pointer membership set: the order is address order
     // (run-dependent) but only membership is ever queried, so no
     // iteration order can leak into results.
-    std::vector<const Param *> excluded_sorted(excluded);
-    std::sort(excluded_sorted.begin(), excluded_sorted.end());
+    std::vector<const Param *> sorted_excluded(excluded);
+    std::sort(sorted_excluded.begin(), sorted_excluded.end());
 
     std::unique_ptr<Bucket> open;
     auto close_open = [&] {
@@ -104,11 +98,11 @@ ReduceEngine::bind(
 
     for (size_t j = 0; j < param_count; ++j) {
         const Param *p0 = worker_params[0][j].get();
-        if (std::binary_search(excluded_sorted.begin(),
-                               excluded_sorted.end(), p0))
+        if (std::binary_search(sorted_excluded.begin(),
+                               sorted_excluded.end(), p0))
             continue;
         const int64_t elems = worker_params[0][j]->size();
-        for (int d = 0; d < config_.workers; ++d)
+        for (int d = 0; d < workers_; ++d)
             OPTIMUS_ASSERT(worker_params[d][j]->size() == elems);
 
         const bool compress =
@@ -125,18 +119,18 @@ ReduceEngine::bind(
             bucket->spec.elems = elems;
             bucket->spec.compressed = true;
             bucket->grads.emplace_back();
-            for (int d = 0; d < config_.workers; ++d) {
+            for (int d = 0; d < workers_; ++d) {
                 bucket->grads[0].push_back(
                     &worker_params[d][j]->grad);
                 bucket->owners.push_back(worker_params[d][j]);
             }
             bucket->dps = std::make_unique<DistributedPowerSgd>(
-                config_.workers, config_.dp.spec.rank,
+                workers_, config_.dp.spec.rank,
                 config_.seed + 0x1000 * (j + 1));
             bucket->mean =
                 Tensor(worker_params[0][j]->value.shape());
             resetFeedback(*bucket);
-            bucket->inputs.resize(config_.workers);
+            bucket->inputs.resize(workers_);
             buckets_.push_back(std::move(bucket));
             continue;
         }
@@ -154,7 +148,7 @@ ReduceEngine::bind(
         open->spec.offsets.push_back(open->spec.elems);
         open->spec.elems += elems;
         open->grads.emplace_back();
-        for (int d = 0; d < config_.workers; ++d) {
+        for (int d = 0; d < workers_; ++d) {
             open->grads.back().push_back(&worker_params[d][j]->grad);
             open->owners.push_back(worker_params[d][j]);
         }
@@ -167,10 +161,10 @@ ReduceEngine::bind(
         if (bucket->spec.compressed)
             continue;
         CommGroup &group = bucket->group;
-        group.ranks = config_.workers;
+        group.ranks = workers_;
         for (size_t e = 0; e < bucket->grads.size(); ++e) {
             group.segPtrs.emplace_back();
-            for (int d = 0; d < config_.workers; ++d)
+            for (int d = 0; d < workers_; ++d)
                 group.segPtrs[e].push_back(
                     bucket->grads[e][d]->data());
             group.segLens.push_back(bucket->grads[e][0]->size());
@@ -184,20 +178,16 @@ ReduceEngine::bind(
         buckets_[i]->index = static_cast<int>(i);
         specs_.push_back(buckets_[i]->spec);
     }
-    bound_ = true;
 }
+
+ReduceEngine::~ReduceEngine() = default;
 
 void
 ReduceEngine::beginIteration(TaskGroup &group, int64_t iteration)
 {
     group_ = &group;
-    enqueued_ = false;
     iteration_ = iteration;
     arrivals_.store(0, std::memory_order_relaxed);
-    // Rewinds when no bucket tensor is outstanding; with warm
-    // compressor state it degrades to free-list recycling, which is
-    // still heap-free.
-    arena_.reset();
     for (auto &bucket : buckets_)
         bucket->busySeconds = 0.0;
 }
@@ -205,31 +195,19 @@ ReduceEngine::beginIteration(TaskGroup &group, int64_t iteration)
 void
 ReduceEngine::notifyReplicaDone()
 {
-    // One replica has no concurrent backward to hide the buckets
-    // behind; flush() enqueues them after the replica loop.
-    if (config_.workers == 1)
-        return;
     // acq_rel: the last arrival must observe every replica's
     // gradient writes before the buckets go onto the queue.
     const int arrived =
         arrivals_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    OPTIMUS_ASSERT(arrived <= config_.workers);
-    if (arrived == config_.workers)
-        enqueueAll();
-}
-
-void
-ReduceEngine::flush()
-{
-    if (!enqueued_)
+    OPTIMUS_ASSERT(arrived <= workers_);
+    if (arrived == workers_)
         enqueueAll();
 }
 
 void
 ReduceEngine::enqueueAll()
 {
-    OPTIMUS_ASSERT(group_ != nullptr && bound_);
-    enqueued_ = true;
+    OPTIMUS_ASSERT(group_ != nullptr);
     const int count = static_cast<int>(buckets_.size());
     if (obs::tracingEnabled() && count > 0) {
         const int total = g_bucketsInFlight.fetch_add(
@@ -297,7 +275,7 @@ ReduceEngine::reduceExact(Bucket &bucket)
 void
 ReduceEngine::reduceCompressed(Bucket &bucket)
 {
-    const int workers = config_.workers;
+    const int workers = workers_;
     const bool feedback = !bucket.feedback.empty();
     std::vector<const Tensor *> &inputs = bucket.inputs;
     for (int d = 0; d < workers; ++d) {
@@ -351,7 +329,7 @@ ReduceEngine::buckets() const
 std::vector<double>
 ReduceEngine::residualNorms() const
 {
-    std::vector<double> norms(config_.workers, 0.0);
+    std::vector<double> norms(workers_, 0.0);
     for (const auto &bucket : buckets_) {
         for (size_t d = 0; d < bucket->feedback.size(); ++d) {
             const double n = bucket->feedback[d].residual().norm();
@@ -394,6 +372,8 @@ ReduceEngine::stateBytes() const
 void
 ReduceEngine::reset()
 {
+    // Fresh residuals land in the engine's arena, as at construction.
+    WorkspaceScope ws(&arena_);
     for (auto &bucket : buckets_) {
         if (bucket->dps) {
             bucket->dps->reset();
@@ -402,7 +382,7 @@ ReduceEngine::reset()
     }
 }
 
-// optlint:coldfn — bind()/reset() only, never per step.
+// optlint:coldfn — construction/reset() only, never per step.
 void
 ReduceEngine::resetFeedback(Bucket &bucket) const
 {
@@ -410,7 +390,7 @@ ReduceEngine::resetFeedback(Bucket &bucket) const
     // as every later fold adds the carried residual.
     bucket.feedback.clear();
     if (config_.dp.errorFeedback)
-        bucket.feedback.assign(config_.workers,
+        bucket.feedback.assign(workers_,
                                ErrorFeedback(bucket.mean.shape()));
 }
 

@@ -15,13 +15,11 @@
  *    residual per worker.
  *
  *  - **Overlap.** Buckets are independent tasks on the runtime
- *    thread pool's task queue (`TaskGroup`). With D >= 2 workers
+ *    thread pool's task queue (`TaskGroup`). One rule at every D:
  *    the D-th replica to finish backward for the stage enqueues the
  *    stage's buckets, so late-stage reduction runs on idle pool
- *    workers while early stages are still in backward. With one
- *    worker there is no other replica's backward to hide behind, so
- *    flush() enqueues the buckets after the replica loop (inline on
- *    a serial pool).
+ *    workers while earlier stages are still in backward (on a
+ *    serial pool the enqueue runs them inline, inside backward).
  *
  *  - **Determinism.** A bucket reduce is bitwise identical no
  *    matter which thread runs it or when: the exact path is the
@@ -35,10 +33,13 @@
  *    pins the engine bitwise to a per-parameter oracle at any
  *    OPTIMUS_THREADS.
  *
- *  - **No per-step churn.** Residuals and the mean reconstruction
- *    live in per-bucket persistent scratch, and each residual
- *    doubles as its worker's error-fed input (the fold is in
- *    place); the exact combine needs no scratch at all.
+ *  - **Wired once.** The engine is built with its per-worker
+ *    parameter lists and the excluded tables. The layout, each
+ *    exact bucket's collective group, the residuals and the mean
+ *    reconstruction are fixed at construction (the tensors in the
+ *    engine's own arena), so a step only arms and signals. Each
+ *    residual doubles as its worker's error-fed input (the fold is
+ *    in place); the exact combine needs no scratch at all.
  */
 
 #ifndef OPTIMUS_PARALLEL_REDUCE_ENGINE_HH
@@ -63,8 +64,6 @@ struct ReduceEngineConfig
     DpCompressionConfig dp;
     /** Whether this stage was selected for compression. */
     bool compressStage = false;
-    /** Data-parallel width D. */
-    int workers = 1;
     /** Engine-local seed (per-parameter compressor seeds derive). */
     uint64_t seed = 0;
     /** Bucket capacity in bytes of flattened fp32 gradient. */
@@ -91,46 +90,36 @@ struct BucketSpec
 
 /**
  * Gradient reduction engine for one pipeline stage across D
- * data-parallel workers. Construction is cheap; the bucket layout
- * binds lazily to the first parameter lists seen (they must stay
- * stable afterwards, which stage modules guarantee).
+ * data-parallel workers, wired once at construction.
  */
 class ReduceEngine
 {
   public:
-    explicit ReduceEngine(const ReduceEngineConfig &config);
+    /**
+     * Build the bucket layout over aligned per-worker parameter
+     * lists (D = worker_params.size(); the lists must stay alive and
+     * their gradient storage stable, which stage modules guarantee).
+     * @p excluded parameters (the tied embedding tables, owned by
+     * the embedding synchronizer) get no bucket.
+     */
+    ReduceEngine(const ReduceEngineConfig &config,
+                 const std::vector<std::vector<ParamPtr>> &worker_params,
+                 const std::vector<const Param *> &excluded = {});
     ~ReduceEngine();
 
     /**
-     * Bind aligned per-worker parameter lists and build the bucket
-     * layout. @p excluded parameters (the tied embedding tables,
-     * owned by the embedding synchronizer) get no bucket.
-     * Idempotent after the first call.
-     */
-    void bind(const std::vector<std::vector<ParamPtr>> &worker_params,
-              const std::vector<const Param *> &excluded);
-
-    bool bound() const { return bound_; }
-
-    /**
-     * Arm the engine for one iteration. @p group receives the
-     * bucket tasks; with two or more workers the D-th
-     * notifyReplicaDone() call enqueues them, with one worker
-     * flush() does. @p iteration stamps this iteration's trace
-     * spans.
+     * Arm the engine for one iteration: @p group receives the bucket
+     * tasks, @p iteration stamps this iteration's trace spans.
      */
     void beginIteration(TaskGroup &group, int64_t iteration = 0);
 
     /**
      * Replica-done signal, called from inside the replica loop
      * (thread-safe) once this stage's backward — and micro-batch
-     * gradient scaling — finished on one replica. With D >= 2 the
-     * D-th arrival enqueues every bucket; with D == 1 it is a no-op.
+     * gradient scaling — finished on one replica. The D-th arrival
+     * enqueues every bucket, D = 1 included.
      */
     void notifyReplicaDone();
-
-    /** Enqueue any bucket not yet enqueued this iteration. */
-    void flush();
 
     /**
      * Summed wall time this iteration spent inside this stage's
@@ -166,8 +155,6 @@ class ReduceEngine
     /** Drop warm compressor state and residuals. */
     void reset();
 
-    bool compressesStage() const { return config_.compressStage; }
-
   private:
     struct Bucket;
 
@@ -179,22 +166,23 @@ class ReduceEngine
     void resetFeedback(Bucket &bucket) const;
 
     ReduceEngineConfig config_;
+    /** Data-parallel width D. */
+    int workers_ = 1;
     Transport *transport_ = nullptr;
     /**
      * The engine's workspace: bucket tasks run under its scope, so
      * compressed-reduce temporaries (PowerSGD P/Q products) recycle
-     * here no matter which pool worker picks the task up. Declared
+     * here no matter which pool worker picks the task up; the
+     * buckets' persistent tensors are built in it too. Declared
      * before the buckets so their persistent tensors die first.
      */
     Workspace arena_{"reduce"};
-    bool bound_ = false;
     std::vector<std::unique_ptr<Bucket>> buckets_;
     /** Cached layout view (mirrors buckets_[i]->spec). */
     std::vector<BucketSpec> specs_;
 
     /** Per-iteration state. */
     TaskGroup *group_ = nullptr;
-    bool enqueued_ = false;
     int64_t iteration_ = 0;
     std::atomic<int> arrivals_{0};
 };

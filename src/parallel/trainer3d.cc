@@ -1,6 +1,5 @@
 #include "parallel/trainer3d.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -72,8 +71,7 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
       tracing_(std::make_unique<TracingTransport>(
           recorder_ ? static_cast<Transport &>(*recorder_)
                     : *baseTransport_)),
-      transport_(tracing_.get()),
-      embSync_(config.fusedEmbeddingSync, transport_)
+      transport_(tracing_.get())
 {
     const int d_ways = config.dataParallel;
     const int p_ways = config.pipelineStages;
@@ -122,29 +120,46 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
         }
     }
 
-    engines_.reserve(p_ways);
-    for (int p = 0; p < p_ways; ++p) {
-        ReduceEngineConfig ec;
-        ec.dp = config.dp;
-        ec.compressStage =
-            stageSelectedForCompression(config.dp, p, p_ways);
-        ec.workers = d_ways;
-        ec.seed = config.seed + 31 * (p + 1);
-        ec.bucketBytes = config.bucketBytes;
-        ec.transport = transport_;
-        engines_.push_back(std::make_unique<ReduceEngine>(ec));
-    }
-
-    // Aligned per-stage parameter lists, built once: the engine
-    // bind, the gradient-norm probe, and the optimizers all view the
-    // same stable Param objects, so rebuilding these per iteration
-    // was pure allocation churn.
+    // Aligned per-stage parameter lists, built once: the engines,
+    // the gradient-norm probe, and the optimizers all view the same
+    // stable Param objects.
     workerParams_.resize(p_ways);
     for (int p = 0; p < p_ways; ++p) {
         workerParams_[p].reserve(d_ways);
         for (int d = 0; d < d_ways; ++d)
             workerParams_[p].push_back(stages_[d][p]->params());
     }
+
+    // The tied embedding tables of the first and last stage are
+    // synchronized by embSync_, so the engines give them no bucket.
+    std::vector<ParamPtr> first_copies, last_copies;
+    std::vector<const Param *> excluded;
+    for (int d = 0; d < d_ways; ++d) {
+        first_copies.push_back(stages_[d][0]->embeddingTable());
+        last_copies.push_back(
+            stages_[d][p_ways - 1]->embeddingTable());
+        excluded.push_back(first_copies[d].get());
+        excluded.push_back(last_copies[d].get());
+    }
+    embSync_ = std::make_unique<EmbeddingSynchronizer>(
+        config.fusedEmbeddingSync, first_copies, last_copies,
+        transport_);
+
+    engines_.reserve(p_ways);
+    for (int p = 0; p < p_ways; ++p) {
+        ReduceEngineConfig ec;
+        ec.dp = config.dp;
+        ec.compressStage =
+            stageSelectedForCompression(config.dp, p, p_ways);
+        ec.seed = config.seed + 31 * (p + 1);
+        ec.bucketBytes = config.bucketBytes;
+        ec.transport = transport_;
+        engines_.push_back(std::make_unique<ReduceEngine>(
+            ec, workerParams_[p], excluded));
+    }
+
+    // The step refills these sampled micro-batches in place.
+    microBatches_.resize(d_ways * config.microBatches);
 
     scorer_ = std::make_unique<ReplicaScorer>(*this);
 }
@@ -230,28 +245,11 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     // Sample the global mini-batch: D * M micro-batches, assigned
     // round-robin-free (contiguous shards) to replicas. The batches
     // persist across iterations and are refilled in place.
-    // optlint:coldalloc — warmup capacity ratchet.
-    microBatches_.resize(d_ways * m_count);
     for (int i = 0; i < d_ways * m_count; ++i)
         data.sampleBatchInto(microBatches_[i], mb_rows, rng);
 
-    // Tied embedding tables are excluded from the DP all-reduce (the
-    // synchronizer owns them); the list is needed up front so the
-    // engines can bind their bucket layouts before backward starts.
-    excluded_.clear();
-    for (int d = 0; d < d_ways; ++d) {
-        // optlint:coldalloc — member scratch, capacity ratchets.
-        if (auto table = stages_[d][0]->embeddingTable())
-            excluded_.push_back(table.get());
-        if (auto table = stages_[d][p_ways - 1]->embeddingTable())
-            excluded_.push_back(table.get()); // optlint:coldalloc
-    }
-
-    for (int p = 0; p < p_ways; ++p) {
-        if (!engines_[p]->bound())
-            engines_[p]->bind(workerParams_[p], excluded_);
+    for (int p = 0; p < p_ways; ++p)
         engines_[p]->beginIteration(reduceGroup_, iterations_);
-    }
 
     if (obs::metricsEnabled()) {
         static obs::Counter &iters =
@@ -307,9 +305,9 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
             // micro-batch a stage's gradients are final the moment
             // its backward returns, so they are averaged over the
             // micro-batches (scaled by 1/M) right there and the
-            // stage's engine is signalled; at D >= 2 the D-th
-            // replica's signal puts the stage's buckets on the pool
-            // queue while earlier stages are still in backward.
+            // stage's engine is signalled; the D-th replica's signal
+            // puts the stage's buckets on the pool queue while
+            // earlier stages are still in backward.
             for (int m = 0; m < m_count; ++m) {
                 Tensor g = losses_[d].backward();
                 for (int p = p_ways - 1; p >= 1; --p) {
@@ -341,11 +339,9 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     for (int d = 0; d < d_ways; ++d)
         loss_sum += replica_loss[d];
 
-    // Data-parallel gradient all-reduce. Exposed time only: at
-    // D >= 2 most bucket tasks already ran during backward.
+    // Data-parallel gradient all-reduce: every bucket was enqueued
+    // inside the replica loop, so this is the exposed wait only.
     const int64_t t_reduce = obs::nowNs();
-    for (int p = 0; p < p_ways; ++p)
-        engines_[p]->flush();
     reduceGroup_.wait();
     for (int p = 0; p < p_ways; ++p)
         stats.phases.dpReduceBusy += engines_[p]->busySeconds();
@@ -354,20 +350,10 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
                                                 t_reduce_end);
     obs::emitSpan("phase", "dpReduce", t_reduce, t_reduce_end,
                   iterations_);
-    stats.phases.overlapHidden = std::max(
-        0.0, stats.phases.dpReduceBusy - stats.phases.dpReduce);
 
     // Embedding synchronization (baseline or fused).
     const int64_t t_emb = obs::nowNs();
-    firstCopies_.clear();
-    lastCopies_.clear();
-    for (int d = 0; d < d_ways; ++d) {
-        // optlint:coldalloc — member scratch, capacity ratchets.
-        firstCopies_.push_back(stages_[d][0]->embeddingTable());
-        lastCopies_.push_back(
-            stages_[d][p_ways - 1]->embeddingTable());
-    }
-    stats.embVolume = embSync_.synchronize(firstCopies_, lastCopies_);
+    stats.embVolume = embSync_->synchronize();
     const int64_t t_emb_end = obs::nowNs();
     stats.phases.embSync = obs::secondsBetween(t_emb, t_emb_end);
     obs::emitSpan("phase", "embSync", t_emb, t_emb_end, iterations_);

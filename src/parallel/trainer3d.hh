@@ -12,9 +12,8 @@
  *     (compressed backpropagation, lazy error propagation,
  *     epilogue-only policy);
  *   - DP gradient all-reduce goes through one ReduceEngine per
- *     stage (bucketed, overlapped with backward when D >= 2;
- *     selective stage compression, distributed PowerSGD, error
- *     feedback);
+ *     stage (bucketed, overlapped with backward; selective stage
+ *     compression, distributed PowerSGD, error feedback);
  *   - the tied embedding tables go through EmbeddingSynchronizer
  *     (baseline two-all-reduce or fused single all-reduce).
  */
@@ -97,19 +96,18 @@ struct Trainer3dConfig
 
 /**
  * Wall-time breakdown of one iteration (seconds, steady clock).
- * `forwardBackward` is the replica-loop wall time; at D >= 2 it
- * already contains any reduction hidden behind backward.
- * `dpReduce` is the *exposed* reduce time (flush + drain after the
- * replica loop), `dpReduceBusy` the summed time spent inside bucket
- * tasks wherever they ran, and `overlapHidden` their difference —
- * the reduce work that cost no critical-path time.
+ * `forwardBackward` is the replica-loop wall time; it already
+ * contains any bucket reduction that ran during backward (on a
+ * serial pool, all of it: the last replica's signal runs a stage's
+ * buckets inline). `dpReduce` is the *exposed* reduce time (the
+ * wait on the bucket tasks after the replica loop), `dpReduceBusy`
+ * the summed time spent inside bucket tasks wherever they ran.
  */
 struct StepPhaseTimes
 {
     double forwardBackward = 0.0;
     double dpReduce = 0.0;
     double dpReduceBusy = 0.0;
-    double overlapHidden = 0.0;
     double embSync = 0.0;
     double optimizer = 0.0;
     double total = 0.0;
@@ -256,7 +254,7 @@ class Trainer3d
     std::vector<std::unique_ptr<ReduceEngine>> engines_;
     /** Completion handle for in-flight bucket reductions. */
     TaskGroup reduceGroup_;
-    EmbeddingSynchronizer embSync_;
+    std::unique_ptr<EmbeddingSynchronizer> embSync_;
     std::unique_ptr<ReplicaScorer> scorer_;
     int64_t iterations_ = 0;
 
@@ -274,16 +272,13 @@ class Trainer3d
     bool haveBestLoss_ = false;
 
     /**
-     * Persistent per-step scratch: sampled micro-batches, exclusion
-     * lists, per-replica losses, the embedding-table views, and the
-     * per-stage aligned parameter lists (stable after construction).
-     * All of it reuses its capacity, so the steady-state step
-     * allocates nothing here.
+     * Persistent per-step scratch: the sampled micro-batches (sized
+     * at construction, refilled in place) and per-replica losses.
+     * Both reuse their capacity, so the steady-state step allocates
+     * nothing here.
      */
     std::vector<LmBatch> microBatches_;
-    std::vector<const Param *> excluded_;
     std::vector<double> replicaLoss_;
-    std::vector<ParamPtr> firstCopies_, lastCopies_;
     /** workerParams_[p][d]: stage p's parameter list of replica d. */
     std::vector<std::vector<std::vector<ParamPtr>>> workerParams_;
 };

@@ -231,15 +231,6 @@ Tensor::randn(ShapeVec shape, Rng &rng, float mean, float stddev)
 }
 
 Tensor
-Tensor::randUniform(ShapeVec shape, Rng &rng, float lo, float hi)
-{
-    Tensor t(shape);
-    for (int64_t i = 0; i < t.size(); ++i)
-        t[i] = static_cast<float>(rng.uniform(lo, hi));
-    return t;
-}
-
-Tensor
 Tensor::fromValues(ShapeVec shape, const std::vector<float> &values)
 {
     OPTIMUS_ASSERT(shapeProduct(shape) ==

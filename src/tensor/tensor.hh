@@ -101,10 +101,6 @@ class Tensor
     static Tensor randn(ShapeVec shape, Rng &rng, float mean = 0.0f,
                         float stddev = 1.0f);
 
-    /** I.i.d. uniform entries in [lo, hi). */
-    static Tensor randUniform(ShapeVec shape, Rng &rng, float lo,
-                              float hi);
-
     /** Build from explicit values (shape product must match size). */
     static Tensor fromValues(ShapeVec shape,
                              const std::vector<float> &values);

@@ -74,12 +74,6 @@ stddev(const std::vector<float> &v)
 }
 
 double
-l2Norm(const std::vector<float> &v)
-{
-    return l2Norm(v.data(), v.size());
-}
-
-double
 cosineSimilarity(const std::vector<float> &a, const std::vector<float> &b)
 {
     const size_t n = a.size() < b.size() ? a.size() : b.size();

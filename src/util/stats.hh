@@ -38,7 +38,6 @@ double cosineSimilarity(const float *a, const float *b, size_t n);
 /** Convenience overloads on std::vector<float>. */
 double mean(const std::vector<float> &v);
 double stddev(const std::vector<float> &v);
-double l2Norm(const std::vector<float> &v);
 double cosineSimilarity(const std::vector<float> &a,
                         const std::vector<float> &b);
 

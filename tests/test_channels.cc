@@ -365,15 +365,14 @@ TEST(ReduceEngine, CompressibleRequiresRealMatrix)
     EXPECT_FALSE(ReduceEngine::compressible(skinny));
 }
 
-/** Engine config for @p workers replicas of a compressed stage. */
+/** Engine config of a compressed stage. */
 ReduceEngineConfig
-compressedEngine(int workers)
+compressedEngine()
 {
     ReduceEngineConfig config;
     config.dp.enabled = true;
     config.dp.spec.rank = 2;
     config.compressStage = true;
-    config.workers = workers;
     config.seed = 7;
     return config;
 }
@@ -386,7 +385,6 @@ reduceOnce(ReduceEngine &engine, int workers)
     engine.beginIteration(group);
     for (int d = 0; d < workers; ++d)
         engine.notifyReplicaDone();
-    engine.flush();
     group.wait();
 }
 
@@ -395,14 +393,12 @@ TEST(ReduceEngine, ExclusionLeavesGradientsUntouched)
     InProcessTransport base;
     RecordingTransport recorder(base);
     ReduceEngineConfig config;
-    config.workers = 2;
     config.transport = &recorder;
-    ReduceEngine engine(config);
     auto p0 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
     auto p1 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
     p0->grad.fill(1.0f);
     p1->grad.fill(3.0f);
-    engine.bind({{p0}, {p1}}, {p0.get(), p1.get()});
+    ReduceEngine engine(config, {{p0}, {p1}}, {p0.get(), p1.get()});
     reduceOnce(engine, 2);
     // Untouched: still different, and nothing went on the wire.
     EXPECT_FLOAT_EQ(p0->grad[0], 1.0f);
@@ -414,9 +410,8 @@ TEST(ReduceEngine, CompressedReduceKeepsReplicasIdentical)
 {
     InProcessTransport base;
     RecordingTransport recorder(base);
-    ReduceEngineConfig config = compressedEngine(3);
+    ReduceEngineConfig config = compressedEngine();
     config.transport = &recorder;
-    ReduceEngine engine(config);
     Rng rng(8);
     std::vector<std::vector<ParamPtr>> workers(3);
     for (int d = 0; d < 3; ++d) {
@@ -424,7 +419,7 @@ TEST(ReduceEngine, CompressedReduceKeepsReplicasIdentical)
         p->grad = Tensor::randn({12, 12}, rng);
         workers[d] = {p};
     }
-    engine.bind(workers, {});
+    ReduceEngine engine(config, workers);
     reduceOnce(engine, 3);
     const CommVolume volume =
         recorder.trace().volume(CommPhase::DpReduce);
@@ -447,14 +442,13 @@ TEST(ReduceEngine, ErrorFeedbackConvergesOnConstantGradient)
 {
     // With a constant gradient, error feedback makes the *average*
     // delivered reduction converge to the true mean.
-    ReduceEngine engine(compressedEngine(2));
     Rng rng(9);
     const Tensor truth = Tensor::randn({10, 10}, rng);
     Tensor delivered_sum({10, 10});
     const int steps = 40;
     auto p0 = std::make_shared<Param>("w", Tensor::zeros(10, 10));
     auto p1 = std::make_shared<Param>("w", Tensor::zeros(10, 10));
-    engine.bind({{p0}, {p1}}, {});
+    ReduceEngine engine(compressedEngine(), {{p0}, {p1}});
     for (int step = 0; step < steps; ++step) {
         p0->grad = truth;
         p1->grad = truth;

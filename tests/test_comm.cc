@@ -616,9 +616,9 @@ TEST(EmbSyncTrace, MatchesClosedFormsForD248)
             }
             InProcessTransport base;
             RecordingTransport recorder(base);
-            EmbeddingSynchronizer sync(fused, &recorder);
-            const EmbSyncVolume volume =
-                sync.synchronize(first, last);
+            EmbeddingSynchronizer sync(fused, first, last,
+                                       &recorder);
+            const EmbSyncVolume volume = sync.synchronize();
 
             const double expect =
                 fused ? embSyncTrafficFused(table_bytes, d_ways)

@@ -366,7 +366,6 @@ TEST(TraceSummary, ReconcilesWithStepPhaseTimes)
             sum.forwardBackward += stats.phases.forwardBackward;
             sum.dpReduce += stats.phases.dpReduce;
             sum.dpReduceBusy += stats.phases.dpReduceBusy;
-            sum.overlapHidden += stats.phases.overlapHidden;
             sum.embSync += stats.phases.embSync;
             sum.optimizer += stats.phases.optimizer;
             sum.total += stats.phases.total;
@@ -391,8 +390,6 @@ TEST(TraceSummary, ReconcilesWithStepPhaseTimes)
         << summary.dpReduce << " vs " << sum.dpReduce;
     EXPECT_TRUE(near(summary.dpReduceBusy, sum.dpReduceBusy))
         << summary.dpReduceBusy << " vs " << sum.dpReduceBusy;
-    EXPECT_TRUE(near(summary.overlapHidden, sum.overlapHidden))
-        << summary.overlapHidden << " vs " << sum.overlapHidden;
     EXPECT_TRUE(near(summary.embSync, sum.embSync))
         << summary.embSync << " vs " << sum.embSync;
     EXPECT_TRUE(near(summary.optimizer, sum.optimizer))
@@ -403,7 +400,6 @@ TEST(TraceSummary, ReconcilesWithStepPhaseTimes)
     // The rendered table carries every reconciled row.
     const std::string table = obs::renderTraceSummary(summary);
     EXPECT_NE(table.find("dpReduceBusy"), std::string::npos);
-    EXPECT_NE(table.find("overlapHidden"), std::string::npos);
     EXPECT_NE(table.find("total(step)"), std::string::npos);
 }
 
