@@ -60,7 +60,7 @@ main(int argc, char **argv)
         if (fraction > 0.0) {
             preset.dp.enabled = true;
             preset.dp.stageFraction = fraction;
-            preset.dp.spec.rank = 2;
+            preset.dp.rank = 2;
         }
         const auto result = runQualityExperiment(config, preset);
         char label[16];
@@ -88,7 +88,7 @@ main(int argc, char **argv)
         preset.name = "rank";
         preset.dp.enabled = true;
         preset.dp.stageFraction = 1.0;
-        preset.dp.spec.rank = mini_rank;
+        preset.dp.rank = mini_rank;
         const auto result = runQualityExperiment(config, preset);
         middle.addRow({std::to_string(paper_rank),
                        TablePrinter::fmtPercent(

@@ -102,7 +102,7 @@ main(int argc, char **argv)
             args.getBool("dp-compress")
                 ? 1.0
                 : args.getDouble("sc-fraction", 0.75);
-        preset.dp.spec.rank =
+        preset.dp.rank =
             static_cast<int>(args.getInt("dp-rank", 2));
     }
 

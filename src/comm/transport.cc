@@ -241,173 +241,23 @@ CommTrace::sorted() const
 }
 
 CommEvent
-Transport::allReduceTensors(CommPhase phase,
-                            const std::vector<Tensor *> &tensors,
-                            ReduceOp op)
-{
-    return allReduce(phase, CommGroup::fromTensors(tensors), op);
-}
-
-CommEvent
-InProcessTransport::p2pSend(CommPhase phase, int src, int dst,
-                            int replica, int64_t exact_bytes,
-                            int64_t wire_bytes,
-                            const CompressorSpec &compressor)
+Transport::stamp(CommPhase phase, CommVerb verb) const
 {
     CommEvent event;
-    event.iteration = iteration();
+    event.iteration = iteration_.load(std::memory_order_relaxed);
     event.phase = phase;
-    event.verb = CommVerb::P2pSend;
-    event.src = src;
-    event.dst = dst;
-    event.replica = replica;
-    event.ranks = 2;
-    event.exactBytes = exact_bytes;
-    event.wireBytes = wire_bytes;
-    event.compressor = compressor;
+    event.verb = verb;
     return event;
 }
 
 CommEvent
-InProcessTransport::allReduce(CommPhase phase, const CommGroup &group,
-                              ReduceOp op)
+Transport::complete(const CommEvent &event, int64_t begin_ns)
 {
-    combineGroup(group, op);
-    CommEvent event;
-    event.iteration = iteration();
-    event.phase = phase;
-    event.verb = CommVerb::AllReduce;
-    event.ranks = group.ranks;
-    event.exactBytes =
-        static_cast<int64_t>(sizeof(float)) * group.totalElems;
-    event.wireBytes = event.exactBytes;
-    return event;
-}
-
-CommEvent
-InProcessTransport::allReduceGrouped(
-    CommPhase phase, const std::vector<CommGroup> &groups,
-    ReduceOp op)
-{
-    OPTIMUS_ASSERT(!groups.empty());
-    // The groups are disjoint and concurrent on real hardware; in
-    // process their kernels run one after another, exactly matching
-    // the legacy successive combine() calls.
-    for (const CommGroup &group : groups) {
-        OPTIMUS_ASSERT(group.ranks == groups[0].ranks);
-        OPTIMUS_ASSERT(group.totalElems == groups[0].totalElems);
-        combineGroup(group, op);
+    if (record_) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // optlint:coldalloc — event recording is instrumentation-only.
+        trace_.append(event);
     }
-    CommEvent event;
-    event.iteration = iteration();
-    event.phase = phase;
-    event.verb = CommVerb::AllReduce;
-    event.ranks = groups[0].ranks;
-    event.groups = static_cast<int>(groups.size());
-    event.exactBytes =
-        static_cast<int64_t>(sizeof(float)) * groups[0].totalElems;
-    event.wireBytes = event.exactBytes;
-    return event;
-}
-
-CommEvent
-InProcessTransport::allReduceCompressed(
-    CommPhase phase, DistributedPowerSgd &dps,
-    const std::vector<const Tensor *> &inputs, Tensor &mean_output)
-{
-    OPTIMUS_ASSERT(!inputs.empty());
-    const int64_t wire = dps.reduce(inputs, mean_output);
-    CommEvent event;
-    event.iteration = iteration();
-    event.phase = phase;
-    event.verb = CommVerb::AllReduceCompressed;
-    event.ranks = dps.workers();
-    event.exactBytes =
-        static_cast<int64_t>(sizeof(float)) * inputs[0]->size();
-    event.wireBytes = wire;
-    event.compressor.kind = CompressorKind::PowerSgd;
-    event.compressor.rank = dps.rank();
-    return event;
-}
-
-CommEvent
-InProcessTransport::broadcast(CommPhase phase, CommGroup &group)
-{
-    OPTIMUS_ASSERT(group.ranks >= 1);
-    forEachSegmentRange(group, 8 * group.ranks,
-                        [&](const std::vector<float *> &ptrs,
-                            int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-            const float v = ptrs[0][k];
-            for (int d = 1; d < group.ranks; ++d)
-                ptrs[d][k] = v;
-        }
-    });
-    CommEvent event;
-    event.iteration = iteration();
-    event.phase = phase;
-    event.verb = CommVerb::Broadcast;
-    event.src = 0;
-    event.ranks = group.ranks;
-    event.exactBytes =
-        static_cast<int64_t>(sizeof(float)) * group.totalElems;
-    event.wireBytes = event.exactBytes;
-    return event;
-}
-
-CommEvent
-RecordingTransport::record(const CommEvent &event)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // optlint:coldalloc — event recording is instrumentation-only.
-    trace_.append(event);
-    return event;
-}
-
-CommEvent
-RecordingTransport::p2pSend(CommPhase phase, int src, int dst,
-                            int replica, int64_t exact_bytes,
-                            int64_t wire_bytes,
-                            const CompressorSpec &compressor)
-{
-    return record(inner_.p2pSend(phase, src, dst, replica,
-                                 exact_bytes, wire_bytes,
-                                 compressor));
-}
-
-CommEvent
-RecordingTransport::allReduce(CommPhase phase, const CommGroup &group,
-                              ReduceOp op)
-{
-    return record(inner_.allReduce(phase, group, op));
-}
-
-CommEvent
-RecordingTransport::allReduceGrouped(
-    CommPhase phase, const std::vector<CommGroup> &groups,
-    ReduceOp op)
-{
-    return record(inner_.allReduceGrouped(phase, groups, op));
-}
-
-CommEvent
-RecordingTransport::allReduceCompressed(
-    CommPhase phase, DistributedPowerSgd &dps,
-    const std::vector<const Tensor *> &inputs, Tensor &mean_output)
-{
-    return record(
-        inner_.allReduceCompressed(phase, dps, inputs, mean_output));
-}
-
-CommEvent
-RecordingTransport::broadcast(CommPhase phase, CommGroup &group)
-{
-    return record(inner_.broadcast(phase, group));
-}
-
-CommEvent
-TracingTransport::note(const CommEvent &event, int64_t begin_ns)
-{
     Entry &entry = ledger_[static_cast<size_t>(event.phase)];
     entry.events.fetch_add(1, std::memory_order_relaxed);
     if (event.compressor.kind != CompressorKind::None)
@@ -435,8 +285,112 @@ TracingTransport::note(const CommEvent &event, int64_t begin_ns)
     return event;
 }
 
+CommEvent
+Transport::p2pSend(CommPhase phase, int src, int dst, int replica,
+                   int64_t exact_bytes, int64_t wire_bytes,
+                   const CompressorSpec &compressor)
+{
+    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
+    CommEvent event = stamp(phase, CommVerb::P2pSend);
+    event.src = src;
+    event.dst = dst;
+    event.replica = replica;
+    event.ranks = 2;
+    event.exactBytes = exact_bytes;
+    event.wireBytes = wire_bytes;
+    event.compressor = compressor;
+    return complete(event, t0);
+}
+
+CommEvent
+Transport::allReduce(CommPhase phase, const CommGroup &group,
+                     ReduceOp op)
+{
+    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
+    combineGroup(group, op);
+    CommEvent event = stamp(phase, CommVerb::AllReduce);
+    event.ranks = group.ranks;
+    event.exactBytes =
+        static_cast<int64_t>(sizeof(float)) * group.totalElems;
+    event.wireBytes = event.exactBytes;
+    return complete(event, t0);
+}
+
+CommEvent
+Transport::allReduceGrouped(CommPhase phase,
+                            const std::vector<CommGroup> &groups,
+                            ReduceOp op)
+{
+    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
+    OPTIMUS_ASSERT(!groups.empty());
+    // The groups are disjoint and concurrent on real hardware; in
+    // process their kernels run one after another, exactly matching
+    // the legacy successive combine() calls.
+    for (const CommGroup &group : groups) {
+        OPTIMUS_ASSERT(group.ranks == groups[0].ranks);
+        OPTIMUS_ASSERT(group.totalElems == groups[0].totalElems);
+        combineGroup(group, op);
+    }
+    CommEvent event = stamp(phase, CommVerb::AllReduce);
+    event.ranks = groups[0].ranks;
+    event.groups = static_cast<int>(groups.size());
+    event.exactBytes =
+        static_cast<int64_t>(sizeof(float)) * groups[0].totalElems;
+    event.wireBytes = event.exactBytes;
+    return complete(event, t0);
+}
+
+CommEvent
+Transport::allReduceCompressed(
+    CommPhase phase, DistributedPowerSgd &dps,
+    const std::vector<const Tensor *> &inputs, Tensor &mean_output)
+{
+    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
+    OPTIMUS_ASSERT(!inputs.empty());
+    const int64_t wire = dps.reduce(inputs, mean_output);
+    CommEvent event = stamp(phase, CommVerb::AllReduceCompressed);
+    event.ranks = dps.workers();
+    event.exactBytes =
+        static_cast<int64_t>(sizeof(float)) * inputs[0]->size();
+    event.wireBytes = wire;
+    event.compressor.kind = CompressorKind::PowerSgd;
+    event.compressor.rank = dps.rank();
+    return complete(event, t0);
+}
+
+CommEvent
+Transport::broadcast(CommPhase phase, CommGroup &group)
+{
+    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
+    OPTIMUS_ASSERT(group.ranks >= 1);
+    forEachSegmentRange(group, 8 * group.ranks,
+                        [&](const std::vector<float *> &ptrs,
+                            int64_t k0, int64_t k1) {
+        for (int64_t k = k0; k < k1; ++k) {
+            const float v = ptrs[0][k];
+            for (int d = 1; d < group.ranks; ++d)
+                ptrs[d][k] = v;
+        }
+    });
+    CommEvent event = stamp(phase, CommVerb::Broadcast);
+    event.src = 0;
+    event.ranks = group.ranks;
+    event.exactBytes =
+        static_cast<int64_t>(sizeof(float)) * group.totalElems;
+    event.wireBytes = event.exactBytes;
+    return complete(event, t0);
+}
+
+CommEvent
+Transport::allReduceTensors(CommPhase phase,
+                            const std::vector<Tensor *> &tensors,
+                            ReduceOp op)
+{
+    return allReduce(phase, CommGroup::fromTensors(tensors), op);
+}
+
 CommVolume
-TracingTransport::volume(CommPhase phase) const
+Transport::volume(CommPhase phase) const
 {
     const Entry &entry = ledger_[static_cast<size_t>(phase)];
     CommVolume v;
@@ -449,8 +403,7 @@ TracingTransport::volume(CommPhase phase) const
 }
 
 obs::CompressionHealth
-TracingTransport::health(CommPhase phase,
-                         obs::CompressionHealth probe) const
+Transport::health(CommPhase phase, obs::CompressionHealth probe) const
 {
     const CommVolume v = volume(phase);
     probe.sends = v.events;
@@ -460,57 +413,10 @@ TracingTransport::health(CommPhase phase,
     return probe;
 }
 
-CommEvent
-TracingTransport::p2pSend(CommPhase phase, int src, int dst,
-                          int replica, int64_t exact_bytes,
-                          int64_t wire_bytes,
-                          const CompressorSpec &compressor)
-{
-    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
-    return note(inner_.p2pSend(phase, src, dst, replica, exact_bytes,
-                               wire_bytes, compressor),
-                t0);
-}
-
-CommEvent
-TracingTransport::allReduce(CommPhase phase, const CommGroup &group,
-                            ReduceOp op)
-{
-    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
-    return note(inner_.allReduce(phase, group, op), t0);
-}
-
-CommEvent
-TracingTransport::allReduceGrouped(
-    CommPhase phase, const std::vector<CommGroup> &groups,
-    ReduceOp op)
-{
-    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
-    return note(inner_.allReduceGrouped(phase, groups, op), t0);
-}
-
-CommEvent
-TracingTransport::allReduceCompressed(
-    CommPhase phase, DistributedPowerSgd &dps,
-    const std::vector<const Tensor *> &inputs, Tensor &mean_output)
-{
-    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
-    return note(
-        inner_.allReduceCompressed(phase, dps, inputs, mean_output),
-        t0);
-}
-
-CommEvent
-TracingTransport::broadcast(CommPhase phase, CommGroup &group)
-{
-    const int64_t t0 = obs::tracingEnabled() ? obs::nowNs() : 0;
-    return note(inner_.broadcast(phase, group), t0);
-}
-
 Transport &
 defaultTransport()
 {
-    static InProcessTransport transport;
+    static Transport transport;
     return transport;
 }
 

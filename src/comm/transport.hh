@@ -3,26 +3,25 @@
  * The communication transport layer: every byte the training engine
  * moves — inter-stage backward sends, data-parallel gradient
  * all-reduces (exact or PowerSGD-compressed), and the embedding
- * synchronization collectives — goes through one `Transport`
- * interface speaking the verbs the paper talks about: `p2pSend`,
+ * synchronization collectives — goes through one concrete
+ * `Transport` speaking the verbs the paper talks about: `p2pSend`,
  * `allReduce`, `allReduceCompressed`, `broadcast`.
  *
  * Each verb performs the data movement *and* returns a completed
  * `CommEvent` describing it (iteration, phase, kind, logical ranks,
  * exact vs on-wire bytes, compressor spec). Components keep no byte
- * or send counters at all: `TracingTransport`, the outermost
- * decorator of both the trainer and the serving engine, folds every
- * event into one per-phase ledger of `CommVolume`s, and every
- * reported byte, send count and per-step delta is read from it.
+ * or send counters at all: the transport the trainer and the serving
+ * engine own folds every event into one per-phase ledger of
+ * `CommVolume`s, and every reported byte, send count and per-step
+ * delta is read from it.
  *
- * `InProcessTransport` owns the combine kernel the trainer has
- * always used (double accumulation in rank order over a fixed chunk
- * grain), so routing a component through the transport is bitwise
- * neutral. `RecordingTransport` decorates any transport and appends
- * every event to a per-run `CommTrace`, which the simnet/pipesim
- * bridge replays through the alpha-beta cost model
- * (pipesim/trace_replay.hh) — the quality pillar's real traffic
- * priced by the performance pillar's links.
+ * The combine kernel is the one the trainer has always used (double
+ * accumulation in rank order over a fixed chunk grain), so routing a
+ * component through the transport is bitwise neutral. A transport
+ * built with `record` also appends every event to a per-run
+ * `CommTrace`, which the simnet/pipesim bridge replays through the
+ * alpha-beta cost model (pipesim/trace_replay.hh) — the quality
+ * pillar's real traffic priced by the performance pillar's links.
  */
 
 #ifndef OPTIMUS_COMM_TRANSPORT_HH
@@ -176,7 +175,7 @@ struct CommGroup
     static CommGroup fromTensors(const std::vector<Tensor *> &tensors);
 };
 
-/** Append-only event log of one run (see RecordingTransport). */
+/** Append-only event log of one run (see Transport). */
 class CommTrace
 {
   public:
@@ -186,7 +185,6 @@ class CommTrace
 
     const std::vector<CommEvent> &events() const { return events_; }
     size_t size() const { return events_.size(); }
-    void clear() { events_.clear(); }
 
     /**
      * Integer event and byte totals of one phase (all iterations,
@@ -210,20 +208,47 @@ class CommTrace
 };
 
 /**
- * The transport interface. Verbs perform the movement and return
- * the completed event; implementations must keep the arithmetic of
- * collective reductions bitwise deterministic (accumulate in double
- * over ranks in rank order; chunk grids a pure function of the
- * group layout).
+ * The transport: every verb moves the data, stamps the iteration,
+ * folds the completed event into the per-phase comm ledger, emits
+ * its observation and, when built with @p record, appends it to the
+ * CommTrace — one object, so the ledger and the recording are folded
+ * from the same event and agree by construction.
+ *
+ * - **Data.** Collective reductions are bitwise deterministic: each
+ *   element combines its per-rank values in rank order in double and
+ *   writes the scaled result back to every rank; each element is
+ *   combined on its own, so the chunk grid (the runtime's
+ *   grainForWork rule) cannot move a bit.
+ * - **Ledger.** A per-phase CommVolume of relaxed atomics, read by
+ *   volume() and health(): every reported byte, send count and
+ *   per-step delta comes from it. Verbs are issued concurrently (the
+ *   replica loop, overlapped bucket tasks), so the ledger is read
+ *   only after those have joined.
+ * - **Observation.** When tracing is enabled each event becomes a
+ *   span (category = the phase name, name = the verb name, args =
+ *   exact/wire bytes) plus a sample of the ledger's total wire bytes
+ *   on the "comm.wireBytes" counter track, cumulative since the
+ *   transport was built; when metrics are enabled its wire size goes
+ *   into the "comm.event.wireBytes" histogram. Pure observation:
+ *   events and data pass through unchanged.
+ * - **Recording.** Appends are mutex-serialized, so the append order
+ *   is run-dependent; trace consumers use the order-independent
+ *   integer sums or the canonical sorted order.
  */
 class Transport
 {
   public:
-    virtual ~Transport() = default;
+    /** @p record: also append every event to trace(). */
+    explicit Transport(bool record = false) : record_(record) {}
+    Transport(const Transport &) = delete;
+    Transport &operator=(const Transport &) = delete;
 
     /** Stamp subsequent events with @p iteration (call between
      *  iterations, outside parallel regions). */
-    virtual void setIteration(int64_t iteration) = 0;
+    void setIteration(int64_t iteration)
+    {
+        iteration_.store(iteration, std::memory_order_relaxed);
+    }
 
     /**
      * Point-to-point payload movement from logical rank @p src to
@@ -231,167 +256,40 @@ class Transport
      * so this verb is pure accounting: the caller reports the exact
      * and on-wire sizes (and the compressor that produced them).
      */
-    virtual CommEvent p2pSend(CommPhase phase, int src, int dst,
-                              int replica, int64_t exact_bytes,
-                              int64_t wire_bytes,
-                              const CompressorSpec &compressor) = 0;
+    CommEvent p2pSend(CommPhase phase, int src, int dst, int replica,
+                      int64_t exact_bytes, int64_t wire_bytes,
+                      const CompressorSpec &compressor);
 
     /** Exact all-reduce over one collective group. */
-    virtual CommEvent allReduce(CommPhase phase, const CommGroup &group,
-                                ReduceOp op) = 0;
+    CommEvent allReduce(CommPhase phase, const CommGroup &group,
+                        ReduceOp op);
 
     /**
      * Exact all-reduce over several concurrent disjoint groups of
      * identical geometry (same ranks, same element count), reported
      * as one event with the group multiplicity.
      */
-    virtual CommEvent
-    allReduceGrouped(CommPhase phase,
-                     const std::vector<CommGroup> &groups,
-                     ReduceOp op) = 0;
+    CommEvent allReduceGrouped(CommPhase phase,
+                               const std::vector<CommGroup> &groups,
+                               ReduceOp op);
 
     /**
      * Compressed mean all-reduce via the distributed PowerSGD
      * protocol (the two low-rank all-reduce phases run inside
      * @p dps); wire bytes are the protocol's logical payload.
      */
-    virtual CommEvent
+    CommEvent
     allReduceCompressed(CommPhase phase, DistributedPowerSgd &dps,
                         const std::vector<const Tensor *> &inputs,
-                        Tensor &mean_output) = 0;
+                        Tensor &mean_output);
 
     /** Replicate rank 0's segments to every other rank. */
-    virtual CommEvent broadcast(CommPhase phase, CommGroup &group) = 0;
+    CommEvent broadcast(CommPhase phase, CommGroup &group);
 
     /** Convenience: exact all-reduce of one tensor per rank. */
     CommEvent allReduceTensors(CommPhase phase,
                                const std::vector<Tensor *> &tensors,
                                ReduceOp op);
-};
-
-/**
- * The in-process transport: reproduces the trainer's historical
- * behavior bitwise. The collective kernel combines each element's
- * per-rank values in rank order in double and writes the scaled
- * result back to every rank. Each element is combined on its own,
- * so the chunk grid (the runtime's grainForWork rule) cannot move a
- * bit — the exact arithmetic of the former parallel/ combine() and
- * bucket kernels.
- */
-class InProcessTransport : public Transport
-{
-  public:
-    void setIteration(int64_t iteration) override
-    {
-        iteration_.store(iteration, std::memory_order_relaxed);
-    }
-
-    CommEvent p2pSend(CommPhase phase, int src, int dst, int replica,
-                      int64_t exact_bytes, int64_t wire_bytes,
-                      const CompressorSpec &compressor) override;
-    CommEvent allReduce(CommPhase phase, const CommGroup &group,
-                        ReduceOp op) override;
-    CommEvent allReduceGrouped(CommPhase phase,
-                               const std::vector<CommGroup> &groups,
-                               ReduceOp op) override;
-    CommEvent
-    allReduceCompressed(CommPhase phase, DistributedPowerSgd &dps,
-                        const std::vector<const Tensor *> &inputs,
-                        Tensor &mean_output) override;
-    CommEvent broadcast(CommPhase phase, CommGroup &group) override;
-
-  private:
-    int64_t iteration() const
-    {
-        return iteration_.load(std::memory_order_relaxed);
-    }
-
-    /** Relaxed atomic: set between iterations, read inside
-     *  concurrently-issued verbs (replica loop, bucket tasks). */
-    std::atomic<int64_t> iteration_{0};
-};
-
-/**
- * Decorator that appends every completed event to a CommTrace.
- * Verbs are issued concurrently (the replica loop, overlapped
- * bucket tasks), so appends are mutex-serialized; the append order
- * is therefore run-dependent, which is why trace consumers use the
- * order-independent integer sums or the canonical sorted order.
- */
-class RecordingTransport : public Transport
-{
-  public:
-    explicit RecordingTransport(Transport &inner) : inner_(inner) {}
-
-    const CommTrace &trace() const { return trace_; }
-    void clearTrace() { trace_.clear(); }
-
-    void setIteration(int64_t iteration) override
-    {
-        inner_.setIteration(iteration);
-    }
-
-    CommEvent p2pSend(CommPhase phase, int src, int dst, int replica,
-                      int64_t exact_bytes, int64_t wire_bytes,
-                      const CompressorSpec &compressor) override;
-    CommEvent allReduce(CommPhase phase, const CommGroup &group,
-                        ReduceOp op) override;
-    CommEvent allReduceGrouped(CommPhase phase,
-                               const std::vector<CommGroup> &groups,
-                               ReduceOp op) override;
-    CommEvent
-    allReduceCompressed(CommPhase phase, DistributedPowerSgd &dps,
-                        const std::vector<const Tensor *> &inputs,
-                        Tensor &mean_output) override;
-    CommEvent broadcast(CommPhase phase, CommGroup &group) override;
-
-  private:
-    CommEvent record(const CommEvent &event);
-
-    Transport &inner_;
-    CommTrace trace_;
-    std::mutex mutex_;
-};
-
-/**
- * The comm ledger plus observability (src/obs). Every completed
- * event is folded into a per-phase CommVolume of relaxed atomics;
- * per-iteration stats, the health views' byte/send fields and the
- * counter track below all read this ledger. Verbs are issued
- * concurrently (the replica loop, overlapped bucket tasks), so the
- * ledger is read only after those have joined. When tracing is
- * enabled each event also becomes a trace span (category = the
- * phase name, name = the verb name, args = exact/wire bytes) plus a
- * sample of the ledger's total wire bytes on the "comm.wireBytes"
- * counter track, cumulative since the transport was built; when
- * metrics are enabled, each event's wire size also goes into a
- * histogram in the global MetricsRegistry (the ledger is the only
- * per-phase tally). Pure observation: events and data movement pass
- * through bitwise unchanged.
- */
-class TracingTransport : public Transport
-{
-  public:
-    explicit TracingTransport(Transport &inner) : inner_(inner) {}
-
-    void setIteration(int64_t iteration) override
-    {
-        inner_.setIteration(iteration);
-    }
-
-    CommEvent p2pSend(CommPhase phase, int src, int dst, int replica,
-                      int64_t exact_bytes, int64_t wire_bytes,
-                      const CompressorSpec &compressor) override;
-    CommEvent allReduce(CommPhase phase, const CommGroup &group,
-                        ReduceOp op) override;
-    CommEvent allReduceGrouped(CommPhase phase,
-                               const std::vector<CommGroup> &groups,
-                               ReduceOp op) override;
-    CommEvent
-    allReduceCompressed(CommPhase phase, DistributedPowerSgd &dps,
-                        const std::vector<const Tensor *> &inputs,
-                        Tensor &mean_output) override;
-    CommEvent broadcast(CommPhase phase, CommGroup &group) override;
 
     /** Ledger entry of @p phase, cumulative since construction. */
     CommVolume volume(CommPhase phase) const;
@@ -401,6 +299,10 @@ class TracingTransport : public Transport
      *  fields of a CompressionHealth are written. */
     obs::CompressionHealth health(CommPhase phase,
                                   obs::CompressionHealth probe) const;
+
+    /** Every event since construction when built with record;
+     *  empty otherwise. */
+    const CommTrace &trace() const { return trace_; }
 
   private:
     /** One phase's ledger entry (fields mirror CommVolume). */
@@ -412,20 +314,41 @@ class TracingTransport : public Transport
         std::atomic<int64_t> wireBytes{0};
     };
 
-    /** Fold a completed event into the ledger, emit its span,
-     * counter sample and metrics, and return it unchanged.
-     * begin_ns is 0 when tracing was off at entry. */
-    CommEvent note(const CommEvent &event, int64_t begin_ns);
+    /** An event of @p verb in @p phase, stamped with the current
+     *  iteration; the verb fills in the rest. */
+    CommEvent stamp(CommPhase phase, CommVerb verb) const;
 
-    Transport &inner_;
+    /** Record a completed event, fold it into the ledger, emit its
+     *  span, counter sample and metrics, and return it unchanged.
+     *  begin_ns is 0 when tracing was off at entry. */
+    CommEvent complete(const CommEvent &event, int64_t begin_ns);
+
+    const bool record_;
+    /** Relaxed atomic: set between iterations, read inside
+     *  concurrently-issued verbs (replica loop, bucket tasks). */
+    std::atomic<int64_t> iteration_{0};
     /** ledger_[phase], indexed by CommPhase. */
     std::array<Entry, 4> ledger_;
+    CommTrace trace_;
+    std::mutex mutex_;
 };
 
 /**
- * Process-wide InProcessTransport, the fallback for components
+ * Another spelling of `Transport(true)`, kept only for the
+ * benchmark's serve workload (perfbench/serve_workload.cc), which
+ * builds its recorder this way; the argument is ignored. New code
+ * writes `Transport(true)`.
+ */
+class RecordingTransport : public Transport
+{
+  public:
+    explicit RecordingTransport(Transport &) : Transport(true) {}
+};
+
+/**
+ * Process-wide non-recording transport, the fallback for components
  * constructed without an explicit transport (unit tests, library
- * helpers). Never records.
+ * helpers).
  */
 Transport &defaultTransport();
 

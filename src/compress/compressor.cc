@@ -65,20 +65,4 @@ makeCompressor(const CompressorSpec &spec)
     panic("unknown compressor kind %d", static_cast<int>(spec.kind));
 }
 
-CompressorKind
-parseCompressorKind(const std::string &text)
-{
-    if (text == "none")
-        return CompressorKind::None;
-    if (text == "powersgd")
-        return CompressorKind::PowerSgd;
-    if (text == "topk")
-        return CompressorKind::TopK;
-    if (text == "ternary")
-        return CompressorKind::Ternary;
-    if (text == "onebit")
-        return CompressorKind::OneBit;
-    fatal("unknown compressor kind '%s'", text.c_str());
-}
-
 } // namespace optimus

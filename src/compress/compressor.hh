@@ -92,9 +92,6 @@ struct CompressorSpec
  */
 std::unique_ptr<Compressor> makeCompressor(const CompressorSpec &spec);
 
-/** Parse "none|powersgd|topk|ternary|onebit" (fatal on error). */
-CompressorKind parseCompressorKind(const std::string &text);
-
 } // namespace optimus
 
 #endif // OPTIMUS_COMPRESS_COMPRESSOR_HH

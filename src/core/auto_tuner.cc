@@ -40,9 +40,7 @@ autoTuneSelectiveCompression(const MappedWorkload &workload,
             preset.name = "tune";
             preset.dp.enabled = fraction > 0.0;
             preset.dp.stageFraction = fraction;
-            preset.dp.spec.kind = CompressorKind::PowerSgd;
-            preset.dp.spec.rank =
-                std::max(1, rank / request.rankScale);
+            preset.dp.rank = std::max(1, rank / request.rankScale);
             candidate.gradientError = gradientApproximationError(
                 quality, preset, request.trials);
 

@@ -29,8 +29,7 @@ qualityDp(double stage_fraction)
     dp.enabled = true;
     dp.stageFraction = stage_fraction;
     dp.errorFeedback = true;
-    dp.spec.kind = CompressorKind::PowerSgd;
-    dp.spec.rank = 4;
+    dp.rank = 4;
     return dp;
 }
 

@@ -10,7 +10,7 @@
  * and sampled compressed-vs-exact cosine similarity. Each component
  * keeps only the norm fields (one CompressionHealth probe, fed by
  * observe()); the byte and send fields are filled from the comm
- * ledger of the owner's TracingTransport, so they reconcile with a
+ * ledger of the owner's Transport, so they reconcile with a
  * CommTrace of the same run exactly (integers, not estimates).
  *
  * Determinism contract: probes are bitwise-neutral observation.
@@ -105,7 +105,7 @@ double l2DiffNormSq(const float *a, const float *b, size_t n);
 
 /**
  * Accumulated health of one compression channel. The send and byte
- * fields are ledger-owned: only TracingTransport::health() sets
+ * fields are ledger-owned: only Transport::health() sets
  * them, from the comm ledger (exact == what an uncompressed channel
  * would send), so a component's probe leaves them 0. Norm fields
  * accumulate squared L2 norms so merging channels composes

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "comm/transport.hh"
-#include "compress/compressor.hh"
 #include "nn/param.hh"
 
 namespace optimus
@@ -36,8 +35,8 @@ struct DpCompressionConfig
     double stageFraction = 0.75;
     /** Per-worker error feedback (PowerSGD-style residuals). */
     bool errorFeedback = true;
-    /** Compression algorithm (paper: PowerSGD rank 128). */
-    CompressorSpec spec{CompressorKind::PowerSgd, 8, 0.01, 1};
+    /** PowerSGD rank of the compressed all-reduce (paper: 128). */
+    int rank = 8;
 };
 
 /**

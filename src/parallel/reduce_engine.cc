@@ -106,8 +106,7 @@ ReduceEngine::ReduceEngine(
             OPTIMUS_ASSERT(worker_params[d][j]->size() == elems);
 
         const bool compress =
-            config_.compressStage && config_.dp.enabled &&
-            compressible(*worker_params[0][j]);
+            config_.compressStage && compressible(*worker_params[0][j]);
         if (compress) {
             // Dedicated bucket: PowerSGD state is shaped by this
             // parameter's matrix and seeded per parameter index, so
@@ -125,7 +124,7 @@ ReduceEngine::ReduceEngine(
                 bucket->owners.push_back(worker_params[d][j]);
             }
             bucket->dps = std::make_unique<DistributedPowerSgd>(
-                workers_, config_.dp.spec.rank,
+                workers_, config_.rank,
                 config_.seed + 0x1000 * (j + 1));
             bucket->mean =
                 Tensor(worker_params[0][j]->value.shape());
@@ -265,8 +264,8 @@ ReduceEngine::reduceExact(Bucket &bucket)
     // Mean all-reduce over the bucket's flat extent via the
     // transport; the segmented combine kernel (grain-fixed chunks,
     // double accumulation in replica order — per element the same
-    // arithmetic as a per-parameter all-reduce) lives in
-    // InProcessTransport.
+    // arithmetic as a per-parameter all-reduce) lives in the
+    // transport.
     transport_->allReduce(CommPhase::DpReduce, bucket.group,
                           ReduceOp::Mean);
 }
@@ -389,7 +388,7 @@ ReduceEngine::resetFeedback(Bucket &bucket) const
     // Pre-sized zero residuals: the first fold adds zeros, exactly
     // as every later fold adds the carried residual.
     bucket.feedback.clear();
-    if (config_.dp.errorFeedback)
+    if (config_.errorFeedback)
         bucket.feedback.assign(workers_,
                                ErrorFeedback(bucket.mean.shape()));
 }

@@ -60,10 +60,13 @@ namespace optimus
 /** Static configuration of one stage's reduce engine. */
 struct ReduceEngineConfig
 {
-    /** Compression policy (shared across stages). */
-    DpCompressionConfig dp;
-    /** Whether this stage was selected for compression. */
+    /** Whether this stage's DP traffic is compressed
+     *  (stageSelectedForCompression). */
     bool compressStage = false;
+    /** PowerSGD rank of the compressed buckets. */
+    int rank = 8;
+    /** Per-worker error feedback on the compressed buckets. */
+    bool errorFeedback = true;
     /** Engine-local seed (per-parameter compressor seeds derive). */
     uint64_t seed = 0;
     /** Bucket capacity in bytes of flattened fp32 gradient. */

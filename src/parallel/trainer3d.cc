@@ -63,15 +63,7 @@ class Trainer3d::ReplicaScorer : public LmScorer
 
 Trainer3d::Trainer3d(const Trainer3dConfig &config)
     : config_(config),
-      baseTransport_(std::make_unique<InProcessTransport>()),
-      recorder_(config.traceCommunication
-                    ? std::make_unique<RecordingTransport>(
-                          *baseTransport_)
-                    : nullptr),
-      tracing_(std::make_unique<TracingTransport>(
-          recorder_ ? static_cast<Transport &>(*recorder_)
-                    : *baseTransport_)),
-      transport_(tracing_.get())
+      transport_(config.traceCommunication)
 {
     const int d_ways = config.dataParallel;
     const int p_ways = config.pipelineStages;
@@ -114,7 +106,7 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
             // seeds are per-channel, not per-replica-random.
             channels_[d].push_back(std::make_unique<BackwardChannel>(
                 config.cb, p_ways, s,
-                config.seed + 17 * s, transport_, d));
+                config.seed + 17 * s, &transport_, d));
             channels_[d].back()->enableInstrumentation(
                 config.instrumentChannels);
         }
@@ -143,17 +135,18 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
     }
     embSync_ = std::make_unique<EmbeddingSynchronizer>(
         config.fusedEmbeddingSync, first_copies, last_copies,
-        transport_);
+        &transport_);
 
     engines_.reserve(p_ways);
     for (int p = 0; p < p_ways; ++p) {
         ReduceEngineConfig ec;
-        ec.dp = config.dp;
         ec.compressStage =
             stageSelectedForCompression(config.dp, p, p_ways);
+        ec.rank = config.dp.rank;
+        ec.errorFeedback = config.dp.errorFeedback;
         ec.seed = config.seed + 31 * (p + 1);
         ec.bucketBytes = config.bucketBytes;
-        ec.transport = transport_;
+        ec.transport = &transport_;
         engines_.push_back(std::make_unique<ReduceEngine>(
             ec, workerParams_[p], excluded));
     }
@@ -233,7 +226,7 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     // Stamp this iteration's transport events (outside any parallel
     // region; the first iteration is 0). The same boundary arms the
     // sampled probe cadence for every channel this step touches.
-    transport_->setIteration(iterations_);
+    transport_.setIteration(iterations_);
     obs::probeStepBegin(iterations_);
 
     // The comm ledger is cumulative; snapshot it so the returned
@@ -429,7 +422,7 @@ Trainer3d::ppHealth() const
         for (const auto &channel : replica)
             h.merge(channel->health());
     }
-    return tracing_->health(CommPhase::InterStage, h);
+    return transport_.health(CommPhase::InterStage, h);
 }
 
 obs::CompressionHealth
@@ -438,7 +431,7 @@ Trainer3d::dpHealth() const
     obs::CompressionHealth h;
     for (const auto &engine : engines_)
         h.merge(engine->health());
-    return tracing_->health(CommPhase::DpReduce, h);
+    return transport_.health(CommPhase::DpReduce, h);
 }
 
 // optlint:hot — runs once per step inside the zero-allocation

@@ -202,7 +202,7 @@ class Trainer3d
      */
     CommVolume commVolume(CommPhase phase) const
     {
-        return tracing_->volume(phase);
+        return transport_.volume(phase);
     }
 
     /**
@@ -211,7 +211,8 @@ class Trainer3d
      */
     const CommTrace *trace() const
     {
-        return recorder_ ? &recorder_->trace() : nullptr;
+        return config_.traceCommunication ? &transport_.trace()
+                                          : nullptr;
     }
 
   private:
@@ -228,13 +229,10 @@ class Trainer3d
      */
     std::vector<std::unique_ptr<Workspace>> replicaArenas_;
     std::unique_ptr<Workspace> stepArena_;
-    /** Transport stack; declared before every component using it. */
-    std::unique_ptr<InProcessTransport> baseTransport_;
-    std::unique_ptr<RecordingTransport> recorder_;
-    /** Outermost decorator: the comm ledger plus span/metrics
-     *  observation (src/obs). */
-    std::unique_ptr<TracingTransport> tracing_;
-    Transport *transport_ = nullptr;
+    /** The comm ledger, span observation and (when
+     *  traceCommunication) the recording; declared before every
+     *  component using it. */
+    Transport transport_;
     /** Resolved span-trace output path ("" = tracing not requested). */
     std::string tracePath_;
     /** True when this trainer started the process-wide span trace

@@ -45,10 +45,10 @@ ServeEngine::ServeEngine(const ServeConfig &config)
     obs::maybeStartMetricsServerFromEnv();
     blocksPerStage_ = config_.model.layers / config_.pipelineStages;
 
-    Transport &base =
-        config_.transport ? *config_.transport : defaultTransport();
-    tracing_ = std::make_unique<TracingTransport>(base);
-    transport_ = tracing_.get();
+    if (!config_.transport)
+        ownedTransport_ = std::make_unique<Transport>();
+    transport_ =
+        config_.transport ? config_.transport : ownedTransport_.get();
 
     stages_.reserve(static_cast<size_t>(config_.pipelineStages));
     for (int s = 0; s < config_.pipelineStages; ++s) {
@@ -343,7 +343,7 @@ ServeEngine::boundaryHealth() const
 {
     // The boundary is the engine's only traffic, so the ledger's
     // InterStage entry is exactly the boundary's sends and bytes.
-    return tracing_->health(CommPhase::InterStage, boundaryProbe_);
+    return transport_->health(CommPhase::InterStage, boundaryProbe_);
 }
 
 // optlint:hot — runs once per scheduler round inside the

@@ -89,8 +89,9 @@ struct ServeConfig
      * from the reconstruction.
      */
     CompressorSpec boundary{};
-    /** Accounting transport (e.g. a RecordingTransport for volume
-     *  tests); null uses the process default. */
+    /** Transport the boundary sends go through, ledger included
+     *  (e.g. a recording Transport for volume tests); null gives
+     *  the engine a private one. */
     Transport *transport = nullptr;
 };
 
@@ -141,8 +142,8 @@ class ServeEngine
 
     /**
      * Cumulative compression health of the boundary transfers.
-     * Send and byte fields are the InterStage entry of the engine's
-     * comm ledger (its TracingTransport); norm and cosine fields
+     * Send and byte fields are the InterStage entry of the ledger
+     * of the engine's transport; norm and cosine fields
      * accumulate only while obs::probesEnabled() and the boundary
      * is lossy.
      */
@@ -179,7 +180,10 @@ class ServeEngine
     std::vector<std::unique_ptr<Compressor>> boundaryCompressors_;
     /** Reconstruction target reused across boundary transfers. */
     Tensor boundaryRecon_;
-    std::unique_ptr<TracingTransport> tracing_;
+    /** The engine's own transport when the config names none. */
+    std::unique_ptr<Transport> ownedTransport_;
+    /** config_.transport or ownedTransport_: its ledger is the one
+     *  boundaryHealth() reads. */
     Transport *transport_;
 
     std::vector<Sequence> slots_;

@@ -249,7 +249,7 @@ gateConfig(const GridPoint &point)
     config.dp.enabled = true;
     config.dp.errorFeedback = point.feedback;
     config.dp.stageFraction = 1.0;
-    config.dp.spec.rank = 2;
+    config.dp.rank = 2;
     return config;
 }
 

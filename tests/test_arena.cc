@@ -80,7 +80,7 @@ fullConfig()
     config.cb.spec.rank = 2;
     config.dp.enabled = true;
     config.dp.stageFraction = 1.0;
-    config.dp.spec.rank = 2;
+    config.dp.rank = 2;
     return config;
 }
 

@@ -4,7 +4,7 @@
  * accounting, instrumentation) and the DP ReduceEngine (exclusion,
  * compressibility, residual bookkeeping, error feedback), plus the
  * trainer's DP health view at a single replica. Sends and bytes are
- * read off the transport events a RecordingTransport captured.
+ * read off the events a recording Transport captured.
  */
 
 #include <gtest/gtest.h>
@@ -55,8 +55,7 @@ channelVolume(const CommTrace &trace, int src, int replica = 0)
 TEST(BackwardChannel, DisabledPassesThroughExactly)
 {
     CbConfig config; // enabled = false
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     BackwardChannel channel(config, 4, 1, 7, &recorder);
     Rng rng(1);
     Tensor grad = Tensor::randn({8, 8}, rng);
@@ -72,8 +71,7 @@ TEST(BackwardChannel, EpiloguePolicyControlsWhichSendsCompress)
 {
     // P=4, channel 1->0, M=8: the receiver's warm-up is 3, so the
     // first 3 sends pass through exactly and the last 5 compress.
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     BackwardChannel channel(powerSgdCb(true, true), 4, 1, 7,
                             &recorder);
     Rng rng(2);
@@ -192,8 +190,7 @@ TEST(BackwardChannel, ShapeChangeDropsStaleError)
 TEST(BackwardChannel, ByteAccountingMatchesPayloads)
 {
     CbConfig config = powerSgdCb(true, false, 2);
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     BackwardChannel channel(config, 2, 1, 7, &recorder, 3);
     Rng rng(4);
     Tensor grad = Tensor::randn({16, 8}, rng);
@@ -370,8 +367,7 @@ ReduceEngineConfig
 compressedEngine()
 {
     ReduceEngineConfig config;
-    config.dp.enabled = true;
-    config.dp.spec.rank = 2;
+    config.rank = 2;
     config.compressStage = true;
     config.seed = 7;
     return config;
@@ -390,8 +386,7 @@ reduceOnce(ReduceEngine &engine, int workers)
 
 TEST(ReduceEngine, ExclusionLeavesGradientsUntouched)
 {
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     ReduceEngineConfig config;
     config.transport = &recorder;
     auto p0 = std::make_shared<Param>("w", Tensor::zeros(2, 2));
@@ -408,8 +403,7 @@ TEST(ReduceEngine, ExclusionLeavesGradientsUntouched)
 
 TEST(ReduceEngine, CompressedReduceKeepsReplicasIdentical)
 {
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     ReduceEngineConfig config = compressedEngine();
     config.transport = &recorder;
     Rng rng(8);
@@ -478,7 +472,7 @@ TEST(Trainer3dDpHealth, SingleReplicaCompressedStageReportsHealth)
     config.microBatchSize = 2;
     config.dp.enabled = true;
     config.dp.stageFraction = 0.75;
-    config.dp.spec.rank = 2;
+    config.dp.rank = 2;
 
     CorpusConfig cc;
     cc.vocab = model.vocab;

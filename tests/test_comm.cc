@@ -2,9 +2,9 @@
  * @file
  * Tests for the communication transport layer (comm/transport.hh)
  * and the trace-driven replay bridge (pipesim/trace_replay.hh):
- * verb-level correctness of InProcessTransport, event capture by
- * RecordingTransport, bitwise neutrality of tracing on a full
- * Trainer3d run, the analytic-vs-trace consistency gates (trace
+ * verb-level correctness of the Transport's data movement, its
+ * per-phase ledger and its recording, bitwise neutrality of tracing
+ * on a full Trainer3d run, the analytic-vs-trace consistency gates (trace
  * volumes equal the counters the trainer reports; embedding-sync
  * trace traffic equals Eq 15/16 exactly for D in {2, 4, 8}; replayed
  * seconds equal an independent walk through the same alpha-beta
@@ -59,7 +59,7 @@ TEST(CommGroup, FromTensorsAndFinalize)
 
 TEST(InProcess, AllReduceMeanMatchesManual)
 {
-    InProcessTransport transport;
+    Transport transport;
     transport.setIteration(3);
     const int ranks = 3;
     std::vector<Tensor> tensors;
@@ -96,7 +96,7 @@ TEST(InProcess, AllReduceMeanMatchesManual)
 
 TEST(InProcess, AllReduceSumMatchesManual)
 {
-    InProcessTransport transport;
+    Transport transport;
     std::vector<Tensor> tensors;
     std::vector<Tensor *> ptrs;
     for (int d = 0; d < 2; ++d)
@@ -120,7 +120,7 @@ TEST(InProcess, OneRankAllReduceIsIdentityAndStillRecorded)
     // and a NaN payload included (a combine through double would
     // turn -0 into +0), and still returns the full event, so the
     // ledger and wire_bytes_per_token do not move.
-    InProcessTransport transport;
+    Transport transport;
     transport.setIteration(7);
     Tensor t = patternTensor({3, 5}, 4);
     const uint32_t nan_bits = 0x7fc01234u;
@@ -152,20 +152,16 @@ TEST(InProcess, OneRankAllReduceIsIdentityAndStillRecorded)
     EXPECT_EQ(ev.exactBytes, 4 * 15);
     EXPECT_EQ(ev.wireBytes, 4 * 15);
 
-    // Through the ledger: the event is counted with its bytes.
-    TracingTransport tracing(transport);
-    tracing.allReduceTensors(CommPhase::DpReduce, {&t}, ReduceOp::Mean);
-    EXPECT_EQ(0, std::memcmp(t.data(), original.data(),
-                             sizeof(float) * t.size()));
-    const CommVolume v = tracing.volume(CommPhase::DpReduce);
-    EXPECT_EQ(v.events, 1);
-    EXPECT_EQ(v.exactBytes, 4 * 15);
-    EXPECT_EQ(v.wireBytes, 4 * 15);
+    // The ledger counted each of the three events with its bytes.
+    const CommVolume v = transport.volume(CommPhase::DpReduce);
+    EXPECT_EQ(v.events, 3);
+    EXPECT_EQ(v.exactBytes, 3 * 4 * 15);
+    EXPECT_EQ(v.wireBytes, 3 * 4 * 15);
 }
 
 TEST(InProcess, GroupedCollectiveReducesEachGroup)
 {
-    InProcessTransport transport;
+    Transport transport;
     // Two disjoint groups of identical geometry, as the baseline
     // embedding sync issues them.
     std::vector<Tensor> g0, g1;
@@ -199,7 +195,7 @@ TEST(InProcess, GroupedCollectiveReducesEachGroup)
 
 TEST(InProcess, BroadcastReplicatesRankZero)
 {
-    InProcessTransport transport;
+    Transport transport;
     std::vector<Tensor> tensors;
     for (int d = 0; d < 3; ++d)
         tensors.push_back(patternTensor({7}, d));
@@ -221,7 +217,7 @@ TEST(InProcess, BroadcastReplicatesRankZero)
 
 TEST(InProcess, P2pSendIsPureAccounting)
 {
-    InProcessTransport transport;
+    Transport transport;
     transport.setIteration(11);
     CompressorSpec spec{CompressorKind::PowerSgd, 4, 0.01, 42};
     const CommEvent ev = transport.p2pSend(
@@ -259,7 +255,7 @@ TEST(InProcess, CompressedReduceMatchesDirectProtocol)
     Tensor mean_direct({12, 6});
     const int64_t payload = direct.reduce(in_b, mean_direct);
 
-    InProcessTransport transport;
+    Transport transport;
     DistributedPowerSgd viaTransport(workers, rank, 7);
     Tensor mean_via({12, 6});
     const CommEvent ev = transport.allReduceCompressed(
@@ -278,8 +274,7 @@ TEST(InProcess, CompressedReduceMatchesDirectProtocol)
 
 TEST(Recording, CapturesEveryEvent)
 {
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     recorder.setIteration(4);
 
     recorder.p2pSend(CommPhase::InterStage, 1, 0, 0, 100, 40,
@@ -308,9 +303,6 @@ TEST(Recording, CapturesEveryEvent)
     EXPECT_EQ(dp.compressedEvents, 0);
     EXPECT_EQ(dp.exactBytes, 20);
     EXPECT_EQ(dp.wireBytes, 20);
-
-    recorder.clearTrace();
-    EXPECT_EQ(trace.size(), 0u);
 }
 
 GptConfig
@@ -547,50 +539,81 @@ INSTANTIATE_TEST_SUITE_P(
                (info.param.compress ? "_compressed" : "_exact");
     });
 
-TEST(Tracing, LedgerFoldsEveryEventPerPhase)
+/**
+ * Two InterStage sends (one PowerSGD-compressed) and one 3-rank
+ * EmbSync sum of 5 floats through @p transport.
+ */
+void
+issueLedgerEvents(Transport &transport)
 {
-    // The ledger counts what passes through, per phase, and treats
-    // exactly the events with a compressor kind as compressed.
-    InProcessTransport base;
-    RecordingTransport recorder(base);
-    TracingTransport tracing(recorder);
     CompressorSpec powersgd;
     powersgd.kind = CompressorKind::PowerSgd;
-    tracing.p2pSend(CommPhase::InterStage, 1, 0, 0, 100, 40, powersgd);
-    tracing.p2pSend(CommPhase::InterStage, 1, 0, 1, 100, 100,
-                    CompressorSpec{});
+    transport.p2pSend(CommPhase::InterStage, 1, 0, 0, 100, 40,
+                      powersgd);
+    transport.p2pSend(CommPhase::InterStage, 1, 0, 1, 100, 100,
+                      CompressorSpec{});
     std::vector<Tensor> tensors;
     std::vector<Tensor *> ptrs;
     for (int d = 0; d < 3; ++d)
         tensors.push_back(patternTensor({5}, d));
     for (auto &t : tensors)
         ptrs.push_back(&t);
-    tracing.allReduceTensors(CommPhase::EmbSync, ptrs, ReduceOp::Sum);
+    transport.allReduceTensors(CommPhase::EmbSync, ptrs,
+                               ReduceOp::Sum);
+}
 
-    const CommVolume is = tracing.volume(CommPhase::InterStage);
+/** The ledger of a transport that carried issueLedgerEvents(). */
+void
+expectLedgerOfIssuedEvents(const Transport &transport)
+{
+    const CommVolume is = transport.volume(CommPhase::InterStage);
     EXPECT_EQ(is.events, 2);
     EXPECT_EQ(is.compressedEvents, 1);
     EXPECT_EQ(is.exactBytes, 200);
     EXPECT_EQ(is.wireBytes, 140);
-    const CommVolume emb = tracing.volume(CommPhase::EmbSync);
+    const CommVolume emb = transport.volume(CommPhase::EmbSync);
     EXPECT_EQ(emb.events, 1);
     EXPECT_EQ(emb.compressedEvents, 0);
     EXPECT_EQ(emb.wireBytes, 20);
-    EXPECT_EQ(tracing.volume(CommPhase::DpReduce).events, 0);
+    EXPECT_EQ(transport.volume(CommPhase::DpReduce).events, 0);
+    EXPECT_EQ(transport.volume(CommPhase::Other).events, 0);
+}
+
+TEST(Tracing, LedgerFoldsEveryEventPerPhase)
+{
+    // The ledger counts what passes through, per phase, and treats
+    // exactly the events with a compressor kind as compressed; a
+    // recording transport folds its ledger and its trace from the
+    // same events, so the two agree phase by phase.
+    Transport transport(true);
+    issueLedgerEvents(transport);
+    expectLedgerOfIssuedEvents(transport);
+    EXPECT_EQ(transport.trace().size(), 3u);
     const CommPhase phases[] = {CommPhase::InterStage,
                                 CommPhase::DpReduce,
                                 CommPhase::EmbSync, CommPhase::Other};
     for (const CommPhase phase : phases)
-        expectSameVolume(tracing.volume(phase),
-                         recorder.trace().volume(phase),
+        expectSameVolume(transport.volume(phase),
+                         transport.trace().volume(phase),
                          commPhaseName(phase));
 
     // delta() is the per-window view the trainer's stats use.
+    const CommVolume is = transport.volume(CommPhase::InterStage);
     const CommVolume window = is.delta(CommVolume{1, 1, 100, 40});
     EXPECT_EQ(window.events, 1);
     EXPECT_EQ(window.compressedEvents, 0);
     EXPECT_EQ(window.exactBytes, 100);
     EXPECT_EQ(window.wireBytes, 100);
+}
+
+TEST(Tracing, UnrecordedTransportFoldsLedgerOnly)
+{
+    // Without record the ledger is the same and the trace stays
+    // empty.
+    Transport transport;
+    issueLedgerEvents(transport);
+    expectLedgerOfIssuedEvents(transport);
+    EXPECT_EQ(transport.trace().size(), 0u);
 }
 
 TEST(EmbSyncTrace, MatchesClosedFormsForD248)
@@ -614,8 +637,7 @@ TEST(EmbSyncTrace, MatchesClosedFormsForD248)
                 first.push_back(f);
                 last.push_back(l);
             }
-            InProcessTransport base;
-            RecordingTransport recorder(base);
+            Transport recorder(true);
             EmbeddingSynchronizer sync(fused, first, last,
                                        &recorder);
             const EmbSyncVolume volume = sync.synchronize();

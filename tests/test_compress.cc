@@ -358,17 +358,6 @@ TEST(CompressorFactory, IdentityIsLossless)
     EXPECT_EQ(bytes, 4 * 36);
 }
 
-TEST(CompressorFactory, ParseNames)
-{
-    EXPECT_EQ(parseCompressorKind("none"), CompressorKind::None);
-    EXPECT_EQ(parseCompressorKind("powersgd"),
-              CompressorKind::PowerSgd);
-    EXPECT_EQ(parseCompressorKind("topk"), CompressorKind::TopK);
-    EXPECT_EQ(parseCompressorKind("ternary"),
-              CompressorKind::Ternary);
-    EXPECT_EQ(parseCompressorKind("onebit"), CompressorKind::OneBit);
-}
-
 // Parameterized property sweep: for every compressor kind, error
 // feedback telescopes and payloads are smaller than raw.
 class CompressorProperty

@@ -112,12 +112,6 @@ TEST(FailureDeathTest, CliRejectsMalformedNumbers)
                 "expects a number");
 }
 
-TEST(FailureDeathTest, CompressorParseRejectsUnknownName)
-{
-    EXPECT_EXIT(parseCompressorKind("gzip"),
-                ::testing::ExitedWithCode(1), "unknown compressor");
-}
-
 TEST(FailureDeathTest, ScheduleRejectsInvalidChunking)
 {
     // Interleaving runs in rounds of P micro-batches (Megatron's

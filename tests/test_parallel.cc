@@ -212,7 +212,7 @@ TEST(Equivalence, ReplicasNeverDivergeWithCompression)
     config.pipelineStages = 2;
     config.dp.enabled = true;
     config.dp.stageFraction = 1.0;
-    config.dp.spec.rank = 2;
+    config.dp.rank = 2;
     config.cb.enabled = true;
     config.cb.spec.rank = 2;
     Trainer3d trainer(config);
@@ -378,7 +378,7 @@ TEST(SelectiveStage, CompressedStagesSendFewerBytes)
     config.pipelineStages = 2;
     config.dp.enabled = true;
     config.dp.stageFraction = 0.5; // stage 0 only
-    config.dp.spec.rank = 2;
+    config.dp.rank = 2;
     Trainer3d trainer(config);
     LmDataset data = tinyData(config.model.seqLen);
     Rng rng(51);

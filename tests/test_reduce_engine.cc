@@ -126,8 +126,7 @@ TEST(ReduceEngineExact, DthNotifyEnqueuesEveryBucketAtAnyD)
         // Worker d's grad for param j is (d+1)*(j+1), so the mean
         // for param j is (D+1)/2 * (j+1).
         auto lists = makeWorkerParams(workers, {{6}, {10}, {3}});
-        InProcessTransport base;
-        RecordingTransport recorder(base);
+        Transport recorder(true);
         ReduceEngineConfig config = exactConfig(32);
         config.transport = &recorder;
         ReduceEngine engine(config, lists);
@@ -173,14 +172,12 @@ TEST(ReduceEngineCompressed, DedicatedBucketsAndState)
     // Rank-2 params with rows, cols >= 2 are compressible; the 1-D
     // param is not and must stay in an exact bucket.
     ReduceEngineConfig config = exactConfig(1 << 20);
-    config.dp.enabled = true;
     config.compressStage = true;
     config.seed = 9;
     // Matrices large enough that the rank-8 payload undercuts the
     // dense size (rank clamps to min(rows, cols) on tiny shapes).
     auto lists = makeWorkerParams(2, {{32, 32}, {7}, {24, 16}});
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
     config.transport = &recorder;
     ReduceEngine engine(config, lists);
 
@@ -239,21 +236,20 @@ class ReduceOracle
                 grads.push_back(&lists[d][j]->grad);
             const Tensor &value = lists[0][j]->value;
             const bool compress =
-                config_.compressStage && config_.dp.enabled &&
-                value.rank() == 2 && value.rows() >= 2 &&
-                value.cols() >= 2;
+                config_.compressStage && value.rank() == 2 &&
+                value.rows() >= 2 && value.cols() >= 2;
             if (!compress) {
                 transport_.allReduceTensors(CommPhase::DpReduce, grads,
                                             ReduceOp::Mean);
                 continue;
             }
             auto [dps, fresh] = dps_.try_emplace(
-                j, workers, config_.dp.spec.rank,
+                j, workers, config_.rank,
                 config_.seed + 0x1000 * (j + 1));
             std::vector<Tensor> &residual = residuals_[j];
             if (fresh)
                 residual.assign(workers, Tensor(value.shape()));
-            const bool feedback = config_.dp.errorFeedback;
+            const bool feedback = config_.errorFeedback;
             std::vector<Tensor> fed(workers);
             std::vector<const Tensor *> inputs;
             for (int d = 0; d < workers; ++d) {
@@ -273,7 +269,7 @@ class ReduceOracle
 
   private:
     ReduceEngineConfig config_;
-    InProcessTransport transport_;
+    Transport transport_;
     std::map<size_t, DistributedPowerSgd> dps_;
     std::map<size_t, std::vector<Tensor>> residuals_;
 };
@@ -295,9 +291,8 @@ runOracle(int workers, bool compressed, bool error_feedback = true)
     ReduceEngineConfig config = exactConfig(128);
     config.seed = 9;
     if (compressed) {
-        config.dp.enabled = true;
-        config.dp.spec.rank = 2;
-        config.dp.errorFeedback = error_feedback;
+        config.rank = 2;
+        config.errorFeedback = error_feedback;
         config.compressStage = true;
     }
     auto engine_lists = makeWorkerParams(workers, shapes);

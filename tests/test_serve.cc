@@ -329,8 +329,7 @@ TEST(Serve, InferForwardNeverStashes)
 TEST(Serve, PipelineBoundaryVolumeIsAccounted)
 {
     const GptConfig model = tinyModel();
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
 
     serve::ServeConfig config;
     config.model = model;
@@ -366,6 +365,39 @@ TEST(Serve, PipelineBoundaryVolumeIsAccounted)
     EXPECT_EQ(vol.wireBytes, vol.exactBytes); // exact boundary
 }
 
+TEST(Serve, EnginesWithoutTransportKeepTheirOwnLedgers)
+{
+    // An engine built without a transport owns one, so two such
+    // engines alive at once each count only their own boundary
+    // sends: prompt rows once, then one row per decode round.
+    const GptConfig model = tinyModel();
+    serve::ServeConfig config;
+    config.model = model;
+    config.pipelineStages = 2;
+    config.maxSequences = 2;
+    config.maxBatchTokens = 16;
+    serve::ServeEngine a(config);
+    serve::ServeEngine b(config);
+
+    a.submit({3, 1, 4, 1, 5}, 6);
+    b.submit({2, 7, 1}, 3);
+    while (!a.idle() || !b.idle()) {
+        a.step();
+        b.step();
+    }
+
+    const int64_t row_bytes =
+        model.hidden * static_cast<int64_t>(sizeof(float));
+    const obs::CompressionHealth ha = a.boundaryHealth();
+    EXPECT_EQ(ha.sends, 1 + 5);
+    EXPECT_EQ(ha.exactBytes, (5 + 5) * row_bytes);
+    EXPECT_EQ(ha.wireBytes, ha.exactBytes);
+    const obs::CompressionHealth hb = b.boundaryHealth();
+    EXPECT_EQ(hb.sends, 1 + 2);
+    EXPECT_EQ(hb.exactBytes, (3 + 2) * row_bytes);
+    EXPECT_EQ(hb.wireBytes, hb.exactBytes);
+}
+
 TEST(Serve, StackedPassesSendOneBoundaryEventEach)
 {
     // Selective batching: a round runs one stacked prefill pass over
@@ -373,8 +405,7 @@ TEST(Serve, StackedPassesSendOneBoundaryEventEach)
     // other active sequence, so each pass crosses each stage
     // boundary exactly once, however many sequences it carries.
     const GptConfig model = tinyModel();
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
 
     serve::ServeConfig config;
     config.model = model;
@@ -413,8 +444,7 @@ TEST(Serve, StackedPassesSendOneBoundaryEventEach)
 TEST(Serve, CompressedBoundaryShrinksWireBytes)
 {
     const GptConfig model = tinyModel();
-    InProcessTransport base;
-    RecordingTransport recorder(base);
+    Transport recorder(true);
 
     serve::ServeConfig config;
     config.model = model;

@@ -48,8 +48,8 @@ const RuleInfo kRules[] = {
               "(chunk-order-stable precision), cast once at the end"},
     {"COM01", "direct mutation of a byte counter outside the comm "
               "transport layer — every reported byte must come from "
-              "the comm ledger TracingTransport folds from the "
-              "CommEvents (read it via TracingTransport::volume); see "
+              "the comm ledger the Transport folds from the "
+              "CommEvents (read it via Transport::volume); see "
               "DESIGN.md section 4d"},
     {"OBS01", "direct std::chrono / clock_gettime timing outside "
               "src/obs and src/util — all timestamps must flow "
@@ -457,7 +457,7 @@ checkFloatAccumulators(const LexedFile &f, std::vector<Violation> &out)
 /**
  * COM01: compound assignment or increment of an identifier whose
  * name contains "bytes" is hand-maintained byte bookkeeping, which
- * the comm transport layer made obsolete: TracingTransport folds
+ * the comm transport layer made obsolete: the Transport folds
  * every CommEvent into one per-phase ledger, and every reported
  * byte is read from it. Unlike THR01, member-access targets *are*
  * flagged — `stats.fooBytes += x` is exactly the pattern the rule
@@ -497,8 +497,8 @@ checkByteCounterWrites(const LexedFile &f, std::vector<Violation> &out)
         addViolation(out, f, t[k].line, "COM01",
                      "byte counter '" + target +
                          "' mutated outside the comm transport "
-                         "layer (read the TracingTransport comm "
-                         "ledger instead)");
+                         "layer (read the comm ledger via "
+                         "Transport::volume instead)");
     }
 }
 
