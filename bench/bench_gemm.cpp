@@ -121,14 +121,19 @@ struct LayerShape
  * workload rows are tokens x hidden x 4*hidden, the shape of fc1's
  * forward (NN) and of fc2's dX = dY * W^T (NT): perfbench's serve
  * decode (~8 rows, hidden 64), train_cc (16 tokens per micro-batch,
- * hidden 64) and train_dense (256 tokens, hidden 128). With the
- * AVX-512 row tile of 56 rows, 112x128x128 is two tiles of 0.9M
- * multiply-adds (one chunk, inline) and 112x128x512 two tiles of
- * 3.7M (two chunks, pooled).
+ * hidden 64) and train_dense (256 tokens, hidden 128). Serve decode
+ * also runs fc2's forward (8 x 4*hidden x hidden) and, with one live
+ * slot, single-row GEMMs. NN reads its whole-panel B in place while
+ * NT packs it, so at these weight-sized B panels the NN row sits
+ * below the NT one. With the AVX-512 row tile of 56 rows,
+ * 112x128x128 is two tiles of 0.9M multiply-adds (one chunk,
+ * inline) and 112x128x512 two tiles of 3.7M (two chunks, pooled).
  */
 const LayerShape kLayerShapes[] = {
     {"64^3", 64, 64, 64},
     {"serve decode mlp", 8, 64, 256},
+    {"serve decode fc2", 8, 256, 64},
+    {"decode 1 row", 1, 64, 256},
     {"train_cc mlp", 16, 64, 256},
     {"two tiles 0.9M", 112, 128, 128},
     {"two tiles 3.7M", 112, 128, 512},

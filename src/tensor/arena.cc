@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
@@ -68,7 +70,7 @@ Workspace::~Workspace()
         return;
     }
     for (Slab &s : slabs_)
-        std::free(s.base);
+        munmap(s.base, static_cast<size_t>(s.cap));
 }
 
 // The arena's own heap growth is warmup-only and audited
@@ -112,11 +114,19 @@ Workspace::allocate(int64_t min_elems, int64_t &cap_elems)
 
     // Grow: one heap call, the event the steady-state contract
     // forbids. optlint:coldalloc — this is the audited warmup path
-    // the workspace layer exists to confine.
+    // the workspace layer exists to confine. Slabs are mapped
+    // directly (page-aligned, so 64-byte blocks stay aligned) and
+    // unmapped when the workspace dies, so peak RSS follows arena
+    // use: from malloc, a slab's placement (fresh mapping, brk heap
+    // or a pool worker's malloc arena) would follow glibc's adaptive
+    // mmap threshold and the thread that grew the workspace.
     const int64_t slab_cap = want > kSlabBytes ? want : kSlabBytes;
     Slab s;
-    s.base = static_cast<char *>(std::aligned_alloc(64, slab_cap));
-    OPTIMUS_ASSERT(s.base != nullptr);
+    void *const base = mmap(nullptr, static_cast<size_t>(slab_cap),
+                            PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    OPTIMUS_ASSERT(base != MAP_FAILED);
+    s.base = static_cast<char *>(base);
     s.cap = slab_cap;
     s.used = want;
     slabs_.push_back(s);

@@ -12,7 +12,8 @@
  *      reassigned tensor of the same class) — an *arena hit*;
  *   2. the bump pointer of the current slab — also a hit, since no
  *      heap call is made;
- *   3. a fresh slab from the heap — a *heap fallback*, the event the
+ *   3. a fresh slab mapped from the OS (`mmap`, unmapped when the
+ *      workspace dies) — a *heap fallback*, the event the
  *      zero-allocation contract counts. Warmup (step 1) is all
  *      fallbacks; steady state must have none.
  *
@@ -57,7 +58,7 @@ struct WorkspaceStats
 {
     /** Requests served without touching the heap. */
     int64_t arenaHits = 0;
-    /** Requests that had to grow the workspace (slab malloc). */
+    /** Requests that had to grow the workspace (slab mapping). */
     int64_t heapFallbacks = 0;
     /** Heap bytes ever acquired by this workspace. */
     int64_t slabBytes = 0;

@@ -68,7 +68,7 @@ constexpr int64_t kJw512 = 32;
 template <int MR>
 OPTIMUS_TARGET_AVX512 void
 micro512(float *c, int64_t ldc, const float *apack,
-         const float *bp0, int64_t kc, int64_t nc_pad, int64_t cols)
+         const float *bp0, int64_t kc, int64_t ldb, int64_t cols)
 {
     __m512 q[MR][2];
 #pragma GCC unroll 14
@@ -78,8 +78,8 @@ micro512(float *c, int64_t ldc, const float *apack,
     }
     const float *bp = bp0;
     const float *ap = apack;
-    for (int64_t p = 0; p < kc; ++p, bp += nc_pad, ap += MR) {
-        _mm_prefetch(reinterpret_cast<const char *>(bp + 4 * nc_pad),
+    for (int64_t p = 0; p < kc; ++p, bp += ldb, ap += MR) {
+        _mm_prefetch(reinterpret_cast<const char *>(bp + 4 * ldb),
                      _MM_HINT_T0);
         const __m512 b0 = _mm512_loadu_ps(bp);
         const __m512 b1 = _mm512_loadu_ps(bp + 16);
@@ -120,7 +120,7 @@ rowGroup512(const GemmBlockCtx &ctx, int64_t i, float *apack)
         const int64_t cols =
             std::min<int64_t>(kJw512, ctx.nc - j0);
         micro512<MR>(ctx.c + i * ctx.ldc + ctx.jc + j0, ctx.ldc,
-                     apack, ctx.bpack + j0, ctx.kc, ctx.ncPad, cols);
+                     apack, ctx.b + j0, ctx.kc, ctx.ldb, cols);
     }
 }
 
@@ -150,7 +150,7 @@ constexpr int64_t kJw256 = 16;
 template <int MR>
 OPTIMUS_TARGET_AVX2 void
 micro256(float *c, int64_t ldc, const float *apack,
-         const float *bp0, int64_t kc, int64_t nc_pad, int64_t cols)
+         const float *bp0, int64_t kc, int64_t ldb, int64_t cols)
 {
     __m256 q[MR][2];
 #pragma GCC unroll 6
@@ -160,8 +160,8 @@ micro256(float *c, int64_t ldc, const float *apack,
     }
     const float *bp = bp0;
     const float *ap = apack;
-    for (int64_t p = 0; p < kc; ++p, bp += nc_pad, ap += MR) {
-        _mm_prefetch(reinterpret_cast<const char *>(bp + 4 * nc_pad),
+    for (int64_t p = 0; p < kc; ++p, bp += ldb, ap += MR) {
+        _mm_prefetch(reinterpret_cast<const char *>(bp + 4 * ldb),
                      _MM_HINT_T0);
         const __m256 b0 = _mm256_loadu_ps(bp);
         const __m256 b1 = _mm256_loadu_ps(bp + 8);
@@ -202,7 +202,7 @@ rowGroup256(const GemmBlockCtx &ctx, int64_t i, float *apack)
         const int64_t cols =
             std::min<int64_t>(kJw256, ctx.nc - j0);
         micro256<MR>(ctx.c + i * ctx.ldc + ctx.jc + j0, ctx.ldc,
-                     apack, ctx.bpack + j0, ctx.kc, ctx.ncPad, cols);
+                     apack, ctx.b + j0, ctx.kc, ctx.ldb, cols);
     }
 }
 

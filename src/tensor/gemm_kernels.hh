@@ -2,15 +2,18 @@
  * @file
  * SIMD GEMM panel kernels behind the blocked driver in matmul.cc.
  *
- * The driver owns cache blocking, B packing, and the parallelFor
- * decomposition; a *panel kernel* computes one row range
- * [i0, i1) of C (+)= op(A) * Bpack for the current (jc, pc) block.
+ * The driver owns cache blocking, the choice between reading B in
+ * place and packing it, and the parallelFor decomposition; a *panel
+ * kernel* computes one row range [i0, i1) of C (+)= op(A) * B for
+ * the current (jc, pc) block of B. That block is either B itself
+ * (stored [k x n], block width a multiple of the panel width) or
+ * the driver's packed copy, rows padded with zeros to that width.
  * Each dispatch tier supplies a GemmKernel descriptor: its panel
- * function plus the register-tile column width the driver must pad
- * the packed-B rows to. The scalar panel lives in matmul.cc (it is
- * the pre-dispatch kernel, unchanged); the AVX2 and AVX-512 panels
- * live in gemm_kernels.cc — the only file besides simd.cc allowed
- * to use raw intrinsics (lint rule SIM01).
+ * function plus the register-tile column width. The scalar panel
+ * lives in matmul.cc (it is the pre-dispatch kernel, unchanged);
+ * the AVX2 and AVX-512 panels live in gemm_kernels.cc — the only
+ * file besides simd.cc allowed to use raw intrinsics (lint rule
+ * SIM01).
  *
  * Determinism: a panel kernel's row grouping, packing, and
  * accumulator tiling depend only on (i0, i1, ctx shape), and the
@@ -37,7 +40,11 @@ constexpr int64_t kGemmMaxKc = 256;
  * Per-(jc, pc) state shared by every row-panel task. A and C are
  * row-major views: op(A) row i, depth p lives at a[i * lda + p]
  * (a[p * lda + i] when transA), and C element (i, j) at
- * c[i * ldc + j]. The packed B block carries its own stride, ncPad.
+ * c[i * ldc + j]. op(B)(pc + p, jc + j) lives at
+ * b[p * ldb + j]: ldb is B's own row stride when the block is read
+ * in place, the padded width when it is packed. Either way every row
+ * holds a whole number of panel widths, so a kernel never reads past
+ * a row's last panel.
  */
 struct GemmBlockCtx
 {
@@ -47,11 +54,11 @@ struct GemmBlockCtx
     int64_t lda;
     bool transA;
     int64_t pc, kc, jc, nc;
-    const float *bpack;
-    int64_t ncPad;
+    const float *b;
+    int64_t ldb;
 };
 
-/** Computes C rows [i0, i1) (+)= op(A) * Bpack for one block. */
+/** Computes C rows [i0, i1) (+)= op(A) * B for one block. */
 using GemmPanelFn = void (*)(const GemmBlockCtx &ctx, int64_t i0,
                              int64_t i1);
 
@@ -60,8 +67,10 @@ struct GemmKernel
 {
     /** Tier name, matches simd::tierName. */
     const char *name;
-    /** Register-tile column width; the driver pads packed-B rows to
-     * a multiple of this (pad columns are zero and never stored). */
+    /** Register-tile column width. The driver reads a B block in
+     * place when its width is a multiple of this and otherwise
+     * pads packed-B rows to one (pad columns are zero and never
+     * stored). */
     int64_t panelWidth;
     /**
      * Row tile of the driver's parallelFor — a multiple of the
@@ -74,7 +83,7 @@ struct GemmKernel
     /**
      * Column block (the driver's NC). The SIMD tiers use wide
      * blocks so each A row group is packed once per pc block and
-     * the packed B panel is streamed from L2.
+     * the B block is streamed from L2.
      */
     int64_t colBlock;
     /** Panel function; null on builds without this tier's ISA

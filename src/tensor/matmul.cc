@@ -1,6 +1,7 @@
 #include "tensor/matmul.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -17,10 +18,10 @@ namespace
 {
 
 /**
- * Cache-blocking parameters (in floats). The packed B block
- * (KC x NC) is shared read-only by every row-panel task and stays
- * cache-resident across the whole M sweep; each task's A rows and C
- * tile live in L1.
+ * Cache-blocking parameters (in floats). The B block (KC x NC,
+ * read in place or packed) is shared read-only by every row-panel
+ * task and stays cache-resident across the whole M sweep; each
+ * task's A rows and C tile live in L1.
  */
 constexpr int64_t KC = 256;
 constexpr int64_t NC = 128;
@@ -58,21 +59,22 @@ vstore(float *p, Vec v)
 
 /**
  * ROWS x JW register-tile micro-kernel: accumulates
- * A(rows, pc:pc+kc) * Bpack(:, j0:j0+JW) into C. Accumulators start
- * at zero and are added to C once per pc block, so each C element
- * sees K/KC + 1 memory-order additions regardless of thread count.
+ * A(rows, pc:pc+kc) times JW columns of the B block (rows @p ldb
+ * apart) into C. Accumulators start at zero and are added to C once
+ * per pc block, so each C element sees K/KC + 1 memory-order
+ * additions regardless of thread count.
  * When @p cols < JW (ragged right edge) the pad lanes — fed only
  * zeros from the padded B pack — are simply not stored.
  */
 template <int ROWS>
 inline void
 microKernel(float *const *crows, const float *const *arows,
-            const float *bp0, int64_t kc, int64_t nc_pad,
+            const float *bp0, int64_t kc, int64_t ldb,
             int64_t cols)
 {
     Vec q[ROWS][2] = {};
     const float *bp = bp0;
-    for (int64_t p = 0; p < kc; ++p, bp += nc_pad) {
+    for (int64_t p = 0; p < kc; ++p, bp += ldb) {
         const Vec b0 = vload(bp);
         const Vec b1 = vload(bp + VL);
         for (int r = 0; r < ROWS; ++r) {
@@ -125,8 +127,8 @@ processRowGroup(const GemmBlockCtx &ctx, int64_t i, float *apack)
         const int64_t cols = std::min<int64_t>(JW, ctx.nc - j0);
         for (int r = 0; r < ROWS; ++r)
             crows[r] = ctx.c + (i + r) * ctx.ldc + ctx.jc + j0;
-        microKernel<ROWS>(crows, arows, ctx.bpack + j0, ctx.kc,
-                          ctx.ncPad, cols);
+        microKernel<ROWS>(crows, arows, ctx.b + j0, ctx.kc, ctx.ldb,
+                          cols);
     }
 }
 
@@ -176,9 +178,10 @@ packTransposedB(float *bp, int64_t ldp, const float *src, int64_t lds,
  * gemmStrided() in matmul.hh).
  *
  * The active simd::Tier is read once per call: it selects the panel
- * kernel run inside each row task and the width the packed-B rows
- * are padded to. The scalar panel below is the pre-dispatch kernel,
- * unchanged, so OPTIMUS_SIMD=scalar is bit-exact with the old tree.
+ * kernel run inside each row task and the panel width that decides
+ * whether a B block is read in place or packed and padded. The
+ * scalar panel below is the pre-dispatch kernel, unchanged, so
+ * OPTIMUS_SIMD=scalar is bit-exact with the old tree.
  */
 // optlint:hot — steady-state step path (zero-allocation contract).
 void
@@ -202,28 +205,47 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
     const int64_t row_tile = mk ? mk->rowGrain : MR;
     const int64_t ncb = mk ? mk->colBlock : NC;
 
-    const int64_t kc_max = std::min(k, KC);
-    const int64_t nc_pad_max =
-        ((std::min(n, ncb) + jw - 1) / jw) * jw;
-    // Packed-B scratch. Under an active workspace scope it is drawn
-    // from the arena and recycles across calls no matter which pool
-    // worker executes this frame — a thread_local here would ratchet
-    // per thread, and which worker runs a reduce-engine bucket task
-    // is scheduling-dependent, so a cold worker could allocate in an
-    // armed steady-state step. Unscoped callers keep the per-thread
-    // buffer (every block is fully rewritten before use, and a GEMM
-    // never nests inside another GEMM on one thread).
+    // A block of B stored [k x n] whose width is a whole number of
+    // panels is already laid out as its pack would be, only with rows
+    // ldb apart instead of nc_pad: the kernels read it in place. Only
+    // the last column block can be ragged, so it alone decides
+    // whether an untransposed B packs at all.
+    const int64_t nc_last = n - ((n - 1) / ncb) * ncb;
+    const bool pack_last = trans_b || nc_last % jw != 0;
+    if (!trans_b && (n > ncb || !pack_last)) {
+        // In place, the panels read B while they write C, so the two
+        // must not share storage.
+        const auto lo = [](const float *p) {
+            return reinterpret_cast<uintptr_t>(p);
+        };
+        OPTIMUS_ASSERT(lo(c + (m - 1) * ldc + n) <= lo(b) ||
+                       lo(b + (k - 1) * ldb + n) <= lo(c));
+    }
+
+    // Packed-B scratch, drawn only when some block packs and sized
+    // for the widest such block. Under an active workspace scope it
+    // is drawn from the arena and recycles across calls no matter
+    // which pool worker executes this frame — a thread_local here
+    // would ratchet per thread, and which worker runs a
+    // reduce-engine bucket task is scheduling-dependent, so a cold
+    // worker could allocate in an armed steady-state step. Unscoped
+    // callers keep the per-thread buffer (every block is fully
+    // rewritten before use, and a GEMM never nests inside another
+    // GEMM on one thread).
+    const int64_t pack_cols = trans_b ? std::min(n, ncb) : nc_last;
+    const int64_t bpack_elems =
+        pack_last ? std::min(k, KC) * ((pack_cols + jw - 1) / jw) * jw
+                  : 0;
     Workspace *const ws = currentWorkspace();
     thread_local std::vector<float> t_bpack; // optlint:coldalloc
-    float *bpack;
+    float *bpack = nullptr;
     int64_t bpack_cap = 0;
-    if (ws != nullptr) {
-        bpack = ws->allocate(kc_max * nc_pad_max, bpack_cap);
-    } else {
+    if (bpack_elems > 0 && ws != nullptr) {
+        bpack = ws->allocate(bpack_elems, bpack_cap);
+    } else if (bpack_elems > 0) {
         // optlint:coldalloc — warmup capacity ratchet.
-        if (static_cast<int64_t>(t_bpack.size()) <
-            kc_max * nc_pad_max)
-            t_bpack.resize(kc_max * nc_pad_max);
+        if (static_cast<int64_t>(t_bpack.size()) < bpack_elems)
+            t_bpack.resize(bpack_elems);
         bpack = t_bpack.data();
     }
 
@@ -233,30 +255,36 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
         for (int64_t pc = 0; pc < k; pc += KC) {
             const int64_t kc = std::min(KC, k - pc);
 
-            // Pack B(pc:pc+kc, jc:jc+nc) p-major with rows padded to
-            // the register-tile width: one memcpy per row when B is
-            // stored [k x n], the tiled transpose when it is [n x k].
-            // Pad columns are zero and feed accumulators that are
-            // never stored.
-            float *bp = bpack;
-            if (!trans_b) {
-                for (int64_t p = 0; p < kc; ++p)
-                    std::memcpy(bp + p * nc_pad,
-                                b + (pc + p) * ldb + jc,
-                                sizeof(float) * nc);
-            } else {
-                packTransposedB(bp, nc_pad, b + jc * ldb + pc, ldb,
-                                kc, nc);
+            // Read B(pc:pc+kc, jc:jc+nc) in place when it needs no
+            // pad columns. Otherwise pack it p-major with rows padded
+            // to the register-tile width: one memcpy per row when B
+            // is stored [k x n], the tiled transpose when it is
+            // [n x k]. Pad columns are zero and feed accumulators
+            // that are never stored.
+            const float *bp = b + pc * ldb + jc;
+            int64_t ldp = ldb;
+            if (trans_b || nc_pad != nc) {
+                if (!trans_b) {
+                    for (int64_t p = 0; p < kc; ++p)
+                        std::memcpy(bpack + p * nc_pad,
+                                    b + (pc + p) * ldb + jc,
+                                    sizeof(float) * nc);
+                } else {
+                    packTransposedB(bpack, nc_pad, b + jc * ldb + pc,
+                                    ldb, kc, nc);
+                }
+                if (nc_pad != nc)
+                    for (int64_t p = 0; p < kc; ++p)
+                        std::memset(bpack + p * nc_pad + nc, 0,
+                                    sizeof(float) * (nc_pad - nc));
+                bp = bpack;
+                ldp = nc_pad;
             }
-            if (nc_pad != nc)
-                for (int64_t p = 0; p < kc; ++p)
-                    std::memset(bp + p * nc_pad + nc, 0,
-                                sizeof(float) * (nc_pad - nc));
 
             // Chunks are whole row tiles, each kc * nc multiply-adds
             // a row; a row's bits do not depend on its chunk.
             GemmBlockCtx ctx{c,  ldc, a,  lda, trans_a, pc,
-                             kc, jc,  nc, bp,  nc_pad};
+                             kc, jc,  nc, bp,  ldp};
             const int64_t grain =
                 row_tile * grainForWork(row_tile * kc * nc);
             parallelFor(0, m, grain,
@@ -278,7 +306,7 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
             });
         }
     }
-    if (ws != nullptr)
+    if (bpack != nullptr && ws != nullptr)
         ws->release(bpack, bpack_cap);
 }
 

@@ -6,11 +6,13 @@
  * (overwrite vs. accumulate).
  *
  * All entry points route through a shared cache-blocked kernel
- * (KC/NC tiling with packed B panels and a register-tile
- * micro-kernel) whose row tiles run on the execution runtime's
- * thread pool (see runtime/runtime.hh); a GEMM too small to fill two
- * chunks by the runtime's dispatch rule runs inline. Transposed
- * operands are handled by packing strided panels — no full
+ * (KC/NC tiling and a register-tile micro-kernel) whose row tiles
+ * run on the execution runtime's thread pool (see
+ * runtime/runtime.hh); a GEMM too small to fill two chunks by the
+ * runtime's dispatch rule runs inline. B stored [k x n] is read in
+ * place wherever a column block is a whole number of register tiles
+ * wide, so a Linear forward copies none of its weights; ragged
+ * blocks and transposed B are packed block by block — no full
  * transposed() copy is ever made. Results are bitwise reproducible for any
  * OPTIMUS_THREADS setting because the panel decomposition depends
  * only on the problem shape.
@@ -71,6 +73,8 @@ void gemm(float *c, const float *a, const float *b, int64_t m,
  * @p accumulate is false the C view is overwritten. Bits equal the
  * same product on packed copies of the views.
  * @pre every ld is at least its view's stored row width
+ * @pre when B is not transposed, the C view does not overlap B's
+ *      storage (B may be read in place while C is written; checked)
  */
 void gemmStrided(float *c, int64_t ldc, const float *a, int64_t lda,
                  bool trans_a, const float *b, int64_t ldb,

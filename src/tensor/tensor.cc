@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "tensor/arena.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -341,10 +342,7 @@ Tensor::sub(const Tensor &other)
 void
 Tensor::scale(float s)
 {
-    float *dst = data_;
-    const int64_t n = size_;
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] *= s;
+    simd::scaleInPlace(simd::tier(), data_, s, size_);
 }
 
 void

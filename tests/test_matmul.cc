@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/runtime.hh"
+#include "tensor/arena.hh"
 #include "tensor/matmul.hh"
 #include "tensor/simd.hh"
 #include "tensor/tensor.hh"
@@ -304,6 +305,8 @@ TEST(MatmulTiers, RowsAreBatchInvariantEveryTier)
     // groups run the same per-element FMA chain, so a sequence's
     // activations do not depend on how many other sequences share
     // its stacked GEMM. K = 300 and 700 cross the KC = 256 block.
+    // N = 192 and 256 are whole panels at every tier, so matmul reads
+    // W in place there; m = 1..8 are serve's decode row counts.
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
     std::vector<int64_t> ms;
@@ -316,7 +319,7 @@ TEST(MatmulTiers, RowsAreBatchInvariantEveryTier)
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
         for (int64_t k : {16, 64, 192, 300, 700}) {
-            for (int64_t n : {33, 64, 128, 256}) {
+            for (int64_t n : {33, 64, 128, 192, 256}) {
                 const Tensor x = Tensor::randn({max_m, k}, rng);
                 const Tensor w = Tensor::randn({k, n}, rng);
                 const Tensor e = Tensor::randn({n, k}, rng);
@@ -358,13 +361,17 @@ TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
     // for bit, at every tier and thread count. The sizes cut ragged
     // pack tiles and register tiles, k = 257/300 crosses the KC =
     // 256 block and n = 600 crosses the widest column block (512).
+    // Multiples of the panel widths (16 on avx2, 32 on avx512 and
+    // scalar) make the NN reference read B in place, in every column
+    // block (n = 16..256) or in the first one only (n = 544).
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
     Rng rng(35);
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
         for (bool serial : {true, false}) {
-            for (int64_t n : {1, 7, 8, 9, 17, 33, 600}) {
+            for (int64_t n :
+                 {1, 7, 8, 9, 16, 17, 32, 33, 64, 192, 256, 544, 600}) {
                 for (int64_t k : {1, 15, 17, 257, 300}) {
                     for (int64_t m : {1, 13, 16, 57}) {
                         const Tensor a = Tensor::randn({m, k}, rng);
@@ -448,13 +455,18 @@ TEST(MatmulTiers, LeadingDimensionViewsBitwiseEqualCopies)
     // reached) and write nothing outside the C view. k = 257/300
     // crosses the KC = 256 block, n = 600 crosses the widest column
     // block (512), and the odd widths leave ragged pack and register
-    // tiles; every tier, pooled and serial.
+    // tiles; every tier, pooled and serial. The panel-width
+    // multiples (n = 16..544) put NN and TN on the path that reads B
+    // in place: its NaN pad columns prove the kernels stay inside the
+    // view there too.
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const float sentinel = -1234.5f;
-    const Shape shapes[] = {{1, 1, 1},     {7, 300, 17}, {13, 17, 600},
-                            {57, 257, 33}, {5, 9, 513},  {33, 65, 7}};
+    const Shape shapes[] = {
+        {1, 1, 1},     {7, 300, 17}, {13, 17, 600},  {57, 257, 33},
+        {5, 9, 513},   {33, 65, 7},  {7, 300, 16},   {13, 17, 32},
+        {57, 257, 64}, {5, 9, 192},  {8, 300, 256},  {13, 33, 544}};
     Rng rng(36);
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
@@ -539,4 +551,62 @@ TEST(Matmul, TransposedVariantsShareOneKernel)
     Tensor tn = matmulTN(a, b);             // [33 x 45]
     Tensor nt = matmulNT(b.transposed(), a.transposed()); // [45 x 33]
     EXPECT_TRUE(tn.allClose(nt.transposed(), tolFor(70)));
+}
+
+TEST(MatmulTiers, WholePanelBDrawsNoPackScratch)
+{
+    // B stored [k x n] whose column blocks are whole panels is read in
+    // place, so NN and TN draw no packed-B scratch from the ambient
+    // workspace; a ragged width and a transposed B still draw one.
+    // Every operand exists before the scope opens, so the workspace
+    // sees the GEMMs' draws only.
+    const simd::Tier initial = simd::tier();
+    Rng rng(37);
+    const Tensor a = Tensor::randn({8, 300}, rng);
+    const Tensor at = Tensor::randn({300, 8}, rng);
+    const Tensor b = Tensor::randn({300, 544}, rng);
+    const Tensor b_ragged = Tensor::randn({300, 33}, rng);
+    const Tensor bt = Tensor::randn({544, 300}, rng);
+    Tensor c({8, 544});
+    Tensor c_ragged({8, 33});
+    for (simd::Tier t : supportedTiers()) {
+        simd::setTier(t);
+        Workspace ws("gemm");
+        WorkspaceScope scope(&ws);
+        const auto draws = [&ws] {
+            const WorkspaceStats st = ws.stats();
+            return st.arenaHits + st.heapFallbacks;
+        };
+        // 544 = 512 + 32 is whole panels in every column block: the
+        // vector tiers' 512 + 32 and scalar's 4 x 128 + 32.
+        matmulAcc(c, a, b);
+        matmulAccTN(c, at, b);
+        EXPECT_EQ(draws(), 0) << simd::tierName(t);
+        matmulAcc(c_ragged, a, b_ragged);
+        EXPECT_EQ(draws(), 1) << simd::tierName(t);
+        matmulAccNT(c, a, bt);
+        EXPECT_EQ(draws(), 2) << simd::tierName(t);
+    }
+    simd::setTier(initial);
+}
+
+TEST(MatmulDeathTest, InPlaceBOverlappingCDies)
+{
+    // Read in place, B must not share storage with C: the panels
+    // would read B while writing C. The check fires at every tier.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const simd::Tier initial = simd::tier();
+    const int64_t m = 4, k = 8, n = 64;
+    std::vector<float> buf(static_cast<size_t>(k * n + m * n), 1.0f);
+    std::vector<float> a(static_cast<size_t>(m * k), 1.0f);
+    for (simd::Tier t : supportedTiers()) {
+        simd::setTier(t);
+        // C's last row starts inside B's last row.
+        float *c = buf.data() + (k - 1) * n + n / 2;
+        EXPECT_DEATH(gemmStrided(c, n, a.data(), k, false, buf.data(),
+                                 n, false, m, k, n, true),
+                     "assertion")
+            << simd::tierName(t);
+    }
+    simd::setTier(initial);
 }
