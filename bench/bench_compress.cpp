@@ -116,6 +116,7 @@ main(int argc, char **argv)
         powersgd.compress(mat, out);
     });
 
+    const std::string rev = bench::gitRevision();
     FILE *f = std::fopen("BENCH_compress.json", "w");
     if (!f) {
         std::fprintf(stderr, "cannot write BENCH_compress.json\n");
@@ -123,8 +124,7 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "{\n  \"bench\": \"compress\",\n");
     std::fprintf(f, "  \"host\": \"%s\",\n", bench::hostName().c_str());
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n",
-                 bench::gitRevision().c_str());
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n", rev.c_str());
     std::fprintf(f, "  \"threads\": %d,\n", runtimeThreads());
     std::fprintf(f, "  \"tier\": \"%s\",\n",
                  simd::tierName(auto_tier));

@@ -315,6 +315,7 @@ main(int argc, char **argv)
         }
     }
 
+    const std::string rev = bench::gitRevision();
     FILE *f = std::fopen("BENCH_gemm.json", "w");
     if (!f) {
         std::fprintf(stderr, "cannot write BENCH_gemm.json\n");
@@ -322,8 +323,7 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "{\n  \"bench\": \"gemm\",\n");
     std::fprintf(f, "  \"host\": \"%s\",\n", bench::hostName().c_str());
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n",
-                 bench::gitRevision().c_str());
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n", rev.c_str());
     std::fprintf(f, "  \"threads\": %d,\n", runtimeThreads());
     std::fprintf(f, "  \"tier\": \"%s\",\n",
                  simd::tierName(auto_tier));

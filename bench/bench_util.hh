@@ -125,7 +125,11 @@ hostName()
     return host;
 }
 
-/** `git describe` of the working tree, or "unknown" outside git. */
+/**
+ * `git describe` of the working tree, or "unknown" outside git. Take
+ * it before truncating a tracked output file, or a clean tree reads
+ * as "-dirty".
+ */
 inline std::string
 gitRevision()
 {
