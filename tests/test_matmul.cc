@@ -601,7 +601,7 @@ TEST(MatmulDeathTest, InPlaceBOverlappingCDies)
     std::vector<float> a(static_cast<size_t>(m * k), 1.0f);
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
-        // C's last row starts inside B's last row.
+        // C's first row starts inside B's last row.
         float *c = buf.data() + (k - 1) * n + n / 2;
         EXPECT_DEATH(gemmStrided(c, n, a.data(), k, false, buf.data(),
                                  n, false, m, k, n, true),
