@@ -23,6 +23,13 @@
  * `dispatch_us` field is the median round trip of an empty pooled
  * region, the cost a chunk of kMinChunkWork has to repay.
  *
+ * A third table times serve's decode attention rows per tier: one
+ * query of head width 16 against 8, 32 and 64 cached keys of a
+ * 64-wide cache (4 heads), as nanoseconds per key for the score
+ * kernel (simd::dotRowsScaled), the context kernel
+ * (simd::weightedRowSum), and both through the per-key loop they
+ * replaced (one dotDouble call per key, a context sum in memory).
+ *
  * Usage: bench_gemm [--max-size 1024] [--reps 3]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
  */
@@ -226,6 +233,85 @@ measureLayer(Form form, const LayerShape &s, int reps, Rng &rng)
     return {spreadOf(inline_us), spreadOf(pool_us)};
 }
 
+/** Serve's decode attention: head width and cache row width. */
+constexpr int64_t kAttnHeadDim = 16;
+constexpr int64_t kAttnLd = 64;
+const int64_t kAttnContexts[] = {8, 32, 64};
+
+/** Median ns per key of the decode attention kernels at one tier. */
+struct AttnTimes
+{
+    double scores = 0.0, context = 0.0, per_key = 0.0;
+};
+
+/** Keeps the per-key loop's results observable. */
+volatile float g_attn_sink = 0.0f;
+
+/**
+ * The decode attention row as it ran before the row kernels: one
+ * dotDouble call per key, then the context summed in @p out.
+ */
+void
+perKeyAttention(simd::Tier t, float *s, float *out, const float *q,
+                const float *keys, const float *values, int64_t count)
+{
+    for (int64_t j = 0; j < count; ++j)
+        s[j] = static_cast<float>(simd::dotDouble(
+                   t, q, keys + j * kAttnLd, kAttnHeadDim)) *
+               0.25f;
+    for (int64_t c = 0; c < kAttnHeadDim; ++c)
+        out[c] = 0.0f;
+    for (int64_t j = 0; j < count; ++j) {
+        const float pj = s[j];
+        const float *vrow = values + j * kAttnLd;
+        for (int64_t c = 0; c < kAttnHeadDim; ++c)
+            out[c] += pj * vrow[c];
+    }
+}
+
+AttnTimes
+measureAttention(simd::Tier t, int64_t count, Rng &rng)
+{
+    const Tensor keys = Tensor::randn({count, kAttnLd}, rng);
+    const Tensor values = Tensor::randn({count, kAttnLd}, rng);
+    const Tensor q = Tensor::randn({kAttnHeadDim}, rng);
+    Tensor w = Tensor::randn({count}, rng);
+    std::vector<float> s(static_cast<size_t>(count));
+    float out[kAttnHeadDim];
+    // Median over kLayerReps batches of about 2 ms, in ns per key.
+    auto nsPerKey = [&](auto &&call) {
+        call();
+        int64_t calls = 1;
+        auto timeBatch = [&] {
+            const double t0 = seconds();
+            for (int64_t i = 0; i < calls; ++i)
+                call();
+            return seconds() - t0;
+        };
+        while (timeBatch() < 2e-3)
+            calls *= 2;
+        std::vector<double> ns;
+        for (int r = 0; r < kLayerReps; ++r)
+            ns.push_back(timeBatch() / calls / count * 1e9);
+        g_attn_sink = g_attn_sink + out[0] + s[0];
+        return spreadOf(ns).median;
+    };
+    AttnTimes times;
+    times.scores = nsPerKey([&] {
+        simd::dotRowsScaled(t, s.data(), q.data(), keys.data(), kAttnLd,
+                            count, kAttnHeadDim, 0.25f);
+    });
+    times.context = nsPerKey([&] {
+        simd::weightedRowSum(t, out, w.data(), values.data(), kAttnLd,
+                             count, kAttnHeadDim);
+    });
+    times.per_key = nsPerKey([&] {
+        perKeyAttention(t, s.data(), out, q.data(), keys.data(),
+                        values.data(), count);
+    });
+    return times;
+}
+
 } // namespace
 
 int
@@ -315,6 +401,28 @@ main(int argc, char **argv)
         }
     }
 
+    struct AttnRow
+    {
+        int64_t context;
+        std::vector<std::pair<simd::Tier, AttnTimes>> tiers;
+    };
+    std::vector<AttnRow> attn_rows;
+    std::printf("\ndecode attention, head width %lld (median ns per "
+                "key: scores, context, per-key loop):\n",
+                static_cast<long long>(kAttnHeadDim));
+    for (int64_t count : kAttnContexts) {
+        AttnRow ar{count, {}};
+        for (simd::Tier t : tiers) {
+            const AttnTimes at = measureAttention(t, count, rng);
+            ar.tiers.push_back({t, at});
+            std::printf("  context %3lld %-6s scores %6.2f  context "
+                        "%6.2f  per-key loop %6.2f\n",
+                        static_cast<long long>(count), simd::tierName(t),
+                        at.scores, at.context, at.per_key);
+        }
+        attn_rows.push_back(ar);
+    }
+
     const std::string rev = bench::gitRevision();
     FILE *f = std::fopen("BENCH_gemm.json", "w");
     if (!f) {
@@ -385,6 +493,29 @@ main(int argc, char **argv)
         }
         std::fprintf(f, "}}%s\n",
                      i + 1 < layer_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"decode_attention_unit\": \"median ns "
+                    "per key, 1 thread\",\n"
+                    "  \"decode_attention\": [\n");
+    for (size_t i = 0; i < attn_rows.size(); ++i) {
+        const AttnRow &ar = attn_rows[i];
+        std::fprintf(f,
+                     "    {\"context\": %lld, \"head_dim\": %lld, "
+                     "\"ld\": %lld,\n     \"tiers\": {",
+                     static_cast<long long>(ar.context),
+                     static_cast<long long>(kAttnHeadDim),
+                     static_cast<long long>(kAttnLd));
+        for (size_t j = 0; j < ar.tiers.size(); ++j) {
+            const AttnTimes &at = ar.tiers[j].second;
+            std::fprintf(f,
+                         "\"%s\": {\"scores_ns_per_key\": %.2f, "
+                         "\"context_ns_per_key\": %.2f, "
+                         "\"per_key_loop_ns_per_key\": %.2f}%s",
+                         simd::tierName(ar.tiers[j].first), at.scores,
+                         at.context, at.per_key,
+                         j + 1 < ar.tiers.size() ? ", " : "");
+        }
+        std::fprintf(f, "}}%s\n", i + 1 < attn_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "runtime/runtime.hh"
 #include "tensor/matmul.hh"
@@ -79,12 +80,10 @@ MultiHeadAttention::forwardSegments(const Tensor &x,
         float *vd = cache.v.data();
         for (int64_t r = 0; r < seg.rows; ++r) {
             const float *src = qd + (row0 + r) * 3 * hidden_;
-            float *krow = kd + (base + r) * hidden_;
-            float *vrow = vd + (base + r) * hidden_;
-            for (int64_t j = 0; j < hidden_; ++j) {
-                krow[j] = src[hidden_ + j];
-                vrow[j] = src[2 * hidden_ + j];
-            }
+            std::memcpy(kd + (base + r) * hidden_, src + hidden_,
+                        sizeof(float) * hidden_);
+            std::memcpy(vd + (base + r) * hidden_, src + 2 * hidden_,
+                        sizeof(float) * hidden_);
         }
         cache.len = base + seg.rows;
         row0 += seg.rows;
@@ -127,12 +126,10 @@ MultiHeadAttention::forwardSegments(const Tensor &x,
             const float *vd = cache.v.data();
             const float *qrow = qd + r * 3 * hidden_ + hd * dh;
             float *s = pd + t * pstride;
-            for (int64_t j = 0; j <= p; ++j) {
-                s[j] = static_cast<float>(simd::dotDouble(
-                           tier, qrow,
-                           kd + j * hidden_ + hd * dh, dh)) *
-                    scale;
-            }
+            // Scores against every cached key, each bitwise
+            // float(dotDouble(q, k_j)) * scale.
+            simd::dotRowsScaled(tier, s, qrow, kd + hd * dh, hidden_,
+                                p + 1, dh, scale);
             // Causal softmax over [0, p] — the training kernel's
             // masked row softmax, minus the zeroed future entries.
             float max_val = s[0];
@@ -149,15 +146,8 @@ MultiHeadAttention::forwardSegments(const Tensor &x,
             for (int64_t j = 0; j <= p; ++j)
                 s[j] *= inv;
             // Context: j-ascending accumulation over cached values.
-            float *out = cd + r * hidden_ + hd * dh;
-            for (int64_t c = 0; c < dh; ++c)
-                out[c] = 0.0f;
-            for (int64_t j = 0; j <= p; ++j) {
-                const float pj = s[j];
-                const float *vrow = vd + j * hidden_ + hd * dh;
-                for (int64_t c = 0; c < dh; ++c)
-                    out[c] += pj * vrow[c];
-            }
+            simd::weightedRowSum(tier, cd + r * hidden_ + hd * dh, s,
+                                 vd + hd * dh, hidden_, p + 1, dh);
         }
     });
     return proj_->forward(ctx);

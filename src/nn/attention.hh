@@ -17,8 +17,9 @@
  * runs the qkv and output projections once over all of them (the
  * same batch-invariant GEMM training uses), appends each
  * sequence's keys/values to its own cache, and attends each new row
- * against its own cache with per-row kernels (simd::dotDouble
- * scores, scalar j-ascending context accumulation). A row's bits
+ * against its own cache with per-row kernels (simd::dotRowsScaled
+ * scores, a std::exp softmax, simd::weightedRowSum's j-ascending
+ * context). A row's bits
  * depend only on its position and its sequence's cache, so prefill
  * (R = S rows), single-token decode (R = 1) and any stacking of
  * sequences agree position by position — which is what makes

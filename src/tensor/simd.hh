@@ -3,9 +3,9 @@
  * Runtime SIMD dispatch for the dense and compression hot paths.
  *
  * Every vectorized kernel in the tree (the GEMM micro-kernels in
- * gemm_kernels.cc, and the compression primitives, GELU and the
- * Adam step implemented in simd.cc) is selected through a
- * `simd::Tier`:
+ * gemm_kernels.cc, and the compression primitives, the serve
+ * attention row kernels, GELU and the Adam step implemented in
+ * simd.cc) is selected through a `simd::Tier`:
  *
  *   Scalar — the portable kernels the tree shipped with; always
  *            available and the bit-exact baseline.
@@ -102,6 +102,31 @@ bool parseTier(const char *name, Tier &out);
  * order.
  */
 double dotDouble(Tier t, const float *x, const float *y, int64_t n);
+
+/**
+ * Scaled dot products of one vector against @p count rows @p ld
+ * floats apart (attention scores of one query against cached keys):
+ *   out[j] = float(dotDouble(t, q, rows + j*ld, n)) * scale.
+ * Each tier runs exactly its own dotDouble arithmetic per row —
+ * Scalar sums in element order, the vector tiers keep dotDouble's
+ * four accumulator registers and (l0 + l1) + (l2 + l3) reduction —
+ * so the result is bitwise equal to the per-row loop. The vector
+ * tiers score four rows per pass over q. @pre ld >= n
+ */
+void dotRowsScaled(Tier t, float *out, const float *q, const float *rows,
+                   int64_t ld, int64_t count, int64_t n, float scale);
+
+/**
+ * Weighted row sum (attention context over cached values):
+ *   out[c] = sum over j ascending of w[j] * rows[j*ld + c],
+ * starting from 0.0f, each step one float multiply then one float
+ * add. Every tier keeps the running sums in registers and rounds
+ * each step exactly like the scalar loop, so all tiers are bitwise
+ * equal. @pre ld >= n, @p out does not overlap @p rows or @p w
+ */
+void weightedRowSum(Tier t, float *out, const float *w,
+                    const float *rows, int64_t ld, int64_t count,
+                    int64_t n);
 
 /** y[i] -= a * x[i] (one multiply, one subtract per lane — every
  * tier rounds identically to the scalar loop). */

@@ -14,6 +14,8 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -27,6 +29,7 @@
 #include "runtime/runtime.hh"
 #include "serve/engine.hh"
 #include "tensor/arena.hh"
+#include "tensor/simd.hh"
 #include "test_util.hh"
 
 using namespace optimus;
@@ -120,6 +123,169 @@ TEST(Serve, AttentionIncrementalMatchesRecompute)
                 << "decode row " << r << " col " << c;
     }
     EXPECT_EQ(cache.len, seq);
+}
+
+/**
+ * Infer attention of every position of @p x, computed the way the
+ * serving path did before its row kernels: one dotDouble call per
+ * (query, key), std::exp softmax, and a j-ascending context loop of
+ * one multiply and one add per step. The projections reuse the
+ * layer's own parameters (their GEMM rows are batch-invariant).
+ */
+Tensor
+perKeyAttentionOracle(const MultiHeadAttention &attn, const Tensor &x)
+{
+    const std::vector<ParamPtr> p = attn.params();
+    Linear qkv(p[0], p[1]), proj(p[2], p[3]);
+    qkv.setMode(Mode::Infer);
+    proj.setMode(Mode::Infer);
+    const int64_t rows = x.rows(), h = attn.hidden();
+    const int64_t heads = attn.heads(), dh = attn.headDim();
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    const simd::Tier tier = simd::tier();
+    const Tensor qkv_out = qkv.forward(x);
+    const float *qd = qkv_out.data();
+    Tensor ctx({rows, h});
+    std::vector<float> s(static_cast<size_t>(rows));
+    for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t hd = 0; hd < heads; ++hd) {
+            const float *qrow = qd + r * 3 * h + hd * dh;
+            for (int64_t j = 0; j <= r; ++j)
+                s[j] = static_cast<float>(simd::dotDouble(
+                           tier, qrow, qd + j * 3 * h + h + hd * dh,
+                           dh)) *
+                       scale;
+            float max_val = s[0];
+            for (int64_t j = 1; j <= r; ++j)
+                max_val = s[j] > max_val ? s[j] : max_val;
+            double denom = 0.0;
+            for (int64_t j = 0; j <= r; ++j) {
+                s[j] = std::exp(s[j] - max_val);
+                denom += s[j];
+            }
+            const float inv = static_cast<float>(1.0 / denom);
+            for (int64_t j = 0; j <= r; ++j)
+                s[j] *= inv;
+            float *out = ctx.data() + r * h + hd * dh;
+            for (int64_t c = 0; c < dh; ++c)
+                out[c] = 0.0f;
+            for (int64_t j = 0; j <= r; ++j) {
+                const float *vrow = qd + j * 3 * h + 2 * h + hd * dh;
+                for (int64_t c = 0; c < dh; ++c)
+                    out[c] += s[j] * vrow[c];
+            }
+        }
+    }
+    return proj.forward(ctx);
+}
+
+/**
+ * forwardCached (a 5-row prefill, then one row per call) and a
+ * stacked two-segment forwardSegments pass per position must give
+ * perKeyAttentionOracle's bits at every position of @p x.
+ */
+void
+expectCachedMatchesOracle(MultiHeadAttention &attn, const Tensor &x,
+                          const char *label)
+{
+    const int64_t seq = x.rows(), hidden = x.cols();
+    const Tensor want = perKeyAttentionOracle(attn, x);
+    auto rowsOf = [&](int64_t r0, int64_t count) {
+        Tensor t({count, hidden});
+        std::memcpy(t.data(), x.data() + r0 * hidden,
+                    sizeof(float) * count * hidden);
+        return t;
+    };
+    auto expectRows = [&](const Tensor &got, int64_t got_row, int64_t r0,
+                          int64_t count, const char *path) {
+        ASSERT_EQ(std::memcmp(got.data() + got_row * hidden,
+                              want.data() + r0 * hidden,
+                              sizeof(float) * count * hidden),
+                  0)
+            << label << " " << path << " hidden=" << hidden << " rows "
+            << r0 << ".." << r0 + count - 1;
+    };
+
+    KvCache cache;
+    cache.ensure(seq, hidden);
+    const int64_t prefill = 5;
+    expectRows(attn.forwardCached(rowsOf(0, prefill), cache), 0, 0,
+               prefill, "forwardCached prefill");
+    for (int64_t r = prefill; r < seq; ++r)
+        expectRows(attn.forwardCached(rowsOf(r, 1), cache), 0, r, 1,
+                   "forwardCached decode");
+
+    // Segment a runs position r and segment b the same sequence one
+    // position behind, both in one pass.
+    KvCache a, b;
+    a.ensure(seq, hidden);
+    b.ensure(seq, hidden);
+    for (int64_t r = 0; r < seq; ++r) {
+        const int64_t segments = r == 0 ? 1 : 2;
+        Tensor stacked({segments, hidden});
+        std::memcpy(stacked.data(), x.data() + r * hidden,
+                    sizeof(float) * hidden);
+        if (r > 0)
+            std::memcpy(stacked.data() + hidden,
+                        x.data() + (r - 1) * hidden,
+                        sizeof(float) * hidden);
+        const KvSegment segs[2] = {{&a, 1}, {&b, 1}};
+        const Tensor y = attn.forwardSegments(
+            stacked, {segs, static_cast<size_t>(segments)}, 0);
+        expectRows(y, 0, r, 1, "forwardSegments");
+        if (r > 0)
+            expectRows(y, 1, r - 1, 1, "forwardSegments behind");
+    }
+}
+
+TEST(Serve, CachedAttentionMatchesPerKeyOracle)
+{
+    // Contexts 1..64 at head widths 12 and 16, random weights and
+    // biases.
+    const int64_t seq = 64;
+    for (const auto &[hidden, heads] :
+         {std::pair<int64_t, int64_t>{24, 2}, {32, 2}}) {
+        Rng rng(static_cast<uint64_t>(hidden));
+        MultiHeadAttention attn("attn", hidden, heads, seq, rng, 0.3f);
+        attn.setMode(Mode::Infer);
+        for (const ParamPtr &param : attn.params())
+            if (param->value.rank() == 1)
+                param->value = Tensor::randn(param->value.shape(), rng,
+                                             0.0f, 0.1f);
+        expectCachedMatchesOracle(attn, Tensor::randn({seq, hidden}, rng),
+                                  "random");
+    }
+
+    // Cancelling scores at head width 16: q = x, k = x * d and v = x
+    // (exact copies through the qkv GEMM), where within each head
+    // x[0] == x[2] ~ 2^20 and d[0] == -d[2] == 2^14. The key terms
+    // of dimensions 0 and 2 cancel exactly, and every other term
+    // lies below their double ulp, so a score's bits depend on the
+    // order in which its terms are added.
+    const int64_t hidden = 32, heads = 2, dh = hidden / heads;
+    Rng rng(99);
+    MultiHeadAttention attn("attn", hidden, heads, seq, rng);
+    attn.setMode(Mode::Infer);
+    const std::vector<ParamPtr> params = attn.params();
+    Tensor &w = params[0]->value; // [hidden x 3 hidden]
+    w.setZero();
+    params[1]->value.setZero();
+    for (int64_t i = 0; i < hidden; ++i) {
+        const int64_t c = i % dh;
+        const float d = c == 0 ? 16384.0f : c == 2 ? -16384.0f : 1.0f;
+        w.data()[i * 3 * hidden + i] = 1.0f;
+        w.data()[i * 3 * hidden + hidden + i] = d;
+        w.data()[i * 3 * hidden + 2 * hidden + i] = 1.0f;
+    }
+    Tensor x = Tensor::randn({seq, hidden}, rng);
+    for (int64_t r = 0; r < seq; ++r) {
+        for (int64_t h0 = 0; h0 < hidden; h0 += dh) {
+            float *head = x.data() + r * hidden + h0;
+            head[0] = std::ldexp(1.0f + 0.5f * std::fabs(head[0]), 20);
+            head[2] = head[0];
+        }
+    }
+    expectCachedMatchesOracle(attn, x, "cancelling");
 }
 
 TEST(Serve, EngineMatchesReferenceAcrossPipelineDepths)

@@ -9,7 +9,9 @@
  * tier; the two vector tiers are bitwise equal to each other, on
  * every kernel and on the trainer. The element-wise kernels carry
  * their own contracts: GELU within a stated bound of the Scalar
- * form, Adam bitwise equal to the historical loop at every tier.
+ * form, Adam bitwise equal to the historical loop at every tier,
+ * and the attention row kernels bitwise equal to the per-row loops
+ * they replace.
  * Run at OPTIMUS_THREADS in {1, 4, 8} plus an OPTIMUS_SIMD=scalar
  * leg via tests/CMakeLists.txt.
  */
@@ -455,6 +457,91 @@ TEST(SimdDispatch, AdamStepBitwiseEqualToScalarLoopEveryTier)
                 << simd::tierName(t) << " n=" << n;
             EXPECT_TRUE(sameBits(w, rw))
                 << simd::tierName(t) << " n=" << n;
+        }
+    }
+}
+
+/** The serve attention context loop as it stood before
+ * weightedRowSum, kept test-local: j ascending from 0.0f, one
+ * multiply and one add per step. */
+void
+weightedRowSumReference(float *out, const float *w, const float *rows,
+                        int64_t ld, int64_t count, int64_t n)
+{
+    for (int64_t c = 0; c < n; ++c)
+        out[c] = 0.0f;
+    for (int64_t j = 0; j < count; ++j) {
+        const float wj = w[j];
+        const float *row = rows + j * ld;
+        for (int64_t c = 0; c < n; ++c)
+            out[c] += wj * row[c];
+    }
+}
+
+TEST(SimdDispatch, AttentionRowKernelsBitwiseEqualPerRowLoopsEveryTier)
+{
+    // dotRowsScaled must give each tier's own per-row dotDouble bits
+    // and weightedRowSum the scalar context loop's bits, at every
+    // head width (vector blocks, 4-wide and single tails), every row
+    // count (full and short groups of four) and at a row stride
+    // wider than the row. Neither kernel may write past count or n.
+    // Dimensions 4i and 4i + 2 carry terms near 2^30 that cancel
+    // exactly (q[4i + 2] == -q[4i], the rows repeat their 4i entry
+    // at 4i + 2), and the other terms lie far below their double
+    // ulp, so a score's bits show the order its terms were added in.
+    constexpr float kGuard = -7.25f;
+    constexpr int64_t kPad = 8;
+    const float scale = 0.25f;
+    Rng rng(2027);
+    for (int64_t n : {1, 7, 12, 16, 20, 33, 64}) {
+        for (int64_t ld : {n, n + 5}) {
+            constexpr int64_t kMaxCount = 65;
+            std::vector<float> q = normals(rng, n, 3.0);
+            std::vector<float> rows = normals(rng, kMaxCount * ld);
+            for (int64_t i = 0; i + 2 < n; i += 4) {
+                q[i] = std::ldexp(q[i], 30);
+                q[i + 2] = -q[i];
+                for (int64_t j = 0; j < kMaxCount; ++j)
+                    rows[j * ld + i + 2] = rows[j * ld + i];
+            }
+            std::vector<float> w = normals(rng, kMaxCount);
+            for (float &x : w)
+                x = std::fabs(x);
+            for (simd::Tier t : supportedTiers()) {
+                for (int64_t count = 1; count <= kMaxCount; ++count) {
+                    std::vector<float> scores(count + kPad, kGuard);
+                    simd::dotRowsScaled(t, scores.data(), q.data(),
+                                        rows.data(), ld, count, n, scale);
+                    for (int64_t j = 0; j < count; ++j) {
+                        const float want =
+                            static_cast<float>(simd::dotDouble(
+                                t, q.data(), rows.data() + j * ld, n)) *
+                            scale;
+                        ASSERT_EQ(std::memcmp(&scores[j], &want,
+                                              sizeof want), 0)
+                            << simd::tierName(t) << " n=" << n
+                            << " ld=" << ld << " count=" << count
+                            << " row " << j;
+                    }
+                    for (int64_t j = count; j < count + kPad; ++j)
+                        ASSERT_EQ(scores[j], kGuard)
+                            << "dotRowsScaled wrote past count=" << count;
+
+                    std::vector<float> ctx(n + kPad, kGuard);
+                    std::vector<float> want(n);
+                    simd::weightedRowSum(t, ctx.data(), w.data(),
+                                         rows.data(), ld, count, n);
+                    weightedRowSumReference(want.data(), w.data(),
+                                            rows.data(), ld, count, n);
+                    ASSERT_EQ(std::memcmp(ctx.data(), want.data(),
+                                          sizeof(float) * n), 0)
+                        << simd::tierName(t) << " n=" << n << " ld=" << ld
+                        << " count=" << count;
+                    for (int64_t c = n; c < n + kPad; ++c)
+                        ASSERT_EQ(ctx[c], kGuard)
+                            << "weightedRowSum wrote past n=" << n;
+                }
+            }
         }
     }
 }
