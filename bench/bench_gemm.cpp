@@ -278,37 +278,41 @@ measureAttention(simd::Tier t, int64_t count, Rng &rng)
     Tensor w = Tensor::randn({count}, rng);
     std::vector<float> s(static_cast<size_t>(count));
     float out[kAttnHeadDim];
-    // Median over kLayerReps batches of about 2 ms, in ns per key.
-    auto nsPerKey = [&](auto &&call) {
-        call();
-        int64_t calls = 1;
-        auto timeBatch = [&] {
-            const double t0 = seconds();
-            for (int64_t i = 0; i < calls; ++i)
-                call();
-            return seconds() - t0;
-        };
-        while (timeBatch() < 2e-3)
-            calls *= 2;
-        std::vector<double> ns;
-        for (int r = 0; r < kLayerReps; ++r)
-            ns.push_back(timeBatch() / calls / count * 1e9);
-        g_attn_sink = g_attn_sink + out[0] + s[0];
-        return spreadOf(ns).median;
-    };
-    AttnTimes times;
-    times.scores = nsPerKey([&] {
+    const auto scores = [&] {
         simd::dotRowsScaled(t, s.data(), q.data(), keys.data(), kAttnLd,
                             count, kAttnHeadDim, 0.25f);
-    });
-    times.context = nsPerKey([&] {
+    };
+    const auto context = [&] {
         simd::weightedRowSum(t, out, w.data(), values.data(), kAttnLd,
                              count, kAttnHeadDim);
-    });
-    times.per_key = nsPerKey([&] {
+    };
+    const auto per_key = [&] {
         perKeyAttention(t, s.data(), out, q.data(), keys.data(),
                         values.data(), count);
-    });
+    };
+    int64_t calls = 1;
+    auto nsPerKey = [&](auto &&call) {
+        const double t0 = seconds();
+        for (int64_t i = 0; i < calls; ++i)
+            call();
+        return (seconds() - t0) / calls / count * 1e9;
+    };
+    // Batches of about 2 ms of the per-key loop; the three kernels
+    // alternate rep by rep, so a shift in the host's speed moves
+    // all three medians alike.
+    while (nsPerKey(per_key) * calls * count < 2e6)
+        calls *= 2;
+    std::vector<double> ns[3];
+    for (int r = 0; r < kLayerReps; ++r) {
+        ns[0].push_back(nsPerKey(scores));
+        ns[1].push_back(nsPerKey(context));
+        ns[2].push_back(nsPerKey(per_key));
+    }
+    g_attn_sink = g_attn_sink + out[0] + s[0];
+    AttnTimes times;
+    times.scores = spreadOf(ns[0]).median;
+    times.context = spreadOf(ns[1]).median;
+    times.per_key = spreadOf(ns[2]).median;
     return times;
 }
 
