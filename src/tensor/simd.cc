@@ -179,47 +179,6 @@ dotScalar(const float *x, const float *y, int64_t n)
 }
 
 void
-dotRowsScaledScalar(float *out, const float *q, const float *rows,
-                    int64_t ld, int64_t count, int64_t n, float scale)
-{
-    for (int64_t j = 0; j < count; ++j)
-        out[j] = static_cast<float>(dotScalar(q, rows + j * ld, n)) * scale;
-}
-
-/** Sixteen columns at a time in a local block the compiler keeps in
- * registers; each column still sums j-ascending from 0.0f. */
-void
-weightedRowSumScalar(float *out, const float *w, const float *rows,
-                     int64_t ld, int64_t count, int64_t n)
-{
-    constexpr int64_t kCols = 16;
-    for (int64_t c0 = 0; c0 < n; c0 += kCols) {
-        float acc[kCols] = {};
-        const float *base = rows + c0;
-        if (c0 + kCols <= n) {
-            for (int64_t j = 0; j < count; ++j) {
-                const float wj = w[j];
-                const float *row = base + j * ld;
-                for (int64_t c = 0; c < kCols; ++c)
-                    acc[c] += wj * row[c];
-            }
-            for (int64_t c = 0; c < kCols; ++c)
-                out[c0 + c] = acc[c];
-        } else {
-            const int64_t cols = n - c0;
-            for (int64_t j = 0; j < count; ++j) {
-                const float wj = w[j];
-                const float *row = base + j * ld;
-                for (int64_t c = 0; c < cols; ++c)
-                    acc[c] += wj * row[c];
-            }
-            for (int64_t c = 0; c < cols; ++c)
-                out[c0 + c] = acc[c];
-        }
-    }
-}
-
-void
 subScaledScalar(float *y, const float *x, float a, int64_t n)
 {
     for (int64_t i = 0; i < n; ++i)
@@ -340,6 +299,47 @@ adamScalar(float *m, float *v, float *w, const float *g, int64_t n,
     }
 }
 
+void
+dotRowsScaledScalar(float *out, const float *q, const float *rows,
+                    int64_t ld, int64_t count, int64_t n, float scale)
+{
+    for (int64_t j = 0; j < count; ++j)
+        out[j] = static_cast<float>(dotScalar(q, rows + j * ld, n)) * scale;
+}
+
+/** Sixteen columns at a time in a local block the compiler keeps in
+ * registers; each column still sums j-ascending from 0.0f. */
+void
+weightedRowSumScalar(float *out, const float *w, const float *rows,
+                     int64_t ld, int64_t count, int64_t n)
+{
+    constexpr int64_t kCols = 16;
+    for (int64_t c0 = 0; c0 < n; c0 += kCols) {
+        float acc[kCols] = {};
+        const float *base = rows + c0;
+        if (c0 + kCols <= n) {
+            for (int64_t j = 0; j < count; ++j) {
+                const float wj = w[j];
+                const float *row = base + j * ld;
+                for (int64_t c = 0; c < kCols; ++c)
+                    acc[c] += wj * row[c];
+            }
+            for (int64_t c = 0; c < kCols; ++c)
+                out[c0 + c] = acc[c];
+        } else {
+            const int64_t cols = n - c0;
+            for (int64_t j = 0; j < count; ++j) {
+                const float wj = w[j];
+                const float *row = base + j * ld;
+                for (int64_t c = 0; c < cols; ++c)
+                    acc[c] += wj * row[c];
+            }
+            for (int64_t c = 0; c < cols; ++c)
+                out[c0 + c] = acc[c];
+        }
+    }
+}
+
 #if OPTIMUS_SIMD_X86
 
 /*
@@ -370,15 +370,6 @@ constexpr float kExpP5 = 5.0000001201e-1f;
 // AVX2 kernels (8 floats / 4 doubles per register)
 // ----------------------------------------------------------------
 
-/** Lane mask selecting the first @p rem (0 < rem < 8) lanes. */
-OPTIMUS_TARGET_AVX2 inline __m256i
-tailMaskAvx2(int64_t rem)
-{
-    return _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(static_cast<int>(rem)),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
 OPTIMUS_TARGET_AVX2 double
 dotAvx2(const float *x, const float *y, int64_t n)
 {
@@ -407,142 +398,6 @@ dotAvx2(const float *x, const float *y, int64_t n)
     for (; i < n; ++i)
         s += static_cast<double>(x[i]) * y[i];
     return s;
-}
-
-/**
- * dotAvx2's 16-element blocks for two rows at once, sharing one
- * conversion of q: each row keeps its own four accumulators, and the
- * result is their lanewise (acc0 + acc1) + (acc2 + acc3), the
- * register dotAvx2 hands to hsum4d.
- */
-OPTIMUS_TARGET_AVX2 inline void
-dotBlocksPairAvx2(const float *q, const float *ra, const float *rb,
-                  int64_t len, __m256d &va, __m256d &vb)
-{
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    __m256d b0 = _mm256_setzero_pd();
-    __m256d b1 = _mm256_setzero_pd();
-    __m256d b2 = _mm256_setzero_pd();
-    __m256d b3 = _mm256_setzero_pd();
-    for (int64_t i = 0; i < len; i += 16) {
-        const __m256d q0 = _mm256_cvtps_pd(_mm_loadu_ps(q + i));
-        const __m256d q1 = _mm256_cvtps_pd(_mm_loadu_ps(q + i + 4));
-        const __m256d q2 = _mm256_cvtps_pd(_mm_loadu_ps(q + i + 8));
-        const __m256d q3 = _mm256_cvtps_pd(_mm_loadu_ps(q + i + 12));
-        a0 = _mm256_fmadd_pd(q0, _mm256_cvtps_pd(_mm_loadu_ps(ra + i)), a0);
-        a1 = _mm256_fmadd_pd(q1, _mm256_cvtps_pd(_mm_loadu_ps(ra + i + 4)),
-                             a1);
-        a2 = _mm256_fmadd_pd(q2, _mm256_cvtps_pd(_mm_loadu_ps(ra + i + 8)),
-                             a2);
-        a3 = _mm256_fmadd_pd(q3,
-                             _mm256_cvtps_pd(_mm_loadu_ps(ra + i + 12)), a3);
-        b0 = _mm256_fmadd_pd(q0, _mm256_cvtps_pd(_mm_loadu_ps(rb + i)), b0);
-        b1 = _mm256_fmadd_pd(q1, _mm256_cvtps_pd(_mm_loadu_ps(rb + i + 4)),
-                             b1);
-        b2 = _mm256_fmadd_pd(q2, _mm256_cvtps_pd(_mm_loadu_ps(rb + i + 8)),
-                             b2);
-        b3 = _mm256_fmadd_pd(q3,
-                             _mm256_cvtps_pd(_mm_loadu_ps(rb + i + 12)), b3);
-    }
-    va = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-    vb = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
-}
-
-/**
- * Four rows per group, one row per double lane. The block part is
- * dotBlocksPairAvx2; two hadds and a 128-bit swap then form every
- * lane's (l0 + l1) + (l2 + l3) exactly as hsum4d does, and the tail
- * elements are added to all four lanes in element order, as dotAvx2
- * adds them to its scalar sum. Products of two floats are exact in
- * double, so each step rounds once, like dotAvx2's. A short last
- * group repeats its final row in the spare lanes and stores only
- * the live ones.
- */
-OPTIMUS_TARGET_AVX2 void
-dotRowsScaledAvx2(float *out, const float *q, const float *rows,
-                  int64_t ld, int64_t count, int64_t n, float scale)
-{
-    const int64_t blocks = n - n % 16;
-    const __m128 sv = _mm_set1_ps(scale);
-    for (int64_t j = 0; j < count; j += 4) {
-        const int64_t live = count - j < 4 ? count - j : 4;
-        const float *r[4];
-        for (int64_t l = 0; l < 4; ++l)
-            r[l] = rows + (j + (l < live ? l : live - 1)) * ld;
-        __m256d v0, v1, v2, v3;
-        dotBlocksPairAvx2(q, r[0], r[1], blocks, v0, v1);
-        dotBlocksPairAvx2(q, r[2], r[3], blocks, v2, v3);
-        const __m256d h01 = _mm256_hadd_pd(v0, v1);
-        const __m256d h23 = _mm256_hadd_pd(v2, v3);
-        __m256d s = _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
-                                  _mm256_permute2f128_pd(h01, h23, 0x31));
-        for (int64_t i = blocks; i < n; ++i) {
-            const __m128 c =
-                _mm_setr_ps(r[0][i], r[1][i], r[2][i], r[3][i]);
-            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(q[i]),
-                                               _mm256_cvtps_pd(c)));
-        }
-        const __m128 o = _mm_mul_ps(_mm256_cvtpd_ps(s), sv);
-        if (live == 4) {
-            _mm_storeu_ps(out + j, o);
-        } else {
-            alignas(16) float lanes[4];
-            _mm_store_ps(lanes, o);
-            for (int64_t l = 0; l < live; ++l)
-                out[j + l] = lanes[l];
-        }
-    }
-}
-
-/**
- * weightedRowSum over R full registers of columns: the running sums
- * stay in registers for the whole j loop, and each step is a
- * separate multiply and add (this file is built with
- * -ffp-contract=off, so the compiler does not fuse them).
- */
-template <int R>
-OPTIMUS_TARGET_AVX2 inline void
-weightedColsAvx2(float *out, const float *w, const float *rows,
-                 int64_t ld, int64_t count)
-{
-    __m256 acc[R];
-    for (int r = 0; r < R; ++r)
-        acc[r] = _mm256_setzero_ps();
-    for (int64_t j = 0; j < count; ++j) {
-        const __m256 wj = _mm256_set1_ps(w[j]);
-        const float *row = rows + j * ld;
-        for (int r = 0; r < R; ++r)
-            acc[r] = _mm256_add_ps(
-                acc[r], _mm256_mul_ps(wj, _mm256_loadu_ps(row + 8 * r)));
-    }
-    for (int r = 0; r < R; ++r)
-        _mm256_storeu_ps(out + 8 * r, acc[r]);
-}
-
-OPTIMUS_TARGET_AVX2 void
-weightedRowSumAvx2(float *out, const float *w, const float *rows,
-                   int64_t ld, int64_t count, int64_t n)
-{
-    int64_t c = 0;
-    for (; c + 16 <= n; c += 16)
-        weightedColsAvx2<2>(out + c, w, rows + c, ld, count);
-    if (c + 8 <= n) {
-        weightedColsAvx2<1>(out + c, w, rows + c, ld, count);
-        c += 8;
-    }
-    if (c < n) {
-        const __m256i mask = tailMaskAvx2(n - c);
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t j = 0; j < count; ++j)
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(_mm256_set1_ps(w[j]),
-                                   _mm256_maskload_ps(rows + j * ld + c,
-                                                      mask)));
-        _mm256_maskstore_ps(out + c, mask, acc);
-    }
 }
 
 OPTIMUS_TARGET_AVX2 void
@@ -778,6 +633,15 @@ geluBackwardLanesAvx2(__m256 dy, __m256 x)
     return _mm256_mul_ps(dy, d);
 }
 
+/** Lane mask selecting the first @p rem (0 < rem < 8) lanes. */
+OPTIMUS_TARGET_AVX2 inline __m256i
+tailMaskAvx2(int64_t rem)
+{
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(rem)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 OPTIMUS_TARGET_AVX2 void
 geluForwardAvx2(float *y, const float *x, int64_t n)
 {
@@ -839,6 +703,142 @@ adamAvx2(float *m, float *v, float *w, const float *g, int64_t n,
     }
     adamScalar(m + j, v + j, w + j, g + j, n - j, beta1, beta2, eps,
                alpha);
+}
+
+/**
+ * dotAvx2's 16-element blocks for two rows at once, sharing one
+ * conversion of q: each row keeps its own four accumulators, and the
+ * result is their lanewise (acc0 + acc1) + (acc2 + acc3), the
+ * register dotAvx2 hands to hsum4d.
+ */
+OPTIMUS_TARGET_AVX2 inline void
+dotBlocksPairAvx2(const float *q, const float *ra, const float *rb,
+                  int64_t len, __m256d &va, __m256d &vb)
+{
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    __m256d b0 = _mm256_setzero_pd();
+    __m256d b1 = _mm256_setzero_pd();
+    __m256d b2 = _mm256_setzero_pd();
+    __m256d b3 = _mm256_setzero_pd();
+    for (int64_t i = 0; i < len; i += 16) {
+        const __m256d q0 = _mm256_cvtps_pd(_mm_loadu_ps(q + i));
+        const __m256d q1 = _mm256_cvtps_pd(_mm_loadu_ps(q + i + 4));
+        const __m256d q2 = _mm256_cvtps_pd(_mm_loadu_ps(q + i + 8));
+        const __m256d q3 = _mm256_cvtps_pd(_mm_loadu_ps(q + i + 12));
+        a0 = _mm256_fmadd_pd(q0, _mm256_cvtps_pd(_mm_loadu_ps(ra + i)), a0);
+        a1 = _mm256_fmadd_pd(q1, _mm256_cvtps_pd(_mm_loadu_ps(ra + i + 4)),
+                             a1);
+        a2 = _mm256_fmadd_pd(q2, _mm256_cvtps_pd(_mm_loadu_ps(ra + i + 8)),
+                             a2);
+        a3 = _mm256_fmadd_pd(q3,
+                             _mm256_cvtps_pd(_mm_loadu_ps(ra + i + 12)), a3);
+        b0 = _mm256_fmadd_pd(q0, _mm256_cvtps_pd(_mm_loadu_ps(rb + i)), b0);
+        b1 = _mm256_fmadd_pd(q1, _mm256_cvtps_pd(_mm_loadu_ps(rb + i + 4)),
+                             b1);
+        b2 = _mm256_fmadd_pd(q2, _mm256_cvtps_pd(_mm_loadu_ps(rb + i + 8)),
+                             b2);
+        b3 = _mm256_fmadd_pd(q3,
+                             _mm256_cvtps_pd(_mm_loadu_ps(rb + i + 12)), b3);
+    }
+    va = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+    vb = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
+}
+
+/**
+ * Four rows per group, one row per double lane. The block part is
+ * dotBlocksPairAvx2; two hadds and a 128-bit swap then form every
+ * lane's (l0 + l1) + (l2 + l3) exactly as hsum4d does, and the tail
+ * elements are added to all four lanes in element order, as dotAvx2
+ * adds them to its scalar sum. Products of two floats are exact in
+ * double, so each step rounds once, like dotAvx2's. A short last
+ * group repeats its final row in the spare lanes and stores only
+ * the live ones.
+ */
+OPTIMUS_TARGET_AVX2 void
+dotRowsScaledAvx2(float *out, const float *q, const float *rows,
+                  int64_t ld, int64_t count, int64_t n, float scale)
+{
+    const int64_t blocks = n - n % 16;
+    const __m128 sv = _mm_set1_ps(scale);
+    for (int64_t j = 0; j < count; j += 4) {
+        const int64_t live = count - j < 4 ? count - j : 4;
+        const float *r[4];
+        for (int64_t l = 0; l < 4; ++l)
+            r[l] = rows + (j + (l < live ? l : live - 1)) * ld;
+        __m256d v0, v1, v2, v3;
+        dotBlocksPairAvx2(q, r[0], r[1], blocks, v0, v1);
+        dotBlocksPairAvx2(q, r[2], r[3], blocks, v2, v3);
+        const __m256d h01 = _mm256_hadd_pd(v0, v1);
+        const __m256d h23 = _mm256_hadd_pd(v2, v3);
+        __m256d s = _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                                  _mm256_permute2f128_pd(h01, h23, 0x31));
+        for (int64_t i = blocks; i < n; ++i) {
+            const __m128 c =
+                _mm_setr_ps(r[0][i], r[1][i], r[2][i], r[3][i]);
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(q[i]),
+                                               _mm256_cvtps_pd(c)));
+        }
+        const __m128 o = _mm_mul_ps(_mm256_cvtpd_ps(s), sv);
+        if (live == 4) {
+            _mm_storeu_ps(out + j, o);
+        } else {
+            alignas(16) float lanes[4];
+            _mm_store_ps(lanes, o);
+            for (int64_t l = 0; l < live; ++l)
+                out[j + l] = lanes[l];
+        }
+    }
+}
+
+/**
+ * weightedRowSum over R full registers of columns: the running sums
+ * stay in registers for the whole j loop, and each step is a
+ * separate multiply and add (this file is built with
+ * -ffp-contract=off, so the compiler does not fuse them).
+ */
+template <int R>
+OPTIMUS_TARGET_AVX2 inline void
+weightedColsAvx2(float *out, const float *w, const float *rows,
+                 int64_t ld, int64_t count)
+{
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r)
+        acc[r] = _mm256_setzero_ps();
+    for (int64_t j = 0; j < count; ++j) {
+        const __m256 wj = _mm256_set1_ps(w[j]);
+        const float *row = rows + j * ld;
+        for (int r = 0; r < R; ++r)
+            acc[r] = _mm256_add_ps(
+                acc[r], _mm256_mul_ps(wj, _mm256_loadu_ps(row + 8 * r)));
+    }
+    for (int r = 0; r < R; ++r)
+        _mm256_storeu_ps(out + 8 * r, acc[r]);
+}
+
+OPTIMUS_TARGET_AVX2 void
+weightedRowSumAvx2(float *out, const float *w, const float *rows,
+                   int64_t ld, int64_t count, int64_t n)
+{
+    int64_t c = 0;
+    for (; c + 16 <= n; c += 16)
+        weightedColsAvx2<2>(out + c, w, rows + c, ld, count);
+    if (c + 8 <= n) {
+        weightedColsAvx2<1>(out + c, w, rows + c, ld, count);
+        c += 8;
+    }
+    if (c < n) {
+        const __m256i mask = tailMaskAvx2(n - c);
+        __m256 acc = _mm256_setzero_ps();
+        for (int64_t j = 0; j < count; ++j)
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(_mm256_set1_ps(w[j]),
+                                   _mm256_maskload_ps(rows + j * ld + c,
+                                                      mask)));
+        _mm256_maskstore_ps(out + c, mask, acc);
+    }
 }
 
 #endif // OPTIMUS_SIMD_X86
