@@ -8,6 +8,7 @@
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 #include "simnet/cost_model.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -84,7 +85,8 @@ forEachSegmentRange(const CommGroup &group, int64_t work_per_elem,
  * accumulates its per-rank values in rank order in double and the
  * scaled float result is written back to every rank — the exact
  * arithmetic of the legacy parallel/ combine() and bucket kernels,
- * so results are bitwise identical to them at any OPTIMUS_THREADS.
+ * so results are bitwise identical to them at any OPTIMUS_THREADS
+ * and SIMD tier (simd::combineRanks runs elements in lanes).
  * Over one rank the reduce is the identity, so the buffer is left as
  * it is (the double round trip would only turn a -0 into +0).
  */
@@ -98,17 +100,11 @@ combineGroup(const CommGroup &group, ReduceOp op)
     const int ranks = group.ranks;
     const double scale =
         op == ReduceOp::Mean ? 1.0 / static_cast<double>(ranks) : 1.0;
+    const simd::Tier tier = simd::tier();
     forEachSegmentRange(group, 8 * ranks,
                         [&](const std::vector<float *> &ptrs,
                             int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-            double acc = 0.0;
-            for (int d = 0; d < ranks; ++d)
-                acc += ptrs[d][k];
-            const float v = static_cast<float>(acc * scale);
-            for (int d = 0; d < ranks; ++d)
-                ptrs[d][k] = v;
-        }
+        simd::combineRanks(tier, ptrs.data(), ranks, k0, k1, scale);
     });
 }
 

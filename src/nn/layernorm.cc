@@ -1,8 +1,7 @@
 #include "nn/layernorm.hh"
 
-#include <cmath>
-
 #include "runtime/runtime.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -51,6 +50,7 @@ LayerNorm::forward(const Tensor &x)
     const float *g = gamma_->value.data();
     const float *b = beta_->value.data();
     float *yd = y.data();
+    const simd::Tier tier = simd::tier();
 
     // Rows are independent (each owns its statistics and output
     // slice), so normalization parallelizes with bitwise-identical
@@ -58,35 +58,10 @@ LayerNorm::forward(const Tensor &x)
     // Its serial double sums make an element cost ~128 multiply-adds.
     parallelFor(0, rows, grainForWork(128 * f),
                 [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const float *row = xd + i * f;
-            double sum = 0.0;
-            for (int64_t j = 0; j < f; ++j)
-                sum += row[j];
-            const float mu = static_cast<float>(sum / f);
-            double var = 0.0;
-            for (int64_t j = 0; j < f; ++j) {
-                const float d = row[j] - mu;
-                var += static_cast<double>(d) * d;
-            }
-            const float inv_std = 1.0f /
-                std::sqrt(static_cast<float>(var / f) + eps_);
-            // Two copies of the output sweep keep the stash test out
-            // of the vectorized inner loop.
-            if (nd != nullptr) {
-                inv_std_out[i] = inv_std;
-                for (int64_t j = 0; j < f; ++j) {
-                    const float xn = (row[j] - mu) * inv_std;
-                    nd[i * f + j] = xn;
-                    yd[i * f + j] = g[j] * xn + b[j];
-                }
-            } else {
-                for (int64_t j = 0; j < f; ++j) {
-                    const float xn = (row[j] - mu) * inv_std;
-                    yd[i * f + j] = g[j] * xn + b[j];
-                }
-            }
-        }
+        simd::layerNormForward(tier, yd + lo * f,
+                               nd ? nd + lo * f : nullptr,
+                               inv_std_out ? inv_std_out + lo : nullptr,
+                               xd + lo * f, g, b, f, hi - lo, f, eps_);
     });
     return y;
 }
@@ -106,8 +81,6 @@ LayerNorm::backward(const Tensor &dy)
     const float *dyd = dy.data();
     const float *nd = st.normalized.data();
     const float *g = gamma_->value.data();
-    float *dgd = gamma_->grad.data();
-    float *dbd = beta_->grad.data();
     float *dxd = dx.data();
 
     // dx rows are independent and parallelize; the dgamma/dbeta
@@ -115,43 +88,15 @@ LayerNorm::backward(const Tensor &dy)
     // serial sweep in row order — any parallel split would change
     // the float addition order with the thread count. An element
     // costs ~128 multiply-adds, as in the forward.
+    const simd::Tier tier = simd::tier();
     parallelFor(0, rows, grainForWork(128 * f),
                 [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const float *dyr = dyd + i * f;
-            const float *nr = nd + i * f;
-            float *dxr = dxd + i * f;
-            // dl/dx_hat = dy * gamma; need its row mean and its
-            // x_hat-weighted row mean for the normalization
-            // backward.
-            double sum_dxhat = 0.0;
-            double sum_dxhat_xhat = 0.0;
-            for (int64_t j = 0; j < f; ++j) {
-                const float dxhat = dyr[j] * g[j];
-                sum_dxhat += dxhat;
-                sum_dxhat_xhat +=
-                    static_cast<double>(dxhat) * nr[j];
-            }
-            const float mean_dxhat =
-                static_cast<float>(sum_dxhat / f);
-            const float mean_dxhat_xhat =
-                static_cast<float>(sum_dxhat_xhat / f);
-            const float inv_std = st.invStd[i];
-            for (int64_t j = 0; j < f; ++j) {
-                const float dxhat = dyr[j] * g[j];
-                dxr[j] = inv_std *
-                    (dxhat - mean_dxhat - nr[j] * mean_dxhat_xhat);
-            }
-        }
+        simd::layerNormBackward(tier, dxd + lo * f, dyd + lo * f,
+                                nd + lo * f, st.invStd.data() + lo, g, f,
+                                hi - lo, f);
     });
-    for (int64_t i = 0; i < rows; ++i) {
-        const float *dyr = dyd + i * f;
-        const float *nr = nd + i * f;
-        for (int64_t j = 0; j < f; ++j) {
-            dgd[j] += dyr[j] * nr[j];
-            dbd[j] += dyr[j];
-        }
-    }
+    simd::layerNormParamGrads(tier, gamma_->grad.data(),
+                              beta_->grad.data(), dyd, nd, f, rows, f);
     stash_.popFront();
     return dx;
 }

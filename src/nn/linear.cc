@@ -1,6 +1,7 @@
 #include "nn/linear.hh"
 
 #include "tensor/matmul.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -31,14 +32,8 @@ Linear::forward(const Tensor &x)
 {
     OPTIMUS_ASSERT(x.rank() == 2 && x.cols() == inFeatures());
     Tensor y = matmul(x, weight_->value);
-    const int64_t rows = y.rows();
-    const int64_t out = y.cols();
-    const float *b = bias_->value.data();
-    float *yd = y.data();
-    for (int64_t i = 0; i < rows; ++i) {
-        for (int64_t j = 0; j < out; ++j)
-            yd[i * out + j] += b[j];
-    }
+    simd::addRowBias(simd::tier(), y.data(), bias_->value.data(), y.cols(),
+                     y.rows(), y.cols());
     if (mode() == Mode::Train)
         stash_.pushSlot() = x;
     return y;
@@ -56,14 +51,8 @@ Linear::backward(const Tensor &dy)
 
     // dW += X^T * dY;  db += column sums of dY;  dX = dY * W^T.
     matmulAccTN(weight_->grad, x, dy);
-    const int64_t rows = dy.rows();
-    const int64_t out = dy.cols();
-    const float *dyd = dy.data();
-    float *dbd = bias_->grad.data();
-    for (int64_t i = 0; i < rows; ++i) {
-        for (int64_t j = 0; j < out; ++j)
-            dbd[j] += dyd[i * out + j];
-    }
+    simd::addColSums(simd::tier(), bias_->grad.data(), dy.data(), dy.cols(),
+                     dy.rows(), dy.cols());
     Tensor dx = matmulNT(dy, weight_->value);
     stash_.popFront();
     return dx;

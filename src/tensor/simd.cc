@@ -340,6 +340,137 @@ weightedRowSumScalar(float *out, const float *w, const float *rows,
     }
 }
 
+
+void
+combineRanksScalar(float *const *bufs, int ranks, int64_t begin,
+                   int64_t end, double scale)
+{
+    for (int64_t k = begin; k < end; ++k) {
+        double acc = 0.0;
+        for (int d = 0; d < ranks; ++d)
+            acc += bufs[d][k];
+        const float v = static_cast<float>(acc * scale);
+        for (int d = 0; d < ranks; ++d)
+            bufs[d][k] = v;
+    }
+}
+
+void
+addValsScalar(float *dst, const float *a, const float *b, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i)
+        dst[i] = a[i] + b[i];
+}
+
+void
+subValsScalar(float *dst, const float *a, const float *b, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i)
+        dst[i] = a[i] - b[i];
+}
+
+void
+addRowBiasScalar(float *y, const float *bias, int64_t ld, int64_t rows,
+                 int64_t n)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < n; ++j)
+            y[i * ld + j] += bias[j];
+    }
+}
+
+void
+addColSumsScalar(float *acc, const float *x, int64_t ld, int64_t rows,
+                 int64_t n)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < n; ++j)
+            acc[j] += x[i * ld + j];
+    }
+}
+
+void
+layerNormForwardScalar(float *y, float *xhat, float *inv_std,
+                       const float *x, const float *g, const float *b,
+                       int64_t ld, int64_t rows, int64_t n, float eps)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = x + i * ld;
+        double sum = 0.0;
+        for (int64_t j = 0; j < n; ++j)
+            sum += row[j];
+        const float mu = static_cast<float>(sum / n);
+        double var = 0.0;
+        for (int64_t j = 0; j < n; ++j) {
+            const float d = row[j] - mu;
+            var += static_cast<double>(d) * d;
+        }
+        const float inv =
+            1.0f / std::sqrt(static_cast<float>(var / n) + eps);
+        float *yr = y + i * ld;
+        // Two copies of the output sweep keep the stash test out of
+        // the inner loop.
+        if (xhat != nullptr) {
+            inv_std[i] = inv;
+            float *nr = xhat + i * ld;
+            for (int64_t j = 0; j < n; ++j) {
+                const float xn = (row[j] - mu) * inv;
+                nr[j] = xn;
+                yr[j] = g[j] * xn + b[j];
+            }
+        } else {
+            for (int64_t j = 0; j < n; ++j) {
+                const float xn = (row[j] - mu) * inv;
+                yr[j] = g[j] * xn + b[j];
+            }
+        }
+    }
+}
+
+void
+layerNormBackwardScalar(float *dx, const float *dy, const float *xhat,
+                        const float *inv_std, const float *g,
+                        int64_t ld, int64_t rows, int64_t n)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *dyr = dy + i * ld;
+        const float *nr = xhat + i * ld;
+        float *dxr = dx + i * ld;
+        // dl/dx_hat = dy * gamma; need its row mean and its
+        // x_hat-weighted row mean for the normalization backward.
+        double sum_dxhat = 0.0;
+        double sum_dxhat_xhat = 0.0;
+        for (int64_t j = 0; j < n; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += static_cast<double>(dxhat) * nr[j];
+        }
+        const float mean_dxhat = static_cast<float>(sum_dxhat / n);
+        const float mean_dxhat_xhat =
+            static_cast<float>(sum_dxhat_xhat / n);
+        const float inv = inv_std[i];
+        for (int64_t j = 0; j < n; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            dxr[j] = inv * (dxhat - mean_dxhat - nr[j] * mean_dxhat_xhat);
+        }
+    }
+}
+
+void
+layerNormParamGradsScalar(float *dgamma, float *dbeta, const float *dy,
+                          const float *xhat, int64_t ld, int64_t rows,
+                          int64_t n)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *dyr = dy + i * ld;
+        const float *nr = xhat + i * ld;
+        for (int64_t j = 0; j < n; ++j) {
+            dgamma[j] += dyr[j] * nr[j];
+            dbeta[j] += dyr[j];
+        }
+    }
+}
+
 #if OPTIMUS_SIMD_X86
 
 /*
@@ -841,6 +972,395 @@ weightedRowSumAvx2(float *out, const float *w, const float *rows,
     }
 }
 
+
+OPTIMUS_TARGET_AVX2 void
+combineRanksAvx2(float *const *bufs, int ranks, int64_t begin,
+                 int64_t end, double scale)
+{
+    const __m256d sv = _mm256_set1_pd(scale);
+    int64_t k = begin;
+    for (; k + 8 <= end; k += 8) {
+        __m256d lo = _mm256_setzero_pd();
+        __m256d hi = _mm256_setzero_pd();
+        for (int d = 0; d < ranks; ++d) {
+            lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm_loadu_ps(bufs[d] + k)));
+            hi = _mm256_add_pd(
+                hi, _mm256_cvtps_pd(_mm_loadu_ps(bufs[d] + k + 4)));
+        }
+        const __m256 v =
+            _mm256_set_m128(_mm256_cvtpd_ps(_mm256_mul_pd(hi, sv)),
+                            _mm256_cvtpd_ps(_mm256_mul_pd(lo, sv)));
+        for (int d = 0; d < ranks; ++d)
+            _mm256_storeu_ps(bufs[d] + k, v);
+    }
+    combineRanksScalar(bufs, ranks, k, end, scale);
+}
+
+OPTIMUS_TARGET_AVX2 void
+addValsAvx2(float *dst, const float *a, const float *b, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
+                                                _mm256_loadu_ps(b + i)));
+    addValsScalar(dst + i, a + i, b + i, n - i);
+}
+
+OPTIMUS_TARGET_AVX2 void
+subValsAvx2(float *dst, const float *a, const float *b, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(dst + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
+                                                _mm256_loadu_ps(b + i)));
+    subValsScalar(dst + i, a + i, b + i, n - i);
+}
+
+OPTIMUS_TARGET_AVX2 void
+addRowBiasAvx2(float *y, const float *bias, int64_t ld, int64_t rows,
+               int64_t n)
+{
+    const int64_t blocks = n - n % 8;
+    for (int64_t i = 0; i < rows; ++i) {
+        float *yr = y + i * ld;
+        for (int64_t j = 0; j < blocks; j += 8)
+            _mm256_storeu_ps(yr + j, _mm256_add_ps(_mm256_loadu_ps(yr + j),
+                                                   _mm256_loadu_ps(bias + j)));
+        for (int64_t j = blocks; j < n; ++j)
+            yr[j] += bias[j];
+    }
+}
+
+/** addColSums over R full registers of columns, kept in registers
+ * while the rows are added in order. */
+template <int R>
+OPTIMUS_TARGET_AVX2 inline void
+colSumsAvx2(float *acc, const float *x, int64_t ld, int64_t rows)
+{
+    __m256 s[R];
+    for (int r = 0; r < R; ++r)
+        s[r] = _mm256_loadu_ps(acc + 8 * r);
+    for (int64_t i = 0; i < rows; ++i)
+        for (int r = 0; r < R; ++r)
+            s[r] = _mm256_add_ps(s[r], _mm256_loadu_ps(x + i * ld + 8 * r));
+    for (int r = 0; r < R; ++r)
+        _mm256_storeu_ps(acc + 8 * r, s[r]);
+}
+
+OPTIMUS_TARGET_AVX2 void
+addColSumsAvx2(float *acc, const float *x, int64_t ld, int64_t rows,
+               int64_t n)
+{
+    int64_t j = 0;
+    for (; j + 32 <= n; j += 32)
+        colSumsAvx2<4>(acc + j, x + j, ld, rows);
+    for (; j + 8 <= n; j += 8)
+        colSumsAvx2<1>(acc + j, x + j, ld, rows);
+    addColSumsScalar(acc + j, x + j, ld, rows, n - j);
+}
+
+/**
+ * The columns of a 4 x 8 block (rows a0..a3): c[k] holds column k
+ * of the four rows in its low half and column k + 4 in its high
+ * half, one row per lane.
+ */
+OPTIMUS_TARGET_AVX2 inline void
+transpose4x8(__m256 a0, __m256 a1, __m256 a2, __m256 a3, __m256 c[4])
+{
+    const __m256 t0 = _mm256_unpacklo_ps(a0, a1);
+    const __m256 t1 = _mm256_unpackhi_ps(a0, a1);
+    const __m256 t2 = _mm256_unpacklo_ps(a2, a3);
+    const __m256 t3 = _mm256_unpackhi_ps(a2, a3);
+    c[0] = _mm256_shuffle_ps(t0, t2, 0x44);
+    c[1] = _mm256_shuffle_ps(t0, t2, 0xee);
+    c[2] = _mm256_shuffle_ps(t1, t3, 0x44);
+    c[3] = _mm256_shuffle_ps(t1, t3, 0xee);
+}
+
+/** Column k (0 <= k < 8) of a transpose4x8 result, one row per lane. */
+OPTIMUS_TARGET_AVX2 inline __m128
+column4x8(const __m256 c[4], int k)
+{
+    return k < 4 ? _mm256_castps256_ps128(c[k])
+                 : _mm256_extractf128_ps(c[k - 4], 1);
+}
+
+/** Column @p j of four rows, one row per lane. */
+OPTIMUS_TARGET_AVX2 inline __m128
+gather4(const float *const *r, int64_t j)
+{
+    return _mm_setr_ps(r[0][j], r[1][j], r[2][j], r[3][j]);
+}
+
+/** 4 x 8 block at column @p j of the four rows @p r, transposed. */
+OPTIMUS_TARGET_AVX2 inline void
+loadColumns4x8(const float *const *r, int64_t j, __m256 c[4])
+{
+    transpose4x8(_mm256_loadu_ps(r[0] + j), _mm256_loadu_ps(r[1] + j),
+                 _mm256_loadu_ps(r[2] + j), _mm256_loadu_ps(r[3] + j), c);
+}
+
+/**
+ * LayerNorm row statistics of 4R rows, one row per double lane: the
+ * sum and the squared-deviation sum each run one chain per row in
+ * element order, exactly the scalar loop's, and R groups of four rows
+ * run side by side. Writes mu and inv for the 4R lanes.
+ */
+template <int R>
+OPTIMUS_TARGET_AVX2 inline void
+layerNormStatsAvx2(const float *const *r, int64_t n, float eps,
+                   float *mu, float *inv)
+{
+    const int64_t blocks = n - n % 8;
+    const __m256d nv = _mm256_set1_pd(static_cast<double>(n));
+    __m256d s[R];
+    for (int g = 0; g < R; ++g)
+        s[g] = _mm256_setzero_pd();
+    for (int64_t j = 0; j < blocks; j += 8)
+        for (int g = 0; g < R; ++g) {
+            __m256 c[4];
+            loadColumns4x8(r + 4 * g, j, c);
+            for (int k = 0; k < 8; ++k)
+                s[g] = _mm256_add_pd(s[g], _mm256_cvtps_pd(column4x8(c, k)));
+        }
+    for (int64_t j = blocks; j < n; ++j)
+        for (int g = 0; g < R; ++g)
+            s[g] = _mm256_add_pd(s[g], _mm256_cvtps_pd(gather4(r + 4 * g, j)));
+    __m128 m[R];
+    __m256d v[R];
+    for (int g = 0; g < R; ++g) {
+        m[g] = _mm256_cvtpd_ps(_mm256_div_pd(s[g], nv));
+        v[g] = _mm256_setzero_pd();
+    }
+    for (int64_t j = 0; j < blocks; j += 8)
+        for (int g = 0; g < R; ++g) {
+            __m256 c[4];
+            loadColumns4x8(r + 4 * g, j, c);
+            for (int k = 0; k < 8; ++k) {
+                const __m256d d =
+                    _mm256_cvtps_pd(_mm_sub_ps(column4x8(c, k), m[g]));
+                v[g] = _mm256_add_pd(v[g], _mm256_mul_pd(d, d));
+            }
+        }
+    for (int64_t j = blocks; j < n; ++j)
+        for (int g = 0; g < R; ++g) {
+            const __m256d d =
+                _mm256_cvtps_pd(_mm_sub_ps(gather4(r + 4 * g, j), m[g]));
+            v[g] = _mm256_add_pd(v[g], _mm256_mul_pd(d, d));
+        }
+    for (int g = 0; g < R; ++g) {
+        const __m128 var = _mm256_cvtpd_ps(_mm256_div_pd(v[g], nv));
+        _mm_storeu_ps(mu + 4 * g, m[g]);
+        _mm_storeu_ps(inv + 4 * g,
+                      _mm_div_ps(_mm_set1_ps(1.0f),
+                                 _mm_sqrt_ps(_mm_add_ps(var, _mm_set1_ps(eps)))));
+    }
+}
+
+/** One row's normalize/affine sweep, 8 columns per register. */
+OPTIMUS_TARGET_AVX2 inline void
+layerNormRowAvx2(float *yr, float *nr, const float *xr, const float *g,
+                 const float *b, int64_t n, float mu, float inv)
+{
+    const __m256 mv = _mm256_set1_ps(mu);
+    const __m256 iv = _mm256_set1_ps(inv);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256 xn =
+            _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(xr + j), mv), iv);
+        if (nr != nullptr)
+            _mm256_storeu_ps(nr + j, xn);
+        _mm256_storeu_ps(yr + j,
+                         _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(g + j), xn),
+                                       _mm256_loadu_ps(b + j)));
+    }
+    for (; j < n; ++j) {
+        const float xn = (xr[j] - mu) * inv;
+        if (nr != nullptr)
+            nr[j] = xn;
+        yr[j] = g[j] * xn + b[j];
+    }
+}
+
+/**
+ * Row groups of eight (four when at most four rows are left), each
+ * row's statistics in its own double lane; a short group repeats its
+ * last row in the spare lanes and drops their results. Each group's
+ * rows are then normalized while they are still in cache.
+ */
+OPTIMUS_TARGET_AVX2 void
+layerNormForwardAvx2(float *y, float *xhat, float *inv_std,
+                     const float *x, const float *g, const float *b,
+                     int64_t ld, int64_t rows, int64_t n, float eps)
+{
+    for (int64_t i = 0; i < rows; i += 8) {
+        const int64_t live = rows - i < 8 ? rows - i : 8;
+        const float *r[8];
+        for (int64_t l = 0; l < 8; ++l)
+            r[l] = x + (i + (l < live ? l : live - 1)) * ld;
+        float mu[8];
+        float inv[8];
+        if (live > 4)
+            layerNormStatsAvx2<2>(r, n, eps, mu, inv);
+        else
+            layerNormStatsAvx2<1>(r, n, eps, mu, inv);
+        for (int64_t l = 0; l < live; ++l) {
+            const int64_t row = i + l;
+            float *nr = nullptr;
+            if (xhat != nullptr) {
+                nr = xhat + row * ld;
+                inv_std[row] = inv[l];
+            }
+            layerNormRowAvx2(y + row * ld, nr, r[l], g, b, n, mu[l], inv[l]);
+        }
+    }
+}
+
+/**
+ * The backward's two row means for 4R rows, one row per double lane:
+ * sum dxhat and sum dxhat * xhat, each one chain per row in element
+ * order, with dxhat = dy * gamma rounded to float first.
+ */
+template <int R>
+OPTIMUS_TARGET_AVX2 inline void
+layerNormGradMeansAvx2(const float *const *dy, const float *const *nr,
+                       const float *g, int64_t n, float *md, float *mdx)
+{
+    const int64_t blocks = n - n % 8;
+    const __m256d nv = _mm256_set1_pd(static_cast<double>(n));
+    __m256d s1[R];
+    __m256d s2[R];
+    for (int q = 0; q < R; ++q) {
+        s1[q] = _mm256_setzero_pd();
+        s2[q] = _mm256_setzero_pd();
+    }
+    for (int64_t j = 0; j < blocks; j += 8) {
+        const __m256 gv = _mm256_loadu_ps(g + j);
+        for (int q = 0; q < R; ++q) {
+            const float *const *d = dy + 4 * q;
+            __m256 cd[4];
+            __m256 cn[4];
+            transpose4x8(_mm256_mul_ps(_mm256_loadu_ps(d[0] + j), gv),
+                         _mm256_mul_ps(_mm256_loadu_ps(d[1] + j), gv),
+                         _mm256_mul_ps(_mm256_loadu_ps(d[2] + j), gv),
+                         _mm256_mul_ps(_mm256_loadu_ps(d[3] + j), gv), cd);
+            loadColumns4x8(nr + 4 * q, j, cn);
+            for (int k = 0; k < 8; ++k) {
+                const __m256d dv = _mm256_cvtps_pd(column4x8(cd, k));
+                s1[q] = _mm256_add_pd(s1[q], dv);
+                s2[q] = _mm256_add_pd(
+                    s2[q],
+                    _mm256_mul_pd(dv, _mm256_cvtps_pd(column4x8(cn, k))));
+            }
+        }
+    }
+    for (int64_t j = blocks; j < n; ++j)
+        for (int q = 0; q < R; ++q) {
+            const __m256d dv = _mm256_cvtps_pd(
+                _mm_mul_ps(gather4(dy + 4 * q, j), _mm_set1_ps(g[j])));
+            s1[q] = _mm256_add_pd(s1[q], dv);
+            s2[q] = _mm256_add_pd(
+                s2[q],
+                _mm256_mul_pd(dv, _mm256_cvtps_pd(gather4(nr + 4 * q, j))));
+        }
+    for (int q = 0; q < R; ++q) {
+        _mm_storeu_ps(md + 4 * q, _mm256_cvtpd_ps(_mm256_div_pd(s1[q], nv)));
+        _mm_storeu_ps(mdx + 4 * q, _mm256_cvtpd_ps(_mm256_div_pd(s2[q], nv)));
+    }
+}
+
+/** One row's dx sweep, 8 columns per register. */
+OPTIMUS_TARGET_AVX2 inline void
+layerNormGradRowAvx2(float *dxr, const float *dyr, const float *nr,
+                     const float *g, int64_t n, float md, float mdx,
+                     float inv)
+{
+    const __m256 mv = _mm256_set1_ps(md);
+    const __m256 mxv = _mm256_set1_ps(mdx);
+    const __m256 iv = _mm256_set1_ps(inv);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256 dxhat =
+            _mm256_mul_ps(_mm256_loadu_ps(dyr + j), _mm256_loadu_ps(g + j));
+        const __m256 t = _mm256_sub_ps(
+            _mm256_sub_ps(dxhat, mv),
+            _mm256_mul_ps(_mm256_loadu_ps(nr + j), mxv));
+        _mm256_storeu_ps(dxr + j, _mm256_mul_ps(iv, t));
+    }
+    for (; j < n; ++j) {
+        const float dxhat = dyr[j] * g[j];
+        dxr[j] = inv * (dxhat - md - nr[j] * mdx);
+    }
+}
+
+/** Row groups as in layerNormForwardAvx2. */
+OPTIMUS_TARGET_AVX2 void
+layerNormBackwardAvx2(float *dx, const float *dy, const float *xhat,
+                      const float *inv_std, const float *g, int64_t ld,
+                      int64_t rows, int64_t n)
+{
+    for (int64_t i = 0; i < rows; i += 8) {
+        const int64_t live = rows - i < 8 ? rows - i : 8;
+        const float *rd[8];
+        const float *rn[8];
+        for (int64_t l = 0; l < 8; ++l) {
+            const int64_t row = i + (l < live ? l : live - 1);
+            rd[l] = dy + row * ld;
+            rn[l] = xhat + row * ld;
+        }
+        float md[8];
+        float mdx[8];
+        if (live > 4)
+            layerNormGradMeansAvx2<2>(rd, rn, g, n, md, mdx);
+        else
+            layerNormGradMeansAvx2<1>(rd, rn, g, n, md, mdx);
+        for (int64_t l = 0; l < live; ++l)
+            layerNormGradRowAvx2(dx + (i + l) * ld, rd[l], rn[l], g, n,
+                                 md[l], mdx[l], inv_std[i + l]);
+    }
+}
+
+/** layerNormParamGrads over R full registers of columns. */
+template <int R>
+OPTIMUS_TARGET_AVX2 inline void
+paramGradColsAvx2(float *dgamma, float *dbeta, const float *dy,
+                  const float *xhat, int64_t ld, int64_t rows)
+{
+    __m256 dg[R];
+    __m256 db[R];
+    for (int r = 0; r < R; ++r) {
+        dg[r] = _mm256_loadu_ps(dgamma + 8 * r);
+        db[r] = _mm256_loadu_ps(dbeta + 8 * r);
+    }
+    for (int64_t i = 0; i < rows; ++i)
+        for (int r = 0; r < R; ++r) {
+            const __m256 d = _mm256_loadu_ps(dy + i * ld + 8 * r);
+            dg[r] = _mm256_add_ps(
+                dg[r], _mm256_mul_ps(d, _mm256_loadu_ps(xhat + i * ld + 8 * r)));
+            db[r] = _mm256_add_ps(db[r], d);
+        }
+    for (int r = 0; r < R; ++r) {
+        _mm256_storeu_ps(dgamma + 8 * r, dg[r]);
+        _mm256_storeu_ps(dbeta + 8 * r, db[r]);
+    }
+}
+
+OPTIMUS_TARGET_AVX2 void
+layerNormParamGradsAvx2(float *dgamma, float *dbeta, const float *dy,
+                        const float *xhat, int64_t ld, int64_t rows,
+                        int64_t n)
+{
+    int64_t j = 0;
+    for (; j + 16 <= n; j += 16)
+        paramGradColsAvx2<2>(dgamma + j, dbeta + j, dy + j, xhat + j, ld,
+                             rows);
+    for (; j + 8 <= n; j += 8)
+        paramGradColsAvx2<1>(dgamma + j, dbeta + j, dy + j, xhat + j, ld,
+                             rows);
+    layerNormParamGradsScalar(dgamma + j, dbeta + j, dy + j, xhat + j, ld,
+                              rows, n - j);
+}
+
 #endif // OPTIMUS_SIMD_X86
 
 } // namespace
@@ -1003,6 +1523,105 @@ adamStep(Tier t, float *m, float *v, float *w, const float *g,
 #endif
     (void)t;
     adamScalar(m, v, w, g, n, beta1, beta2, eps, alpha);
+}
+
+void
+combineRanks(Tier t, float *const *bufs, int ranks, int64_t begin,
+             int64_t end, double scale)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return combineRanksAvx2(bufs, ranks, begin, end, scale);
+#endif
+    (void)t;
+    combineRanksScalar(bufs, ranks, begin, end, scale);
+}
+
+void
+addVals(Tier t, float *dst, const float *a, const float *b, int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return addValsAvx2(dst, a, b, n);
+#endif
+    (void)t;
+    addValsScalar(dst, a, b, n);
+}
+
+void
+subVals(Tier t, float *dst, const float *a, const float *b, int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return subValsAvx2(dst, a, b, n);
+#endif
+    (void)t;
+    subValsScalar(dst, a, b, n);
+}
+
+void
+addRowBias(Tier t, float *y, const float *bias, int64_t ld, int64_t rows,
+           int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return addRowBiasAvx2(y, bias, ld, rows, n);
+#endif
+    (void)t;
+    addRowBiasScalar(y, bias, ld, rows, n);
+}
+
+void
+addColSums(Tier t, float *acc, const float *x, int64_t ld, int64_t rows,
+           int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return addColSumsAvx2(acc, x, ld, rows, n);
+#endif
+    (void)t;
+    addColSumsScalar(acc, x, ld, rows, n);
+}
+
+void
+layerNormForward(Tier t, float *y, float *xhat, float *inv_std,
+                 const float *x, const float *gamma, const float *beta,
+                 int64_t ld, int64_t rows, int64_t n, float eps)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return layerNormForwardAvx2(y, xhat, inv_std, x, gamma, beta, ld,
+                                    rows, n, eps);
+#endif
+    (void)t;
+    layerNormForwardScalar(y, xhat, inv_std, x, gamma, beta, ld, rows, n,
+                           eps);
+}
+
+void
+layerNormBackward(Tier t, float *dx, const float *dy, const float *xhat,
+                  const float *inv_std, const float *gamma, int64_t ld,
+                  int64_t rows, int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return layerNormBackwardAvx2(dx, dy, xhat, inv_std, gamma, ld, rows,
+                                     n);
+#endif
+    (void)t;
+    layerNormBackwardScalar(dx, dy, xhat, inv_std, gamma, ld, rows, n);
+}
+
+void
+layerNormParamGrads(Tier t, float *dgamma, float *dbeta, const float *dy,
+                    const float *xhat, int64_t ld, int64_t rows, int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t != Tier::Scalar)
+        return layerNormParamGradsAvx2(dgamma, dbeta, dy, xhat, ld, rows, n);
+#endif
+    (void)t;
+    layerNormParamGradsScalar(dgamma, dbeta, dy, xhat, ld, rows, n);
 }
 
 } // namespace simd

@@ -3,9 +3,10 @@
  * Runtime SIMD dispatch for the dense and compression hot paths.
  *
  * Every vectorized kernel in the tree (the GEMM micro-kernels in
- * gemm_kernels.cc, and the compression primitives, the serve
- * attention row kernels, GELU and the Adam step implemented in
- * simd.cc) is selected through a `simd::Tier`:
+ * gemm_kernels.cc, and the compression primitives, the in-process
+ * all-reduce, the serve attention row kernels, the residual add/sub,
+ * the Linear bias passes, LayerNorm, GELU and the Adam step
+ * implemented in simd.cc) is selected through a `simd::Tier`:
  *
  *   Scalar — the portable kernels the tree shipped with; always
  *            available and the bit-exact baseline.
@@ -167,9 +168,75 @@ void selectBySign(Tier t, float *dst, const float *src, float pos,
 int64_t keepAbove(Tier t, float *dst, const float *src,
                   const float *mag, float thresh, int64_t n);
 
+/**
+ * In-process all-reduce of one element range over @p ranks buffers:
+ * for k in [begin, end), v = float((sum over d ascending of
+ * double(bufs[d][k]), from 0.0) * scale), then bufs[d][k] = v for
+ * every d. Lanes are elements, so every tier is bitwise equal to the
+ * scalar loop.
+ */
+void combineRanks(Tier t, float *const *bufs, int ranks, int64_t begin,
+                  int64_t end, double scale);
+
 // ---------------------------------------------------------------
-// Element-wise layer kernels (the nn hot loops).
+// Element-wise layer kernels (the nn hot loops). Every kernel but
+// GELU is bitwise equal to its Scalar loop on every tier: the vector
+// tiers keep each output's chain of IEEE operations, in the same
+// order, and only run several chains side by side. The row kernels
+// take @p rows rows of @p n floats, @p ld floats apart (ld >= n),
+// and touch nothing past a row's n-th float.
 // ---------------------------------------------------------------
+
+/** dst[i] = a[i] + b[i]. @p dst may be @p a or @p b itself, but may
+ * not overlap either partially. */
+void addVals(Tier t, float *dst, const float *a, const float *b,
+             int64_t n);
+
+/** dst[i] = a[i] - b[i], with addVals's aliasing rule. */
+void subVals(Tier t, float *dst, const float *a, const float *b,
+             int64_t n);
+
+/** Bias add across rows: y[i*ld + j] += bias[j]. */
+void addRowBias(Tier t, float *y, const float *bias, int64_t ld,
+                int64_t rows, int64_t n);
+
+/** Column sums accumulated rows in order: acc[j] += x[i*ld + j] for
+ * i ascending (the vector tiers run 8 columns per register). */
+void addColSums(Tier t, float *acc, const float *x, int64_t ld,
+                int64_t rows, int64_t n);
+
+/**
+ * LayerNorm forward over rows. Per row: mu = float(sum / n) and
+ * var = sum of double(x - mu)^2, each one double chain in element
+ * order; inv = 1 / sqrt(float(var / n) + eps); then
+ * xn = (x - mu) * inv and y = gamma * xn + beta, one multiply and one
+ * add. When @p xhat is non-null, xn goes to xhat (same ld) and inv to
+ * inv_std[i]; Infer passes both null. The vector tiers run the row
+ * chains of four or eight rows per pass, one row per double lane,
+ * and the sweeps 8 columns per register.
+ */
+void layerNormForward(Tier t, float *y, float *xhat, float *inv_std,
+                      const float *x, const float *gamma,
+                      const float *beta, int64_t ld, int64_t rows,
+                      int64_t n, float eps);
+
+/**
+ * LayerNorm input gradient over rows, with dxhat = dy * gamma:
+ * md = float(sum dxhat / n) and mdx = float(sum dxhat * xhat / n),
+ * both double chains in element order (row lanes, as in the
+ * forward), then dx = inv_std[i] * ((dxhat - md) - xhat * mdx).
+ */
+void layerNormBackward(Tier t, float *dx, const float *dy,
+                       const float *xhat, const float *inv_std,
+                       const float *gamma, int64_t ld, int64_t rows,
+                       int64_t n);
+
+/** LayerNorm parameter gradients, rows in order:
+ * dgamma[j] += dy[i*ld + j] * xhat[i*ld + j], one multiply and one
+ * add, and dbeta[j] += dy[i*ld + j]. */
+void layerNormParamGrads(Tier t, float *dgamma, float *dbeta,
+                         const float *dy, const float *xhat, int64_t ld,
+                         int64_t rows, int64_t n);
 
 /**
  * GELU, tanh approximation: y[i] = 0.5 x (1 + tanh(k (x + c x^3))).

@@ -134,6 +134,11 @@ Tensor::Tensor(ShapeVec shape) : shape_(shape)
         std::memset(data_, 0, size_ * sizeof(float));
 }
 
+Tensor::Tensor(ShapeVec shape, Uninit) : shape_(shape)
+{
+    allocateStorage(shapeProduct(shape_));
+}
+
 Tensor::Tensor(const Tensor &other) : shape_(other.shape_)
 {
     allocateStorage(other.size_);
@@ -320,11 +325,7 @@ Tensor::add(const Tensor &other)
 {
     OPTIMUS_ASSERT(size() == other.size());
     OPTIMUS_CHECK_SHAPE(*this, other, "add");
-    const float *src = other.data();
-    float *dst = data();
-    const int64_t n = size();
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] += src[i];
+    simd::addVals(simd::tier(), data_, data_, other.data_, size_);
 }
 
 void
@@ -332,43 +333,13 @@ Tensor::sub(const Tensor &other)
 {
     OPTIMUS_ASSERT(size() == other.size());
     OPTIMUS_CHECK_SHAPE(*this, other, "sub");
-    const float *src = other.data();
-    float *dst = data();
-    const int64_t n = size();
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] -= src[i];
+    simd::subVals(simd::tier(), data_, data_, other.data_, size_);
 }
 
 void
 Tensor::scale(float s)
 {
     simd::scaleInPlace(simd::tier(), data_, s, size_);
-}
-
-void
-Tensor::addScaled(const Tensor &other, float alpha)
-{
-    OPTIMUS_ASSERT(size() == other.size());
-    OPTIMUS_CHECK_SHAPE(*this, other, "addScaled");
-    const float *src = other.data();
-    float *dst = data();
-    const int64_t n = size();
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] += alpha * src[i];
-}
-
-void
-Tensor::addProduct(const Tensor &a, const Tensor &b)
-{
-    OPTIMUS_ASSERT(size() == a.size() && size() == b.size());
-    OPTIMUS_CHECK_SHAPE(*this, a, "addProduct");
-    OPTIMUS_CHECK_SHAPE(*this, b, "addProduct");
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *dst = data();
-    const int64_t n = size();
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] += pa[i] * pb[i];
 }
 
 double
@@ -465,16 +436,20 @@ Tensor::shapeString() const
 Tensor
 add(const Tensor &a, const Tensor &b)
 {
-    Tensor c = a;
-    c.add(b);
+    OPTIMUS_ASSERT(a.size() == b.size());
+    OPTIMUS_CHECK_SHAPE(a, b, "add");
+    Tensor c(a.shape(), Tensor::Uninit{});
+    simd::addVals(simd::tier(), c.data_, a.data_, b.data_, c.size_);
     return c;
 }
 
 Tensor
 sub(const Tensor &a, const Tensor &b)
 {
-    Tensor c = a;
-    c.sub(b);
+    OPTIMUS_ASSERT(a.size() == b.size());
+    OPTIMUS_CHECK_SHAPE(a, b, "sub");
+    Tensor c(a.shape(), Tensor::Uninit{});
+    simd::subVals(simd::tier(), c.data_, a.data_, b.data_, c.size_);
     return c;
 }
 

@@ -173,12 +173,6 @@ class Tensor
     /** this *= scalar. */
     void scale(float s);
 
-    /** this += alpha * other (axpy). */
-    void addScaled(const Tensor &other, float alpha);
-
-    /** Elementwise product accumulate: this += a (.*) b. */
-    void addProduct(const Tensor &a, const Tensor &b);
-
     /** Sum of all elements (double accumulation). */
     double sum() const;
 
@@ -207,6 +201,16 @@ class Tensor
     std::string shapeString() const;
 
   private:
+    friend Tensor add(const Tensor &a, const Tensor &b);
+    friend Tensor sub(const Tensor &a, const Tensor &b);
+
+    /** Tag of the uninitialized-storage constructor. */
+    struct Uninit
+    {
+    };
+    /** Tensor of @p shape whose elements the caller writes next. */
+    Tensor(ShapeVec shape, Uninit);
+
     /** Cold failure path for the checked operator[]. */
     [[noreturn]] void boundsFail(int64_t i) const;
 

@@ -23,6 +23,7 @@
 #include "nn/optimizer.hh"
 #include "runtime/runtime.hh"
 #include "tensor/matmul.hh"
+#include "tensor/simd.hh"
 #include "test_util.hh"
 
 namespace optimus
@@ -593,6 +594,171 @@ TEST(Optimizer, DedupesTiedParams)
     opt.step();
     EXPECT_NEAR(p->value[0], -0.1, 1e-4);
     EXPECT_NEAR(p->value[1], 0.1, 1e-4);
+}
+
+/** LayerNorm forward as it stood before the simd kernels, kept
+ * test-local (xhat/inv_std == nullptr in Infer). */
+void
+layerNormForwardOracle(const Tensor &x, const Tensor &gamma,
+                       const Tensor &beta, float eps, Tensor &y,
+                       Tensor *xhat, std::vector<float> *inv_std)
+{
+    const int64_t rows = x.rows();
+    const int64_t f = x.cols();
+    y = Tensor({rows, f});
+    if (xhat != nullptr) {
+        *xhat = Tensor({rows, f});
+        inv_std->assign(rows, 0.0f);
+    }
+    const float *g = gamma.data();
+    const float *b = beta.data();
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = x.data() + i * f;
+        double sum = 0.0;
+        for (int64_t j = 0; j < f; ++j)
+            sum += row[j];
+        const float mu = static_cast<float>(sum / f);
+        double var = 0.0;
+        for (int64_t j = 0; j < f; ++j) {
+            const float d = row[j] - mu;
+            var += static_cast<double>(d) * d;
+        }
+        const float inv = 1.0f / std::sqrt(static_cast<float>(var / f) + eps);
+        if (xhat != nullptr)
+            (*inv_std)[i] = inv;
+        for (int64_t j = 0; j < f; ++j) {
+            const float xn = (row[j] - mu) * inv;
+            if (xhat != nullptr)
+                xhat->data()[i * f + j] = xn;
+            y.data()[i * f + j] = g[j] * xn + b[j];
+        }
+    }
+}
+
+/** LayerNorm backward as it stood before the simd kernels: dx, then
+ * dgamma/dbeta accumulated rows in order. */
+void
+layerNormBackwardOracle(const Tensor &dy, const Tensor &xhat,
+                        const std::vector<float> &inv_std,
+                        const Tensor &gamma, Tensor &dx, Tensor &dgamma,
+                        Tensor &dbeta)
+{
+    const int64_t rows = dy.rows();
+    const int64_t f = dy.cols();
+    dx = Tensor({rows, f});
+    const float *g = gamma.data();
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *dyr = dy.data() + i * f;
+        const float *nr = xhat.data() + i * f;
+        double sum_dxhat = 0.0;
+        double sum_dxhat_xhat = 0.0;
+        for (int64_t j = 0; j < f; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += static_cast<double>(dxhat) * nr[j];
+        }
+        const float mean_dxhat = static_cast<float>(sum_dxhat / f);
+        const float mean_dxhat_xhat = static_cast<float>(sum_dxhat_xhat / f);
+        for (int64_t j = 0; j < f; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            dx.data()[i * f + j] =
+                inv_std[i] * (dxhat - mean_dxhat - nr[j] * mean_dxhat_xhat);
+        }
+    }
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < f; ++j) {
+            dgamma.data()[j] += dy.data()[i * f + j] * xhat.data()[i * f + j];
+            dbeta.data()[j] += dy.data()[i * f + j];
+        }
+}
+
+/**
+ * One LayerNorm at width @p f over @p rows rows against the oracle
+ * loops: Train forward, input and parameter gradients, then the
+ * Infer forward. With @p cancel, x and dy carry +-2^60 pairs that
+ * cancel along a row and down a column, and x's row 1 squares sum to
+ * a float tie, so a reordered row or column chain changes the bits;
+ * beta is zero so y shows x_hat's bits.
+ */
+void
+expectLayerNormMatchesOracle(int64_t f, int64_t rows, bool cancel,
+                             const std::string &where)
+{
+    Rng rng(static_cast<uint64_t>(f * 100 + rows));
+    LayerNorm layer("t", f);
+    const auto params = layer.params();
+    Tensor &gamma = params[0]->value;
+    Tensor &beta = params[1]->value;
+    gamma = Tensor::randn({f}, rng, 1.0f, 0.5f);
+    beta = cancel ? Tensor::zeros(f) : Tensor::randn({f}, rng);
+    Tensor x = Tensor::randn({rows, f}, rng, 0.0f, 2.0f);
+    Tensor dy = Tensor::randn({rows, f}, rng);
+    const float v = std::ldexp(1.0f, 60);
+    for (Tensor *t : {&x, &dy})
+        for (int64_t i = 0; cancel && i < rows; i += 3)
+            for (int64_t j = i % 8; j + 2 < f; j += 16) {
+                t->at(i, j) = v;
+                t->at(i, j + 2) = -v;
+                if (i + 1 < rows)
+                    t->at(i + 1, j) = -v;
+                // dy * gamma cancels too.
+                gamma[j + 2] = gamma[j];
+            }
+    if (cancel && rows > 1) {
+        // Row 1 sums to exactly 0, and its squares to 2^31 + 2^7 +
+        // 2^-21 only when the two 2^-22 squares are added before the
+        // 2^30 ones: in element order they round away, and the float
+        // variance rounds the tie to even instead of up.
+        const float tie[8] = {0x1p15f, -0x1p15f, 8.0f, -8.0f,
+                              0x1p-11f, -0x1p-11f, 0.0f, 0.0f};
+        for (int64_t j = 0; j < f; ++j)
+            x.at(1, j) = j < 8 ? tie[j] : 0.0f;
+    }
+    for (const auto &p : params)
+        p->grad = Tensor::randn({f}, rng);
+    Tensor dgamma = params[0]->grad;
+    Tensor dbeta = params[1]->grad;
+
+    layer.setMode(Mode::Train);
+    const Tensor y = layer.forward(x);
+    const Tensor dx = layer.backward(dy);
+    Tensor y_ref, xhat, dx_ref;
+    std::vector<float> inv_std;
+    layerNormForwardOracle(x, gamma, beta, 1e-5f, y_ref, &xhat, &inv_std);
+    layerNormBackwardOracle(dy, xhat, inv_std, gamma, dx_ref, dgamma,
+                            dbeta);
+    EXPECT_TRUE(test::sameBits(y, y_ref)) << "train y " << where;
+    EXPECT_TRUE(test::sameBits(dx, dx_ref)) << "dx " << where;
+    EXPECT_TRUE(test::sameBits(params[0]->grad, dgamma))
+        << "dgamma " << where;
+    EXPECT_TRUE(test::sameBits(params[1]->grad, dbeta))
+        << "dbeta " << where;
+
+    layer.setMode(Mode::Infer);
+    const Tensor y_infer = layer.forward(x);
+    layerNormForwardOracle(x, gamma, beta, 1e-5f, y_ref, nullptr, nullptr);
+    EXPECT_TRUE(test::sameBits(y_infer, y_ref)) << "infer y " << where;
+}
+
+TEST(LayerNorm, ForwardBackwardMatchLoopOracle)
+{
+    // The layer must keep the bits of the pre-kernel loops at every
+    // tier, every row count from 1 to 17 (row-lane groups of eight
+    // and four plus short tails) and the model widths.
+    const simd::Tier initial = simd::tier();
+    for (simd::Tier tier : test::supportedTiers()) {
+        simd::setTier(tier);
+        for (int64_t f : {16, 64, 128})
+            for (int64_t rows = 1; rows <= 17; ++rows)
+                for (bool cancel : {false, true})
+                    expectLayerNormMatchesOracle(
+                        f, rows, cancel,
+                        std::string(simd::tierName(tier)) + " f=" +
+                            std::to_string(f) + " rows=" +
+                            std::to_string(rows) +
+                            (cancel ? " cancel" : ""));
+    }
+    simd::setTier(initial);
 }
 
 TEST(Layer, StashFifoSupportsPipelining)

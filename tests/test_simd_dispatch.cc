@@ -10,8 +10,10 @@
  * every kernel and on the trainer. The element-wise kernels carry
  * their own contracts: GELU within a stated bound of the Scalar
  * form, Adam bitwise equal to the historical loop at every tier,
- * and the attention row kernels bitwise equal to the per-row loops
- * they replace.
+ * the attention row kernels bitwise equal to the per-row loops
+ * they replace, and the layer kernels (residual add/sub, the Linear
+ * bias passes, LayerNorm, the in-process all-reduce) bitwise equal to
+ * the loops they replace at every tier.
  * Run at OPTIMUS_THREADS in {1, 4, 8} plus an OPTIMUS_SIMD=scalar
  * leg via tests/CMakeLists.txt.
  */
@@ -22,7 +24,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/corpus.hh"
@@ -540,6 +544,390 @@ TEST(SimdDispatch, AttentionRowKernelsBitwiseEqualPerRowLoopsEveryTier)
                     for (int64_t c = n; c < n + kPad; ++c)
                         ASSERT_EQ(ctx[c], kGuard)
                             << "weightedRowSum wrote past n=" << n;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// The loops the layer kernels replaced, kept test-local. Each is the
+// historical loop with its row stride generalized to ld (the layers
+// and the transport call the kernels with ld == n).
+// ---------------------------------------------------------------
+
+/** Tensor::add / Tensor::sub before dispatch. */
+void
+residualReference(float *a, const float *b, int64_t n, bool subtract)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        if (subtract)
+            a[i] -= b[i];
+        else
+            a[i] += b[i];
+    }
+}
+
+/** Linear::forward's bias add. */
+void
+rowBiasReference(float *y, const float *b, int64_t ld, int64_t rows,
+                 int64_t n)
+{
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            y[i * ld + j] += b[j];
+}
+
+/** Linear::backward's bias column sums. */
+void
+colSumsReference(float *db, const float *dy, int64_t ld, int64_t rows,
+                 int64_t n)
+{
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            db[j] += dy[i * ld + j];
+}
+
+/** LayerNorm::forward's per-row loop (xhat == nullptr in Infer). */
+void
+layerNormForwardReference(float *y, float *xhat, float *inv_std,
+                          const float *x, const float *g, const float *b,
+                          int64_t ld, int64_t rows, int64_t f, float eps)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = x + i * ld;
+        double sum = 0.0;
+        for (int64_t j = 0; j < f; ++j)
+            sum += row[j];
+        const float mu = static_cast<float>(sum / f);
+        double var = 0.0;
+        for (int64_t j = 0; j < f; ++j) {
+            const float d = row[j] - mu;
+            var += static_cast<double>(d) * d;
+        }
+        const float inv = 1.0f / std::sqrt(static_cast<float>(var / f) + eps);
+        if (xhat != nullptr)
+            inv_std[i] = inv;
+        for (int64_t j = 0; j < f; ++j) {
+            const float xn = (row[j] - mu) * inv;
+            if (xhat != nullptr)
+                xhat[i * ld + j] = xn;
+            y[i * ld + j] = g[j] * xn + b[j];
+        }
+    }
+}
+
+/** LayerNorm::backward's dx loop. */
+void
+layerNormBackwardReference(float *dx, const float *dy, const float *nd,
+                           const float *inv_std, const float *g,
+                           int64_t ld, int64_t rows, int64_t f)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *dyr = dy + i * ld;
+        const float *nr = nd + i * ld;
+        double sum_dxhat = 0.0;
+        double sum_dxhat_xhat = 0.0;
+        for (int64_t j = 0; j < f; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += static_cast<double>(dxhat) * nr[j];
+        }
+        const float mean_dxhat = static_cast<float>(sum_dxhat / f);
+        const float mean_dxhat_xhat = static_cast<float>(sum_dxhat_xhat / f);
+        for (int64_t j = 0; j < f; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            dx[i * ld + j] =
+                inv_std[i] * (dxhat - mean_dxhat - nr[j] * mean_dxhat_xhat);
+        }
+    }
+}
+
+/** LayerNorm::backward's dgamma/dbeta sweep. */
+void
+layerNormParamGradsReference(float *dg, float *db, const float *dy,
+                             const float *nd, int64_t ld, int64_t rows,
+                             int64_t f)
+{
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < f; ++j) {
+            dg[j] += dy[i * ld + j] * nd[i * ld + j];
+            db[j] += dy[i * ld + j];
+        }
+}
+
+/** The in-process all-reduce loop of combineGroup. */
+void
+combineRanksReference(const std::vector<float *> &ptrs, int64_t k0,
+                      int64_t k1, double scale)
+{
+    const int ranks = static_cast<int>(ptrs.size());
+    for (int64_t k = k0; k < k1; ++k) {
+        double acc = 0.0;
+        for (int d = 0; d < ranks; ++d)
+            acc += ptrs[d][k];
+        const float v = static_cast<float>(acc * scale);
+        for (int d = 0; d < ranks; ++d)
+            ptrs[d][k] = v;
+    }
+}
+
+/** What a layer-kernel test matrix holds besides normal values. */
+enum class Fill
+{
+    Finite,  // normals with signed zeros, one all -0 row
+    Cancel,  // plus +-2^60 pairs that cancel along rows and columns
+    Inf,     // plus +-Inf (every NaN is then the default NaN)
+    Nan,     // plus quiet NaNs (and no Inf, so no second NaN kind)
+};
+
+/**
+ * A rows x ld matrix of @p fill values in its first n columns, with
+ * NaN in the gap columns [n, ld) so a kernel that reads them shows it.
+ * In Cancel, a value v = +-2^60 at (i, j) for i, j multiples of 4 is
+ * cancelled by -v at (i, j + 2) and (i + 2, j): a double or float
+ * chain then keeps or drops the terms between them depending on its
+ * order, so a reordered chain changes the bits. Row 1 does the same
+ * for a chain of squares (LayerNorm's variance).
+ */
+std::vector<float>
+layerMatrix(Rng &rng, Fill fill, int64_t rows, int64_t ld, int64_t n)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> m(static_cast<size_t>(rows * ld), nan);
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < n; ++j) {
+            const int64_t e = i * n + j;
+            float v = static_cast<float>(rng.normal());
+            if (e % 13 == 3 || i == 2)
+                v = -0.0f;
+            else if (e % 17 == 8)
+                v = 0.0f;
+            else if (fill == Fill::Inf && e % 37 == 5)
+                v = inf;
+            else if (fill == Fill::Inf && e % 37 == 23)
+                v = -inf;
+            else if (fill == Fill::Nan && e % 41 == 7)
+                v = nan;
+            m[i * ld + j] = v;
+        }
+    if (fill == Fill::Cancel)
+        for (int64_t i = 0; i < rows; i += 4)
+            for (int64_t j = 0; j < n; j += 4) {
+                const float v = std::ldexp(j % 8 == 0 ? 1.0f : -1.0f, 60);
+                m[i * ld + j] = v;
+                if (j + 2 < n)
+                    m[i * ld + j + 2] = -v;
+                if (i + 2 < rows)
+                    m[(i + 2) * ld + j] = -v;
+            }
+    if (fill == Fill::Cancel && rows > 1 && n >= 8) {
+        // Row 1 sums to exactly 0, and its squares to 2^31 + 2^7 + 2^-21
+        // only when the two 2^-22 squares are added before the 2^30
+        // ones: in element order they round away, and float(var / n)
+        // rounds the tie to even instead of up.
+        const float tie[8] = {0x1p15f, -0x1p15f, 8.0f, -8.0f,
+                              0x1p-11f, -0x1p-11f, 0.0f, 0.0f};
+        for (int64_t j = 0; j < n; ++j)
+            m[ld + j] = j < 8 ? tie[j] : 0.0f;
+    }
+    return m;
+}
+
+/** @p m with every gap column [n, ld) set to @p guard. */
+std::vector<float>
+withGaps(std::vector<float> m, int64_t ld, int64_t n, float guard)
+{
+    for (size_t e = 0; e < m.size(); ++e)
+        if (static_cast<int64_t>(e) % ld >= n)
+            m[e] = guard;
+    return m;
+}
+
+TEST(SimdDispatch, LayerKernelsBitwiseEqualScalarLoopsEveryTier)
+{
+    // Each layer kernel must give the bits of the loop it replaced on
+    // every tier: full 8-column registers and tails (n), full and
+    // short row-lane groups of four and eight (rows 1..9), a row
+    // stride wider than the row, signed zeros, cancelling +-2^60
+    // pairs that expose the order of every chain, and Inf or NaN
+    // inputs. Outputs past a row's n-th float, and past the last row,
+    // keep their guard values; inputs there are NaN and must not be
+    // read.
+    constexpr float kGuard = -7.25f;
+    constexpr float kEps = 1e-5f;
+    const Fill fills[] = {Fill::Finite, Fill::Cancel, Fill::Inf, Fill::Nan};
+    for (Fill fill : fills) {
+        for (int64_t n : {1, 7, 8, 15, 16, 17, 64, 65, 256}) {
+            for (int64_t ld : {n, n + 3}) {
+                constexpr int64_t kMaxRows = 9;
+                Rng rng(static_cast<uint64_t>(100 * n + ld) +
+                        static_cast<uint64_t>(fill));
+                const std::vector<float> x =
+                    layerMatrix(rng, fill, kMaxRows, ld, n);
+                const std::vector<float> dy =
+                    layerMatrix(rng, fill, kMaxRows, ld, n);
+                // In Cancel, gamma and x_hat repeat column j at j + 2
+                // for j a multiple of 4, so the +-2^60 pairs of dy
+                // still cancel in dy * gamma and dy * gamma * x_hat.
+                const Fill pair_fill =
+                    fill == Fill::Cancel ? Fill::Finite : fill;
+                std::vector<float> gamma =
+                    layerMatrix(rng, pair_fill, 1, n, n);
+                std::vector<float> beta = layerMatrix(rng, fill, 1, n, n);
+                std::vector<float> acc0 = layerMatrix(rng, fill, 1, n, n);
+                gamma.push_back(kGuard);
+                beta.push_back(kGuard);
+                const std::vector<float> y0 = withGaps(x, ld, n, kGuard);
+                // A finite xhat and inv_std of the scale LayerNorm
+                // writes, for the backward kernels.
+                std::vector<float> xhat = withGaps(
+                    layerMatrix(rng, Fill::Finite, kMaxRows, ld, n), ld, n,
+                    std::numeric_limits<float>::quiet_NaN());
+                for (int64_t j = 0; fill == Fill::Cancel && j + 2 < n;
+                     j += 4) {
+                    gamma[j + 2] = gamma[j];
+                    for (int64_t i = 0; i < kMaxRows; ++i)
+                        xhat[i * ld + j + 2] = xhat[i * ld + j];
+                }
+                std::vector<float> inv_std(kMaxRows);
+                for (float &v : inv_std)
+                    v = static_cast<float>(1.0 + std::fabs(rng.normal()));
+
+                for (simd::Tier t : supportedTiers()) {
+                    for (int64_t rows = 1; rows <= kMaxRows; ++rows) {
+                        const std::string where =
+                            std::string(simd::tierName(t)) + " n=" +
+                            std::to_string(n) + " ld=" + std::to_string(ld) +
+                            " rows=" + std::to_string(rows) + " fill=" +
+                            std::to_string(static_cast<int>(fill));
+                        const int64_t span = rows * ld;
+                        // Outputs hold the guard from the first
+                        // element past the live region on.
+                        auto out = [&](const std::vector<float> &init) {
+                            std::vector<float> v(init.begin(),
+                                                 init.begin() + span);
+                            v.resize(span + 8, kGuard);
+                            return v;
+                        };
+
+                        std::vector<float> got = out(y0);
+                        std::vector<float> want = got;
+                        simd::addRowBias(t, got.data(), beta.data(), ld, rows,
+                                         n);
+                        rowBiasReference(want.data(), beta.data(), ld, rows, n);
+                        ASSERT_TRUE(sameBits(got, want)) << "addRowBias " << where;
+
+                        std::vector<float> acc = acc0;
+                        acc.resize(n + 8, kGuard);
+                        std::vector<float> acc_want = acc;
+                        simd::addColSums(t, acc.data(), x.data(), ld, rows, n);
+                        colSumsReference(acc_want.data(), x.data(), ld, rows, n);
+                        ASSERT_TRUE(sameBits(acc, acc_want))
+                            << "addColSums " << where;
+
+                        for (bool train : {true, false}) {
+                            std::vector<float> y = out(y0);
+                            std::vector<float> nd = y;
+                            std::vector<float> is(kMaxRows + 1, kGuard);
+                            std::vector<float> y_ref = y;
+                            std::vector<float> nd_ref = nd;
+                            std::vector<float> is_ref = is;
+                            simd::layerNormForward(
+                                t, y.data(), train ? nd.data() : nullptr,
+                                train ? is.data() : nullptr, x.data(),
+                                gamma.data(), beta.data(), ld, rows, n, kEps);
+                            layerNormForwardReference(
+                                y_ref.data(), train ? nd_ref.data() : nullptr,
+                                train ? is_ref.data() : nullptr, x.data(),
+                                gamma.data(), beta.data(), ld, rows, n, kEps);
+                            ASSERT_TRUE(sameBits(y, y_ref))
+                                << "layerNormForward y train=" << train << " "
+                                << where;
+                            ASSERT_TRUE(sameBits(nd, nd_ref))
+                                << "layerNormForward xhat train=" << train
+                                << " " << where;
+                            ASSERT_TRUE(sameBits(is, is_ref))
+                                << "layerNormForward inv_std train=" << train
+                                << " " << where;
+                        }
+
+                        std::vector<float> dx = out(y0);
+                        std::vector<float> dx_ref = dx;
+                        simd::layerNormBackward(t, dx.data(), dy.data(),
+                                                xhat.data(), inv_std.data(),
+                                                gamma.data(), ld, rows, n);
+                        layerNormBackwardReference(dx_ref.data(), dy.data(),
+                                                   xhat.data(), inv_std.data(),
+                                                   gamma.data(), ld, rows, n);
+                        ASSERT_TRUE(sameBits(dx, dx_ref))
+                            << "layerNormBackward " << where;
+
+                        std::vector<float> dg = acc0;
+                        dg.resize(n + 8, kGuard);
+                        std::vector<float> db = beta;
+                        db.resize(n + 8, kGuard);
+                        std::vector<float> dg_ref = dg;
+                        std::vector<float> db_ref = db;
+                        simd::layerNormParamGrads(t, dg.data(), db.data(),
+                                                  dy.data(), xhat.data(), ld,
+                                                  rows, n);
+                        layerNormParamGradsReference(dg_ref.data(),
+                                                     db_ref.data(), dy.data(),
+                                                     xhat.data(), ld, rows, n);
+                        ASSERT_TRUE(sameBits(dg, dg_ref))
+                            << "layerNormParamGrads dgamma " << where;
+                        ASSERT_TRUE(sameBits(db, db_ref))
+                            << "layerNormParamGrads dbeta " << where;
+                    }
+
+                    // The span kernels over the whole matrix, out of
+                    // place and in place (Tensor::add/sub).
+                    const int64_t len = kMaxRows * n;
+                    for (bool subtract : {false, true}) {
+                        std::vector<float> a(x.begin(), x.begin() + len);
+                        a.resize(len + 8, kGuard);
+                        const std::vector<float> b(dy.begin(),
+                                                   dy.begin() + len);
+                        std::vector<float> want = a;
+                        residualReference(want.data(), b.data(), len, subtract);
+                        std::vector<float> fresh(len + 8, kGuard);
+                        if (subtract) {
+                            simd::subVals(t, fresh.data(), a.data(), b.data(),
+                                          len);
+                            simd::subVals(t, a.data(), a.data(), b.data(), len);
+                        } else {
+                            simd::addVals(t, fresh.data(), a.data(), b.data(),
+                                          len);
+                            simd::addVals(t, a.data(), a.data(), b.data(), len);
+                        }
+                        ASSERT_TRUE(sameBits(fresh, want))
+                            << (subtract ? "subVals " : "addVals ")
+                            << simd::tierName(t) << " n=" << n;
+                        ASSERT_TRUE(sameBits(a, want))
+                            << (subtract ? "subVals" : "addVals")
+                            << " in place " << simd::tierName(t) << " n=" << n;
+                    }
+
+                    // The all-reduce over 1..9 ranks of an element
+                    // range that starts off a register boundary.
+                    for (int ranks = 1; ranks <= kMaxRows; ++ranks) {
+                        const double scale = 1.0 / ranks;
+                        std::vector<float> bufs = withGaps(x, ld, n, kGuard);
+                        std::vector<float> bufs_ref = bufs;
+                        std::vector<float *> ptrs, ptrs_ref;
+                        for (int d = 0; d < ranks; ++d) {
+                            ptrs.push_back(bufs.data() + d * ld);
+                            ptrs_ref.push_back(bufs_ref.data() + d * ld);
+                        }
+                        const int64_t k0 = n > 2 ? 1 : 0;
+                        simd::combineRanks(t, ptrs.data(), ranks, k0, n, scale);
+                        combineRanksReference(ptrs_ref, k0, n, scale);
+                        ASSERT_TRUE(sameBits(bufs, bufs_ref))
+                            << "combineRanks ranks=" << ranks << " "
+                            << simd::tierName(t) << " n=" << n << " ld=" << ld;
+                    }
                 }
             }
         }

@@ -46,8 +46,6 @@ TEST(Tensor, ElementwiseOps)
     EXPECT_FLOAT_EQ(a[0], 1.0f);
     a.scale(2.0f);
     EXPECT_FLOAT_EQ(a[2], 6.0f);
-    a.addScaled(b, 4.0f);
-    EXPECT_FLOAT_EQ(a[1], 6.0f);
 }
 
 TEST(Tensor, Reductions)
