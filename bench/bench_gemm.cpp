@@ -30,12 +30,21 @@
  * (simd::weightedRowSum), and both through the per-key loop they
  * replaced (one dotDouble call per key, a context sum in memory).
  *
+ * A fourth table times the element-wise layer kernels per tier at
+ * perfbench's activation shapes (train_cc 16 x 64, serve decode
+ * 8 x 64, train_dense 256 x 128): LayerNorm forward (Train, with its
+ * stash) and backward (dx plus dgamma/dbeta), Linear's bias add and
+ * bias column sums, and the residual add, each as nanoseconds per
+ * call next to a copy of the loop it replaced, alternating rep by
+ * rep.
+ *
  * Usage: bench_gemm [--max-size 1024] [--reps 3]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -316,6 +325,210 @@ measureAttention(simd::Tier t, int64_t count, Rng &rng)
     return times;
 }
 
+/** One activation shape of the layer kernels: rows x width. */
+struct KernelShape
+{
+    const char *name;
+    int64_t rows, n;
+};
+
+const KernelShape kKernelShapes[] = {
+    {"train_cc", 16, 64},
+    {"serve decode", 8, 64},
+    {"train_dense", 256, 128},
+};
+
+enum class LayerOp
+{
+    LayerNormFwd,
+    LayerNormBwd,
+    BiasAdd,
+    BiasColSum,
+    ResidualAdd,
+};
+
+const LayerOp kLayerOps[] = {LayerOp::LayerNormFwd, LayerOp::LayerNormBwd,
+                             LayerOp::BiasAdd, LayerOp::BiasColSum,
+                             LayerOp::ResidualAdd};
+
+const char *
+layerOpName(LayerOp op)
+{
+    switch (op) {
+      case LayerOp::LayerNormFwd:
+        return "layernorm_fwd";
+      case LayerOp::LayerNormBwd:
+        return "layernorm_bwd";
+      case LayerOp::BiasAdd:
+        return "bias_add";
+      case LayerOp::BiasColSum:
+        return "bias_col_sum";
+      case LayerOp::ResidualAdd:
+        return "residual_add";
+    }
+    return "?";
+}
+
+/**
+ * LayerNorm::forward's loop before the simd kernels (Train: writes
+ * x_hat and the inverse std devs).
+ */
+void
+oldLayerNormForward(float *y, float *nd, float *inv_std, const float *x,
+                    const float *g, const float *b, int64_t rows,
+                    int64_t f)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = x + i * f;
+        double sum = 0.0;
+        for (int64_t j = 0; j < f; ++j)
+            sum += row[j];
+        const float mu = static_cast<float>(sum / f);
+        double var = 0.0;
+        for (int64_t j = 0; j < f; ++j) {
+            const float d = row[j] - mu;
+            var += static_cast<double>(d) * d;
+        }
+        const float inv = 1.0f / std::sqrt(static_cast<float>(var / f) + 1e-5f);
+        inv_std[i] = inv;
+        for (int64_t j = 0; j < f; ++j) {
+            const float xn = (row[j] - mu) * inv;
+            nd[i * f + j] = xn;
+            y[i * f + j] = g[j] * xn + b[j];
+        }
+    }
+}
+
+/** LayerNorm::backward's loops before the simd kernels. */
+void
+oldLayerNormBackward(float *dx, float *dg, float *db, const float *dy,
+                     const float *nd, const float *inv_std,
+                     const float *g, int64_t rows, int64_t f)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *dyr = dy + i * f;
+        const float *nr = nd + i * f;
+        double sum_dxhat = 0.0;
+        double sum_dxhat_xhat = 0.0;
+        for (int64_t j = 0; j < f; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += static_cast<double>(dxhat) * nr[j];
+        }
+        const float md = static_cast<float>(sum_dxhat / f);
+        const float mdx = static_cast<float>(sum_dxhat_xhat / f);
+        for (int64_t j = 0; j < f; ++j) {
+            const float dxhat = dyr[j] * g[j];
+            dx[i * f + j] = inv_std[i] * (dxhat - md - nr[j] * mdx);
+        }
+    }
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < f; ++j) {
+            dg[j] += dy[i * f + j] * nd[i * f + j];
+            db[j] += dy[i * f + j];
+        }
+}
+
+/** Median ns per call of one layer kernel and of its old loop. */
+struct KernelTimes
+{
+    double kernel = 0.0, old_loop = 0.0;
+};
+
+/** Keeps the timed outputs observable. */
+volatile float g_kernel_sink = 0.0f;
+
+KernelTimes
+measureLayerKernel(simd::Tier t, LayerOp op, const KernelShape &s,
+                   Rng &rng)
+{
+    const int64_t rows = s.rows;
+    const int64_t n = s.n;
+    const Tensor x = Tensor::randn({rows, n}, rng);
+    const Tensor dy = Tensor::randn({rows, n}, rng);
+    const Tensor g = Tensor::randn({n}, rng, 1.0f, 0.1f);
+    const Tensor b = Tensor::randn({n}, rng);
+    Tensor y({rows, n});
+    Tensor nd = Tensor::randn({rows, n}, rng);
+    Tensor acc({n});
+    Tensor acc2({n});
+    std::vector<float> inv_std(static_cast<size_t>(rows), 1.0f);
+    const auto kernel = [&] {
+        switch (op) {
+          case LayerOp::LayerNormFwd:
+            simd::layerNormForward(t, y.data(), nd.data(), inv_std.data(),
+                                   x.data(), g.data(), b.data(), n, rows, n,
+                                   1e-5f);
+            break;
+          case LayerOp::LayerNormBwd:
+            simd::layerNormBackward(t, y.data(), dy.data(), nd.data(),
+                                    inv_std.data(), g.data(), n, rows, n);
+            simd::layerNormParamGrads(t, acc.data(), acc2.data(), dy.data(),
+                                      nd.data(), n, rows, n);
+            break;
+          case LayerOp::BiasAdd:
+            simd::addRowBias(t, y.data(), b.data(), n, rows, n);
+            break;
+          case LayerOp::BiasColSum:
+            simd::addColSums(t, acc.data(), dy.data(), n, rows, n);
+            break;
+          case LayerOp::ResidualAdd:
+            simd::addVals(t, y.data(), y.data(), x.data(), rows * n);
+            break;
+        }
+    };
+    const auto old_loop = [&] {
+        float *yd = y.data();
+        float *ad = acc.data();
+        const float *dyd = dy.data();
+        const float *bd = b.data();
+        const float *xd = x.data();
+        switch (op) {
+          case LayerOp::LayerNormFwd:
+            oldLayerNormForward(yd, nd.data(), inv_std.data(), xd, g.data(),
+                                bd, rows, n);
+            break;
+          case LayerOp::LayerNormBwd:
+            oldLayerNormBackward(yd, ad, acc2.data(), dyd, nd.data(),
+                                 inv_std.data(), g.data(), rows, n);
+            break;
+          case LayerOp::BiasAdd:
+            for (int64_t i = 0; i < rows; ++i)
+                for (int64_t j = 0; j < n; ++j)
+                    yd[i * n + j] += bd[j];
+            break;
+          case LayerOp::BiasColSum:
+            for (int64_t i = 0; i < rows; ++i)
+                for (int64_t j = 0; j < n; ++j)
+                    ad[j] += dyd[i * n + j];
+            break;
+          case LayerOp::ResidualAdd:
+            for (int64_t i = 0; i < rows * n; ++i)
+                yd[i] += xd[i];
+            break;
+        }
+    };
+    int64_t calls = 1;
+    auto nsPerCall = [&](auto &&call) {
+        const double t0 = seconds();
+        for (int64_t i = 0; i < calls; ++i)
+            call();
+        return (seconds() - t0) / calls * 1e9;
+    };
+    // Batches of about 2 ms of the old loop; the kernel and the loop
+    // alternate rep by rep, so a shift in the host's speed moves
+    // both medians alike.
+    while (nsPerCall(old_loop) * calls < 2e6)
+        calls *= 2;
+    std::vector<double> ns[2];
+    for (int r = 0; r < kLayerReps; ++r) {
+        ns[0].push_back(nsPerCall(kernel));
+        ns[1].push_back(nsPerCall(old_loop));
+    }
+    g_kernel_sink = g_kernel_sink + y[0] + acc[0] + acc2[0];
+    return {spreadOf(ns[0]).median, spreadOf(ns[1]).median};
+}
+
 } // namespace
 
 int
@@ -427,6 +640,31 @@ main(int argc, char **argv)
         attn_rows.push_back(ar);
     }
 
+    struct KernelRow
+    {
+        const KernelShape *shape;
+        LayerOp op;
+        std::vector<std::pair<simd::Tier, KernelTimes>> tiers;
+    };
+    std::vector<KernelRow> kernel_rows;
+    std::printf("\nlayer kernels (median ns per call, 1 thread: "
+                "kernel, old loop):\n");
+    for (const KernelShape &ks : kKernelShapes) {
+        for (LayerOp op : kLayerOps) {
+            KernelRow kr{&ks, op, {}};
+            for (simd::Tier t : tiers) {
+                const KernelTimes kt = measureLayerKernel(t, op, ks, rng);
+                kr.tiers.push_back({t, kt});
+                std::printf("  %-12s %3lldx%-3lld %-13s %-6s kernel %9.1f"
+                            "  old loop %9.1f\n",
+                            ks.name, static_cast<long long>(ks.rows),
+                            static_cast<long long>(ks.n), layerOpName(op),
+                            simd::tierName(t), kt.kernel, kt.old_loop);
+            }
+            kernel_rows.push_back(kr);
+        }
+    }
+
     const std::string rev = bench::gitRevision();
     FILE *f = std::fopen("BENCH_gemm.json", "w");
     if (!f) {
@@ -520,6 +758,27 @@ main(int argc, char **argv)
                          j + 1 < ar.tiers.size() ? ", " : "");
         }
         std::fprintf(f, "}}%s\n", i + 1 < attn_rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"layer_kernels_unit\": \"median ns per "
+                    "call, 1 thread\",\n"
+                    "  \"layer_kernels\": [\n");
+    for (size_t i = 0; i < kernel_rows.size(); ++i) {
+        const KernelRow &kr = kernel_rows[i];
+        std::fprintf(f,
+                     "    {\"shape\": \"%s\", \"rows\": %lld, "
+                     "\"n\": %lld, \"op\": \"%s\",\n     \"tiers\": {",
+                     kr.shape->name, static_cast<long long>(kr.shape->rows),
+                     static_cast<long long>(kr.shape->n),
+                     layerOpName(kr.op));
+        for (size_t j = 0; j < kr.tiers.size(); ++j) {
+            const KernelTimes &kt = kr.tiers[j].second;
+            std::fprintf(f,
+                         "\"%s\": {\"kernel_ns\": %.1f, "
+                         "\"old_loop_ns\": %.1f}%s",
+                         simd::tierName(kr.tiers[j].first), kt.kernel,
+                         kt.old_loop, j + 1 < kr.tiers.size() ? ", " : "");
+        }
+        std::fprintf(f, "}}%s\n", i + 1 < kernel_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
