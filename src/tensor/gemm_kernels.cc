@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "tensor/simd_internal.hh"
 
@@ -22,10 +23,18 @@
  *     the scalar micro-kernel's tail path.
  *
  * Tile choices (one broadcast + two B registers + MR*2
- * accumulators): AVX-512 uses MR=14 (31 of 32 zmm), AVX2 uses MR=6
- * (15 of 16 ymm). The micro-kernels are templates with unroll
- * pragmas — written as plain arrays GCC 12 spills the accumulator
- * tile at -O3, costing ~10x.
+ * accumulators): AVX-512 uses MR up to 14 (31 of 32 zmm), AVX2 MR up
+ * to 6 (15 of 16 ymm); a panel's rows split into equal groups, one
+ * template instance per group size. The micro-kernels are templates
+ * with unroll pragmas — written as plain arrays GCC 12 spills the
+ * accumulator tile at -O3, costing ~10x.
+ *
+ * The swapped NT kernels turn the tile around: JR rows of B (read in
+ * place, one broadcast per row and depth step) times NV registers of
+ * the driver's packed A^T, whose lanes run along m. JR never exceeds
+ * the lane count, so the epilogue transposes each register column of
+ * the tile in registers (zero rows pad it to a square) and adds
+ * lanes [0, JR) into C row by row, under a mask when JR is short.
  */
 
 namespace optimus
@@ -33,6 +42,46 @@ namespace optimus
 
 namespace
 {
+
+/**
+ * Calls fn(i, rows) for [i0, i1) split into ceil(rows / max_rows)
+ * consecutive groups whose sizes differ by at most one, the larger
+ * first. A group runs the same per-element chain whatever its size,
+ * so the split only decides how often B is streamed.
+ */
+template <typename Fn>
+inline void
+forBalancedGroups(int64_t i0, int64_t i1, int64_t max_rows, Fn &&fn)
+{
+    const int64_t rows = i1 - i0;
+    if (rows <= 0)
+        return;
+    const int64_t groups = (rows + max_rows - 1) / max_rows;
+    const int64_t base = rows / groups;
+    const int64_t extra = rows % groups;
+    for (int64_t g = 0, i = i0; g < groups; ++g) {
+        const int64_t r = base + (g < extra ? 1 : 0);
+        fn(i, r);
+        i += r;
+    }
+}
+
+/**
+ * Calls fn(std::integral_constant<int, count>) for a runtime count in
+ * [R, MAX]: one template instance per register-tile size.
+ */
+template <int R, int MAX, typename Fn>
+inline void
+withCount(int64_t count, Fn &&fn)
+{
+    if constexpr (R < MAX) {
+        if (count != R) {
+            withCount<R + 1, MAX>(count, fn);
+            return;
+        }
+    }
+    fn(std::integral_constant<int, R>{});
+}
 
 /**
  * Pack rows [i, i+MR) of op(A) depth-major: apack[p*MR + r]. For
@@ -124,21 +173,137 @@ rowGroup512(const GemmBlockCtx &ctx, int64_t i, float *apack)
     }
 }
 
+constexpr int kMr512 = 14;
+
 void
 panelAvx512(const GemmBlockCtx &ctx, int64_t i0, int64_t i1)
 {
-    alignas(64) float apack[14 * kGemmMaxKc];
-    int64_t i = i0;
-    for (; i + 14 <= i1; i += 14)
-        rowGroup512<14>(ctx, i, apack);
-    for (; i + 8 <= i1; i += 8)
-        rowGroup512<8>(ctx, i, apack);
-    for (; i + 4 <= i1; i += 4)
-        rowGroup512<4>(ctx, i, apack);
-    for (; i + 2 <= i1; i += 2)
-        rowGroup512<2>(ctx, i, apack);
-    for (; i < i1; ++i)
-        rowGroup512<1>(ctx, i, apack);
+    alignas(64) float apack[kMr512 * kGemmMaxKc];
+    forBalancedGroups(i0, i1, kMr512, [&](int64_t i, int64_t rows) {
+        withCount<1, kMr512>(rows, [&](auto mr) {
+            rowGroup512<decltype(mr)::value>(ctx, i, apack);
+        });
+    });
+}
+
+// GCC 12's avx512fintrin.h seeds the unmasked shuffles from a
+// self-initialised _mm512_undefined_ps(), which -Wuninitialized
+// flags once they are inlined here; the warning is a false positive.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/** In-register transpose: r[i] lane j <- r[j] lane i. */
+OPTIMUS_TARGET_AVX512 inline __attribute__((always_inline)) void
+transpose16(__m512 (&r)[16])
+{
+    __m512 t[16];
+    for (int i = 0; i < 16; i += 2) {
+        t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 16; i += 4) {
+        r[i] = _mm512_shuffle_ps(t[i], t[i + 2], 0x44);
+        r[i + 1] = _mm512_shuffle_ps(t[i], t[i + 2], 0xee);
+        r[i + 2] = _mm512_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+        r[i + 3] = _mm512_shuffle_ps(t[i + 1], t[i + 3], 0xee);
+    }
+    for (int h = 0; h < 16; h += 8)
+        for (int i = 0; i < 4; ++i) {
+            t[h + i] = _mm512_shuffle_f32x4(r[h + i], r[h + i + 4], 0x88);
+            t[h + i + 4] =
+                _mm512_shuffle_f32x4(r[h + i], r[h + i + 4], 0xdd);
+        }
+    for (int i = 0; i < 8; ++i) {
+        r[i] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0x88);
+        r[i + 8] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0xdd);
+    }
+}
+
+/**
+ * Swapped NT tile: C(i, j + r) += sum_p B(j + r, p) * A(i, p) for
+ * r < JR and i < m, as JR x NV zmm accumulators with lanes along i.
+ */
+template <int JR, int NV>
+OPTIMUS_TARGET_AVX512 void
+swap512(float *c, int64_t ldc, int64_t m, const float *at,
+        const float *b, int64_t ldb, int64_t kc)
+{
+    __m512 q[JR][NV];
+#pragma GCC unroll 16
+    for (int r = 0; r < JR; ++r)
+        for (int v = 0; v < NV; ++v)
+            q[r][v] = _mm512_setzero_ps();
+    const float *brow[JR];
+#pragma GCC unroll 16
+    for (int r = 0; r < JR; ++r)
+        brow[r] = b + r * ldb;
+    const float *ap = at;
+    for (int64_t p = 0; p < kc; ++p, ap += NV * 16) {
+        __m512 a[NV];
+        for (int v = 0; v < NV; ++v)
+            a[v] = _mm512_loadu_ps(ap + v * 16);
+#pragma GCC unroll 16
+        for (int r = 0; r < JR; ++r) {
+            const __m512 x = _mm512_set1_ps(brow[r][p]);
+            for (int v = 0; v < NV; ++v)
+                q[r][v] = _mm512_fmadd_ps(x, a[v], q[r][v]);
+        }
+    }
+    const __mmask16 live_cols =
+        static_cast<__mmask16>((1u << JR) - 1);
+    for (int v = 0; v < NV; ++v) {
+        __m512 t[16];
+#pragma GCC unroll 16
+        for (int r = 0; r < 16; ++r)
+            t[r] = r < JR ? q[r][v] : _mm512_setzero_ps();
+        transpose16(t);
+        const int64_t rows = std::min<int64_t>(16, m - v * 16);
+        for (int64_t i = 0; i < rows; ++i) {
+            float *cr = c + (v * 16 + i) * ldc;
+            if constexpr (JR == 16) {
+                _mm512_storeu_ps(
+                    cr, _mm512_add_ps(_mm512_loadu_ps(cr), t[i]));
+            } else {
+                _mm512_mask_storeu_ps(
+                    cr, live_cols,
+                    _mm512_add_ps(_mm512_maskz_loadu_ps(live_cols, cr),
+                                  t[i]));
+            }
+        }
+    }
+}
+
+#pragma GCC diagnostic pop
+
+void swappedAvx2(const GemmSwapCtx &ctx, int64_t j0, int64_t j1);
+
+/** B rows per swapped tile: one zmm of m lanes, or two. */
+constexpr int kJr512One = 16;
+constexpr int kJr512Two = 14;
+
+void
+swappedAvx512(const GemmSwapCtx &ctx, int64_t j0, int64_t j1)
+{
+    const auto run = [&](auto nv) {
+        constexpr int NV = decltype(nv)::value;
+        constexpr int JRMAX = NV == 1 ? kJr512One : kJr512Two;
+        forBalancedGroups(j0, j1, JRMAX, [&](int64_t j, int64_t jr) {
+            withCount<1, JRMAX>(jr, [&](auto rows) {
+                swap512<decltype(rows)::value, NV>(
+                    ctx.c + j, ctx.ldc, ctx.m, ctx.at,
+                    ctx.b + j * ctx.ldb, ctx.ldb, ctx.kc);
+            });
+        });
+    };
+    // Eight lanes or fewer run the AVX2 ymm tile: half the work of
+    // a zmm tile whose upper lanes would be padding.
+    if (ctx.ldat == kGemmSwapMinLanes)
+        swappedAvx2(ctx, j0, j1);
+    else if (ctx.ldat == 16)
+        run(std::integral_constant<int, 1>{});
+    else
+        run(std::integral_constant<int, 2>{});
 }
 
 // ----------------------------------------------------------------
@@ -206,19 +371,151 @@ rowGroup256(const GemmBlockCtx &ctx, int64_t i, float *apack)
     }
 }
 
+constexpr int kMr256 = 6;
+
 void
 panelAvx2(const GemmBlockCtx &ctx, int64_t i0, int64_t i1)
 {
-    alignas(32) float apack[6 * kGemmMaxKc];
-    int64_t i = i0;
-    for (; i + 6 <= i1; i += 6)
-        rowGroup256<6>(ctx, i, apack);
-    for (; i + 4 <= i1; i += 4)
-        rowGroup256<4>(ctx, i, apack);
-    for (; i + 2 <= i1; i += 2)
-        rowGroup256<2>(ctx, i, apack);
-    for (; i < i1; ++i)
-        rowGroup256<1>(ctx, i, apack);
+    alignas(32) float apack[kMr256 * kGemmMaxKc];
+    forBalancedGroups(i0, i1, kMr256, [&](int64_t i, int64_t rows) {
+        withCount<1, kMr256>(rows, [&](auto mr) {
+            rowGroup256<decltype(mr)::value>(ctx, i, apack);
+        });
+    });
+}
+
+/** In-register transpose: r[i] lane j <- r[j] lane i. */
+OPTIMUS_TARGET_AVX2 inline __attribute__((always_inline)) void
+transpose8(__m256 (&r)[8])
+{
+    __m256 t[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {
+        r[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+        r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xee);
+        r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+        r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xee);
+    }
+    for (int i = 0; i < 4; ++i) {
+        t[i] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x20);
+        t[i + 4] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x31);
+    }
+    for (int i = 0; i < 8; ++i)
+        r[i] = t[i];
+}
+
+/**
+ * Swapped NT tile: C(i, j + r) += sum_p B(j + r, p) * A(i, p) for
+ * r < JR and i < m, as JR x NV ymm accumulators with lanes along i.
+ */
+template <int JR, int NV>
+OPTIMUS_TARGET_AVX2 void
+swap256(float *c, int64_t ldc, int64_t m, const float *at,
+        const float *b, int64_t ldb, int64_t kc)
+{
+    __m256 q[JR][NV];
+#pragma GCC unroll 8
+    for (int r = 0; r < JR; ++r)
+        for (int v = 0; v < NV; ++v)
+            q[r][v] = _mm256_setzero_ps();
+    const float *brow[JR];
+#pragma GCC unroll 8
+    for (int r = 0; r < JR; ++r)
+        brow[r] = b + r * ldb;
+    const float *ap = at;
+    for (int64_t p = 0; p < kc; ++p, ap += NV * 8) {
+        __m256 a[NV];
+        for (int v = 0; v < NV; ++v)
+            a[v] = _mm256_loadu_ps(ap + v * 8);
+#pragma GCC unroll 8
+        for (int r = 0; r < JR; ++r) {
+            const __m256 x = _mm256_broadcast_ss(brow[r] + p);
+            for (int v = 0; v < NV; ++v)
+                q[r][v] = _mm256_fmadd_ps(x, a[v], q[r][v]);
+        }
+    }
+    const __m256i live_cols = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(JR), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (int v = 0; v < NV; ++v) {
+        __m256 t[8];
+#pragma GCC unroll 8
+        for (int r = 0; r < 8; ++r)
+            t[r] = r < JR ? q[r][v] : _mm256_setzero_ps();
+        transpose8(t);
+        const int64_t rows = std::min<int64_t>(8, m - v * 8);
+        for (int64_t i = 0; i < rows; ++i) {
+            float *cr = c + (v * 8 + i) * ldc;
+            if constexpr (JR == 8) {
+                _mm256_storeu_ps(
+                    cr, _mm256_add_ps(_mm256_loadu_ps(cr), t[i]));
+            } else {
+                _mm256_maskstore_ps(
+                    cr, live_cols,
+                    _mm256_add_ps(_mm256_maskload_ps(cr, live_cols),
+                                  t[i]));
+            }
+        }
+    }
+}
+
+/**
+ * Swapped-path pack: at[p * ldat + i] = a[i * lda + p] for i < m and
+ * p < kc, zero for m <= i < ldat. Moves 8 x 8 blocks through an
+ * in-register transpose; columns past kc are never loaded, so a view
+ * of A is read only inside its rows. Both vector tiers run it.
+ */
+OPTIMUS_TARGET_AVX2 void
+packSwappedAvx2(float *at, int64_t ldat, const float *a, int64_t lda,
+                int64_t m, int64_t kc)
+{
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (int64_t i0 = 0; i0 < ldat; i0 += 8) {
+        for (int64_t p0 = 0; p0 < kc; p0 += 8) {
+            const int64_t pn = std::min<int64_t>(8, kc - p0);
+            const __m256i cols = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(static_cast<int>(pn)), lane);
+            __m256 t[8];
+            for (int r = 0; r < 8; ++r) {
+                const float *src = a + (i0 + r) * lda + p0;
+                if (i0 + r >= m)
+                    t[r] = _mm256_setzero_ps();
+                else if (pn == 8)
+                    t[r] = _mm256_loadu_ps(src);
+                else
+                    t[r] = _mm256_maskload_ps(src, cols);
+            }
+            transpose8(t);
+            for (int64_t p = 0; p < pn; ++p)
+                _mm256_storeu_ps(at + (p0 + p) * ldat + i0, t[p]);
+        }
+    }
+}
+
+/** B rows per swapped tile: one ymm of m lanes, or two. */
+constexpr int kJr256One = 8;
+constexpr int kJr256Two = 6;
+
+void
+swappedAvx2(const GemmSwapCtx &ctx, int64_t j0, int64_t j1)
+{
+    const auto run = [&](auto nv) {
+        constexpr int NV = decltype(nv)::value;
+        constexpr int JRMAX = NV == 1 ? kJr256One : kJr256Two;
+        forBalancedGroups(j0, j1, JRMAX, [&](int64_t j, int64_t jr) {
+            withCount<1, JRMAX>(jr, [&](auto rows) {
+                swap256<decltype(rows)::value, NV>(
+                    ctx.c + j, ctx.ldc, ctx.m, ctx.at,
+                    ctx.b + j * ctx.ldb, ctx.ldb, ctx.kc);
+            });
+        });
+    };
+    if (ctx.ldat == 8)
+        run(std::integral_constant<int, 1>{});
+    else
+        run(std::integral_constant<int, 2>{});
 }
 
 #endif // OPTIMUS_SIMD_X86
@@ -229,9 +526,11 @@ const GemmKernel &
 gemmKernelAvx2()
 {
 #if OPTIMUS_SIMD_X86
-    static const GemmKernel k{"avx2", kJw256, 48, 512, panelAvx2};
+    static const GemmKernel k{"avx2", kJw256, 48, 512, panelAvx2,
+                              8, 48, packSwappedAvx2, swappedAvx2};
 #else
-    static const GemmKernel k{"avx2", 16, 48, 512, nullptr};
+    static const GemmKernel k{"avx2", 16, 48, 512, nullptr,
+                              8, 48, nullptr, nullptr};
 #endif
     return k;
 }
@@ -241,9 +540,11 @@ gemmKernelAvx512()
 {
 #if OPTIMUS_SIMD_X86
     static const GemmKernel k{"avx512", kJw512, 56, 512,
-                              panelAvx512};
+                              panelAvx512, 16, 112, packSwappedAvx2,
+                              swappedAvx512};
 #else
-    static const GemmKernel k{"avx512", 32, 56, 512, nullptr};
+    static const GemmKernel k{"avx512", 32, 56, 512, nullptr,
+                              16, 112, nullptr, nullptr};
 #endif
     return k;
 }

@@ -8,17 +8,33 @@
  * the current (jc, pc) block of B. That block is either B itself
  * (stored [k x n], block width a multiple of the panel width) or
  * the driver's packed copy, rows padded with zeros to that width.
+ * A panel covers its rows in ceil(rows / MR) groups whose sizes
+ * differ by at most one, so 16 rows run as 8 + 8 on the 14-row
+ * AVX-512 tile instead of 14 + 2, and no group streams B for a
+ * sliver of rows.
+ *
+ * An NT product with few rows (m below n and within two vector
+ * registers) runs *swapped*: C^T = B * A^T with the vector lanes
+ * along m. The driver transposes the small m x kc block of A into
+ * a lane-padded scratch; the kernel broadcasts B's rows in place and
+ * adds each register tile into C through a transposed epilogue.
+ * Nothing the size of B is copied.
+ *
  * Each dispatch tier supplies a GemmKernel descriptor: its panel
- * function plus the register-tile column width. The scalar panel
- * lives in matmul.cc (it is the pre-dispatch kernel, unchanged);
- * the AVX2 and AVX-512 panels live in gemm_kernels.cc — the only
- * file besides simd.cc allowed to use raw intrinsics (lint rule
- * SIM01).
+ * and swapped functions plus the tile sizes. The scalar panel lives
+ * in matmul.cc (it is the pre-dispatch kernel, unchanged, and has no
+ * swapped form); the AVX2 and AVX-512 kernels live in
+ * gemm_kernels.cc — the only file besides simd.cc allowed to use raw
+ * intrinsics (lint rule SIM01).
  *
  * Determinism: a panel kernel's row grouping, packing, and
  * accumulator tiling depend only on (i0, i1, ctx shape), and the
- * driver's chunk grid is a pure function of the problem shape, so
- * every tier is bitwise deterministic at any OPTIMUS_THREADS.
+ * driver's chunk grid and orientation are pure functions of the
+ * problem shape and tier, so every tier is bitwise deterministic at
+ * any OPTIMUS_THREADS. Grouping and orientation do not even change
+ * the bits: either way each C element is one k-ordered FMA chain
+ * from zero per pc block plus one add into C, and
+ * fma(b, a, acc) == fma(a, b, acc).
  */
 
 #ifndef OPTIMUS_TENSOR_GEMM_KERNELS_HH
@@ -62,6 +78,44 @@ struct GemmBlockCtx
 using GemmPanelFn = void (*)(const GemmBlockCtx &ctx, int64_t i0,
                              int64_t i1);
 
+/**
+ * Per-pc state of the swapped NT orientation, C[m x n] (+)= A * B^T
+ * with B stored [n x k]. at[p * ldat + i] holds A(i, pc + p) for
+ * i < m and zero up to ldat, a whole number of vector registers. B
+ * row j, depth p lives at b[j * ldb + p]: b already points at column
+ * pc of B's first row, and the kernel reads it in place.
+ */
+struct GemmSwapCtx
+{
+    float *c;
+    int64_t ldc;
+    int64_t m;
+    const float *at;
+    int64_t ldat;
+    const float *b;
+    int64_t ldb;
+    int64_t kc;
+};
+
+/**
+ * Lane padding of the swapped path's packed A^T: m up to this many
+ * rows pads to it (one ymm, on either vector tier), larger m to a
+ * whole number of the tier's registers.
+ */
+constexpr int64_t kGemmSwapMinLanes = 8;
+
+/**
+ * Fills a GemmSwapCtx::at block: at[p * ldat + i] = a[i * lda + p]
+ * for i < m, p < kc, and zero for m <= i < ldat.
+ */
+using GemmSwapPackFn = void (*)(float *at, int64_t ldat,
+                                const float *a, int64_t lda, int64_t m,
+                                int64_t kc);
+
+/** Computes C columns [j0, j1) (+)= A * B^T for one pc block. */
+using GemmSwapFn = void (*)(const GemmSwapCtx &ctx, int64_t j0,
+                            int64_t j1);
+
 /** One dispatch tier's GEMM entry. */
 struct GemmKernel
 {
@@ -74,8 +128,8 @@ struct GemmKernel
     int64_t panelWidth;
     /**
      * Row tile of the driver's parallelFor — a multiple of the
-     * micro-kernel row count MR, so interior chunks never hit the
-     * short-row tail path. The driver states its work per tile and
+     * micro-kernel row count MR, so interior chunks split into
+     * whole MR-row groups. The driver states its work per tile and
      * the runtime's dispatch rule picks how many tiles a chunk
      * takes, so the decomposition stays a pure shape function.
      */
@@ -89,12 +143,24 @@ struct GemmKernel
     /** Panel function; null on builds without this tier's ISA
      * (never reached — simd::tier() caps at Scalar there). */
     GemmPanelFn panel;
+    /** Floats per vector register: the swapped path takes m up to
+     * twice this, padded to kGemmSwapMinLanes or to a multiple of
+     * it. */
+    int64_t lanes;
+    /** Column tile of the swapped path's parallelFor, a multiple of
+     * each of its register tiles' B-row counts. */
+    int64_t swapGrain;
+    /** Swapped-path A^T pack and NT function; null where panel is. */
+    GemmSwapPackFn swapPack;
+    GemmSwapFn swapped;
 };
 
-/** 6x16 ymm FMA panel kernel (AVX2 tier). */
+/** 6x16 ymm FMA panel kernel and 8-lane swapped kernel (AVX2
+ * tier). */
 const GemmKernel &gemmKernelAvx2();
 
-/** 14x32 zmm FMA panel kernel (AVX-512 tier). */
+/** 14x32 zmm FMA panel kernel and 16-lane swapped kernel
+ * (AVX-512 tier). */
 const GemmKernel &gemmKernelAvx512();
 
 } // namespace optimus

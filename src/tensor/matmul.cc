@@ -170,6 +170,82 @@ packTransposedB(float *bp, int64_t ldp, const float *src, int64_t lds,
 }
 
 /**
+ * The driver's one pack buffer per call. Under an active workspace
+ * scope it is drawn from the arena and recycles across calls no
+ * matter which pool worker executes this frame — a thread_local here
+ * would ratchet per thread, and which worker runs a reduce-engine
+ * bucket task is scheduling-dependent, so a cold worker could
+ * allocate in an armed steady-state step. Unscoped callers keep the
+ * per-thread buffer (every block is fully rewritten before use, and
+ * a GEMM never nests inside another GEMM on one thread).
+ */
+class PackScratch
+{
+  public:
+    explicit PackScratch(int64_t elems)
+    {
+        if (elems <= 0)
+            return;
+        ws_ = currentWorkspace();
+        if (ws_ != nullptr) {
+            data_ = ws_->allocate(elems, cap_);
+            return;
+        }
+        thread_local std::vector<float> t_pack; // optlint:coldalloc
+        // optlint:coldalloc — warmup capacity ratchet.
+        if (static_cast<int64_t>(t_pack.size()) < elems)
+            t_pack.resize(elems);
+        data_ = t_pack.data();
+    }
+    ~PackScratch()
+    {
+        if (ws_ != nullptr)
+            ws_->release(data_, cap_);
+    }
+    PackScratch(const PackScratch &) = delete;
+    PackScratch &operator=(const PackScratch &) = delete;
+
+    float *data() const { return data_; }
+
+  private:
+    Workspace *ws_ = nullptr;
+    float *data_ = nullptr;
+    int64_t cap_ = 0;
+};
+
+/**
+ * Swapped NT core: C[m x n] (+)= A * B^T with the vector lanes along
+ * m, for m below n and within two of the tier's registers. Per pc
+ * block the m x kc block of A is transposed into lane-padded scratch
+ * (pad lanes zero, never stored) and the kernel reads B's rows in
+ * place; the columns of C split over the pool.
+ */
+void
+gemmSwapped(const GemmKernel &mk, float *c, int64_t ldc,
+            const float *a, int64_t lda, const float *b, int64_t ldb,
+            int64_t m, int64_t k, int64_t n)
+{
+    const int64_t ldat =
+        m <= kGemmSwapMinLanes
+            ? kGemmSwapMinLanes
+            : ((m + mk.lanes - 1) / mk.lanes) * mk.lanes;
+    PackScratch at(std::min(k, KC) * ldat);
+    for (int64_t pc = 0; pc < k; pc += KC) {
+        const int64_t kc = std::min(KC, k - pc);
+        mk.swapPack(at.data(), ldat, a + pc, lda, m, kc);
+        // A column of C is kc * m multiply-adds; its bits do not
+        // depend on its chunk.
+        const GemmSwapCtx ctx{c, ldc, m, at.data(), ldat, b + pc, ldb,
+                              kc};
+        const int64_t grain =
+            mk.swapGrain * grainForWork(mk.swapGrain * kc * m);
+        parallelFor(0, n, grain, [&ctx, &mk](int64_t j0, int64_t j1) {
+            mk.swapped(ctx, j0, j1);
+        });
+    }
+}
+
+/**
  * Blocked GEMM core: C[m x n] (+)= op(A) * op(B) with op in
  * {identity, transpose}, never materializing a transposed copy.
  * Physical layouts: A is [m x k] ([k x m] when trans_a), B is
@@ -178,9 +254,10 @@ packTransposedB(float *bp, int64_t ldp, const float *src, int64_t lds,
  * gemmStrided() in matmul.hh).
  *
  * The active simd::Tier is read once per call: it selects the panel
- * kernel run inside each row task and the panel width that decides
- * whether a B block is read in place or packed and padded. The
- * scalar panel below is the pre-dispatch kernel, unchanged, so
+ * kernel run inside each row task, the panel width that decides
+ * whether a B block is read in place or packed and padded, and
+ * whether an NT product with few rows runs swapped (gemmSwapped).
+ * The scalar panel below is the pre-dispatch kernel, unchanged, so
  * OPTIMUS_SIMD=scalar is bit-exact with the old tree.
  */
 // optlint:hot — steady-state step path (zero-allocation contract).
@@ -209,45 +286,36 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
     // panels is already laid out as its pack would be, only with rows
     // ldb apart instead of nc_pad: the kernels read it in place. Only
     // the last column block can be ragged, so it alone decides
-    // whether an untransposed B packs at all.
+    // whether an untransposed B packs at all. A transposed B is read
+    // in place by the swapped path, so it is checked at every tier
+    // and shape alike.
     const int64_t nc_last = n - ((n - 1) / ncb) * ncb;
     const bool pack_last = trans_b || nc_last % jw != 0;
-    if (!trans_b && (n > ncb || !pack_last)) {
-        // In place, the panels read B while they write C, so the two
-        // must not share storage.
+    if (trans_b || n > ncb || !pack_last) {
+        // In place, the kernels read B while they write C, so the
+        // two must not share storage.
         const auto lo = [](const float *p) {
             return reinterpret_cast<uintptr_t>(p);
         };
+        const int64_t b_rows = trans_b ? n : k;
+        const int64_t b_cols = trans_b ? k : n;
         OPTIMUS_ASSERT(lo(c + (m - 1) * ldc + n) <= lo(b) ||
-                       lo(b + (k - 1) * ldb + n) <= lo(c));
+                       lo(b + (b_rows - 1) * ldb + b_cols) <= lo(c));
+    }
+
+    // Few rows of NT: lanes along m, B read in place.
+    if (mk != nullptr && trans_b && !trans_a && m < n &&
+        m <= 2 * mk->lanes) {
+        gemmSwapped(*mk, c, ldc, a, lda, b, ldb, m, k, n);
+        return;
     }
 
     // Packed-B scratch, drawn only when some block packs and sized
-    // for the widest such block. Under an active workspace scope it
-    // is drawn from the arena and recycles across calls no matter
-    // which pool worker executes this frame — a thread_local here
-    // would ratchet per thread, and which worker runs a
-    // reduce-engine bucket task is scheduling-dependent, so a cold
-    // worker could allocate in an armed steady-state step. Unscoped
-    // callers keep the per-thread buffer (every block is fully
-    // rewritten before use, and a GEMM never nests inside another
-    // GEMM on one thread).
+    // for the widest such block.
     const int64_t pack_cols = trans_b ? std::min(n, ncb) : nc_last;
-    const int64_t bpack_elems =
+    PackScratch bpack(
         pack_last ? std::min(k, KC) * ((pack_cols + jw - 1) / jw) * jw
-                  : 0;
-    Workspace *const ws = currentWorkspace();
-    thread_local std::vector<float> t_bpack; // optlint:coldalloc
-    float *bpack = nullptr;
-    int64_t bpack_cap = 0;
-    if (bpack_elems > 0 && ws != nullptr) {
-        bpack = ws->allocate(bpack_elems, bpack_cap);
-    } else if (bpack_elems > 0) {
-        // optlint:coldalloc — warmup capacity ratchet.
-        if (static_cast<int64_t>(t_bpack.size()) < bpack_elems)
-            t_bpack.resize(bpack_elems);
-        bpack = t_bpack.data();
-    }
+                  : 0);
 
     for (int64_t jc = 0; jc < n; jc += ncb) {
         const int64_t nc = std::min(ncb, n - jc);
@@ -264,20 +332,21 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
             const float *bp = b + pc * ldb + jc;
             int64_t ldp = ldb;
             if (trans_b || nc_pad != nc) {
+                float *const pack = bpack.data();
                 if (!trans_b) {
                     for (int64_t p = 0; p < kc; ++p)
-                        std::memcpy(bpack + p * nc_pad,
+                        std::memcpy(pack + p * nc_pad,
                                     b + (pc + p) * ldb + jc,
                                     sizeof(float) * nc);
                 } else {
-                    packTransposedB(bpack, nc_pad, b + jc * ldb + pc,
+                    packTransposedB(pack, nc_pad, b + jc * ldb + pc,
                                     ldb, kc, nc);
                 }
                 if (nc_pad != nc)
                     for (int64_t p = 0; p < kc; ++p)
-                        std::memset(bpack + p * nc_pad + nc, 0,
+                        std::memset(pack + p * nc_pad + nc, 0,
                                     sizeof(float) * (nc_pad - nc));
-                bp = bpack;
+                bp = pack;
                 ldp = nc_pad;
             }
 
@@ -306,8 +375,6 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
             });
         }
     }
-    if (bpack != nullptr && ws != nullptr)
-        ws->release(bpack, bpack_cap);
 }
 
 } // namespace

@@ -11,11 +11,14 @@
  * runtime/runtime.hh); a GEMM too small to fill two chunks by the
  * runtime's dispatch rule runs inline. B stored [k x n] is read in
  * place wherever a column block is a whole number of register tiles
- * wide, so a Linear forward copies none of its weights; ragged
- * blocks and transposed B are packed block by block — no full
- * transposed() copy is ever made. Results are bitwise reproducible for any
- * OPTIMUS_THREADS setting because the panel decomposition depends
- * only on the problem shape.
+ * wide, so a Linear forward copies none of its weights. An NT product
+ * with fewer rows than columns (a Linear dX, the head's logits,
+ * PowerSGD's P phase) runs with its vector lanes along the rows on
+ * the SIMD tiers: A's few rows are transposed and B, the weight, is
+ * read in place. Ragged blocks and other transposed B are packed
+ * block by block — no full transposed() copy is ever made. Results
+ * are bitwise reproducible for any OPTIMUS_THREADS setting because
+ * the panel decomposition depends only on the problem shape.
  *
  * Leading dimensions: the core reads A and B and writes C through
  * row-major views, each row `ld` floats after the previous one, so a
@@ -73,8 +76,9 @@ void gemm(float *c, const float *a, const float *b, int64_t m,
  * @p accumulate is false the C view is overwritten. Bits equal the
  * same product on packed copies of the views.
  * @pre every ld is at least its view's stored row width
- * @pre when B is not transposed, the C view does not overlap B's
- *      storage (B may be read in place while C is written; checked)
+ * @pre the C view does not overlap B's storage when B is transposed
+ *      or some column block of B is a whole number of panels: B may
+ *      then be read in place while C is written (checked)
  */
 void gemmStrided(float *c, int64_t ldc, const float *a, int64_t lda,
                  bool trans_a, const float *b, int64_t ldb,

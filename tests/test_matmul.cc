@@ -6,6 +6,7 @@
  * batch invariance at every SIMD tier.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -356,24 +357,39 @@ using test::sameBits;
 
 TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
 {
-    // Packing a transposed operand only moves data, so NT and TN
-    // must equal the NN product of an explicitly transposed copy bit
-    // for bit, at every tier and thread count. The sizes cut ragged
-    // pack tiles and register tiles, k = 257/300 crosses the KC =
-    // 256 block and n = 600 crosses the widest column block (512).
-    // Multiples of the panel widths (16 on avx2, 32 on avx512 and
-    // scalar) make the NN reference read B in place, in every column
-    // block (n = 16..256) or in the first one only (n = 544).
+    // Packing a transposed operand only moves data, and the swapped
+    // NT orientation (lanes along m for m < n within two registers)
+    // runs each element's same FMA chain, so NT and TN must equal the
+    // NN product of an explicitly transposed copy bit for bit, at
+    // every tier and thread count. Every m from 1 to 17 plus 31/33/57
+    // meets n = m - 1, m and m + 1, so each row-group size and both
+    // sides of the orientation switch (m < n, and m within 8, 16 or
+    // 32 lanes) run; k = 257/300 crosses the KC = 256 block and
+    // n = 600 crosses the widest column block (512). n = 64, 256 and
+    // 544 = 512 + 32 are whole panels at every tier, so the NN
+    // reference reads B in place in every column block or in the
+    // first one only.
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
+    std::vector<int64_t> ms;
+    for (int64_t m = 1; m <= 17; ++m)
+        ms.push_back(m);
+    for (int64_t m : {31, 33, 57})
+        ms.push_back(m);
     Rng rng(35);
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
         for (bool serial : {true, false}) {
-            for (int64_t n :
-                 {1, 7, 8, 9, 16, 17, 32, 33, 64, 192, 256, 544, 600}) {
-                for (int64_t k : {1, 15, 17, 257, 300}) {
-                    for (int64_t m : {1, 13, 16, 57}) {
+            for (int64_t m : ms) {
+                std::vector<int64_t> ns;
+                for (int64_t n : {m - 1, m, m + 1, int64_t{64},
+                                  int64_t{256}, int64_t{544},
+                                  int64_t{600}})
+                    if (n >= 1 &&
+                        std::find(ns.begin(), ns.end(), n) == ns.end())
+                        ns.push_back(n);
+                for (int64_t n : ns) {
+                    for (int64_t k : {1, 15, 17, 257, 300}) {
                         const Tensor a = Tensor::randn({m, k}, rng);
                         const Tensor bt = Tensor::randn({n, k}, rng);
                         const Tensor at = Tensor::randn({k, m}, rng);
@@ -447,6 +463,82 @@ struct View
     }
 };
 
+/**
+ * Operand views of one leading-dimension case: A and B sit in
+ * NaN-padded buffers, A's rows a_pad floats wider than the view and
+ * starting a_off floats in (likewise for B); C's pad holds -0.0f, the
+ * one value that adding a zero changes, so even a full-width store of
+ * C + 0 past the view's last column shows.
+ */
+struct ViewLayout
+{
+    int64_t a_pad, a_off, b_pad, b_off;
+};
+
+/**
+ * The strided GEMM of form 0/1/2 (NN, TN, NT) on views of fresh
+ * operands against the same product on packed copies, overwriting
+ * and accumulating: the bits must match, and no float of C outside
+ * its view may change.
+ */
+void
+expectViewsMatchCopies(const Shape &s, int form, const ViewLayout &lay,
+                       Rng &rng, const std::string &tag)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float sentinel = -0.0f;
+    const bool ta = form == 1;
+    const bool tb = form == 2;
+    const int64_t ar = ta ? s.k : s.m;
+    const int64_t ac = ta ? s.m : s.k;
+    const int64_t br = tb ? s.n : s.k;
+    const int64_t bc = tb ? s.k : s.n;
+    const Tensor a = Tensor::randn({ar, ac}, rng);
+    const Tensor b = Tensor::randn({br, bc}, rng);
+    const Tensor init = Tensor::randn({s.m, s.n}, rng);
+    for (bool acc : {true, false}) {
+        View av(ar, ac, lay.a_pad, lay.a_off, nan);
+        View bv(br, bc, lay.b_pad, lay.b_off, nan);
+        View cv(s.m, s.n, 4, 3, sentinel);
+        av.fill(a);
+        bv.fill(b);
+        cv.fill(init);
+        gemmStrided(cv.data(), cv.ld, av.data(), av.ld, ta, bv.data(),
+                    bv.ld, tb, s.m, s.k, s.n, acc);
+
+        Tensor ref = init;
+        if (!acc)
+            gemmStrided(ref.data(), s.n, a.data(), ac, ta, b.data(), bc,
+                        tb, s.m, s.k, s.n, false);
+        else if (form == 0)
+            matmulAcc(ref, a, b);
+        else if (form == 1)
+            matmulAccTN(ref, a, b);
+        else
+            matmulAccNT(ref, a, b);
+
+        const std::string where =
+            tag + " form=" + std::to_string(form) +
+            " acc=" + std::to_string(acc) + " m=" + std::to_string(s.m) +
+            " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+            " lda=" + std::to_string(av.ld) +
+            " ldb=" + std::to_string(bv.ld);
+        ASSERT_TRUE(sameBits(cv.packed(), ref)) << where;
+        // C's pad columns are untouched.
+        int64_t touched = 0;
+        for (int64_t i = 0; i < cv.rows; ++i)
+            for (int64_t j = 0; j < cv.ld; ++j) {
+                const int64_t col = j - cv.off;
+                if (col >= 0 && col < cv.cols)
+                    continue;
+                float got = cv.buf[i * cv.ld + j];
+                touched +=
+                    std::memcmp(&got, &sentinel, sizeof got) != 0;
+            }
+        ASSERT_EQ(touched, 0) << where;
+    }
+}
+
 TEST(MatmulTiers, LeadingDimensionViewsBitwiseEqualCopies)
 {
     // The strided core on views must give the bits of the same GEMM
@@ -458,15 +550,21 @@ TEST(MatmulTiers, LeadingDimensionViewsBitwiseEqualCopies)
     // tiles; every tier, pooled and serial. The panel-width
     // multiples (n = 16..544) put NN and TN on the path that reads B
     // in place: its NaN pad columns prove the kernels stay inside the
-    // view there too.
+    // view there too. NT with m < n (up to 32 rows) runs swapped and
+    // reads B in place; the second list lays A and B out as
+    // attention's q and k are, head-width column slices of a fused
+    // row three slices wide (ld = 3 * k), at row counts on both sides
+    // of the swap.
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    const float sentinel = -1234.5f;
     const Shape shapes[] = {
         {1, 1, 1},     {7, 300, 17}, {13, 17, 600},  {57, 257, 33},
         {5, 9, 513},   {33, 65, 7},  {7, 300, 16},   {13, 17, 32},
         {57, 257, 64}, {5, 9, 192},  {8, 300, 256},  {13, 33, 544}};
+    const Shape fused_nt[] = {
+        {1, 16, 8},   {7, 16, 8},   {8, 16, 8},   {8, 16, 9},
+        {16, 16, 17}, {16, 64, 64}, {17, 16, 64}, {31, 32, 300},
+        {33, 16, 64}, {7, 257, 33}};
     Rng rng(36);
     for (simd::Tier t : supportedTiers()) {
         simd::setTier(t);
@@ -474,67 +572,15 @@ TEST(MatmulTiers, LeadingDimensionViewsBitwiseEqualCopies)
             std::optional<SerialRegion> region;
             if (serial)
                 region.emplace();
-            for (const Shape &s : shapes) {
-                for (int form = 0; form < 3; ++form) {
-                    // NN, TN, NT.
-                    const bool ta = form == 1;
-                    const bool tb = form == 2;
-                    const int64_t ar = ta ? s.k : s.m;
-                    const int64_t ac = ta ? s.m : s.k;
-                    const int64_t br = tb ? s.n : s.k;
-                    const int64_t bc = tb ? s.k : s.n;
-                    const Tensor a = Tensor::randn({ar, ac}, rng);
-                    const Tensor b = Tensor::randn({br, bc}, rng);
-                    const Tensor init =
-                        Tensor::randn({s.m, s.n}, rng);
-                    for (bool acc : {true, false}) {
-                        View av(ar, ac, 5, 2, nan);
-                        View bv(br, bc, 3, 1, nan);
-                        View cv(s.m, s.n, 4, 3, sentinel);
-                        av.fill(a);
-                        bv.fill(b);
-                        cv.fill(init);
-                        gemmStrided(cv.data(), cv.ld, av.data(), av.ld,
-                                    ta, bv.data(), bv.ld, tb, s.m, s.k,
-                                    s.n, acc);
-
-                        Tensor ref = init;
-                        if (!acc)
-                            gemmStrided(ref.data(), s.n, a.data(), ac,
-                                        ta, b.data(), bc, tb, s.m, s.k,
-                                        s.n, false);
-                        else if (form == 0)
-                            matmulAcc(ref, a, b);
-                        else if (form == 1)
-                            matmulAccTN(ref, a, b);
-                        else
-                            matmulAccNT(ref, a, b);
-
-                        const std::string where =
-                            std::string(simd::tierName(t)) +
-                            (serial ? " 1 thread" : " pool") +
-                            " form=" + std::to_string(form) +
-                            " acc=" + std::to_string(acc) +
-                            " m=" + std::to_string(s.m) +
-                            " k=" + std::to_string(s.k) +
-                            " n=" + std::to_string(s.n);
-                        ASSERT_TRUE(sameBits(cv.packed(), ref))
-                            << where;
-                        // C's pad columns are untouched.
-                        int64_t touched = 0;
-                        for (int64_t i = 0; i < cv.rows; ++i)
-                            for (int64_t j = 0; j < cv.ld; ++j) {
-                                const int64_t col = j - cv.off;
-                                if (col >= 0 && col < cv.cols)
-                                    continue;
-                                float got = cv.buf[i * cv.ld + j];
-                                touched += std::memcmp(&got, &sentinel,
-                                                       sizeof got) != 0;
-                            }
-                        ASSERT_EQ(touched, 0) << where;
-                    }
-                }
-            }
+            const std::string tag = std::string(simd::tierName(t)) +
+                                    (serial ? " 1 thread" : " pool");
+            for (const Shape &s : shapes)
+                for (int form = 0; form < 3; ++form)
+                    expectViewsMatchCopies(s, form, {5, 2, 3, 1}, rng,
+                                           tag);
+            for (const Shape &s : fused_nt)
+                expectViewsMatchCopies(
+                    s, 2, {2 * s.k, 0, 2 * s.k, s.k}, rng, tag);
         }
     }
     simd::setTier(initial);
@@ -592,8 +638,11 @@ TEST(MatmulTiers, WholePanelBDrawsNoPackScratch)
 
 TEST(MatmulDeathTest, InPlaceBOverlappingCDies)
 {
-    // Read in place, B must not share storage with C: the panels
-    // would read B while writing C. The check fires at every tier.
+    // Read in place, B must not share storage with C: the kernels
+    // would read B while writing C. NN reads a whole-panel B in
+    // place; NT's swapped path (m < n within two registers) reads
+    // its [n x k] B in place, and the driver checks every NT call
+    // alike. The check fires at every tier.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     const simd::Tier initial = simd::tier();
     const int64_t m = 4, k = 8, n = 64;
@@ -607,6 +656,12 @@ TEST(MatmulDeathTest, InPlaceBOverlappingCDies)
                                  n, false, m, k, n, true),
                      "assertion")
             << simd::tierName(t);
+        // B stored [n x k]: C's first row starts inside its last row.
+        float *c_nt = buf.data() + (n - 1) * k + k / 2;
+        EXPECT_DEATH(gemmStrided(c_nt, n, a.data(), k, false,
+                                 buf.data(), k, true, m, k, n, true),
+                     "assertion")
+            << "NT " << simd::tierName(t);
     }
     simd::setTier(initial);
 }
