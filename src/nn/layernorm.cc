@@ -7,6 +7,23 @@
 namespace optimus
 {
 
+namespace
+{
+
+/**
+ * Work per element of a LayerNorm row sweep, in the runtime's
+ * multiply-adds. BENCH_gemm.json `layer_kernels` times the row-lane
+ * kernels at 256 x 128 at 0.72-0.80 ns an element forward and 0.61-
+ * 0.63 ns backward (avx512 / avx2, the backward including dgamma and
+ * dbeta), and its 512^3 GEMM runs 76 G multiply-adds/s (152 GFLOP/s)
+ * on the same host: 47-61 multiply-adds an element. The same figure
+ * serves both directions and every tier, so the grid stays a pure
+ * function of the shape.
+ */
+constexpr int64_t kLayerNormElemWork = 64;
+
+} // namespace
+
 LayerNorm::LayerNorm(const std::string &label, int64_t features,
                      float eps)
     : gamma_(std::make_shared<Param>(
@@ -37,7 +54,7 @@ LayerNorm::forward(const Tensor &x)
         Stash &st = stash_.pushSlot();
         if (st.normalized.rank() != 2 || st.normalized.rows() != rows ||
             st.normalized.cols() != f) {
-            st.normalized = Tensor({rows, f});
+            st.normalized = Tensor::uninitialized({rows, f});
         }
         // optlint:coldalloc — warmup capacity ratchet.
         st.invStd.resize(rows);
@@ -45,7 +62,8 @@ LayerNorm::forward(const Tensor &x)
         inv_std_out = st.invStd.data();
     }
 
-    Tensor y({rows, f});
+    // The kernel writes every element of y (and of the stash).
+    Tensor y = Tensor::uninitialized({rows, f});
     const float *xd = x.data();
     const float *g = gamma_->value.data();
     const float *b = beta_->value.data();
@@ -55,8 +73,7 @@ LayerNorm::forward(const Tensor &x)
     // Rows are independent (each owns its statistics and output
     // slice), so normalization parallelizes with bitwise-identical
     // results at any thread count, chunking and batch composition.
-    // Its serial double sums make an element cost ~128 multiply-adds.
-    parallelFor(0, rows, grainForWork(128 * f),
+    parallelFor(0, rows, grainForWork(kLayerNormElemWork * f),
                 [&](int64_t lo, int64_t hi) {
         simd::layerNormForward(tier, yd + lo * f,
                                nd ? nd + lo * f : nullptr,
@@ -77,19 +94,19 @@ LayerNorm::backward(const Tensor &dy)
     const int64_t f = dy.cols();
     OPTIMUS_ASSERT(st.normalized.rows() == rows);
 
-    Tensor dx({rows, f});
+    Tensor dx = Tensor::uninitialized({rows, f});
     const float *dyd = dy.data();
     const float *nd = st.normalized.data();
     const float *g = gamma_->value.data();
     float *dxd = dx.data();
 
-    // dx rows are independent and parallelize; the dgamma/dbeta
-    // accumulation sums over rows into shared vectors, so it stays a
-    // serial sweep in row order — any parallel split would change
-    // the float addition order with the thread count. An element
-    // costs ~128 multiply-adds, as in the forward.
+    // dx rows are independent and parallelize (the kernel writes
+    // every element); the dgamma/dbeta accumulation sums over rows
+    // into shared vectors, so it stays a serial sweep in row order —
+    // any parallel split would change the float addition order with
+    // the thread count.
     const simd::Tier tier = simd::tier();
-    parallelFor(0, rows, grainForWork(128 * f),
+    parallelFor(0, rows, grainForWork(kLayerNormElemWork * f),
                 [&](int64_t lo, int64_t hi) {
         simd::layerNormBackward(tier, dxd + lo * f, dyd + lo * f,
                                 nd + lo * f, st.invStd.data() + lo, g, f,

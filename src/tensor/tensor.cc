@@ -134,9 +134,13 @@ Tensor::Tensor(ShapeVec shape) : shape_(shape)
         std::memset(data_, 0, size_ * sizeof(float));
 }
 
-Tensor::Tensor(ShapeVec shape, Uninit) : shape_(shape)
+Tensor
+Tensor::uninitialized(ShapeVec shape)
 {
-    allocateStorage(shapeProduct(shape_));
+    Tensor t;
+    t.shape_ = shape;
+    t.allocateStorage(shapeProduct(shape));
+    return t;
 }
 
 Tensor::Tensor(const Tensor &other) : shape_(other.shape_)
@@ -438,8 +442,8 @@ add(const Tensor &a, const Tensor &b)
 {
     OPTIMUS_ASSERT(a.size() == b.size());
     OPTIMUS_CHECK_SHAPE(a, b, "add");
-    Tensor c(a.shape(), Tensor::Uninit{});
-    simd::addVals(simd::tier(), c.data_, a.data_, b.data_, c.size_);
+    Tensor c = Tensor::uninitialized(a.shape());
+    simd::addVals(simd::tier(), c.data(), a.data(), b.data(), c.size());
     return c;
 }
 
@@ -448,8 +452,8 @@ sub(const Tensor &a, const Tensor &b)
 {
     OPTIMUS_ASSERT(a.size() == b.size());
     OPTIMUS_CHECK_SHAPE(a, b, "sub");
-    Tensor c(a.shape(), Tensor::Uninit{});
-    simd::subVals(simd::tier(), c.data_, a.data_, b.data_, c.size_);
+    Tensor c = Tensor::uninitialized(a.shape());
+    simd::subVals(simd::tier(), c.data(), a.data(), b.data(), c.size());
     return c;
 }
 

@@ -101,6 +101,14 @@ class Tensor
     static Tensor randn(ShapeVec shape, Rng &rng, float mean = 0.0f,
                         float stddev = 1.0f);
 
+    /**
+     * Tensor of @p shape whose storage is not zero-filled: for
+     * kernels that write every element next. Drawn from the ambient
+     * workspace like any tensor, so its initial contents are
+     * whatever the recycled block held.
+     */
+    static Tensor uninitialized(ShapeVec shape);
+
     /** Build from explicit values (shape product must match size). */
     static Tensor fromValues(ShapeVec shape,
                              const std::vector<float> &values);
@@ -201,16 +209,6 @@ class Tensor
     std::string shapeString() const;
 
   private:
-    friend Tensor add(const Tensor &a, const Tensor &b);
-    friend Tensor sub(const Tensor &a, const Tensor &b);
-
-    /** Tag of the uninitialized-storage constructor. */
-    struct Uninit
-    {
-    };
-    /** Tensor of @p shape whose elements the caller writes next. */
-    Tensor(ShapeVec shape, Uninit);
-
     /** Cold failure path for the checked operator[]. */
     [[noreturn]] void boundsFail(int64_t i) const;
 

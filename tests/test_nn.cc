@@ -7,8 +7,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
 #include "runtime/runtime.hh"
+#include "tensor/arena.hh"
 #include "tensor/matmul.hh"
 #include "tensor/simd.hh"
 #include "test_util.hh"
@@ -678,12 +681,26 @@ layerNormBackwardOracle(const Tensor &dy, const Tensor &xhat,
  * Infer forward. With @p cancel, x and dy carry +-2^60 pairs that
  * cancel along a row and down a column, and x's row 1 squares sum to
  * a float tie, so a reordered row or column chain changes the bits;
- * beta is zero so y shows x_hat's bits.
+ * beta is zero so y shows x_hat's bits. With @p poisoned the layer
+ * runs in a workspace whose free list holds NaN-filled blocks of the
+ * output's size, so its uninitialized y, stash and dx start as NaN
+ * and any element the kernels skip shows.
  */
 void
 expectLayerNormMatchesOracle(int64_t f, int64_t rows, bool cancel,
-                             const std::string &where)
+                             bool poisoned, const std::string &where)
 {
+    // Declared first, so the workspace outlives every tensor below.
+    std::optional<Workspace> ws;
+    std::optional<WorkspaceScope> scope;
+    if (poisoned) {
+        ws.emplace("poisoned");
+        scope.emplace(&*ws);
+        std::vector<Tensor> nan_blocks;
+        for (int i = 0; i < 16; ++i)
+            nan_blocks.push_back(Tensor::full(
+                {rows, f}, std::numeric_limits<float>::quiet_NaN()));
+    }
     Rng rng(static_cast<uint64_t>(f * 100 + rows));
     LayerNorm layer("t", f);
     const auto params = layer.params();
@@ -744,19 +761,24 @@ TEST(LayerNorm, ForwardBackwardMatchLoopOracle)
 {
     // The layer must keep the bits of the pre-kernel loops at every
     // tier, every row count from 1 to 17 (row-lane groups of eight
-    // and four plus short tails) and the model widths.
+    // and four plus short tails) and the model widths, also when its
+    // outputs land on recycled NaN-filled blocks.
     const simd::Tier initial = simd::tier();
     for (simd::Tier tier : test::supportedTiers()) {
         simd::setTier(tier);
         for (int64_t f : {16, 64, 128})
             for (int64_t rows = 1; rows <= 17; ++rows)
-                for (bool cancel : {false, true})
+                for (int variant = 0; variant < 3; ++variant) {
+                    const bool cancel = variant == 1;
+                    const bool poisoned = variant == 2;
                     expectLayerNormMatchesOracle(
-                        f, rows, cancel,
+                        f, rows, cancel, poisoned,
                         std::string(simd::tierName(tier)) + " f=" +
                             std::to_string(f) + " rows=" +
                             std::to_string(rows) +
-                            (cancel ? " cancel" : ""));
+                            (cancel ? " cancel" : "") +
+                            (poisoned ? " poisoned" : ""));
+                }
     }
     simd::setTier(initial);
 }
