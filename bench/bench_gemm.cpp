@@ -16,9 +16,10 @@
  * dispatch rule runs the GEMM inline, so "pool" should equal
  * "1thread"; above it the GEMM is split over the pool, which should
  * be no slower than inline. A Linear layer's forward is NN, its
- * dX = dY * W^T is NT and its dW = X^T * dY is TN; only the packing
- * differs between them, so at one shape the three should cost about
- * the same. The host's spare cores come and go, so the two legs
+ * dX = dY * W^T is NT and its dW = X^T * dY is TN; only the operand
+ * layout differs between them (an NT with fewer rows than columns
+ * runs with its vector lanes along the rows), so at one shape the
+ * three should cost about the same. The host's spare cores come and go, so the two legs
  * alternate rep by rep and each reports its median and range. The
  * `dispatch_us` field is the median round trip of an empty pooled
  * region, the cost a chunk of kMinChunkWork has to repay.
@@ -138,19 +139,28 @@ struct LayerShape
  * forward (NN) and of fc2's dX = dY * W^T (NT): perfbench's serve
  * decode (~8 rows, hidden 64), train_cc (16 tokens per micro-batch,
  * hidden 64) and train_dense (256 tokens, hidden 128). Serve decode
- * also runs fc2's forward (8 x 4*hidden x hidden) and, with one live
- * slot, single-row GEMMs. NN reads its whole-panel B in place while
- * NT packs it, so at these weight-sized B panels the NN row sits
- * below the NT one. With the AVX-512 row tile of 56 rows,
- * 112x128x128 is two tiles of 0.9M multiply-adds (one chunk,
- * inline) and 112x128x512 two tiles of 3.7M (two chunks, pooled).
+ * also runs fc2's forward (8 x 4*hidden x hidden, which is also
+ * PowerSGD's P phase at rank 8 on a 64 x 256 weight) and, with one
+ * live slot, single-row GEMMs; its mean round has ~7 rows, so the
+ * decode MLP and head (7 x hidden x vocab, NT) shapes repeat at 7.
+ * train_cc's other dX GEMMs are fc1 (16 x 4*hidden x hidden) and
+ * qkv (16 x 3*hidden x hidden). NN and TN read a whole-panel B in
+ * place; NT with fewer rows than columns runs swapped and reads B in
+ * place too. With the AVX-512 row tile of 56 rows, 112x128x128 is
+ * two tiles of 0.9M multiply-adds (one chunk, inline) and
+ * 112x128x512 two tiles of 3.7M (two chunks, pooled).
  */
 const LayerShape kLayerShapes[] = {
     {"64^3", 64, 64, 64},
     {"serve decode mlp", 8, 64, 256},
-    {"serve decode fc2", 8, 256, 64},
+    {"serve decode fc2, powersgd P", 8, 256, 64},
+    {"serve decode 7 mlp", 7, 64, 256},
+    {"serve decode 7 fc2", 7, 256, 64},
+    {"serve decode 7 head", 7, 64, 64},
     {"decode 1 row", 1, 64, 256},
     {"train_cc mlp", 16, 64, 256},
+    {"train_cc fc1 dX", 16, 256, 64},
+    {"train_cc qkv dX", 16, 192, 64},
     {"two tiles 0.9M", 112, 128, 128},
     {"two tiles 3.7M", 112, 128, 512},
     {"train_dense mlp", 256, 128, 512},
