@@ -34,7 +34,10 @@
  * the driver's packed A^T, whose lanes run along m. JR never exceeds
  * the lane count, so the epilogue transposes each register column of
  * the tile in registers (zero rows pad it to a square) and adds
- * lanes [0, JR) into C row by row, under a mask when JR is short.
+ * lanes [0, JR) into C row by row: under a mask on AVX-512, with
+ * 4-, 2- and 1-float stores on AVX2. Every loop over the tile,
+ * epilogue included, is unrolled, or the accumulators go through
+ * the stack on every depth step.
  */
 
 namespace optimus
@@ -232,6 +235,7 @@ swap512(float *c, int64_t ldc, int64_t m, const float *at,
     __m512 q[JR][NV];
 #pragma GCC unroll 16
     for (int r = 0; r < JR; ++r)
+#pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
             q[r][v] = _mm512_setzero_ps();
     const float *brow[JR];
@@ -241,17 +245,20 @@ swap512(float *c, int64_t ldc, int64_t m, const float *at,
     const float *ap = at;
     for (int64_t p = 0; p < kc; ++p, ap += NV * 16) {
         __m512 a[NV];
+#pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
             a[v] = _mm512_loadu_ps(ap + v * 16);
 #pragma GCC unroll 16
         for (int r = 0; r < JR; ++r) {
             const __m512 x = _mm512_set1_ps(brow[r][p]);
+#pragma GCC unroll 2
             for (int v = 0; v < NV; ++v)
                 q[r][v] = _mm512_fmadd_ps(x, a[v], q[r][v]);
         }
     }
     const __mmask16 live_cols =
         static_cast<__mmask16>((1u << JR) - 1);
+#pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
         __m512 t[16];
 #pragma GCC unroll 16
@@ -408,6 +415,36 @@ transpose8(__m256 (&r)[8])
 }
 
 /**
+ * dst[l] += v lane l for l < N, as 4-, 2- and 1-float loads and
+ * stores: AVX2's masked load/store costs several times a plain one,
+ * and the epilogue runs one per C row of every short tile.
+ */
+template <int N>
+OPTIMUS_TARGET_AVX2 inline __attribute__((always_inline)) void
+addLanes(float *dst, __m256 v)
+{
+    if constexpr (N == 8) {
+        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), v));
+    } else {
+        __m128 x = _mm256_castps256_ps128(v);
+        if constexpr (N >= 4) {
+            _mm_storeu_ps(dst, _mm_add_ps(_mm_loadu_ps(dst), x));
+            dst += 4;
+            x = _mm256_extractf128_ps(v, 1);
+        }
+        if constexpr (N % 4 >= 2) {
+            __m64 *const d2 = reinterpret_cast<__m64 *>(dst);
+            _mm_storel_pi(d2,
+                          _mm_add_ps(_mm_loadl_pi(_mm_setzero_ps(), d2), x));
+            dst += 2;
+            x = _mm_movehl_ps(x, x);
+        }
+        if constexpr (N % 2 == 1)
+            _mm_store_ss(dst, _mm_add_ss(_mm_load_ss(dst), x));
+    }
+}
+
+/**
  * Swapped NT tile: C(i, j + r) += sum_p B(j + r, p) * A(i, p) for
  * r < JR and i < m, as JR x NV ymm accumulators with lanes along i.
  */
@@ -419,6 +456,7 @@ swap256(float *c, int64_t ldc, int64_t m, const float *at,
     __m256 q[JR][NV];
 #pragma GCC unroll 8
     for (int r = 0; r < JR; ++r)
+#pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
             q[r][v] = _mm256_setzero_ps();
     const float *brow[JR];
@@ -428,17 +466,18 @@ swap256(float *c, int64_t ldc, int64_t m, const float *at,
     const float *ap = at;
     for (int64_t p = 0; p < kc; ++p, ap += NV * 8) {
         __m256 a[NV];
+#pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
             a[v] = _mm256_loadu_ps(ap + v * 8);
 #pragma GCC unroll 8
         for (int r = 0; r < JR; ++r) {
             const __m256 x = _mm256_broadcast_ss(brow[r] + p);
+#pragma GCC unroll 2
             for (int v = 0; v < NV; ++v)
                 q[r][v] = _mm256_fmadd_ps(x, a[v], q[r][v]);
         }
     }
-    const __m256i live_cols = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(JR), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+#pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
         __m256 t[8];
 #pragma GCC unroll 8
@@ -446,18 +485,8 @@ swap256(float *c, int64_t ldc, int64_t m, const float *at,
             t[r] = r < JR ? q[r][v] : _mm256_setzero_ps();
         transpose8(t);
         const int64_t rows = std::min<int64_t>(8, m - v * 8);
-        for (int64_t i = 0; i < rows; ++i) {
-            float *cr = c + (v * 8 + i) * ldc;
-            if constexpr (JR == 8) {
-                _mm256_storeu_ps(
-                    cr, _mm256_add_ps(_mm256_loadu_ps(cr), t[i]));
-            } else {
-                _mm256_maskstore_ps(
-                    cr, live_cols,
-                    _mm256_add_ps(_mm256_maskload_ps(cr, live_cols),
-                                  t[i]));
-            }
-        }
+        for (int64_t i = 0; i < rows; ++i)
+            addLanes<JR>(c + (v * 8 + i) * ldc, t[i]);
     }
 }
 
