@@ -19,9 +19,8 @@
  * dX = dY * W^T is NT and its dW = X^T * dY is TN; only the operand
  * layout differs between them (an NT with fewer rows than columns
  * runs with its vector lanes along the rows), so at one shape the
- * three should cost about the same. The host's spare cores and
- * speed come and go, so the three forms and the two legs of each
- * alternate rep by rep and each leg reports its median and range. The
+ * three should cost about the same. The host's spare cores come and go, so the two legs
+ * alternate rep by rep and each reports its median and range. The
  * `dispatch_us` field is the median round trip of an empty pooled
  * region, the cost a chunk of kMinChunkWork has to repay.
  *
@@ -45,7 +44,6 @@
  */
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -148,9 +146,9 @@ struct LayerShape
  * train_cc's other dX GEMMs are fc1 (16 x 4*hidden x hidden) and
  * qkv (16 x 3*hidden x hidden). NN and TN read a whole-panel B in
  * place; NT with fewer rows than columns runs swapped and reads B in
- * place too. With the AVX-512 row tile of 56 rows, 112x128x128 is
- * two tiles of 0.9M multiply-adds (one chunk, inline) and
- * 112x128x512 two tiles of 3.7M (two chunks, pooled).
+ * place too. With the AVX-512 row tile of 56 rows,
+ * 112x128x128 is two tiles of 0.9M multiply-adds (one chunk,
+ * inline) and 112x128x512 two tiles of 3.7M (two chunks, pooled).
  */
 const LayerShape kLayerShapes[] = {
     {"64^3", 64, 64, 64},
@@ -211,64 +209,47 @@ formName(Form f)
     return f == Form::NN ? "NN" : f == Form::NT ? "NT" : "TN";
 }
 
-/** Inline and pooled spreads of one form. */
-struct FormTimes
-{
-    Spread serial, pool;
-};
-
 /**
- * Microseconds per call of the NN, NT and TN matmulAcc forms at one
- * shape, inline and on the pool. Each rep times every form's inline
- * and pool batch in turn, so a slow spell of the host lands on all
- * six legs alike and the forms compare like with like. Each batch
- * runs long enough (about 2 ms) that the clock resolution does not
- * matter at the small shapes.
+ * Microseconds per call of one matmulAcc form, inline and on the
+ * pool, alternating the two legs rep by rep. Each rep times a batch
+ * of calls long enough (about 2 ms) that the clock resolution does
+ * not matter at the small shapes.
  */
-std::array<FormTimes, 3>
-measureLayer(const LayerShape &s, int reps, Rng &rng)
+std::pair<Spread, Spread>
+measureLayer(Form form, const LayerShape &s, int reps, Rng &rng)
 {
-    const Tensor a = Tensor::randn({s.m, s.k}, rng);
-    const Tensor at = Tensor::randn({s.k, s.m}, rng);
-    const Tensor b = Tensor::randn({s.k, s.n}, rng);
-    const Tensor bt = Tensor::randn({s.n, s.k}, rng);
+    const Tensor a = form == Form::TN ? Tensor::randn({s.k, s.m}, rng)
+                                      : Tensor::randn({s.m, s.k}, rng);
+    const Tensor b = form == Form::NT ? Tensor::randn({s.n, s.k}, rng)
+                                      : Tensor::randn({s.k, s.n}, rng);
     Tensor c({s.m, s.n});
-    const Form forms[] = {Form::NN, Form::NT, Form::TN};
-    auto timeBatch = [&](Form form, int64_t calls) {
+    auto call = [&] {
+        if (form == Form::NN)
+            matmulAcc(c, a, b);
+        else if (form == Form::NT)
+            matmulAccNT(c, a, b);
+        else
+            matmulAccTN(c, a, b);
+    };
+    auto timeBatch = [&](int64_t calls) {
         const double t0 = seconds();
-        for (int64_t i = 0; i < calls; ++i) {
-            if (form == Form::NN)
-                matmulAcc(c, a, b);
-            else if (form == Form::NT)
-                matmulAccNT(c, a, bt);
-            else
-                matmulAccTN(c, at, b);
-        }
+        for (int64_t i = 0; i < calls; ++i)
+            call();
         return seconds() - t0;
     };
-    int64_t calls[3];
-    for (int f = 0; f < 3; ++f) {
-        timeBatch(forms[f], 1);
-        calls[f] = 1;
-        while (timeBatch(forms[f], calls[f]) < 2e-3)
-            calls[f] *= 2;
-    }
-    std::vector<double> inline_us[3], pool_us[3];
+    call();
+    int64_t calls = 1;
+    while (timeBatch(calls) < 2e-3)
+        calls *= 2;
+    std::vector<double> inline_us, pool_us;
     for (int r = 0; r < reps; ++r) {
-        for (int f = 0; f < 3; ++f) {
-            {
-                SerialRegion serial;
-                inline_us[f].push_back(timeBatch(forms[f], calls[f]) /
-                                       calls[f] * 1e6);
-            }
-            pool_us[f].push_back(timeBatch(forms[f], calls[f]) /
-                                 calls[f] * 1e6);
+        {
+            SerialRegion serial;
+            inline_us.push_back(timeBatch(calls) / calls * 1e6);
         }
+        pool_us.push_back(timeBatch(calls) / calls * 1e6);
     }
-    std::array<FormTimes, 3> out;
-    for (int f = 0; f < 3; ++f)
-        out[f] = {spreadOf(inline_us[f]), spreadOf(pool_us[f])};
-    return out;
+    return {spreadOf(inline_us), spreadOf(pool_us)};
 }
 
 /** Serve's decode attention: head width and cache row width. */
@@ -625,33 +606,26 @@ main(int argc, char **argv)
     std::printf("\nlayer shapes (median us per call [range], "
                 "m x k x n):\n");
     for (const LayerShape &s : kLayerShapes) {
-        const Form forms[] = {Form::NN, Form::NT, Form::TN};
-        LayerRow rows_of[3] = {{&s, forms[0], {}},
-                               {&s, forms[1], {}},
-                               {&s, forms[2], {}}};
-        for (simd::Tier t : tiers) {
-            simd::setTier(t);
-            const std::array<FormTimes, 3> ft =
-                measureLayer(s, kLayerReps, rng);
-            for (int f = 0; f < 3; ++f) {
-                const Spread &serial = ft[f].serial;
-                const Spread &pool = ft[f].pool;
-                rows_of[f].tiers.push_back({t, serial, pool});
+        for (Form form : {Form::NN, Form::NT, Form::TN}) {
+            LayerRow lr{&s, form, {}};
+            for (simd::Tier t : tiers) {
+                simd::setTier(t);
+                const auto [serial, pool] =
+                    measureLayer(form, s, kLayerReps, rng);
+                lr.tiers.push_back({t, serial, pool});
                 std::printf("  %-16s %lldx%lldx%lld %s %-6s "
                             "1t %8.2f [%.2f, %.2f]  "
                             "%dt %8.2f [%.2f, %.2f]\n",
                             s.layer, static_cast<long long>(s.m),
                             static_cast<long long>(s.k),
-                            static_cast<long long>(s.n),
-                            formName(forms[f]), simd::tierName(t),
-                            serial.median, serial.lo, serial.hi,
-                            runtimeThreads(), pool.median, pool.lo,
-                            pool.hi);
+                            static_cast<long long>(s.n), formName(form),
+                            simd::tierName(t), serial.median, serial.lo,
+                            serial.hi, runtimeThreads(), pool.median,
+                            pool.lo, pool.hi);
             }
-        }
-        simd::setTier(auto_tier);
-        for (const LayerRow &lr : rows_of)
+            simd::setTier(auto_tier);
             layer_rows.push_back(lr);
+        }
     }
 
     struct AttnRow

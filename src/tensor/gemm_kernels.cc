@@ -30,8 +30,8 @@
  * accumulator tile at -O3, costing ~10x.
  *
  * The swapped NT kernels turn the tile around: JR rows of B (read in
- * place, one broadcast per row and depth step) times NV registers of
- * the driver's packed A^T, whose lanes run along m. JR never exceeds
+ * place, one broadcast per row and depth step) times the driver's
+ * packed A^T, whose lanes run along m (one zmm, or one or two ymm). JR never exceeds
  * the lane count, so the epilogue transposes each register column of
  * the tile in registers (zero rows pad it to a square) and adds
  * lanes [0, JR) into C row by row: under a mask on AVX-512, with
@@ -225,58 +225,45 @@ transpose16(__m512 (&r)[16])
 
 /**
  * Swapped NT tile: C(i, j + r) += sum_p B(j + r, p) * A(i, p) for
- * r < JR and i < m, as JR x NV zmm accumulators with lanes along i.
+ * r < JR and i < m <= 16, as JR zmm accumulators with lanes along i.
  */
-template <int JR, int NV>
+template <int JR>
 OPTIMUS_TARGET_AVX512 void
 swap512(float *c, int64_t ldc, int64_t m, const float *at,
         const float *b, int64_t ldb, int64_t kc)
 {
-    __m512 q[JR][NV];
+    __m512 q[JR];
 #pragma GCC unroll 16
     for (int r = 0; r < JR; ++r)
-#pragma GCC unroll 2
-        for (int v = 0; v < NV; ++v)
-            q[r][v] = _mm512_setzero_ps();
+        q[r] = _mm512_setzero_ps();
     const float *brow[JR];
 #pragma GCC unroll 16
     for (int r = 0; r < JR; ++r)
         brow[r] = b + r * ldb;
     const float *ap = at;
-    for (int64_t p = 0; p < kc; ++p, ap += NV * 16) {
-        __m512 a[NV];
-#pragma GCC unroll 2
-        for (int v = 0; v < NV; ++v)
-            a[v] = _mm512_loadu_ps(ap + v * 16);
+    for (int64_t p = 0; p < kc; ++p, ap += 16) {
+        const __m512 a = _mm512_loadu_ps(ap);
 #pragma GCC unroll 16
-        for (int r = 0; r < JR; ++r) {
-            const __m512 x = _mm512_set1_ps(brow[r][p]);
-#pragma GCC unroll 2
-            for (int v = 0; v < NV; ++v)
-                q[r][v] = _mm512_fmadd_ps(x, a[v], q[r][v]);
-        }
+        for (int r = 0; r < JR; ++r)
+            q[r] = _mm512_fmadd_ps(_mm512_set1_ps(brow[r][p]), a, q[r]);
     }
     const __mmask16 live_cols =
         static_cast<__mmask16>((1u << JR) - 1);
-#pragma GCC unroll 2
-    for (int v = 0; v < NV; ++v) {
-        __m512 t[16];
+    __m512 t[16];
 #pragma GCC unroll 16
-        for (int r = 0; r < 16; ++r)
-            t[r] = r < JR ? q[r][v] : _mm512_setzero_ps();
-        transpose16(t);
-        const int64_t rows = std::min<int64_t>(16, m - v * 16);
-        for (int64_t i = 0; i < rows; ++i) {
-            float *cr = c + (v * 16 + i) * ldc;
-            if constexpr (JR == 16) {
-                _mm512_storeu_ps(
-                    cr, _mm512_add_ps(_mm512_loadu_ps(cr), t[i]));
-            } else {
-                _mm512_mask_storeu_ps(
-                    cr, live_cols,
-                    _mm512_add_ps(_mm512_maskz_loadu_ps(live_cols, cr),
-                                  t[i]));
-            }
+    for (int r = 0; r < 16; ++r)
+        t[r] = r < JR ? q[r] : _mm512_setzero_ps();
+    transpose16(t);
+    for (int64_t i = 0; i < m; ++i) {
+        float *cr = c + i * ldc;
+        if constexpr (JR == 16) {
+            _mm512_storeu_ps(cr,
+                             _mm512_add_ps(_mm512_loadu_ps(cr), t[i]));
+        } else {
+            _mm512_mask_storeu_ps(
+                cr, live_cols,
+                _mm512_add_ps(_mm512_maskz_loadu_ps(live_cols, cr),
+                              t[i]));
         }
     }
 }
@@ -285,32 +272,25 @@ swap512(float *c, int64_t ldc, int64_t m, const float *at,
 
 void swappedAvx2(const GemmSwapCtx &ctx, int64_t j0, int64_t j1);
 
-/** B rows per swapped tile: one zmm of m lanes, or two. */
-constexpr int kJr512One = 16;
-constexpr int kJr512Two = 14;
+/** B rows per swapped tile: one zmm of m lanes. */
+constexpr int kJr512 = 16;
 
 void
 swappedAvx512(const GemmSwapCtx &ctx, int64_t j0, int64_t j1)
 {
-    const auto run = [&](auto nv) {
-        constexpr int NV = decltype(nv)::value;
-        constexpr int JRMAX = NV == 1 ? kJr512One : kJr512Two;
-        forBalancedGroups(j0, j1, JRMAX, [&](int64_t j, int64_t jr) {
-            withCount<1, JRMAX>(jr, [&](auto rows) {
-                swap512<decltype(rows)::value, NV>(
-                    ctx.c + j, ctx.ldc, ctx.m, ctx.at,
-                    ctx.b + j * ctx.ldb, ctx.ldb, ctx.kc);
-            });
-        });
-    };
     // Eight lanes or fewer run the AVX2 ymm tile: half the work of
     // a zmm tile whose upper lanes would be padding.
-    if (ctx.ldat == kGemmSwapMinLanes)
+    if (ctx.ldat == kGemmSwapMinLanes) {
         swappedAvx2(ctx, j0, j1);
-    else if (ctx.ldat == 16)
-        run(std::integral_constant<int, 1>{});
-    else
-        run(std::integral_constant<int, 2>{});
+        return;
+    }
+    forBalancedGroups(j0, j1, kJr512, [&](int64_t j, int64_t jr) {
+        withCount<1, kJr512>(jr, [&](auto rows) {
+            swap512<decltype(rows)::value>(ctx.c + j, ctx.ldc, ctx.m,
+                                           ctx.at, ctx.b + j * ctx.ldb,
+                                           ctx.ldb, ctx.kc);
+        });
+    });
 }
 
 // ----------------------------------------------------------------
@@ -490,6 +470,36 @@ swap256(float *c, int64_t ldc, int64_t m, const float *at,
     }
 }
 
+/** B rows per swapped tile: one ymm of m lanes, or two. */
+constexpr int kJr256One = 8;
+constexpr int kJr256Two = 6;
+
+void
+swappedAvx2(const GemmSwapCtx &ctx, int64_t j0, int64_t j1)
+{
+    const auto run = [&](auto nv) {
+        constexpr int NV = decltype(nv)::value;
+        constexpr int JRMAX = NV == 1 ? kJr256One : kJr256Two;
+        forBalancedGroups(j0, j1, JRMAX, [&](int64_t j, int64_t jr) {
+            withCount<1, JRMAX>(jr, [&](auto rows) {
+                swap256<decltype(rows)::value, NV>(
+                    ctx.c + j, ctx.ldc, ctx.m, ctx.at,
+                    ctx.b + j * ctx.ldb, ctx.ldb, ctx.kc);
+            });
+        });
+    };
+    if (ctx.ldat == 8)
+        run(std::integral_constant<int, 1>{});
+    else
+        run(std::integral_constant<int, 2>{});
+}
+
+#endif // OPTIMUS_SIMD_X86
+
+} // namespace
+
+#if OPTIMUS_SIMD_X86
+
 /**
  * Swapped-path pack: at[p * ldat + i] = a[i * lda + p] for i < m and
  * p < kc, zero for m <= i < ldat. Moves 8 x 8 blocks through an
@@ -523,43 +533,29 @@ packSwappedAvx2(float *at, int64_t ldat, const float *a, int64_t lda,
     }
 }
 
-/** B rows per swapped tile: one ymm of m lanes, or two. */
-constexpr int kJr256One = 8;
-constexpr int kJr256Two = 6;
+#else
 
 void
-swappedAvx2(const GemmSwapCtx &ctx, int64_t j0, int64_t j1)
+packSwappedAvx2(float *at, int64_t ldat, const float *a, int64_t lda,
+                int64_t m, int64_t kc)
 {
-    const auto run = [&](auto nv) {
-        constexpr int NV = decltype(nv)::value;
-        constexpr int JRMAX = NV == 1 ? kJr256One : kJr256Two;
-        forBalancedGroups(j0, j1, JRMAX, [&](int64_t j, int64_t jr) {
-            withCount<1, JRMAX>(jr, [&](auto rows) {
-                swap256<decltype(rows)::value, NV>(
-                    ctx.c + j, ctx.ldc, ctx.m, ctx.at,
-                    ctx.b + j * ctx.ldb, ctx.ldb, ctx.kc);
-            });
-        });
-    };
-    if (ctx.ldat == 8)
-        run(std::integral_constant<int, 1>{});
-    else
-        run(std::integral_constant<int, 2>{});
+    // Never reached: simd::tier() caps at Scalar without x86.
+    for (int64_t p = 0; p < kc; ++p)
+        for (int64_t i = 0; i < ldat; ++i)
+            at[p * ldat + i] = i < m ? a[i * lda + p] : 0.0f;
 }
 
 #endif // OPTIMUS_SIMD_X86
-
-} // namespace
 
 const GemmKernel &
 gemmKernelAvx2()
 {
 #if OPTIMUS_SIMD_X86
-    static const GemmKernel k{"avx2", kJw256, 48, 512, panelAvx2,
-                              8, 48, packSwappedAvx2, swappedAvx2};
+    static const GemmKernel k{"avx2", kJw256, 48, 512, panelAvx2, 48,
+                              swappedAvx2};
 #else
-    static const GemmKernel k{"avx2", 16, 48, 512, nullptr,
-                              8, 48, nullptr, nullptr};
+    static const GemmKernel k{"avx2", 16, 48, 512, nullptr, 48,
+                              nullptr};
 #endif
     return k;
 }
@@ -569,11 +565,10 @@ gemmKernelAvx512()
 {
 #if OPTIMUS_SIMD_X86
     static const GemmKernel k{"avx512", kJw512, 56, 512,
-                              panelAvx512, 16, 112, packSwappedAvx2,
-                              swappedAvx512};
+                              panelAvx512, 112, swappedAvx512};
 #else
-    static const GemmKernel k{"avx512", 32, 56, 512, nullptr,
-                              16, 112, nullptr, nullptr};
+    static const GemmKernel k{"avx512", 32, 56, 512, nullptr, 112,
+                              nullptr};
 #endif
     return k;
 }

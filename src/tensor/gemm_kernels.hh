@@ -13,15 +13,16 @@
  * AVX-512 tile instead of 14 + 2, and no group streams B for a
  * sliver of rows.
  *
- * An NT product with few rows (m below n and within two vector
- * registers) runs *swapped*: C^T = B * A^T with the vector lanes
+ * An NT product with few rows (m below n and at most
+ * kGemmSwapMaxRows) runs *swapped*: C^T = B * A^T with the vector lanes
  * along m. The driver transposes the small m x kc block of A into
  * a lane-padded scratch; the kernel broadcasts B's rows in place and
  * adds each register tile into C through a transposed epilogue.
  * Nothing the size of B is copied.
  *
  * Each dispatch tier supplies a GemmKernel descriptor: its panel
- * and swapped functions plus the tile sizes. The scalar panel lives
+ * and swapped functions plus the tile sizes; both tiers share one
+ * A^T pack, packSwappedAvx2. The scalar panel lives
  * in matmul.cc (it is the pre-dispatch kernel, unchanged, and has no
  * swapped form); the AVX2 and AVX-512 kernels live in
  * gemm_kernels.cc — the only file besides simd.cc allowed to use raw
@@ -98,19 +99,28 @@ struct GemmSwapCtx
 };
 
 /**
+ * Most rows an NT call may have to run swapped: one zmm of lanes on
+ * AVX-512, two ymm on AVX2. It covers the few-row NT calls the
+ * workloads make (train_cc's 16-row micro-batch, PowerSGD's rank 8,
+ * serve decode's <= 8 rows); above it the packed path was never
+ * measured to win.
+ */
+constexpr int64_t kGemmSwapMaxRows = 16;
+
+/**
  * Lane padding of the swapped path's packed A^T: m up to this many
- * rows pads to it (one ymm, on either vector tier), larger m to a
- * whole number of the tier's registers.
+ * rows pads to it (one ymm, on either vector tier), larger m to
+ * kGemmSwapMaxRows.
  */
 constexpr int64_t kGemmSwapMinLanes = 8;
 
 /**
- * Fills a GemmSwapCtx::at block: at[p * ldat + i] = a[i * lda + p]
- * for i < m, p < kc, and zero for m <= i < ldat.
+ * The swapped path's A^T pack, shared by both vector tiers:
+ * at[p * ldat + i] = a[i * lda + p] for i < m, p < kc, and zero for
+ * m <= i < ldat (ldat a multiple of 8).
  */
-using GemmSwapPackFn = void (*)(float *at, int64_t ldat,
-                                const float *a, int64_t lda, int64_t m,
-                                int64_t kc);
+void packSwappedAvx2(float *at, int64_t ldat, const float *a,
+                     int64_t lda, int64_t m, int64_t kc);
 
 /** Computes C columns [j0, j1) (+)= A * B^T for one pc block. */
 using GemmSwapFn = void (*)(const GemmSwapCtx &ctx, int64_t j0,
@@ -143,20 +153,15 @@ struct GemmKernel
     /** Panel function; null on builds without this tier's ISA
      * (never reached — simd::tier() caps at Scalar there). */
     GemmPanelFn panel;
-    /** Floats per vector register: the swapped path takes m up to
-     * twice this, padded to kGemmSwapMinLanes or to a multiple of
-     * it. */
-    int64_t lanes;
     /** Column tile of the swapped path's parallelFor, a multiple of
      * each of its register tiles' B-row counts. */
     int64_t swapGrain;
-    /** Swapped-path A^T pack and NT function; null where panel is. */
-    GemmSwapPackFn swapPack;
+    /** Swapped-path NT function; null where panel is. */
     GemmSwapFn swapped;
 };
 
-/** 6x16 ymm FMA panel kernel and 8-lane swapped kernel (AVX2
- * tier). */
+/** 6x16 ymm FMA panel kernel and one- or two-ymm swapped kernel
+ * (AVX2 tier). */
 const GemmKernel &gemmKernelAvx2();
 
 /** 14x32 zmm FMA panel kernel and 16-lane swapped kernel

@@ -215,7 +215,7 @@ class PackScratch
 
 /**
  * Swapped NT core: C[m x n] (+)= A * B^T with the vector lanes along
- * m, for m below n and within two of the tier's registers. Per pc
+ * m, for m below n and at most kGemmSwapMaxRows. Per pc
  * block the m x kc block of A is transposed into lane-padded scratch
  * (pad lanes zero, never stored) and the kernel reads B's rows in
  * place; the columns of C split over the pool.
@@ -226,13 +226,11 @@ gemmSwapped(const GemmKernel &mk, float *c, int64_t ldc,
             int64_t m, int64_t k, int64_t n)
 {
     const int64_t ldat =
-        m <= kGemmSwapMinLanes
-            ? kGemmSwapMinLanes
-            : ((m + mk.lanes - 1) / mk.lanes) * mk.lanes;
+        m <= kGemmSwapMinLanes ? kGemmSwapMinLanes : kGemmSwapMaxRows;
     PackScratch at(std::min(k, KC) * ldat);
     for (int64_t pc = 0; pc < k; pc += KC) {
         const int64_t kc = std::min(KC, k - pc);
-        mk.swapPack(at.data(), ldat, a + pc, lda, m, kc);
+        packSwappedAvx2(at.data(), ldat, a + pc, lda, m, kc);
         // A column of C is kc * m multiply-adds; its bits do not
         // depend on its chunk.
         const GemmSwapCtx ctx{c, ldc, m, at.data(), ldat, b + pc, ldb,
@@ -305,7 +303,7 @@ gemmBlocked(float *c, int64_t ldc, const float *a, int64_t lda,
 
     // Few rows of NT: lanes along m, B read in place.
     if (mk != nullptr && trans_b && !trans_a && m < n &&
-        m <= 2 * mk->lanes) {
+        m <= kGemmSwapMaxRows) {
         gemmSwapped(*mk, c, ldc, a, lda, b, ldb, m, k, n);
         return;
     }

@@ -358,17 +358,19 @@ using test::sameBits;
 TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
 {
     // Packing a transposed operand only moves data, and the swapped
-    // NT orientation (lanes along m for m < n within two registers)
+    // NT orientation (lanes along m for m < n and m <= 16)
     // runs each element's same FMA chain, so NT and TN must equal the
     // NN product of an explicitly transposed copy bit for bit, at
     // every tier and thread count. Every m from 1 to 17 plus 31/33/57
     // meets n = m - 1, m and m + 1, so each row-group size and both
-    // sides of the orientation switch (m < n, and m within 8, 16 or
-    // 32 lanes) run; k = 257/300 crosses the KC = 256 block and
+    // sides of the orientation switch (m < n, and m within 8 or 16
+    // lanes) run; k = 257/300 crosses the KC = 256 block and
     // n = 600 crosses the widest column block (512). n = 64, 256 and
     // 544 = 512 + 32 are whole panels at every tier, so the NN
     // reference reads B in place in every column block or in the
-    // first one only.
+    // first one only. m = 1, 13, 16 and 57 also meet the ragged and
+    // mid-sized n = 1, 7-9, 16, 17, 32, 33 and 192, which cut pack
+    // tiles and register tiles of either orientation.
     ASSERT_TRUE(kForceThreads);
     const simd::Tier initial = simd::tier();
     std::vector<int64_t> ms;
@@ -388,6 +390,11 @@ TEST(MatmulTiers, TransposedOperandsBitwiseEqualExplicitTranspose)
                     if (n >= 1 &&
                         std::find(ns.begin(), ns.end(), n) == ns.end())
                         ns.push_back(n);
+                if (m == 1 || m == 13 || m == 16 || m == 57)
+                    for (int64_t n : {1, 7, 8, 9, 16, 17, 32, 33, 192})
+                        if (std::find(ns.begin(), ns.end(), n) ==
+                            ns.end())
+                            ns.push_back(n);
                 for (int64_t n : ns) {
                     for (int64_t k : {1, 15, 17, 257, 300}) {
                         const Tensor a = Tensor::randn({m, k}, rng);
@@ -640,7 +647,7 @@ TEST(MatmulDeathTest, InPlaceBOverlappingCDies)
 {
     // Read in place, B must not share storage with C: the kernels
     // would read B while writing C. NN reads a whole-panel B in
-    // place; NT's swapped path (m < n within two registers) reads
+    // place; NT's swapped path (m < n, m <= 16) reads
     // its [n x k] B in place, and the driver checks every NT call
     // alike. The check fires at every tier.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
