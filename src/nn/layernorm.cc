@@ -12,13 +12,16 @@ namespace
 
 /**
  * Work per element of a LayerNorm row sweep, in the runtime's
- * multiply-adds. BENCH_gemm.json `layer_kernels` times the row-lane
- * kernels at 256 x 128 at 0.72-0.80 ns an element forward and 0.61-
- * 0.63 ns backward (avx512 / avx2, the backward including dgamma and
- * dbeta), and its 512^3 GEMM runs 76 G multiply-adds/s (152 GFLOP/s)
- * on the same host: 47-61 multiply-adds an element. The same figure
- * serves both directions and every tier, so the grid stays a pure
- * function of the shape.
+ * multiply-adds: the time of one element over the time of one
+ * multiply-add of the 1-thread avx512 512^3 GEMM, both from one
+ * BENCH_gemm.json (`layer_kernels` at 256 x 128, the backward
+ * including dgamma and dbeta). The file written at b908c15 reads
+ * 0.85 ns forward and 0.73 ns backward (avx512 and avx2 alike)
+ * against 88.3 GFLOP/s, 32-38 multiply-adds an element; the one
+ * written at cec7308 read 0.72-0.80 and 0.61-0.63 ns against
+ * 152 GFLOP/s, 47-61. The ratio moves with the host between runs;
+ * 64 rounds up the larger. The same figure serves both directions
+ * and every tier, so the grid stays a pure function of the shape.
  */
 constexpr int64_t kLayerNormElemWork = 64;
 
