@@ -17,12 +17,13 @@
  * "1thread"; above it the GEMM is split over the pool, which should
  * be no slower than inline. A Linear layer's forward is NN, its
  * dX = dY * W^T is NT and its dW = X^T * dY is TN; only the operand
- * layout differs between them (an NT with fewer rows than columns
- * runs with its vector lanes along the rows), so at one shape the
- * three should cost about the same. The host's spare cores come and go, so the two legs
- * alternate rep by rep and each reports its median and range. The
- * `dispatch_us` field is the median round trip of an empty pooled
- * region, the cost a chunk of kMinChunkWork has to repay.
+ * layout differs between them (on the vector tiers an NT with at
+ * most 16 rows and fewer rows than columns runs with its vector
+ * lanes along the rows), so at one shape the three should cost
+ * about the same. The host's spare cores come and go, so the two
+ * legs alternate rep by rep and each reports its median and range.
+ * The `dispatch_us` field is the median round trip of an empty
+ * pooled region, the cost a chunk of kMinChunkWork has to repay.
  *
  * A third table times serve's decode attention rows per tier: one
  * query of head width 16 against 8, 32 and 64 cached keys of a
@@ -145,9 +146,9 @@ struct LayerShape
  * decode MLP and head (7 x hidden x vocab, NT) shapes repeat at 7.
  * train_cc's other dX GEMMs are fc1 (16 x 4*hidden x hidden) and
  * qkv (16 x 3*hidden x hidden). NN and TN read a whole-panel B in
- * place; NT with fewer rows than columns runs swapped and reads B in
- * place too. With the AVX-512 row tile of 56 rows,
- * 112x128x128 is two tiles of 0.9M multiply-adds (one chunk,
+ * place; NT with at most 16 rows and fewer rows than columns runs
+ * swapped and reads B in place too. With the AVX-512 row tile of 56
+ * rows, 112x128x128 is two tiles of 0.9M multiply-adds (one chunk,
  * inline) and 112x128x512 two tiles of 3.7M (two chunks, pooled).
  */
 const LayerShape kLayerShapes[] = {

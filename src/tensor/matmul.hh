@@ -12,10 +12,10 @@
  * runtime's dispatch rule runs inline. B stored [k x n] is read in
  * place wherever a column block is a whole number of register tiles
  * wide, so a Linear forward copies none of its weights. An NT product
- * with fewer rows than columns (a Linear dX, the head's logits,
- * PowerSGD's P phase) runs with its vector lanes along the rows on
- * the SIMD tiers: A's few rows are transposed and B, the weight, is
- * read in place. Ragged blocks and other transposed B are packed
+ * with at most 16 rows and fewer rows than columns (a Linear dX, the
+ * head's logits, PowerSGD's P phase) runs with its vector lanes along
+ * the rows on the SIMD tiers: A's few rows are transposed and B, the
+ * weight, is read in place. Ragged blocks and other transposed B are packed
  * block by block — no full transposed() copy is ever made. Results
  * are bitwise reproducible for any OPTIMUS_THREADS setting because
  * the panel decomposition depends only on the problem shape.
